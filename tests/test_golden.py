@@ -1,0 +1,87 @@
+"""Golden outputs of the tree-based models on fixed seeds.
+
+Each digest is the SHA-256 of the float64 bytes of a model's output on fixed
+rows, taken both from the fitted model and from its saved-and-reloaded copy.
+A change to how trees are grown, stored, routed or serialized must leave
+every digest unchanged.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model
+from fraudkit.occ import DetectorConfig, fit_detector, load_detector
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _train_rows():
+    rng = np.random.default_rng(2024)
+    x = rng.normal(size=(300, 4))
+    noise = rng.normal(0.0, 0.8, size=300)
+    y = (x[:, 0] + 0.7 * x[:, 1] * x[:, 2] + noise > 0.4).astype(int)
+    return x, y
+
+
+def _probe_rows():
+    return np.random.default_rng(7).normal(scale=1.5, size=(400, 4))
+
+
+CLASSIFIER_GOLDEN = {
+    "dt-unbounded": (
+        ClassifierConfig("dt", {}),
+        "568eeb2925c46b15c622b170b391388d73d2c2887510546805f6efa33e883bc4",
+    ),
+    "dt-depth3": (
+        ClassifierConfig("dt", {"maxdepth": 3, "criterion": "entropy"}),
+        "90bec6536b09795d8fafcee43d94756c236d37efeae9829feaa33e0ddfe16b43",
+    ),
+    "rf": (
+        ClassifierConfig("rf", {"estimators": 15, "maxdepth": 6}, seed=3),
+        "9bf83ec85f689d43f5606c08da998c53ee62d2de3f041bfa936e4b826a74bf05",
+    ),
+    "gbt": (
+        ClassifierConfig("gbt", {"estimators": 25, "maxdepth": 3, "loss": "deviance"}),
+        "4a1deeeba9b94b79b0f42f7a283f3acd982e3ee2a546a93419cf56fa61b29c77",
+    ),
+}
+
+IFOREST_SCORE = "07f6564c1d1df2d4a8ad42660fa05929c5ab7dcc29c3e154c194c7ff5010513c"
+IFOREST_THRESHOLD = "47ef78b36a10a2805d64b82089e5949eeea5ee2857721fd64628fe0303381138"
+RULES_TEXT = "f2f1139e295e7c96573042aa9cf39a8f7dbdd7baf2d99a29243352cd86e2ba60"
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIER_GOLDEN))
+def test_classifier_proba_golden(tmp_path, name):
+    config, expected = CLASSIFIER_GOLDEN[name]
+    x, y = _train_rows()
+    model = fit_arrays(config, x, y)
+    path = tmp_path / "model.json"
+    model.save(path)
+    probe = _probe_rows()
+    assert _digest(model.predict_proba(probe)) == expected
+    assert _digest(load_model(path).predict_proba(probe)) == expected
+
+
+def test_iforest_score_and_threshold_golden(tmp_path):
+    x, _ = _train_rows()
+    config = DetectorConfig("iforest", {"n_estimators": 40, "max_samples": 128}, seed=5)
+    detector = fit_detector(config, x)
+    path = tmp_path / "detector.json"
+    detector.save(path)
+    back = load_detector(path)
+    probe = _probe_rows()
+    for d in (detector, back):
+        assert _digest(d.score(probe)) == IFOREST_SCORE
+        assert _digest([d.threshold]) == IFOREST_THRESHOLD
+
+
+def test_depth3_rules_text_golden():
+    x, y = _train_rows()
+    model = fit_arrays(ClassifierConfig("dt", {"maxdepth": 3}), x, y)
+    text = format_rules(extract_rules(model))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULES_TEXT
