@@ -1,9 +1,8 @@
 """fraudkit: imbalanced fraud detection toolkit.
 
-End-to-end pipeline over CSV transaction data: cleansing/encoding/splits,
-classical and GAN-based oversampling, seven binary classifiers, six
-one-class detectors, balanced-accuracy metrics with paired t-tests,
-Shapley attribution and constrained counterfactual generation.
+Pipeline stages over CSV transaction data: cleansing/encoding/splits,
+classical and GAN-based oversampling, seven binary classifiers with IF-THEN
+rule extraction from decision trees, and six one-class detectors.
 """
 
 __version__ = "0.1.0"

@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, round_half_up
+from .data import Dataset, as_matrix, round_half_up
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, train
-from .tree import ENTROPY, GINI, SQUARED, DecisionTree, TreeNode
+from .tree import SQUARED, DecisionTree
 
 KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
 
@@ -121,17 +121,6 @@ class ClassifierConfig:
         return cls(doc["kind"], dict(doc.get("parameters", {})), int(doc.get("seed", 0)))
 
 
-def _as_matrix(rows, width: int) -> np.ndarray:
-    if isinstance(rows, Dataset):
-        rows = rows.matrix()
-    x = np.asarray(rows, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ModelError(f"expected rows of width {width}, got shape {x.shape}")
-    return x
-
-
 class TrainedModel:
     """Fitted classifier: kind, feature names, kind-specific state."""
 
@@ -190,7 +179,7 @@ class NaiveBayesModel(TrainedModel):
         self.variances = np.asarray(variances, dtype=float)  # (2, d)
 
     def predict_proba(self, rows) -> np.ndarray:
-        x = _as_matrix(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         loglik = np.empty((x.shape[0], 2))
         for cls in (0, 1):
             var = self.variances[cls]
@@ -242,7 +231,7 @@ class LinearModel(TrainedModel):
         self.parameters = dict(parameters)
 
     def decision_score(self, rows) -> np.ndarray:
-        x = _as_matrix(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         return x @ self.weights + self.bias
 
     def predict_proba(self, rows) -> np.ndarray:
@@ -355,7 +344,7 @@ class TreeModel(TrainedModel):
         self.parameters = dict(parameters)
 
     def predict_proba(self, rows) -> np.ndarray:
-        return self.tree.predict_value(_as_matrix(rows, self.n_features))
+        return self.tree.predict_value(as_matrix(rows, self.n_features))
 
     def _state_dict(self) -> dict:
         return {"tree": self.tree.to_dict(), "parameters": self.parameters}
@@ -383,7 +372,7 @@ class ForestModel(TrainedModel):
         self.parameters = dict(parameters)
 
     def predict_proba(self, rows) -> np.ndarray:
-        x = _as_matrix(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         votes = np.zeros(x.shape[0])
         for tree in self.trees:
             votes += (tree.predict_value(x) >= 0.5).astype(float)
@@ -430,7 +419,7 @@ class BoostedModel(TrainedModel):
         self.parameters = dict(parameters)
 
     def decision_score(self, rows) -> np.ndarray:
-        x = _as_matrix(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         score = np.full(x.shape[0], self.initial_score)
         for tree in self.trees:
             score += self.learning_rate * tree.predict_value(x)
@@ -438,7 +427,7 @@ class BoostedModel(TrainedModel):
 
     def staged_scores(self, rows) -> list[np.ndarray]:
         """Additive score after each boosting stage (stage 0 = initial)."""
-        x = _as_matrix(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         score = np.full(x.shape[0], self.initial_score)
         stages = [score.copy()]
         for tree in self.trees:
@@ -491,18 +480,16 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
             p = sigmoid(score)
             residual = y - p
             hessian = np.maximum(p * (1.0 - p), 1e-12)
-            numerator_terms = residual
-        else:  # exponential
-            w = np.exp(np.clip(-ypm * score, -30.0, 30.0))
+        else:  # exponential loss on half the score, so the score stays the log-odds
+            w = np.exp(np.clip(-ypm * score / 2.0, -30.0, 30.0))
             residual = ypm * w
-            hessian = np.maximum(w, 1e-12)
-            numerator_terms = residual
+            hessian = np.maximum(w, 1e-12) / 2.0
         tree = DecisionTree(criterion=SQUARED, max_depth=max_depth).fit(x, residual)
-        nodes = tree.nodes_by_id()
+        values = tree.nodes_by_id().value
         for leaf_id, idx in tree.leaf_training_indices.items():
-            num = float(np.sum(numerator_terms[idx]))
+            num = float(np.sum(residual[idx]))
             den = float(np.sum(hessian[idx]))
-            nodes[leaf_id].value = num / den if den > 0 else 0.0
+            values[leaf_id] = num / den if den > 0 else 0.0
         score = score + learning_rate * tree.predict_value(x)
         trees.append(tree)
     return BoostedModel(names, f0, trees, learning_rate, loss, params)
@@ -520,7 +507,7 @@ class MlpModel(TrainedModel):
         self.parameters = dict(parameters)
 
     def predict_proba(self, rows) -> np.ndarray:
-        x = _as_matrix(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         return self.network.forward(x).ravel()
 
     def _state_dict(self) -> dict:
@@ -593,14 +580,6 @@ def fit_arrays(
     if len(names) != x.shape[1]:
         raise DataError("feature_names length must match columns")
     return _FITTERS[config.kind](x, y, names, config)
-
-
-def predict(model: TrainedModel, rows) -> np.ndarray:
-    return model.predict(rows)
-
-
-def predict_proba(model: TrainedModel, rows) -> np.ndarray:
-    return model.predict_proba(rows)
 
 
 _MODEL_CLASSES = {
@@ -697,43 +676,27 @@ def extract_rules(model: TrainedModel) -> list[Rule]:
     with repeated conditions on a feature merged into an interval."""
     if not isinstance(model, TreeModel):
         raise ModelError("rule extraction requires a decision-tree model")
+    nodes = model.tree.nodes_by_id()
     rules: list[Rule] = []
-
-    def walk(node: TreeNode, bounds: dict[int, tuple[float | None, float | None]], order: list[int]):
-        if node.is_leaf:
-            conditions = []
-            for j in order:
-                low, high = bounds[j]
-                conditions.append(Condition(model.feature_names[j], low, high))
-            rules.append(
-                Rule(
-                    tuple(conditions),
-                    predicted=int(node.value >= 0.5),
-                    support=node.n_samples,
-                    purity=max(node.value, 1.0 - node.value),
-                )
-            )
-            return
-        j, thr = node.feature, node.threshold
-        seen = j in bounds
+    # (node, feature -> (low, high) bounds, features in order of first use)
+    stack: list[tuple[int, dict, list[int]]] = [(0, {}, [])]
+    while stack:
+        i, bounds, order = stack.pop()
+        j = int(nodes.feature[i])
+        if j < 0:
+            value = float(nodes.value[i])
+            conditions = tuple(Condition(model.feature_names[k], *bounds[k]) for k in order)
+            support = int(nodes.n_samples[i])
+            rules.append(Rule(conditions, int(value >= 0.5), support, max(value, 1.0 - value)))
+            continue
+        thr = float(nodes.threshold[i])
         low, high = bounds.get(j, (None, None))
-        # left branch: feature <= thr
-        new_high = thr if high is None else min(high, thr)
-        bounds[j] = (low, new_high)
-        walk(node.left, bounds, order if seen else order + [j])
-        # right branch: feature > thr
-        new_low = thr if low is None else max(low, thr)
-        bounds[j] = (new_low, high)
-        walk(node.right, bounds, order if seen else order + [j])
-        if seen:
-            bounds[j] = (low, high)
-        else:
-            del bounds[j]
-
-    root = model.tree._require_fit()
-    if root.is_leaf:
-        return [Rule((), int(root.value >= 0.5), root.n_samples, max(root.value, 1.0 - root.value))]
-    walk(root, {}, [])
+        if j not in bounds:
+            order = order + [j]
+        above = (thr if low is None else max(low, thr), high)  # right branch: feature > thr
+        below = (low, thr if high is None else min(high, thr))  # left branch: feature <= thr
+        stack.append((int(nodes.right[i]), {**bounds, j: above}, order))
+        stack.append((int(nodes.left[i]), {**bounds, j: below}, order))
     return rules
 
 

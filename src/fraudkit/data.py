@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ModelError
 
 Cell = float | str | None
 
@@ -222,6 +222,19 @@ def dataset_from_matrix(
     return Dataset(schema, [tuple(float(v) for v in row) for row in matrix], labels)
 
 
+def as_matrix(rows, width: int) -> np.ndarray:
+    """Rows handed to a fitted model (a Dataset, one row or a matrix) as a
+    float matrix of the model's width."""
+    if isinstance(rows, Dataset):
+        rows = rows.matrix()
+    x = np.asarray(rows, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ModelError(f"expected rows of width {width}, got shape {x.shape}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion / persistence
 
@@ -230,9 +243,10 @@ def _parse_cell(token: str, feature: Feature, null_token: str | None) -> Cell:
         return None
     if feature.kind == NUMERIC:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             return None  # unparseable numerics are nulls, not errors
+        return value if math.isfinite(value) else None
     if token not in feature.categories:  # type: ignore[operator]
         raise DataError(f"unknown category {token!r} for feature {feature.name!r}")
     return token
@@ -248,7 +262,8 @@ def load_csv(
 
     Columns may appear in any order; extra or missing columns are errors.
     Empty cells and `null_token` parse to null; numeric cells that fail to
-    parse become null; an unknown category token is an error (schema drift).
+    parse or are not finite (inf, nan) become null; an unknown category
+    token is an error (schema drift).
     """
     p = Path(path)
     if not p.exists():

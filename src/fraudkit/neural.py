@@ -271,10 +271,6 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, weights, biases)
 
 
-def forward(net: Network, batch: np.ndarray) -> np.ndarray:
-    return net.forward(batch)
-
-
 class Optimizer:
     """SGD or Adam over one network's parameter list."""
 

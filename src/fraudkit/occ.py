@@ -18,9 +18,10 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import chi2
 
-from .data import Dataset
+from .data import Dataset, as_matrix
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, layer_stack, init_network
+from .tree import Nodes, grow
 
 KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
 
@@ -105,17 +106,6 @@ def quantile_threshold(scores: np.ndarray, contamination: float) -> float:
     return float(s[idx])
 
 
-def _as_rows(rows, width: int) -> np.ndarray:
-    if isinstance(rows, Dataset):
-        rows = rows.matrix()
-    x = np.asarray(rows, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ModelError(f"expected rows of width {width}, got shape {x.shape}")
-    return x
-
-
 class TrainedDetector:
     kind: str = ""
 
@@ -186,7 +176,7 @@ class OcsvmDetector(TrainedDetector):
         self.gamma = float(gamma)
 
     def score(self, rows) -> np.ndarray:
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         k = kernel_matrix(x, self.support_rows, self.kernel, self.gamma)
         return self.rho - k @ self.alphas
 
@@ -273,65 +263,24 @@ def average_path_length(m: int) -> float:
     return 2.0 * harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-@dataclass
-class _IsoNode:
-    feature: int = -1
-    split: float = 0.0
-    left: "_IsoNode | None" = None
-    right: "_IsoNode | None" = None
-    size: int = 0
+def _grow_isolation_tree(x: np.ndarray, limit: int, rng: np.random.Generator) -> Nodes:
+    """Random splits until a node holds one row, its rows are all equal or
+    the depth limit is hit; a leaf's value is its estimated path length."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def split_or_leaf(indices, depth):
+        if len(indices) > 1 and depth < limit:
+            rows = x[indices]
+            lo = rows.min(axis=0)
+            hi = rows.max(axis=0)
+            usable = np.nonzero(hi > lo)[0]
+            if usable.size:
+                feature = int(usable[int(rng.integers(usable.size))])
+                split = float(rng.uniform(lo[feature], hi[feature]))
+                # rows below the split go left; one ulp down, `<=` routes them alike
+                return feature, float(np.nextafter(split, -np.inf)), 0.0, 0
+        return -1, 0.0, depth + average_path_length(len(indices)), 0
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"size": self.size}
-        return {
-            "feature": self.feature,
-            "split": self.split,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "_IsoNode":
-        if "feature" not in doc:
-            return cls(size=int(doc["size"]))
-        return cls(
-            feature=int(doc["feature"]),
-            split=float(doc["split"]),
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-        )
-
-
-def _grow_iso(x: np.ndarray, depth: int, limit: int, rng: np.random.Generator) -> _IsoNode:
-    if x.shape[0] <= 1 or depth >= limit:
-        return _IsoNode(size=x.shape[0])
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    usable = np.nonzero(hi > lo)[0]
-    if usable.size == 0:
-        return _IsoNode(size=x.shape[0])
-    feature = int(usable[int(rng.integers(usable.size))])
-    split = float(rng.uniform(lo[feature], hi[feature]))
-    mask = x[:, feature] < split
-    return _IsoNode(
-        feature=feature,
-        split=split,
-        left=_grow_iso(x[mask], depth + 1, limit, rng),
-        right=_grow_iso(x[~mask], depth + 1, limit, rng),
-    )
-
-
-def _iso_path(node: _IsoNode, row: np.ndarray) -> float:
-    depth = 0.0
-    while not node.is_leaf:
-        node = node.left if row[node.feature] < node.split else node.right
-        depth += 1.0
-    return depth + average_path_length(node.size)
+    return grow(x, split_or_leaf)[0]
 
 
 class IsolationForestDetector(TrainedDetector):
@@ -343,13 +292,13 @@ class IsolationForestDetector(TrainedDetector):
         self.subsample_size = int(subsample_size)
 
     def score(self, rows) -> np.ndarray:
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
+        paths = np.empty((x.shape[0], len(self.trees)))
+        for t, tree in enumerate(self.trees):
+            paths[:, t] = tree.value[tree.route(x)]
         c = average_path_length(self.subsample_size)
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            mean_path = np.mean([_iso_path(t, row) for t in self.trees])
-            out[i] = 2.0 ** (-mean_path / c)
-        return out
+        # Python's scalar pow: numpy's vectorized power can differ in the last bit
+        return np.array([2.0**v for v in (-paths.mean(axis=1) / c).tolist()])
 
     def _state_dict(self) -> dict:
         return {
@@ -361,7 +310,7 @@ class IsolationForestDetector(TrainedDetector):
     def _from_state(cls, n_features, threshold, state):
         return cls(
             n_features,
-            [_IsoNode.from_dict(t) for t in state["trees"]],
+            [Nodes.from_dict(t, n_features) for t in state["trees"]],
             state["subsample_size"],
             threshold,
         )
@@ -380,7 +329,7 @@ def _fit_iforest(x: np.ndarray, config: DetectorConfig) -> IsolationForestDetect
     for seq in np.random.SeedSequence(config.seed).spawn(n_estimators):
         rng = np.random.default_rng(seq)
         idx = rng.permutation(n)[:m]  # subsample without replacement
-        trees.append(_grow_iso(x[idx], 0, limit, rng))
+        trees.append(_grow_isolation_tree(x[idx], limit, rng))
     return IsolationForestDetector(d, trees, m)
 
 
@@ -404,7 +353,7 @@ class CopodDetector(TrainedDetector):
         self.skews = np.asarray(skews, dtype=float)
 
     def score(self, rows) -> np.ndarray:
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         n = len(self.sorted_columns[0])
         # inside the fitted support tails are >= 1/n; a value outside it takes
         # the smallest positive probability, so its surprisal stays finite yet
@@ -468,7 +417,7 @@ class AbodDetector(TrainedDetector):
         return float(np.var(w[iu]))
 
     def score(self, rows) -> np.ndarray:
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         return np.array([-self.angle_factor(row) for row in x])
 
     def _state_dict(self) -> dict:
@@ -534,7 +483,7 @@ class McdDetector(TrainedDetector):
         self.raw_log_det = float(raw_log_det)
 
     def score(self, rows) -> np.ndarray:
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         return np.sqrt(np.maximum(_mahalanobis2(x, self.mean, self.cov), 0.0))
 
     def _state_dict(self) -> dict:
@@ -633,13 +582,13 @@ class VaeDetector(TrainedDetector):
 
     def reconstruct(self, rows) -> np.ndarray:
         """Decode from the posterior mean (no sampling, deterministic)."""
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         hidden = self.encoder.forward(x)
         mu = self.mu_head.forward(hidden)
         return self.decoder.forward(mu)
 
     def score(self, rows) -> np.ndarray:
-        x = _as_rows(rows, self.n_features)
+        x = as_matrix(rows, self.n_features)
         recon = self.reconstruct(x)
         return np.mean((x - recon) ** 2, axis=1)
 
@@ -759,14 +708,6 @@ def fit_detector(config: DetectorConfig, negatives: Dataset | np.ndarray) -> Tra
     detector = _FITTERS[config.kind](x, config)
     detector.threshold = quantile_threshold(detector.score(x), config.contamination)
     return detector
-
-
-def score(detector: TrainedDetector, rows) -> np.ndarray:
-    return detector.score(rows)
-
-
-def classify(detector: TrainedDetector, rows) -> np.ndarray:
-    return detector.classify(rows)
 
 
 def detector_from_dict(doc: dict) -> TrainedDetector:

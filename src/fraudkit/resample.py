@@ -9,9 +9,7 @@ a fixed (data, config) pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -342,33 +340,3 @@ def balance(
     from . import augment  # GAN methods live in their own module
 
     return augment.oversample_gan(data, cfg, onehot_groups, overrides=gan_overrides)
-
-
-def save_balanced(
-    original: Dataset,
-    balanced: Dataset,
-    cfg: BalancerConfig,
-    out_dir: str | Path,
-    label_column: str = "label",
-) -> None:
-    """Persist the balanced set plus a manifest of method, counts and seed."""
-    from .data import save_csv
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_csv(balanced, out / "balanced.csv", label_column)
-
-    def counts(ds: Dataset) -> dict:
-        labels = ds.require_labels()
-        return {"negative": int(np.sum(labels == 0)), "positive": int(np.sum(labels == 1))}
-
-    manifest = {
-        "format": "fraudkit.balance/1",
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "before": counts(original),
-        "after": counts(balanced),
-    }
-    (out / "balance_manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )

@@ -1,11 +1,13 @@
 """CART trees: greedy binary splits over midpoint thresholds with gini,
-entropy or squared-error criteria.
+entropy or squared-error criteria, stored in the flat `Nodes` layout that
+the isolation forest shares.
 
-Shared by the decision-tree classifier, the random forest, the boosted
-ensemble and the tree-path Shapley computation. Tie-breaks are fixed
-(lowest feature index, then lowest threshold) so fits are reproducible.
-An impure node splits even at zero impurity decrease, which is what lets
-a depth-2 tree carve out XOR.
+Shared by the decision-tree classifier, the random forest and the boosted
+ensemble. Tie-breaks are fixed (lowest feature index, then lowest
+threshold) so fits are reproducible. An impure node splits even at zero
+impurity decrease, which is what lets a depth-2 tree carve out XOR. Trees
+are grown, routed and serialized without recursion, so depth is bounded
+only by the data.
 """
 
 from __future__ import annotations
@@ -36,49 +38,104 @@ def _impurity(pos: float, n: float, criterion: str) -> float:
     return float(out)
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    n_samples: int = 0
-    n_positive: int = 0
-    node_id: int = -1
+TREE_FORMAT = "fraudkit.tree/2"
+COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples", "n_positive")
+_FLOAT_COLUMNS = ("threshold", "value")
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+
+@dataclass
+class Nodes:
+    """One tree as parallel per-node columns, nodes numbered in pre-order.
+
+    A row at split node i goes to `left[i]` when x[feature[i]] <= threshold[i]
+    and to `right[i]` otherwise; children always come after their parent. A
+    leaf has feature, left and right -1 and predicts `value`.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    n_positive: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.feature)
+
+    def route(self, x: np.ndarray) -> np.ndarray:
+        """Leaf id reached by each row of x, moving every row one level per step."""
+        at = np.zeros(x.shape[0], dtype=np.intp)
+        rows = np.arange(x.shape[0])
+        while rows.size:
+            node = at[rows]
+            feature = self.feature[node]
+            inner = feature >= 0
+            rows, node, feature = rows[inner], node[inner], feature[inner]
+            go_left = x[rows, feature] <= self.threshold[node]
+            at[rows] = np.where(go_left, self.left[node], self.right[node])
+        return at
 
     def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {
-                "value": self.value,
-                "n": self.n_samples,
-                "pos": self.n_positive,
-            }
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "n": self.n_samples,
-            "pos": self.n_positive,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+        return {"format": TREE_FORMAT, **{c: getattr(self, c).tolist() for c in COLUMNS}}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        if "feature" not in doc:
-            return cls(value=float(doc["value"]), n_samples=int(doc["n"]), n_positive=int(doc.get("pos", 0)))
-        return cls(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-            n_samples=int(doc["n"]),
-            n_positive=int(doc.get("pos", 0)),
-        )
+    def from_dict(cls, doc: dict, n_features: int) -> "Nodes":
+        """Columns of a tree document, checked so that routing always ends."""
+        if doc.get("format") != TREE_FORMAT:
+            raise ModelError(f"unsupported tree document {doc.get('format')!r}")
+        try:
+            cols = _as_columns(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"bad tree columns: {exc}") from None
+        n = len(cols["feature"])
+        if n == 0 or any(v.shape != (n,) for v in cols.values()):
+            raise ModelError("tree columns must be nonempty and of equal length")
+        feature, left, right = cols["feature"], cols["left"], cols["right"]
+        inner = feature != -1
+        if np.any(feature[inner] < 0) or np.any(feature[inner] >= n_features):
+            raise ModelError(f"tree feature index outside [0, {n_features})")
+        if np.any(left[~inner] != -1) or np.any(right[~inner] != -1):
+            raise ModelError("tree leaf with children")
+        parent = np.nonzero(inner)[0]
+        for child in (left[inner], right[inner]):
+            if np.any(child <= parent) or np.any(child >= n):
+                raise ModelError("tree child index must exceed its parent's and lie in range")
+        return cls(**cols)
+
+
+def grow(x: np.ndarray, node_rule) -> tuple[Nodes, dict[int, np.ndarray]]:
+    """Grow one tree over the rows of x with an explicit stack.
+
+    `node_rule(indices, depth)` returns (feature, threshold, value, n_positive)
+    for the node holding rows `indices`; feature -1 makes it a leaf. Rows go
+    left where x[:, feature] <= threshold. The left child is taken first, so
+    nodes are numbered in pre-order and `node_rule` sees them (and makes any
+    random draws) in the order of a recursive left-first grower. Returns the
+    nodes and, per leaf id, the indices of the rows that reached it.
+    """
+    cols: dict[str, list] = {c: [] for c in COLUMNS}
+    leaf_rows: dict[int, np.ndarray] = {}
+    stack: list[tuple[np.ndarray, int, int, list | None]] = [(np.arange(x.shape[0]), 0, -1, None)]
+    while stack:
+        indices, depth, parent, link = stack.pop()
+        node = len(cols["feature"])
+        if link is not None:
+            link[parent] = node
+        feature, threshold, value, n_positive = node_rule(indices, depth)
+        for c, v in zip(COLUMNS, (feature, threshold, -1, -1, value, len(indices), n_positive)):
+            cols[c].append(v)
+        if feature < 0:
+            leaf_rows[node] = indices
+            continue
+        go_left = x[indices, feature] <= threshold
+        stack.append((indices[~go_left], depth + 1, node, cols["right"]))
+        stack.append((indices[go_left], depth + 1, node, cols["left"]))
+    return Nodes(**_as_columns(cols)), leaf_rows
+
+
+def _as_columns(values) -> dict[str, np.ndarray]:
+    return {c: np.asarray(values[c], dtype=float if c in _FLOAT_COLUMNS else np.intp) for c in COLUMNS}
 
 
 def _best_split_classification(x, y, candidates, criterion):
@@ -158,7 +215,7 @@ class DecisionTree:
     criterion: str = GINI
     max_depth: int | None = None
     max_features: int | None = None  # per-node random subset size (forests)
-    root: TreeNode | None = None
+    nodes: Nodes | None = None
     n_features: int = 0
     leaf_training_indices: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -172,31 +229,17 @@ class DecisionTree:
         if self.max_features is not None and rng is None:
             rng = np.random.default_rng(0)
         self.n_features = x.shape[1]
-        self.leaf_training_indices = {}
-        self._counter = 0
-        self.root = self._grow(x, y, np.arange(x.shape[0]), depth=0, rng=rng)
+        self.nodes, self.leaf_training_indices = grow(
+            x, lambda indices, depth: self._split_or_leaf(x, y, indices, depth, rng)
+        )
         return self
 
-    def _next_id(self) -> int:
-        self._counter += 1
-        return self._counter - 1
-
-    def _leaf(self, y: np.ndarray, indices: np.ndarray) -> TreeNode:
-        node = TreeNode(node_id=self._next_id(), n_samples=len(y))
-        if self.criterion == SQUARED:
-            node.value = float(y.mean())
-        else:
-            node.n_positive = int(y.sum())
-            node.value = node.n_positive / node.n_samples
-        self.leaf_training_indices[node.node_id] = indices
-        return node
-
-    def _grow(self, x, y, indices, depth, rng) -> TreeNode:
+    def _split_or_leaf(self, x, y, indices, depth, rng) -> tuple[int, float, float, int]:
         n = len(indices)
-        xs, ys = x[indices], y[indices]
-        pure = (ys == ys[0]).all()
-        if n < 2 or pure or (self.max_depth is not None and depth >= self.max_depth):
-            return self._leaf(ys, indices)
+        ys = y[indices]
+        n_positive = 0 if self.criterion == SQUARED else int(ys.sum())
+        if n < 2 or (ys == ys[0]).all() or (self.max_depth is not None and depth >= self.max_depth):
+            return self._leaf(ys, n_positive)
 
         if self.max_features is not None and self.max_features < self.n_features:
             chosen = rng.permutation(self.n_features)[: self.max_features]
@@ -204,106 +247,49 @@ class DecisionTree:
         else:
             candidates = range(self.n_features)
 
+        xs = x[indices]
         if self.criterion == SQUARED:
             best = _best_split_regression(xs, ys, candidates)
         else:
             best = _best_split_classification(xs, ys, candidates, self.criterion)
         if best is None:
-            return self._leaf(ys, indices)
-        j, thr, _ = best
-        mask = xs[:, j] <= thr
-        node = TreeNode(feature=j, threshold=thr, node_id=self._next_id(), n_samples=n)
-        if self.criterion != SQUARED:
-            node.n_positive = int(ys.sum())
-        node.left = self._grow(x, y, indices[mask], depth + 1, rng)
-        node.right = self._grow(x, y, indices[~mask], depth + 1, rng)
-        return node
+            return self._leaf(ys, n_positive)
+        return best[0], best[1], 0.0, n_positive
+
+    def _leaf(self, ys: np.ndarray, n_positive: int) -> tuple[int, float, float, int]:
+        value = float(ys.mean()) if self.criterion == SQUARED else n_positive / len(ys)
+        return -1, 0.0, value, n_positive
 
     # ---------------------------------------------------------------- use
 
-    def _require_fit(self) -> TreeNode:
-        if self.root is None:
+    def _require_fit(self) -> Nodes:
+        if self.nodes is None:
             raise ModelError("tree is not fitted")
-        return self.root
+        return self.nodes
 
-    def _route(self, x: np.ndarray, out: np.ndarray, pick) -> np.ndarray:
-        root = self._require_fit()
+    def predict_value(self, x: np.ndarray) -> np.ndarray:
+        nodes = self._require_fit()
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ModelError(f"expected rows of width {self.n_features}")
-        stack = [(root, np.arange(x.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = pick(node)
-                continue
-            mask = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
+        return nodes.value[nodes.route(x)]
 
-    def predict_value(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._route(x, np.empty(x.shape[0]), lambda node: node.value)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Leaf node ids reached by each row."""
-        x = np.asarray(x, dtype=float)
-        return self._route(x, np.empty(x.shape[0], dtype=int), lambda node: node.node_id)
-
-    def leaves(self) -> list[TreeNode]:
-        """Depth-first, left-first leaf order."""
-        out: list[TreeNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self._require_fit())
-        return out
-
-    def nodes_by_id(self) -> dict[int, TreeNode]:
-        out: dict[int, TreeNode] = {}
-
-        def walk(node: TreeNode) -> None:
-            out[node.node_id] = node
-            if not node.is_leaf:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self._require_fit())
-        return out
+    def nodes_by_id(self) -> Nodes:
+        """The node table; node id i is entry i of every column."""
+        return self._require_fit()
 
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,
             "max_depth": self.max_depth,
             "n_features": self.n_features,
-            "root": self._require_fit().to_dict(),
+            **self._require_fit().to_dict(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTree":
-        tree = cls(criterion=doc["criterion"], max_depth=doc["max_depth"])
-        tree.n_features = int(doc["n_features"])
-        tree.root = TreeNode.from_dict(doc["root"])
-        tree._reassign_ids()
-        return tree
-
-    def _reassign_ids(self) -> None:
-        counter = 0
-
-        def walk(node: TreeNode) -> None:
-            nonlocal counter
-            node.node_id = counter
-            counter += 1
-            if not node.is_leaf:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self._require_fit())
+        n_features = doc.get("n_features")
+        if not isinstance(n_features, int) or n_features < 1:
+            raise ModelError(f"tree document needs a positive n_features, got {n_features!r}")
+        nodes = Nodes.from_dict(doc, n_features)
+        return cls(doc.get("criterion", GINI), doc.get("max_depth"), nodes=nodes, n_features=n_features)

@@ -20,7 +20,7 @@ from fraudkit.classify import (
 )
 from fraudkit.data import dataset_from_matrix
 from fraudkit.errors import ConfigError, DataError, ModelError
-from fraudkit.tree import DecisionTree, TreeNode
+from fraudkit.tree import DecisionTree, Nodes
 
 
 def xor_dataset():
@@ -122,10 +122,10 @@ def test_dt_root_split_matches_exhaustive_oracle(criterion, seed):
     x = rng.uniform(size=(48, 4))
     y = (x[:, 0] + 0.5 * x[:, 2] + rng.normal(0, 0.2, 48) > 0.8).astype(int)
     tree = DecisionTree(criterion=criterion, max_depth=3).fit(x, y)
-    root = tree.root
-    assert not root.is_leaf
+    nodes = tree.nodes_by_id()
+    assert nodes.feature[0] >= 0  # the root (node 0) splits
     # recompute the decrease our root split achieves and compare to brute force
-    mask = x[:, root.feature] <= root.threshold
+    mask = x[:, nodes.feature[0]] <= nodes.threshold[0]
 
     def imp(labels):
         return _exhaustive_root_split(np.zeros((len(labels), 1)), labels, criterion) * 0 + (
@@ -225,7 +225,15 @@ def test_rf_ensemble_of_one_collapses_to_dt():
 def _stump(value: float) -> DecisionTree:
     tree = DecisionTree()
     tree.n_features = 1
-    tree.root = TreeNode(value=value, n_samples=1, n_positive=int(value), node_id=0)
+    tree.nodes = Nodes(
+        feature=np.array([-1]),
+        threshold=np.array([0.0]),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        value=np.array([value]),
+        n_samples=np.array([1]),
+        n_positive=np.array([int(value)]),
+    )
     return tree
 
 
@@ -274,6 +282,16 @@ def test_gbt_training_logloss_non_increasing(loss):
         losses.append(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-9)
+
+
+@pytest.mark.parametrize("loss", ["deviance", "exponential"])
+def test_gbt_probability_matches_region_rates(loss):
+    # two regions whose empirical P(y=1) is 0.8 and 0.3
+    x = np.repeat([0.0, 1.0], 1000).reshape(-1, 1)
+    y = np.concatenate([np.arange(1000) < 800, np.arange(1000) < 300]).astype(int)
+    model = fit_arrays(ClassifierConfig("gbt", {"loss": loss, "estimators": 50, "maxdepth": 1}), x, y)
+    proba = model.predict_proba(np.array([[0.0], [1.0]]))
+    assert proba == pytest.approx([0.8, 0.3], abs=0.02)
 
 
 def test_gbt_learns_blobs():

@@ -102,6 +102,17 @@ def test_load_csv_unparseable_numeric_becomes_null(tmp_path):
     assert ds.rows[0][0] is None
 
 
+def test_load_csv_non_finite_numerics_become_null(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\ninf,2\n3,-inf\nnan,5\n6,NaN\n7,8\n9,10\n")
+    ds = load_csv(p, two_feature_schema())
+    assert [r.count(None) for r in ds.rows] == [1, 1, 1, 1, 0, 0]
+    clean = cleanse(ds, 0.9)
+    assert clean.rows == ((7.0, 8.0), (9.0, 10.0))
+    params = fit_normalize(clean)
+    assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
+
+
 def test_load_csv_null_token(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\nNA,2\n3,4\n")
