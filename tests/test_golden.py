@@ -1,18 +1,20 @@
-"""Golden outputs of the tree-based models on fixed seeds.
+"""Golden outputs of the tree-based models and the one-class detectors on
+fixed seeds.
 
 Each digest is the SHA-256 of the float64 bytes of a model's output on fixed
 rows, taken both from the fitted model and from its saved-and-reloaded copy.
-A change to how trees are grown, stored, routed or serialized must leave
-every digest unchanged.
+A change to how trees are grown, stored, routed or serialized, or to how a
+detector is fitted or scored, must leave every digest unchanged.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model
-from fraudkit.occ import DetectorConfig, fit_detector, load_detector
+from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, fit_detector, load_detector
 
 
 def _digest(values) -> str:
@@ -50,6 +52,40 @@ CLASSIFIER_GOLDEN = {
     ),
 }
 
+# name: (config, training rows, score digest, threshold digest)
+DETECTOR_GOLDEN = {
+    "mcd-exhaustive": (
+        DetectorConfig("mcd"),
+        lambda: np.random.default_rng(11).normal(size=(12, 2)),
+        "6f442556fe041a1add1ec23fd8d9a7f63ecbaf200b582e4b02a146b9f4b0cd01",
+        "2ae37a2f85324d5864deaba3435f9c9f9542af860b39ad6d0914de7a86003f67",
+    ),
+    "mcd-random-starts": (
+        DetectorConfig("mcd", seed=4),
+        lambda: _train_rows()[0],
+        "dac6b51155afc059ff3b927c35ec52a2dc29f17b166836fff1313993722f3fd9",
+        "09ff46b9a8e664537ebdcdf7696b50f2aded5c0c20177c70d1f189b4a63f512d",
+    ),
+    "copod": (
+        DetectorConfig("copod"),
+        lambda: _train_rows()[0],
+        "511db32ba0aee367c8f08aad2c4b1fc2b26abac5ad76b1938852ab0f477fcebc",
+        "ae1db45693ca68e51c7e84f5315fe7a465c38a654936de95971d6cc695b007a3",
+    ),
+    "abod": (
+        DetectorConfig("abod", {"n_neighbours": 10}),
+        lambda: _train_rows()[0],
+        "b544f9b320df09ffafbae965917f58056e6f5b69e33e4bb619ae00b0df9073b2",
+        "afa1853883d91da6ab20b5868ded1a42e34f83b69b6713ef8c2fa78ed72e2eac",
+    ),
+    "ocsvm": (
+        DetectorConfig("ocsvm", {"kernel": "rbf", "nu": 0.1}),
+        lambda: _train_rows()[0],
+        "2fa411820ae0211c81f7f4593b557c440b1c630fe263f5ce9548cf48094a607c",
+        "fadd78ee14c53448480ab6aec85a6b8c49479708e4adf1a9063e2612059ffa3d",
+    ),
+}
+
 IFOREST_SCORE = "07f6564c1d1df2d4a8ad42660fa05929c5ab7dcc29c3e154c194c7ff5010513c"
 IFOREST_THRESHOLD = "47ef78b36a10a2805d64b82089e5949eeea5ee2857721fd64628fe0303381138"
 RULES_TEXT = "f2f1139e295e7c96573042aa9cf39a8f7dbdd7baf2d99a29243352cd86e2ba60"
@@ -78,6 +114,23 @@ def test_iforest_score_and_threshold_golden(tmp_path):
     for d in (detector, back):
         assert _digest(d.score(probe)) == IFOREST_SCORE
         assert _digest([d.threshold]) == IFOREST_THRESHOLD
+
+
+@pytest.mark.parametrize("name", sorted(DETECTOR_GOLDEN))
+def test_detector_score_and_threshold_golden(tmp_path, name):
+    config, rows, score_digest, threshold_digest = DETECTOR_GOLDEN[name]
+    x = rows()
+    if name.startswith("mcd"):
+        n, p = x.shape
+        exhaustive = math.comb(n, (n + p + 1) // 2) <= EXHAUSTIVE_SUBSET_LIMIT
+        assert exhaustive == (name == "mcd-exhaustive")
+    detector = fit_detector(config, x)
+    path = tmp_path / "detector.json"
+    detector.save(path)
+    probe = _probe_rows()[:, : x.shape[1]]
+    for d in (detector, load_detector(path)):
+        assert _digest(d.score(probe)) == score_digest
+        assert _digest([d.threshold]) == threshold_digest
 
 
 def test_depth3_rules_text_golden():
