@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, as_matrix, round_half_up
+from .data import Dataset, as_matrix, require_finite, round_half_up
 from .errors import ConfigError, DataError, ModelError
-from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, train
+from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
 from .tree import SQUARED, DecisionTree
 
 KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
@@ -155,15 +155,6 @@ class TrainedModel:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +561,7 @@ def fit_arrays(
     y: np.ndarray,
     feature_names: Sequence[str] | None = None,
 ) -> TrainedModel:
-    x = np.asarray(x, dtype=float)
+    x = require_finite(np.asarray(x, dtype=float), "training matrix")
     y = np.asarray(y, dtype=int)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DataError("bad training shapes")

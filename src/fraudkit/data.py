@@ -179,16 +179,15 @@ class Dataset:
         return len(self.schema)
 
     def matrix(self) -> np.ndarray:
-        """Float matrix view; requires an all-numeric, null-free dataset."""
+        """Float matrix view; requires an all-numeric, null-free, finite dataset."""
         if self.schema.categorical_indices:
             raise DataError("matrix() requires an all-numeric schema (encode first)")
         try:
             m = np.array(self.rows, dtype=float).reshape(self.n, self.d)
         except (TypeError, ValueError) as exc:
             raise DataError("matrix() requires null-free numeric cells") from exc
-        if np.isnan(m).any():
-            raise DataError("matrix() requires null-free numeric cells")
-        return m
+        # nulls become NaN in the conversion
+        return require_finite(m, "matrix() cells")
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         rows = [self.rows[i] for i in indices]
@@ -212,6 +211,8 @@ def dataset_from_matrix(
     names: Sequence[str] | None = None,
     schema: FeatureSchema | None = None,
 ) -> Dataset:
+    """Dataset of a float matrix; non-finite cells (NaN, inf) become nulls,
+    as in `load_csv`."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise DataError("matrix must be 2-D")
@@ -219,12 +220,22 @@ def dataset_from_matrix(
         if names is None:
             names = [f"f{i}" for i in range(matrix.shape[1])]
         schema = numeric_schema(names)
-    return Dataset(schema, [tuple(float(v) for v in row) for row in matrix], labels)
+    rows = matrix.tolist()
+    if not np.isfinite(matrix).all():
+        rows = [[v if math.isfinite(v) else None for v in row] for row in rows]
+    return Dataset(schema, rows, labels)
+
+
+def require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """`x` itself; DataError if any cell is NaN or infinite."""
+    if not np.isfinite(x).all():
+        raise DataError(f"{what} must be finite (found NaN or inf)")
+    return x
 
 
 def as_matrix(rows, width: int) -> np.ndarray:
     """Rows handed to a fitted model (a Dataset, one row or a matrix) as a
-    float matrix of the model's width."""
+    finite float matrix of the model's width."""
     if isinstance(rows, Dataset):
         rows = rows.matrix()
     x = np.asarray(rows, dtype=float)
@@ -232,7 +243,7 @@ def as_matrix(rows, width: int) -> np.ndarray:
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != width:
         raise ModelError(f"expected rows of width {width}, got shape {x.shape}")
-    return x
+    return require_finite(x, "rows")
 
 
 # ---------------------------------------------------------------------------

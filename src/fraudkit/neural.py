@@ -123,6 +123,16 @@ class TrainConfig:
         )
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for either sign of z."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _act(z: np.ndarray, kind: str, slope: float) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
@@ -131,13 +141,8 @@ def _act(z: np.ndarray, kind: str, slope: float) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(z)
     if kind == "logistic":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
         # keep the codomain an open interval even where exp() saturates
-        return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        return np.clip(sigmoid(z), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return z
 
 

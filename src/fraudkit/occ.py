@@ -16,9 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
-from .data import Dataset, as_matrix
+from .data import Dataset, as_matrix, require_finite
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, layer_stack, init_network
 from .tree import Nodes, grow
@@ -509,6 +508,14 @@ class McdDetector(TrainedDetector):
 EXHAUSTIVE_SUBSET_LIMIT = 20_000
 
 
+def _chi2_ppf(q: float, df: int) -> float:
+    """Chi-square quantile, computed as scipy.stats.chi2.ppf does."""
+    # imported here: scipy.stats would cost every importer of this module ~1 s
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(df / 2.0, q))
+
+
 def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
     n, p = x.shape
     if n < p + 2:
@@ -555,14 +562,14 @@ def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
 
     raw_mean, raw_cov = _ml_cov(x[best_subset])
     d2 = _mahalanobis2(x, raw_mean, raw_cov)
-    raw_cov = raw_cov * (np.median(d2) / chi2.ppf(0.5, p))
+    raw_cov = raw_cov * (np.median(d2) / _chi2_ppf(0.5, p))
 
-    inliers = _mahalanobis2(x, raw_mean, raw_cov) <= chi2.ppf(0.975, p)
+    inliers = _mahalanobis2(x, raw_mean, raw_cov) <= _chi2_ppf(0.975, p)
     if inliers.sum() > p:
         rw_mean, rw_cov = _ml_cov(x[inliers])
         if _logdet(rw_cov) < math.inf:
             d2 = _mahalanobis2(x, rw_mean, rw_cov)
-            rw_cov = rw_cov * (np.median(d2) / chi2.ppf(0.5, p))
+            rw_cov = rw_cov * (np.median(d2) / _chi2_ppf(0.5, p))
             return McdDetector(p, rw_mean, rw_cov, best_subset, best_logdet)
     return McdDetector(p, raw_mean, raw_cov, best_subset, best_logdet)
 
@@ -705,6 +712,7 @@ def fit_detector(config: DetectorConfig, negatives: Dataset | np.ndarray) -> Tra
     x = negatives.matrix() if isinstance(negatives, Dataset) else np.asarray(negatives, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("need a nonempty 2-D matrix of negative rows")
+    require_finite(x, "negative rows")
     detector = _FITTERS[config.kind](x, config)
     detector.threshold = quantile_threshold(detector.score(x), config.contamination)
     return detector

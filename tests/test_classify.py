@@ -328,6 +328,24 @@ def test_fit_requires_both_classes():
         fit_arrays(ClassifierConfig("dt"), np.ones((4, 2)), np.array([1, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_arrays_rejects_non_finite(bad):
+    x, y = blob_arrays(seed=13)
+    x[5, 1] = bad
+    for kind in ("lr", "dt"):
+        with pytest.raises(DataError):
+            fit_arrays(ClassifierConfig(kind), x, y)
+
+
+@pytest.mark.parametrize("kind", ["nb", "lr", "dt", "gbt"])
+def test_predict_proba_rejects_non_finite_rows(kind):
+    x, y = blob_arrays(seed=13)
+    model = fit_arrays(ClassifierConfig(kind), x, y)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(DataError):
+            model.predict_proba(np.array([[0.0, 0.0], [bad, 1.0]]))
+
+
 def test_predict_dimension_mismatch():
     x, y = blob_arrays(seed=13)
     model = fit_arrays(ClassifierConfig("dt", {"maxdepth": 2}), x, y)

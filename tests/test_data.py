@@ -9,6 +9,7 @@ from fraudkit.data import (
     FeatureSchema,
     NormParams,
     apply_normalize,
+    as_matrix,
     cleanse,
     dataset_from_matrix,
     encode_one_hot,
@@ -111,6 +112,24 @@ def test_load_csv_non_finite_numerics_become_null(tmp_path):
     assert clean.rows == ((7.0, 8.0), (9.0, 10.0))
     params = fit_normalize(clean)
     assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
+
+
+def test_dataset_from_matrix_non_finite_cells_become_null():
+    ds = dataset_from_matrix(np.array([[np.nan, 1.0], [np.inf, 2.0], [3.0, 3.0], [4.0, -np.inf]]))
+    assert [r.count(None) for r in ds.rows] == [1, 1, 0, 1]
+    clean = cleanse(ds, 0.9)
+    assert clean.rows == ((3.0, 3.0),)
+    params = fit_normalize(clean)
+    assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_and_as_matrix_reject_non_finite(bad):
+    ds = Dataset(two_feature_schema(), [(1.0, 2.0), (bad, 3.0)])
+    with pytest.raises(DataError):
+        ds.matrix()
+    with pytest.raises(DataError):
+        as_matrix([[1.0, bad]], 2)
 
 
 def test_load_csv_null_token(tmp_path):

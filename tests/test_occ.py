@@ -10,6 +10,7 @@ from fraudkit.occ import (
     AbodDetector,
     DetectorConfig,
     VaeDetector,
+    _chi2_ppf,
     average_path_length,
     classification_rate,
     detector_from_dict,
@@ -123,6 +124,17 @@ def test_detector_rejects_wrong_width(negatives):
     det = fit_detector(DetectorConfig("copod"), negatives)
     with pytest.raises(ModelError):
         det.score(np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_detector_rejects_non_finite_rows(negatives, bad):
+    x = negatives.copy()
+    x[3, 0] = bad
+    with pytest.raises(DataError):
+        fit_detector(DetectorConfig("mcd"), x)
+    det = fit_detector(DetectorConfig("iforest", {"n_estimators": 5}), negatives)
+    with pytest.raises(DataError):
+        det.score(x)
 
 
 # ---------------------------------------------------------------- CR
@@ -265,6 +277,14 @@ def test_mcd_singular_data_raises():
     x = np.zeros((10, 2))
     with pytest.raises(DataError):
         fit_detector(DetectorConfig("mcd"), x)
+
+
+def test_chi2_ppf_equals_scipy_stats():
+    from scipy.stats import chi2
+
+    for p in range(1, 65):
+        for q in (0.5, 0.975):
+            assert _chi2_ppf(q, p) == chi2.ppf(q, p)
 
 
 def test_mcd_needs_enough_rows():
