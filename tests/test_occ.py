@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from fraudkit.errors import ConfigError, DataError, ModelError
 from fraudkit.neural import init_network
@@ -280,8 +281,6 @@ def test_mcd_singular_data_raises():
 
 
 def test_chi2_ppf_equals_scipy_stats():
-    from scipy.stats import chi2
-
     for p in range(1, 65):
         for q in (0.5, 0.975):
             assert _chi2_ppf(q, p) == chi2.ppf(q, p)
