@@ -1,10 +1,13 @@
-"""Golden outputs of the tree-based models and the one-class detectors on
-fixed seeds.
+"""Golden outputs of the tree-based models, the one-class detectors and the
+SMOTE family on fixed seeds.
 
-Each digest is the SHA-256 of the float64 bytes of a model's output on fixed
-rows, taken both from the fitted model and from its saved-and-reloaded copy.
-A change to how trees are grown, stored, routed or serialized, or to how a
-detector is fitted or scored, must leave every digest unchanged.
+Each model digest is the SHA-256 of the float64 bytes of a model's output on
+fixed rows, taken both from the fitted model and from its saved-and-reloaded
+copy. A change to how trees are grown, stored, routed or serialized, or to how
+a detector is fitted or scored, must leave every digest unchanged. The
+resampling digests cover the rows and labels each balancer returns on rows
+with exact distance ties, so a change to the neighbour search must keep its
+lowest-index tie-break.
 """
 
 import hashlib
@@ -14,7 +17,9 @@ import numpy as np
 import pytest
 
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model
+from fraudkit.data import dataset_from_matrix
 from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, fit_detector, load_detector
+from fraudkit.resample import BalancerConfig, adasyn, adasyn_allocation, smote, smote_enn, smote_tomek
 
 
 def _digest(values) -> str:
@@ -138,3 +143,46 @@ def test_depth3_rules_text_golden():
     model = fit_arrays(ClassifierConfig("dt", {"maxdepth": 3}), x, y)
     text = format_rules(extract_rules(model))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULES_TEXT
+
+
+def _resample_rows():
+    """Quarter-lattice numerics, a one-hot group (columns 3-4) and duplicated
+    rows: many rows have several nearest neighbours at exactly equal distance."""
+    rng = np.random.default_rng(41)
+    numeric = np.vstack([rng.integers(0, 4, size=(64, 3)), rng.integers(2, 5, size=(16, 3))]) / 4.0
+    group = np.eye(2)[rng.integers(0, 2, size=80)]
+    x = np.hstack([numeric, group])
+    y = np.array([0] * 64 + [1] * 16)
+    dup = [3, 8, 64, 70, 71]
+    return dataset_from_matrix(np.vstack([x, x[dup]]), np.concatenate([y, y[dup]]))
+
+
+ONEHOT_GROUPS = [[3, 4]]
+RESAMPLE_CONFIG = BalancerConfig(method="smote", k_neighbors=3, seed=9)
+
+RESAMPLE_GOLDEN = {
+    "smote": (smote, "fc23e99e7bdba252392b6a8a81bf1249be42599f528cee499a88df1d9aea57fd"),
+    "smote_enn": (smote_enn, "f99cbb326aa3370ed42b908bb401d7a7c546fc30cd70ed9569b1627b698c0dd0"),
+    "smote_tomek": (smote_tomek, "3e6e4ca6b7d52950cdb2b6a965cd567627226697b3ef47bd1daab762988aac2a"),
+    "adasyn": (adasyn, "3eb680bcd950417a8395285d320d2941a295a8ec6eb1a0f8cd2483becf6d801e"),
+}
+SMOTE_PROVENANCE = "1b7b4878ebf6b8dce40bac6738946d044d712e21bcc5a72c3d60f1b4b7afcd97"
+ADASYN_ALLOCATION = "86590e9d6b9c05761967503895071a5e285547214ad3b95ceb2b74621dea65f0"
+
+
+@pytest.mark.parametrize("name", sorted(RESAMPLE_GOLDEN))
+def test_resampled_rows_golden(name):
+    method, expected = RESAMPLE_GOLDEN[name]
+    out = method(_resample_rows(), RESAMPLE_CONFIG, ONEHOT_GROUPS)
+    assert _digest(np.column_stack([out.matrix(), out.labels])) == expected
+
+
+def test_smote_provenance_golden():
+    data = _resample_rows()
+    out, draws = smote(data, RESAMPLE_CONFIG, ONEHOT_GROUPS, with_provenance=True)
+    assert out.n == data.n + len(draws)
+    assert _digest([(d.base_index, d.neighbor_index, d.u) for d in draws]) == SMOTE_PROVENANCE
+
+
+def test_adasyn_allocation_golden():
+    assert _digest(adasyn_allocation(_resample_rows(), RESAMPLE_CONFIG)) == ADASYN_ALLOCATION

@@ -106,6 +106,25 @@ def test_smote_requires_unit_box():
         smote(labeled(x, y), BalancerConfig(method="smote", k_neighbors=1))
 
 
+def test_smote_equidistant_neighbours_go_to_lowest_index():
+    # quarter-lattice points: squared distances are exact, so rows 0, 3, 4
+    # and 5 are all exactly 0.25 from the centre (row 2)
+    minority = [[0.75, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.25], [0.25, 0.5], [0.5, 0.75]]
+    x = np.array(minority + [[1.0, 0.0]] * 200)
+    y = [1] * 6 + [0] * 200
+    cfg = BalancerConfig(method="smote", k_neighbors=2, seed=0)
+    _, draws = smote(labeled(x, y), cfg, with_provenance=True)
+    drawn = {}
+    for d in draws:
+        drawn.setdefault(d.base_index, set()).add(d.neighbor_index)
+    assert drawn[2] == {0, 3}  # not 4 or 5
+    assert drawn[0] == {2, 3}  # rows 3 and 5 tie for second
+    for base, neighbours in drawn.items():
+        d2 = np.sum((x[:6] - x[base]) ** 2, axis=1)
+        d2[base] = np.inf
+        assert neighbours <= set(np.argsort(d2, kind="stable")[:2].tolist())
+
+
 def test_smote_onehot_reprojection():
     # first two columns form a one-hot group; synthetic rows must stay valid
     x = [[1.0, 0.0, 0.2]] * 6 + [[1.0, 0.0, 0.8], [0.0, 1.0, 0.9], [1.0, 0.0, 0.85]]

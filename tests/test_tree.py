@@ -1,4 +1,5 @@
-"""The flat tree layout: deep trees and checked tree documents."""
+"""The flat tree layout: deep trees, checked tree documents and the split
+tie-breaks."""
 
 import json
 
@@ -24,6 +25,26 @@ def test_unbounded_tree_on_deep_data(tmp_path):
     json.dumps(model.to_dict())
     rules = extract_rules(model)
     assert sum(r.support for r in rules) == n
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "squared_error"])
+def test_split_tie_goes_to_lowest_feature(criterion):
+    # columns 1 and 2 are identical and separate the labels; column 0 is noise
+    rng = np.random.default_rng(5)
+    signal = rng.uniform(size=40)
+    x = np.column_stack([rng.uniform(size=40), signal, signal])
+    y = (signal > 0.5).astype(float)
+    nodes = DecisionTree(criterion=criterion, max_depth=1).fit(x, y).nodes_by_id()
+    assert nodes.feature[0] == 1
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "squared_error"])
+def test_split_tie_goes_to_lowest_threshold(criterion):
+    # cutting at 0.5 or at 2.5 isolates one pure row: equal decrease
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    nodes = DecisionTree(criterion=criterion, max_depth=1).fit(x, y).nodes_by_id()
+    assert (nodes.feature[0], nodes.threshold[0]) == (0, 0.5)
 
 
 def test_nodes_are_numbered_in_pre_order():
