@@ -1,5 +1,5 @@
-"""Golden outputs of the tree-based models, the one-class detectors and the
-SMOTE family on fixed seeds.
+"""Golden outputs of the tree-based and linear models, the one-class
+detectors and the SMOTE family on fixed seeds.
 
 Each model digest is the SHA-256 of the float64 bytes of a model's output on
 fixed rows, taken both from the fitted model and from its saved-and-reloaded
@@ -54,6 +54,28 @@ CLASSIFIER_GOLDEN = {
     "gbt": (
         ClassifierConfig("gbt", {"estimators": 25, "maxdepth": 3, "loss": "deviance"}),
         "4a1deeeba9b94b79b0f42f7a283f3acd982e3ee2a546a93419cf56fa61b29c77",
+    ),
+    "lr-l2": (
+        ClassifierConfig("lr", {"penalty_strength": 0.01, "max_iter": 300}),
+        "38b9b6dc6788fb1a65993d7a3219cd5397704f044ded67da70faecad89a1c9f2",
+    ),
+    "lr-l1": (
+        ClassifierConfig("lr", {"regularizer": "l1", "penalty_strength": 0.01, "max_iter": 300}),
+        "f4b53c65d75567357d889dd071f38e0852e03b4cce83d9341ddc96b05c944baa",
+    ),
+    "lr-elasticnet": (
+        ClassifierConfig("lr", {"regularizer": "elasticnet", "penalty_strength": 0.01, "max_iter": 300}),
+        "5f718731a2dd3dece59100bcd2555e31dc6a2ecca0ac30b33ba3ae4e71e9556c",
+    ),
+    "svm-l2": (
+        ClassifierConfig("svm", {"penalty_strength": 0.01, "max_iter": 300}),
+        "12f09af6292191cdad04824a2e387bd272cc4b6aa7e27c39f0f80456f7bc1ead",
+    ),
+    "svm-l1": (
+        ClassifierConfig(
+            "svm", {"regularizer": "l1", "loss": "squared-hinge", "penalty_strength": 0.01, "max_iter": 300}
+        ),
+        "0dbe114f00efb7471f8508ae554acd234524f5809d10ca151b44aade05ae999c",
     ),
 }
 
