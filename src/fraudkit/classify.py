@@ -243,13 +243,13 @@ class LinearModel(TrainedModel):
 def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
     if strength == 0.0:
         return 0.0, np.zeros_like(w)
+    if regularizer == "l1":
+        return strength * np.sum(np.abs(w)), strength * np.sign(w)
+    if regularizer == "l2":
+        return strength * np.sum(w * w), 2.0 * strength * w
+    # elasticnet: even split
     l1 = np.sum(np.abs(w))
     l2 = np.sum(w * w)
-    if regularizer == "l1":
-        return strength * l1, strength * np.sign(w)
-    if regularizer == "l2":
-        return strength * l2, 2.0 * strength * w
-    # elasticnet: even split
     return 0.5 * strength * (l1 + l2), strength * (0.5 * np.sign(w) + w)
 
 

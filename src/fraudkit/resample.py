@@ -2,9 +2,11 @@
 removal, the two SMOTE composites, ADASYN, and the method dispatcher that
 also routes to the GAN oversamplers.
 
-All distances are Euclidean over the (normalized) feature matrix; neighbor
-ties break toward the lowest row index so every method is deterministic for
-a fixed (data, config) pair.
+Every neighbour-based method finds its neighbours with `knn`: Euclidean
+distances over the (normalized) feature matrix, computed a block of rows at
+a time so that no n x n matrix is ever held, with ties broken toward the
+lowest row index, so every method is deterministic for a fixed
+(data, config) pair.
 """
 
 from __future__ import annotations
@@ -66,27 +68,36 @@ class SmoteDraw:
     u: float
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], chunk):
-        block = a[start : start + chunk]
-        d2 = (
-            np.sum(block * block, axis=1)[:, None]
-            + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * block @ b.T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        out[start : start + chunk] = np.sqrt(d2)
+_CHUNK = 1024  # rows of `a` per distance block in `knn`
+
+
+def knn(a: np.ndarray, b: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
+    """Indices of the k nearest rows of b for each row of a, nearest first.
+
+    Row i of a never gets back b row exclude[i]. Distances are Euclidean, so
+    ties (sqrt can make distinct squared distances equal) go to the lower
+    index. Distances are worked out for _CHUNK rows of a at a time: memory is
+    O(_CHUNK * len(b)), never len(a) * len(b).
+    """
+    if k > b.shape[0] - 1:
+        raise DataError(f"{k} neighbours need more than {k} rows, got {b.shape[0]}")
+    out = np.empty((a.shape[0], k), dtype=np.intp)
+    b_sq = np.sum(b * b, axis=1)
+    for start in range(0, a.shape[0], _CHUNK):
+        block = a[start : start + _CHUNK]
+        rows = np.arange(block.shape[0])
+        d = np.sum(block * block, axis=1)[:, None] + b_sq[None, :]
+        # doubling the factor, not the product: `block @ b.T` of a view of b
+        # may take a different BLAS routine with different rounding
+        d -= (2.0 * block) @ b.T
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[rows, exclude[start : start + _CHUNK]] = np.inf
+        for j in range(k):
+            nearest = np.argmin(d, axis=1)  # first minimum: the lowest index
+            out[start + rows, j] = nearest
+            d[rows, nearest] = np.inf
     return out
-
-
-def _k_nearest(dist_row: np.ndarray, k: int, exclude: int | None = None) -> np.ndarray:
-    """Indices of the k nearest points; ties resolved toward lower index."""
-    d = dist_row.copy()
-    if exclude is not None:
-        d[exclude] = np.inf
-    order = np.argsort(d, kind="stable")
-    return order[:k]
 
 
 def _classes(data: Dataset) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -143,10 +154,7 @@ def smote(
 
     wanted = round_half_up(majority_count * cfg.target_ratio) - len(minority_idx)
     minority = x[minority_idx]
-    dist = _pairwise_distances(minority, minority)
-    neighbor_table = [
-        _k_nearest(dist[i], cfg.k_neighbors, exclude=i) for i in range(len(minority_idx))
-    ]
+    neighbor_table = knn(minority, minority, cfg.k_neighbors, np.arange(len(minority_idx)))
 
     rng = np.random.default_rng(cfg.seed)
     synth_rows = []
@@ -180,22 +188,14 @@ def enn_filter(data: Dataset, enn_k: int = 3, majority_label: int | None = None)
     """
     x = data.matrix()
     labels = data.require_labels()
-    if data.n <= enn_k:
-        raise DataError("need more rows than enn_k")
     if majority_label is None:
         counts = np.bincount(labels, minlength=2)
         majority_label = 0 if counts[0] >= counts[1] else 1
-    dist = _pairwise_distances(x, x)
-    keep = []
-    for i in range(data.n):
-        if labels[i] != majority_label:
-            keep.append(i)
-            continue
-        nn = _k_nearest(dist[i], enn_k, exclude=i)
-        votes = int(np.sum(labels[nn] == labels[i]))
-        if 2 * votes >= enn_k:  # row's own class wins or ties the vote
-            keep.append(i)
-    return data.subset(keep)
+    majority = np.flatnonzero(labels == majority_label)
+    votes = np.sum(labels[knn(x[majority], x, enn_k, majority)] == majority_label, axis=1)
+    keep = labels != majority_label
+    keep[majority] = 2 * votes >= enn_k  # row's own class wins or ties the vote
+    return data.subset(np.flatnonzero(keep))
 
 
 def tomek_remove(data: Dataset, majority_label: int | None = None) -> Dataset:
@@ -208,16 +208,12 @@ def tomek_remove(data: Dataset, majority_label: int | None = None) -> Dataset:
     if majority_label is None:
         counts = np.bincount(labels, minlength=2)
         majority_label = 0 if counts[0] >= counts[1] else 1
-    dist = _pairwise_distances(x, x)
-    nn = np.empty(data.n, dtype=int)
-    for i in range(data.n):
-        nn[i] = _k_nearest(dist[i], 1, exclude=i)[0]
-    drop = set()
-    for a in range(data.n):
-        b = int(nn[a])
-        if b > a and nn[b] == a and labels[a] != labels[b]:
-            drop.add(a if labels[a] == majority_label else b)
-    return data.subset([i for i in range(data.n) if i not in drop])
+    a = np.arange(data.n)
+    nn = knn(x, x, 1, a)[:, 0]
+    link = (nn[nn] == a) & (nn > a) & (labels != labels[nn])
+    keep = np.ones(data.n, dtype=bool)
+    keep[np.where(labels[link] == majority_label, a[link], nn[link])] = False
+    return data.subset(np.flatnonzero(keep))
 
 
 def smote_enn(
@@ -270,11 +266,8 @@ def _adasyn_plan(data: Dataset, cfg: BalancerConfig):
     minority = x[minority_idx]
 
     # hardness ratio per minority row: majority share among its kNN over all rows
-    dist_all = _pairwise_distances(minority, x)
-    r = np.empty(len(minority_idx))
-    for local, global_i in enumerate(minority_idx):
-        nn = _k_nearest(dist_all[local], cfg.k_neighbors, exclude=int(global_i))
-        r[local] = np.sum(labels[nn] == majority_label) / cfg.k_neighbors
+    nn = knn(minority, x, cfg.k_neighbors, minority_idx)
+    r = np.sum(labels[nn] == majority_label, axis=1) / cfg.k_neighbors
 
     return minority_idx, minority, minority_label, allocate_adaptive(r, total)
 
@@ -292,10 +285,7 @@ def adasyn(
     labels = data.require_labels()
     minority_idx, minority, minority_label, alloc = _adasyn_plan(data, cfg)
 
-    dist_min = _pairwise_distances(minority, minority)
-    neighbor_table = [
-        _k_nearest(dist_min[i], cfg.k_neighbors, exclude=i) for i in range(len(minority_idx))
-    ]
+    neighbor_table = knn(minority, minority, cfg.k_neighbors, np.arange(len(minority_idx)))
     rng = np.random.default_rng(cfg.seed)
     synth_rows = []
     for local, count in enumerate(alloc):

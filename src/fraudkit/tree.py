@@ -5,9 +5,10 @@ the isolation forest shares.
 Shared by the decision-tree classifier, the random forest and the boosted
 ensemble. Tie-breaks are fixed (lowest feature index, then lowest
 threshold) so fits are reproducible. An impure node splits even at zero
-impurity decrease, which is what lets a depth-2 tree carve out XOR. Trees
-are grown, routed and serialized without recursion, so depth is bounded
-only by the data.
+impurity decrease, which is what lets a depth-2 tree carve out XOR. A
+node's split search sorts and scores all its candidate columns as one
+array, with no loop over features. Trees are grown, routed and serialized
+without recursion, so depth is bounded only by the data.
 """
 
 from __future__ import annotations
@@ -138,73 +139,75 @@ def _as_columns(values) -> dict[str, np.ndarray]:
     return {c: np.asarray(values[c], dtype=float if c in _FLOAT_COLUMNS else np.intp) for c in COLUMNS}
 
 
-def _best_split_classification(x, y, candidates, criterion):
-    """(feature, threshold, decrease) maximizing impurity decrease, or None.
+def _best_cut(xs, decrease):
+    """(column, threshold) of the largest decrease over cuts between distinct
+    sorted values, or None when no column has two distinct values.
 
-    Candidates iterate in ascending feature order and thresholds ascend per
-    feature, so a strict `>` comparison implements the documented tie-break.
+    Row i of decrease is the cut after sorted row i. The first maximum is
+    taken per column and then across columns, which is the documented
+    tie-break: lowest feature, then lowest threshold.
     """
+    if xs.shape[1] == 0:
+        return None
+    decrease = np.where(xs[:-1] < xs[1:], decrease, -np.inf)
+    rows = np.argmax(decrease, axis=0)
+    best = decrease[rows, np.arange(decrease.shape[1])]
+    j = int(np.argmax(best))
+    if best[j] == -np.inf:
+        return None
+    i = rows[j]
+    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
+
+
+def _best_split_classification(cols, y, criterion):
+    """`_best_cut` by impurity decrease over all columns of one node's rows."""
     n = len(y)
     total_pos = int(y.sum())
     parent = _impurity(total_pos, n, criterion)
-    best = None
-    for j in candidates:
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        distinct = np.nonzero(xs[:-1] < xs[1:])[0]
-        if distinct.size == 0:
-            continue
-        prefix_pos = np.cumsum(ys)
-        nl = distinct + 1.0
-        nr = n - nl
-        pl = prefix_pos[distinct] / nl
-        pr = (total_pos - prefix_pos[distinct]) / nr
-        if criterion == GINI:
-            il = 2.0 * pl * (1.0 - pl)
-            ir = 2.0 * pr * (1.0 - pr)
-        else:
-            def ent(p):
-                out = np.zeros_like(p)
-                mask = (p > 0) & (p < 1)
-                pm = p[mask]
-                out[mask] = -(pm * np.log2(pm) + (1 - pm) * np.log2(1 - pm))
-                return out
+    # numpy's default sort is several times faster than its stable one; the
+    # 0/1 label counts at a cut between distinct values do not depend on the
+    # order it leaves tied rows in
+    order = np.argsort(cols, axis=0)
+    xs = np.take_along_axis(cols, order, axis=0)
+    prefix_pos = np.cumsum(y[order], axis=0)[:-1]
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    pl = prefix_pos / nl
+    pr = (total_pos - prefix_pos) / nr
+    if criterion == GINI:
+        il = 2.0 * pl * (1.0 - pl)
+        ir = 2.0 * pr * (1.0 - pr)
+    else:
+        def ent(p):
+            out = np.zeros_like(p)
+            mask = (p > 0) & (p < 1)
+            pm = p[mask]
+            out[mask] = -(pm * np.log2(pm) + (1 - pm) * np.log2(1 - pm))
+            return out
 
-            il = ent(pl)
-            ir = ent(pr)
-        decrease = parent - (nl * il + nr * ir) / n
-        k = int(np.argmax(decrease))
-        if best is None or decrease[k] > best[2]:
-            thr = (xs[distinct[k]] + xs[distinct[k] + 1]) / 2.0
-            best = (j, float(thr), float(decrease[k]))
-    return best
+        il = ent(pl)
+        ir = ent(pr)
+    return _best_cut(xs, parent - (nl * il + nr * ir) / n)
 
 
-def _best_split_regression(x, t, candidates):
+def _best_split_regression(cols, t):
+    """`_best_cut` by squared-error decrease over all columns of one node's rows."""
     n = len(t)
     sse_parent = float(np.sum((t - t.mean()) ** 2))
-    best = None
-    for j in candidates:
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ts = t[order]
-        distinct = np.nonzero(xs[:-1] < xs[1:])[0]
-        if distinct.size == 0:
-            continue
-        s1 = np.cumsum(ts)
-        s2 = np.cumsum(ts * ts)
-        nl = distinct + 1.0
-        nr = n - nl
-        sl = s2[distinct] - s1[distinct] ** 2 / nl
-        total1, total2 = s1[-1], s2[-1]
-        sr = (total2 - s2[distinct]) - (total1 - s1[distinct]) ** 2 / nr
-        decrease = sse_parent - (sl + sr)
-        k = int(np.argmax(decrease))
-        if best is None or decrease[k] > best[2]:
-            thr = (xs[distinct[k]] + xs[distinct[k] + 1]) / 2.0
-            best = (j, float(thr), float(decrease[k]))
-    return best
+    order = np.argsort(cols, axis=0)
+    xs = np.take_along_axis(cols, order, axis=0)
+    # sums of real targets round differently in another order, so tied rows
+    # must keep their row order: only columns with ties need a stable sort
+    tied = np.any(xs[:-1] == xs[1:], axis=0)
+    order[:, tied] = np.argsort(cols[:, tied], axis=0, kind="stable")
+    ts = t[order]
+    s1 = np.cumsum(ts, axis=0)
+    s2 = np.cumsum(ts * ts, axis=0)
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    sl = s2[:-1] - s1[:-1] ** 2 / nl
+    sr = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / nr
+    return _best_cut(xs, sse_parent - (sl + sr))
 
 
 @dataclass
@@ -242,19 +245,18 @@ class DecisionTree:
             return self._leaf(ys, n_positive)
 
         if self.max_features is not None and self.max_features < self.n_features:
-            chosen = rng.permutation(self.n_features)[: self.max_features]
-            candidates = sorted(int(c) for c in chosen)
+            candidates = np.sort(rng.permutation(self.n_features)[: self.max_features])
         else:
-            candidates = range(self.n_features)
+            candidates = np.arange(self.n_features)
 
-        xs = x[indices]
+        cols = x[np.ix_(indices, candidates)]
         if self.criterion == SQUARED:
-            best = _best_split_regression(xs, ys, candidates)
+            best = _best_split_regression(cols, ys)
         else:
-            best = _best_split_classification(xs, ys, candidates, self.criterion)
+            best = _best_split_classification(cols, ys, self.criterion)
         if best is None:
             return self._leaf(ys, n_positive)
-        return best[0], best[1], 0.0, n_positive
+        return int(candidates[best[0]]), best[1], 0.0, n_positive
 
     def _leaf(self, ys: np.ndarray, n_positive: int) -> tuple[int, float, float, int]:
         value = float(ys.mean()) if self.criterion == SQUARED else n_positive / len(ys)

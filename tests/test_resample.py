@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fraudkit.resample import (
     allocate_adaptive,
     balance,
     enn_filter,
+    knn,
     project_onehot,
     smote,
     smote_enn,
@@ -33,6 +36,61 @@ def test_config_rejects_bad_method():
 def test_config_rejects_bad_ratio():
     with pytest.raises(ConfigError):
         BalancerConfig(target_ratio=1.5)
+
+
+# ------------------------------------------------------------------ knn
+
+
+def _quarter_lattice(n, d, seed):
+    # squared distances between quarter-lattice points are exact in float64,
+    # so a direct difference formula sees the same ties as `knn`
+    return np.random.default_rng(seed).integers(0, 5, size=(n, d)) / 4.0
+
+
+def test_knn_equidistant_rows_come_back_lowest_index_first():
+    b = np.array([[0.75, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.25], [0.25, 0.5], [0.5, 0.75]])
+    nn = knn(b[[2, 0]], b, 5, np.array([2, 0]))
+    assert nn.tolist() == [[0, 3, 4, 5, 1], [2, 3, 5, 4, 1]]
+
+
+def test_knn_matches_stable_sort_oracle_across_chunks():
+    x = _quarter_lattice(1500, 3, seed=8)  # more rows than one distance chunk
+    exclude = np.arange(len(x))
+    nn = knn(x, x, 4, exclude)
+    for i in range(len(x)):
+        d2 = np.sum((x - x[i]) ** 2, axis=1)
+        d2[i] = np.inf
+        assert nn[i].tolist() == np.argsort(d2, kind="stable")[:4].tolist()
+
+
+def test_knn_excluded_index_is_never_returned():
+    a = np.array([[i / 4.0, j / 4.0] for i in range(5) for j in range(5)])
+    b = np.vstack([a, a])  # each row of a appears twice in b
+    exclude = np.arange(25)
+    nn = knn(a, b, 3, exclude)
+    assert not np.any(nn == exclude[:, None])
+    assert nn[:, 0].tolist() == list(range(25, 50))
+
+
+def test_knn_needs_more_rows_than_k():
+    x = np.zeros((3, 2))
+    assert knn(x, x, 2, np.arange(3)).tolist() == [[1, 2], [0, 2], [0, 1]]
+    with pytest.raises(DataError):
+        knn(x, x, 3, np.arange(3))
+
+
+@pytest.mark.parametrize("method", [tomek_remove, enn_filter])
+def test_neighbour_filters_never_hold_a_full_distance_matrix(method):
+    n = 4000
+    rng = np.random.default_rng(3)
+    data = labeled(rng.uniform(size=(n, 4)), (rng.uniform(size=n) < 0.3).astype(int))
+    tracemalloc.start()
+    try:
+        method(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # bytes of one n x n float64 matrix
 
 
 # ------------------------------------------------------------------ smote

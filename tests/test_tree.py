@@ -47,6 +47,16 @@ def test_split_tie_goes_to_lowest_threshold(criterion):
     assert (nodes.feature[0], nodes.threshold[0]) == (0, 0.5)
 
 
+@pytest.mark.parametrize("width", [0, 2])
+def test_node_without_a_distinct_column_is_a_leaf(width):
+    x = np.ones((5, width))  # no column, or only constant ones
+    y = np.array([0, 1, 0, 1, 1])
+    for criterion in ("gini", "squared_error"):
+        nodes = DecisionTree(criterion=criterion).fit(x, y).nodes_by_id()
+        assert nodes.feature.tolist() == [-1]
+        assert nodes.value[0] == 0.6
+
+
 def test_nodes_are_numbered_in_pre_order():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(200, 3))
