@@ -1,5 +1,5 @@
 """Golden outputs of the tree-based and linear models, the one-class
-detectors and the SMOTE family on fixed seeds.
+detectors, the SMOTE family and the data path on fixed seeds.
 
 Each model digest is the SHA-256 of the float64 bytes of a model's output on
 fixed rows, taken both from the fitted model and from its saved-and-reloaded
@@ -7,17 +7,33 @@ copy. A change to how trees are grown, stored, routed or serialized, or to how
 a detector is fitted or scored, must leave every digest unchanged. The
 resampling digests cover the rows and labels each balancer returns on rows
 with exact distance ties, so a change to the neighbour search must keep its
-lowest-index tie-break.
+lowest-index tie-break. The data-path digests cover a mixed CSV taken
+through loading, cleansing, one-hot encoding, min-max scaling, a stratified
+split and writing back, so a change to how a dataset is stored must keep
+every cell, bound and written byte.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model
-from fraudkit.data import dataset_from_matrix
+from fraudkit.data import (
+    Feature,
+    FeatureSchema,
+    apply_normalize,
+    cleanse,
+    dataset_from_matrix,
+    encode_one_hot,
+    fit_normalize,
+    invert_normalize,
+    load_csv,
+    save_csv,
+    stratified_split,
+)
 from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, fit_detector, load_detector
 from fraudkit.resample import BalancerConfig, adasyn, adasyn_allocation, smote, smote_enn, smote_tomek
 
@@ -208,3 +224,84 @@ def test_smote_provenance_golden():
 
 def test_adasyn_allocation_golden():
     assert _digest(adasyn_allocation(_resample_rows(), RESAMPLE_CONFIG)) == ADASYN_ALLOCATION
+
+
+def _mixed_csv_text() -> str:
+    """A mixed CSV that exercises every cleansing rule: exact duplicates
+    (also `-0` against `0`, null against null, and equal cells under another
+    label), empty, `NA`, unparseable and infinite tokens, a column that is
+    almost all null, two categorical columns, and a column whose minimum is
+    reached by both 0.0 and -0.0 (0.0 first, so Python's `min` keeps 0.0)."""
+    rng = np.random.default_rng(77)
+    lines = ["kind,amount,zero,channel,sparse,score,label"]
+    for i in range(48):
+        kind = ("card", "wire", "cash")[int(rng.integers(3))]
+        channel = ("web", "pos")[int(rng.integers(2))]
+        amount = f"{rng.uniform(-20.0, 500.0):.4f}"
+        zero = f"{rng.uniform(0.5, 9.0):.3f}"
+        sparse = f"{rng.uniform():.2f}" if i in (5, 30) else ""
+        score = f"{rng.normal():.5f}"
+        label = "1" if i % 6 == 0 else "0"
+        lines.append(f"{kind},{amount},{zero},{channel},{sparse},{score},{label}")
+    lines += [
+        "card,12.5,0,web,,0.25,0",  # the first minimum of `zero` is 0.0
+        "card,12.5,-0,web,,0.25,0",  # equals the row above: dropped
+        "wire,7,-0,pos,,1.5,1",  # -0.0 kept: its first occurrence
+        "wire,7,0,pos,,1.5,1",  # equals the row above: dropped
+        "cash,3.25,4,web,,NA,0",  # null score
+        "cash,3.25,4,web,,NA,0",  # null/null duplicate: dropped
+        "cash,3.25,4,web,,-2,0",
+        "cash,3.25,4,web,,-2,1",  # same cells, other label: kept
+        "card,,2,pos,,0.5,0",  # empty amount
+        "card,oops,2,pos,,0.75,1",  # unparseable amount
+        "wire,inf,3,web,,0.5,0",  # infinite amount
+        "wire,1,-inf,web,,0.5,1",  # infinite zero
+        "cash,NA,3,pos,,nan,0",
+        "card,88,0.0,pos,,0.125,1",
+        "card,-5,-0.0,web,,-0.125,0",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+DATA_PATH_GOLDEN = {
+    "raw.csv": "ff792fb1cac3fda150ab4f8edc2124fa319a3f0cc95ae22234c0e2da6c112ab2",
+    "clean.csv": "05c79e8f320a7099afb3bdec0d4ec605f2b54a2b245f64df3158cd3634753e77",
+    "train.csv": "e2923a8dc9968bacd68369fa7425a3ea2978ef5c07a4e98d391b8264da3fcffc",
+    "test.csv": "0f5027e4b765738c6f1966b9ec15e4806b1b5d7cfd0be2913fa1c6e119a5e730",
+    "train": "6194296b4bb83c8c137ae27ced0085a61ffd48b6bc66e84b6fd2ca33c1218790",
+    "test": "cd2c18e4f79f0da79b379ddcec04a2606fedd6cd80e1d45de324a1714190bb03",
+    "norm": "7241ce58291c1ae9d753b1b6a38529b36e157bb2058806b8e3c83c444047626c",
+    "inverted": "f943e2f9e224c9d39985fa9a782b1d91a1dfc40472377cf9bfd95c56fe143726",
+}
+
+
+def test_data_path_golden(tmp_path):
+    schema = FeatureSchema(
+        [
+            Feature("kind", "categorical", categories=("card", "wire", "cash")),
+            Feature("amount", "numeric"),
+            Feature("zero", "numeric"),
+            Feature("channel", "categorical", categories=("web", "pos")),
+            Feature("sparse", "numeric"),
+            Feature("score", "numeric"),
+        ]
+    )
+    src = tmp_path / "mixed.csv"
+    src.write_text(_mixed_csv_text(), encoding="utf-8")
+    raw = load_csv(src, schema, label_column="label", null_token="NA")
+    clean = cleanse(raw, 0.9)
+    encoded, _ = encode_one_hot(clean)
+    params = fit_normalize(encoded)
+    scaled = apply_normalize(encoded, params)
+    split = stratified_split(scaled, 0.7, seed=4)
+    digests = {}
+    for name, ds in (("raw", raw), ("clean", clean), ("train", split.train), ("test", split.test)):
+        save_csv(ds, tmp_path / f"{name}.csv")
+        digests[f"{name}.csv"] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+    digests["train"] = _digest(split.train.matrix())
+    digests["test"] = _digest(split.test.matrix())
+    norm = json.dumps(params.to_dict(), sort_keys=True).encode("utf-8")
+    digests["norm"] = hashlib.sha256(norm).hexdigest()
+    digests["inverted"] = _digest(invert_normalize(scaled, params).matrix())
+    assert clean.schema.names == ["kind", "amount", "zero", "channel", "score"]
+    assert digests == DATA_PATH_GOLDEN
