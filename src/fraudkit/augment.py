@@ -8,7 +8,6 @@ land in the unit feature box.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, dataset_from_matrix, round_half_up
+from .data import Dataset, dataset_from_matrix, document_parser, read_document, round_half_up, write_document
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
     LayerSpec,
@@ -26,6 +25,7 @@ from .neural import (
     TrainConfig,
     init_network,
 )
+from .resample import minority_rows, with_synthetic
 
 VGAN_DISC_HIDDEN = (128, 64, 32, 8)
 WGAN_CRITIC_HIDDEN = (256, 128, 64, 32)
@@ -139,6 +139,7 @@ class Gan:
         }
 
     @classmethod
+    @document_parser
     def from_dict(cls, doc: dict) -> "Gan":
         if doc.get("format") != "fraudkit.gan/1":
             raise ModelError(f"unsupported gan document {doc.get('format')!r}")
@@ -151,11 +152,11 @@ class Gan:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
+        write_document(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "Gan":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_document(path, cls.from_dict)
 
 
 def _bce(outputs: np.ndarray, targets: np.ndarray):
@@ -268,21 +269,13 @@ def oversample_gan(
     overrides: dict | None = None,
 ) -> Dataset:
     """Balance a labeled dataset by GAN-sampling new minority rows."""
-    from .resample import project_onehot  # local import to avoid a cycle
-
-    labels = data.require_labels()
-    x = data.matrix()
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == 0)
-    if len(pos) == 0 or len(neg) == 0:
-        raise DataError("both classes must be nonempty")
-    minority_label = 1 if len(pos) <= len(neg) else 0
-    minority_idx = pos if minority_label == 1 else neg
+    minority_idx, minority_label = minority_rows(data)
     majority_count = data.n - len(minority_idx)
     wanted = round_half_up(majority_count * cfg.target_ratio) - len(minority_idx)
     if wanted <= 0:
         return data
 
+    x = data.matrix()
     if spec is None:
         spec = default_gan_spec(cfg.method, x.shape[1])
         train = replace(spec.train, seed=cfg.seed)
@@ -291,8 +284,5 @@ def oversample_gan(
         spec = replace(spec, train=train)
     gan = train_gan(x[minority_idx], spec)
     synth = sample_synthetic(gan, wanted, seed=cfg.seed + 1)
-    if onehot_groups:
-        synth = project_onehot(synth, onehot_groups)
-    new_x = np.vstack([x, synth])
-    new_labels = np.concatenate([labels, np.full(wanted, minority_label)])
-    return dataset_from_matrix(new_x, new_labels, schema=data.schema)
+    x, labels = with_synthetic(data, synth, minority_label, onehot_groups)
+    return dataset_from_matrix(x, labels, schema=data.schema)

@@ -2,14 +2,10 @@
 IF-THEN rule extraction from fitted decision trees.
 
 Every model exposes predict_proba in [0,1] and predict = proba >= 0.5.
-`shap_output` is the value function handed to attribution: the probability
-for most kinds, the raw additive score for the boosted ensemble (which is
-the only output that decomposes tree by tree).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, as_matrix, require_finite, round_half_up
+from .data import (
+    Dataset,
+    as_matrix,
+    document_parser,
+    read_document,
+    require_finite,
+    round_half_up,
+    write_document,
+)
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
 from .tree import SQUARED, DecisionTree
@@ -81,12 +85,15 @@ TABLE_GRIDS: dict[str, dict[str, list]] = {
 }
 
 
-def validate_parameters(kind: str, parameters: dict) -> None:
-    if kind not in KINDS:
-        raise ConfigError(f"unknown classifier kind {kind!r}")
-    enums = ENUM_PARAMS.get(kind, {})
-    numerics = NUMERIC_PARAMS.get(kind, {})
-    bools = BOOL_PARAMS.get(kind, ())
+def check_parameters(
+    kind: str,
+    parameters: dict,
+    enums: dict[str, tuple],
+    numerics: dict[str, tuple[float, float]],
+    bools: tuple[str, ...] = (),
+) -> None:
+    """ConfigError unless each parameter is a listed value of an enumerated
+    one, a number within the bounds of a numeric one, or a bool."""
     for name, value in parameters.items():
         if name in enums:
             if value not in enums[name]:
@@ -102,6 +109,14 @@ def validate_parameters(kind: str, parameters: dict) -> None:
                 raise ConfigError(f"{kind}: {name} must be boolean")
         else:
             raise ConfigError(f"{kind}: unknown hyperparameter {name!r}")
+
+
+def validate_parameters(kind: str, parameters: dict) -> None:
+    if kind not in KINDS:
+        raise ConfigError(f"unknown classifier kind {kind!r}")
+    check_parameters(
+        kind, parameters, ENUM_PARAMS.get(kind, {}), NUMERIC_PARAMS.get(kind, {}), BOOL_PARAMS.get(kind, ())
+    )
 
 
 @dataclass(frozen=True)
@@ -139,9 +154,6 @@ class TrainedModel:
     def predict(self, rows) -> np.ndarray:
         return (self.predict_proba(rows) >= 0.5).astype(int)
 
-    def shap_output(self, rows) -> np.ndarray:
-        return self.predict_proba(rows)
-
     def _state_dict(self) -> dict:
         raise NotImplementedError
 
@@ -154,7 +166,7 @@ class TrainedModel:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
+        write_document(self.to_dict(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +441,6 @@ class BoostedModel(TrainedModel):
     def predict_proba(self, rows) -> np.ndarray:
         return sigmoid(self.decision_score(rows))
 
-    def shap_output(self, rows) -> np.ndarray:
-        # the raw score is the only per-tree-additive output
-        return self.decision_score(rows)
-
     def _state_dict(self) -> dict:
         return {
             "initial_score": self.initial_score,
@@ -584,22 +592,22 @@ _MODEL_CLASSES = {
 }
 
 
+@document_parser
 def model_from_dict(doc: dict) -> TrainedModel:
     if doc.get("format") != "fraudkit.model/1":
         raise ModelError(f"unsupported model document {doc.get('format')!r}")
     kind = doc["kind"]
+    if kind not in _MODEL_CLASSES:
+        raise ModelError(f"unknown model kind {kind!r}")
     names = doc["feature_names"]
     state = doc["state"]
     if kind in ("lr", "svm"):
         return LinearModel._from_state(kind, names, state)
-    try:
-        return _MODEL_CLASSES[kind]._from_state(names, state)
-    except KeyError as exc:
-        raise ModelError(f"unknown model kind {kind!r}") from exc
+    return _MODEL_CLASSES[kind]._from_state(names, state)
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_document(path, model_from_dict)
 
 
 # ---------------------------------------------------------------------------

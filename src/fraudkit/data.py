@@ -1,25 +1,33 @@
 """Dataset schema, CSV ingestion, cleansing, one-hot encoding, min-max
 normalization and the two train/test split regimes.
 
-A Dataset is an immutable row-major table whose cells are floats, category
-tokens or None (null). All downstream modules consume the purely numeric
-form produced by `encode_one_hot` + `apply_normalize`.
+A Dataset stores its cells in one read-only float64 matrix, `values`: a
+numeric cell is its value, a categorical cell is the index of its category
+and a null is NaN. Cleansing, encoding, scaling and splitting are array
+expressions over that matrix. Cells are converted one at a time only where
+text or Python rows come in or go out: `load_csv`, `save_csv`,
+`Dataset(schema, rows)` and `Dataset.rows`. Every downstream module reads
+the all-numeric, null-free matrix of `encode_one_hot` + `apply_normalize`
+through `Dataset.matrix()`, which returns the stored array without a copy.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError, ModelError
+from .errors import DataError, FraudkitError, ModelError
 
 Cell = float | str | None
+T = TypeVar("T")
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -34,8 +42,9 @@ def round_half_up(x: float) -> int:
 class Feature:
     """One column of the schema.
 
-    `value_range` bounds are used by counterfactual generation; `mutable`
-    marks whether counterfactuals may change the feature.
+    `value_range` (declared low/high bounds) and `mutable` are descriptive:
+    they are validated, saved with the schema and carried through one-hot
+    encoding, but no stage reads them.
     """
 
     name: str
@@ -71,7 +80,6 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise DataError("feature names must be unique")
         self.features = features
-        self._index = {f.name: i for i, f in enumerate(features)}
 
     def __len__(self) -> int:
         return len(self.features)
@@ -88,14 +96,6 @@ class FeatureSchema:
     @property
     def names(self) -> list[str]:
         return [f.name for f in self.features]
-
-    def index(self, name: str) -> int:
-        if name not in self._index:
-            raise DataError(f"unknown feature {name!r}")
-        return self._index[name]
-
-    def feature(self, name: str) -> Feature:
-        return self.features[self.index(name)]
 
     @property
     def numeric_indices(self) -> list[int]:
@@ -147,7 +147,14 @@ class FeatureSchema:
 
 
 class Dataset:
-    """Immutable rows + optional binary labels (1 = fraud/positive)."""
+    """Immutable table of cells plus optional binary labels (1 = fraud/positive).
+
+    `values` is the read-only (n, d) float64 matrix of cells: a numeric
+    cell is its value, a categorical cell is the index of its category in
+    the feature's `categories`, and a null is NaN. `Dataset(schema, rows,
+    labels)` converts Python cells (float, category token or None) once;
+    `rows` gives them back in that form.
+    """
 
     def __init__(
         self,
@@ -155,49 +162,80 @@ class Dataset:
         rows: Iterable[Sequence[Cell]],
         labels: Sequence[int] | np.ndarray | None = None,
     ):
-        self.schema = schema
-        self.rows: tuple[tuple[Cell, ...], ...] = tuple(tuple(r) for r in rows)
-        d = len(schema)
-        for r in self.rows:
-            if len(r) != d:
-                raise DataError(f"row has {len(r)} cells, schema has {d}")
+        cells = []
+        for row in rows:
+            row = tuple(row)
+            if len(row) != len(schema):
+                raise DataError(f"row has {len(row)} cells, schema has {len(schema)}")
+            cells.append([_cell_value(f, cell) for f, cell in zip(schema.features, row)])
+        self._set(schema, np.array(cells, dtype=float).reshape(len(cells), len(schema)), labels)
+
+    def _set(self, schema: FeatureSchema, values: np.ndarray, labels) -> None:
+        values.setflags(write=False)
         if labels is not None:
-            labels = np.asarray(labels, dtype=int)
-            if labels.shape != (len(self.rows),):
+            labels = np.array(labels, dtype=int)  # a copy: the caller's array stays writable
+            if labels.shape != (values.shape[0],):
                 raise DataError("labels length must match row count")
             if not np.all((labels == 0) | (labels == 1)):
                 raise DataError("labels must be 0/1")
             labels.setflags(write=False)
+        self.schema = schema
+        self.values = values
         self.labels: np.ndarray | None = labels
+
+    @classmethod
+    def _of(cls, schema: FeatureSchema, values: np.ndarray, labels) -> "Dataset":
+        """A Dataset that takes ownership of a float matrix of cells."""
+        data = cls.__new__(cls)
+        data._set(schema, values, labels)
+        return data
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.values.shape[0]
 
     @property
     def d(self) -> int:
         return len(self.schema)
 
+    @property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        """The cells as Python tuples of float, category token or None (null)."""
+        cats = [f.categories if f.kind == CATEGORICAL else None for f in self.schema]
+        return tuple(
+            tuple(None if v != v else v if c is None else c[int(v)] for v, c in zip(row, cats))
+            for row in self.values.tolist()
+        )
+
     def matrix(self) -> np.ndarray:
-        """Float matrix view; requires an all-numeric, null-free, finite dataset."""
+        """The stored `values` themselves, not a copy; requires an
+        all-numeric, null-free, finite dataset."""
         if self.schema.categorical_indices:
             raise DataError("matrix() requires an all-numeric schema (encode first)")
-        try:
-            m = np.array(self.rows, dtype=float).reshape(self.n, self.d)
-        except (TypeError, ValueError) as exc:
-            raise DataError("matrix() requires null-free numeric cells") from exc
-        # nulls become NaN in the conversion
-        return require_finite(m, "matrix() cells")
+        return require_finite(self.values, "matrix() cells")
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        rows = [self.rows[i] for i in indices]
-        labels = None if self.labels is None else self.labels[list(indices)]
-        return Dataset(self.schema, rows, labels)
+        idx = np.asarray(indices, dtype=np.intp)
+        labels = None if self.labels is None else self.labels[idx]
+        return Dataset._of(self.schema, self.values[idx], labels)
 
     def require_labels(self) -> np.ndarray:
         if self.labels is None:
             raise DataError("operation requires labels")
         return self.labels
+
+
+def _cell_value(feature: Feature, cell: Cell) -> float:
+    """One Python cell of `feature` as the float that `Dataset.values` stores."""
+    if cell is None:
+        return math.nan
+    if feature.kind == CATEGORICAL:
+        if cell not in feature.categories:  # type: ignore[operator]
+            raise DataError(f"unknown category {cell!r} for feature {feature.name!r}")
+        return float(feature.categories.index(cell))  # type: ignore[union-attr]
+    if not isinstance(cell, numbers.Real):
+        raise DataError(f"feature {feature.name!r}: numeric cell required, got {cell!r}")
+    return float(cell)
 
 
 def numeric_schema(names: Sequence[str], value_range: tuple[float, float] | None = None) -> FeatureSchema:
@@ -211,19 +249,21 @@ def dataset_from_matrix(
     names: Sequence[str] | None = None,
     schema: FeatureSchema | None = None,
 ) -> Dataset:
-    """Dataset of a float matrix; non-finite cells (NaN, inf) become nulls,
-    as in `load_csv`."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
+    """Dataset over a copy of a float matrix; non-finite cells (NaN, inf)
+    become nulls, as in `load_csv`."""
+    values = np.array(matrix, dtype=float)
+    if values.ndim != 2:
         raise DataError("matrix must be 2-D")
     if schema is None:
         if names is None:
-            names = [f"f{i}" for i in range(matrix.shape[1])]
+            names = [f"f{i}" for i in range(values.shape[1])]
         schema = numeric_schema(names)
-    rows = matrix.tolist()
-    if not np.isfinite(matrix).all():
-        rows = [[v if math.isfinite(v) else None for v in row] for row in rows]
-    return Dataset(schema, rows, labels)
+    if schema.categorical_indices:
+        raise DataError("dataset_from_matrix requires an all-numeric schema")
+    if values.shape[1] != len(schema):
+        raise DataError(f"row has {values.shape[1]} cells, schema has {len(schema)}")
+    values[~np.isfinite(values)] = np.nan
+    return Dataset._of(schema, values, labels)
 
 
 def require_finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -247,20 +287,52 @@ def as_matrix(rows, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# JSON documents of fitted models
+
+def document_parser(parse: Callable[..., T]) -> Callable[..., T]:
+    """`parse` (a `from_dict`) raising ModelError, not KeyError, TypeError or
+    ValueError, when its document lacks a key or holds a wrong value."""
+
+    @functools.wraps(parse)
+    def checked(*args):
+        try:
+            return parse(*args)
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ModelError(f"malformed document: {exc!r}") from exc
+
+    return checked
+
+
+def write_document(doc: dict, path: str | Path) -> None:
+    p = Path(path)
+    try:
+        p.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ModelError(f"cannot write {p}: {exc}") from exc
+
+
+def read_document(path: str | Path, parse: Callable[[dict], T]) -> T:
+    """`parse` of the JSON document at `path`; a missing or unreadable file,
+    bad JSON or a malformed document is a ModelError naming the path."""
+    p = Path(path)
+    try:
+        return parse(json.loads(p.read_text(encoding="utf-8")))
+    except (OSError, ValueError, FraudkitError) as exc:
+        raise ModelError(f"cannot load {p}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # CSV ingestion / persistence
 
-def _parse_cell(token: str, feature: Feature, null_token: str | None) -> Cell:
-    if token == "" or (null_token is not None and token == null_token):
-        return None
-    if feature.kind == NUMERIC:
-        try:
-            value = float(token)
-        except ValueError:
-            return None  # unparseable numerics are nulls, not errors
-        return value if math.isfinite(value) else None
-    if token not in feature.categories:  # type: ignore[operator]
-        raise DataError(f"unknown category {token!r} for feature {feature.name!r}")
-    return token
+def _parse_cell(token: str, feature: Feature, nulls: set) -> float:
+    if token in nulls:
+        return math.nan
+    if feature.kind == CATEGORICAL:
+        return _cell_value(feature, token)
+    try:
+        return float(token)  # inf and nan are made null with the whole matrix
+    except ValueError:
+        return math.nan  # unparseable numerics are nulls, not errors
 
 
 def load_csv(
@@ -291,17 +363,14 @@ def load_csv(
                 f"header mismatch: expected {sorted(expected)}, found {header}"
             )
         col_of = {name: header.index(name) for name in header}
-        rows: list[tuple[Cell, ...]] = []
+        columns = [(col_of[f.name], f) for f in schema]
+        nulls = {"", null_token}
+        cells: list[list[float]] = []
         labels: list[int] | None = [] if label_column else None
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(f"{p}:{lineno}: expected {len(header)} cells")
-            rows.append(
-                tuple(
-                    _parse_cell(record[col_of[f.name]], f, null_token)
-                    for f in schema
-                )
-            )
+            cells.append([_parse_cell(record[j], f, nulls) for j, f in columns])
             if labels is not None:
                 raw = record[col_of[label_column]]  # type: ignore[index]
                 try:
@@ -311,7 +380,9 @@ def load_csv(
                 if value not in (0.0, 1.0):
                     raise DataError(f"{p}:{lineno}: label must be 0 or 1, got {raw!r}")
                 labels.append(int(value))
-    return Dataset(schema, rows, labels)
+    values = np.array(cells, dtype=float).reshape(len(cells), len(schema))
+    values[~np.isfinite(values)] = np.nan  # inf and nan tokens are nulls too
+    return Dataset._of(schema, values, labels)
 
 
 def _format_cell(cell: Cell) -> str:
@@ -319,7 +390,7 @@ def _format_cell(cell: Cell) -> str:
         return ""
     if isinstance(cell, str):
         return cell
-    if isinstance(cell, float) and cell == int(cell) and abs(cell) < 1e15:
+    if abs(cell) < 1e15 and cell == int(cell):
         return str(int(cell))
     return repr(float(cell))
 
@@ -347,46 +418,33 @@ def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> No
 def cleanse(data: Dataset, null_feature_threshold: float = 0.9) -> Dataset:
     """Deduplicate exact rows, drop null-heavy features, then drop null rows.
 
-    Order: duplicates first (key = cells + label), then features whose null
+    Order: duplicates first (key = cells + label; null equals null and -0.0
+    equals 0.0; the first of equal rows is kept), then features whose null
     fraction is >= the threshold, then any remaining row containing a null.
     No imputation is performed.
     """
     if not 0.0 <= null_feature_threshold <= 1.0:
         raise DataError("null_feature_threshold must lie in [0, 1]")
-    seen: set = set()
-    kept: list[int] = []
-    for i, row in enumerate(data.rows):
-        key = (row, None if data.labels is None else int(data.labels[i]))
-        if key not in seen:
-            seen.add(key)
-            kept.append(i)
-    rows = [data.rows[i] for i in kept]
-    labels = None if data.labels is None else data.labels[kept]
+    key = data.values.copy() if data.labels is None else np.column_stack([data.values, data.labels])
+    key += 0.0  # -0.0 becomes 0.0
+    key[np.isnan(key)] = np.nan  # one bit pattern for every null
+    row_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first = np.unique(row_bytes, return_index=True)  # index of the first of equal rows
+    kept = np.sort(first)
 
-    n = len(rows)
+    n = len(kept)
     if n == 0:
         raise DataError("cleanse produced zero rows")
-    keep_features = []
-    for j, feature in enumerate(data.schema):
-        nulls = sum(1 for r in rows if r[j] is None)
-        if nulls / n < null_feature_threshold:
-            keep_features.append(j)
-    if not keep_features:
+    null = np.isnan(data.values)[kept]
+    keep_features = np.flatnonzero(null.sum(axis=0) / n < null_feature_threshold)
+    if not keep_features.size:
         raise DataError("cleanse dropped every feature")
-    schema = FeatureSchema([data.schema[j] for j in keep_features])
-
-    final_rows = []
-    final_idx = []
-    for i, r in enumerate(rows):
-        cells = tuple(r[j] for j in keep_features)
-        if any(c is None for c in cells):
-            continue
-        final_rows.append(cells)
-        final_idx.append(i)
-    if not final_rows:
+    rows = kept[~null[:, keep_features].any(axis=1)]
+    if not rows.size:
         raise DataError("cleanse produced zero rows")
-    final_labels = None if labels is None else labels[final_idx]
-    return Dataset(schema, final_rows, final_labels)
+    schema = FeatureSchema([data.schema[j] for j in keep_features])
+    labels = None if data.labels is None else data.labels[rows]
+    return Dataset._of(schema, data.values[np.ix_(rows, keep_features)], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +465,6 @@ class OneHotMap:
         for f, (start, width) in zip(self.source_schema, self.spans):
             if f.kind == CATEGORICAL:
                 out.append(list(range(start, start + width)))
-        return out
-
-    def encode_row(self, row: Sequence[Cell]) -> list[float]:
-        if len(row) != len(self.source_schema):
-            raise DataError("row width does not match source schema")
-        out: list[float] = []
-        for f, cell, (_, width) in zip(self.source_schema, row, self.spans):
-            if f.kind == NUMERIC:
-                if not isinstance(cell, (int, float)) or cell is None:
-                    raise DataError(f"feature {f.name!r}: numeric cell required")
-                out.append(float(cell))
-            else:
-                if cell not in f.categories:  # type: ignore[operator]
-                    raise DataError(f"unknown category {cell!r} for {f.name!r}")
-                onehot = [0.0] * width
-                onehot[f.categories.index(cell)] = 1.0  # type: ignore[union-attr]
-                out.extend(onehot)
         return out
 
     def decode_row(self, encoded: Sequence[float]) -> list[Cell]:
@@ -457,28 +498,28 @@ class OneHotMap:
 
 def encode_one_hot(data: Dataset) -> tuple[Dataset, OneHotMap]:
     """Expand each categorical feature into 0/1 indicator columns."""
+    if np.isnan(data.values).any():
+        raise DataError("encode_one_hot requires null-free data (cleanse first)")
     encoded_features: list[Feature] = []
     spans: list[tuple[int, int]] = []
-    col = 0
     for f in data.schema:
+        width = 1 if f.kind == NUMERIC else len(f.categories)  # type: ignore[arg-type]
+        spans.append((len(encoded_features), width))
         if f.kind == NUMERIC:
             encoded_features.append(f)
-            spans.append((col, 1))
-            col += 1
         else:
             for cat in f.categories:  # type: ignore[union-attr]
                 encoded_features.append(
                     Feature(f"{f.name}={cat}", NUMERIC, mutable=f.mutable, value_range=(0.0, 1.0))
                 )
-            spans.append((col, len(f.categories)))  # type: ignore[arg-type]
-            col += len(f.categories)  # type: ignore[arg-type]
     mapping = OneHotMap(data.schema, FeatureSchema(encoded_features), tuple(spans))
-    rows = []
-    for row in data.rows:
-        if any(c is None for c in row):
-            raise DataError("encode_one_hot requires null-free data (cleanse first)")
-        rows.append(tuple(mapping.encode_row(row)))
-    return Dataset(mapping.encoded_schema, rows, data.labels), mapping
+    values = np.zeros((data.n, len(encoded_features)))
+    for j, (f, (start, _)) in enumerate(zip(data.schema, spans)):
+        if f.kind == NUMERIC:
+            values[:, start] = data.values[:, j]
+        else:
+            values[np.arange(data.n), start + data.values[:, j].astype(np.intp)] = 1.0
+    return Dataset._of(mapping.encoded_schema, values, data.labels), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -507,51 +548,53 @@ class NormParams:
 
 
 def fit_normalize(data: Dataset) -> NormParams:
+    """Each numeric feature's (min, max) over its non-null cells; of equal
+    extremes (0.0 and -0.0) the first in row order is kept, as Python's
+    `min` and `max` keep it."""
     bounds = []
     for j in data.schema.numeric_indices:
-        values = [r[j] for r in data.rows if r[j] is not None]
-        if not values:
+        col = data.values[:, j]
+        col = col[~np.isnan(col)]
+        if not col.size:
             raise DataError(f"feature {data.schema[j].name!r} has no numeric values to fit")
-        bounds.append((data.schema[j].name, float(min(values)), float(max(values))))
+        low = col[np.argmax(col == col.min())]
+        high = col[np.argmax(col == col.max())]
+        bounds.append((data.schema[j].name, float(low), float(high)))
     return NormParams(tuple(bounds))
 
 
-def _norm_lookup(data: Dataset, params: NormParams) -> dict[int, tuple[float, float]]:
+def _rescale(data: Dataset, params: NormParams, invert: bool) -> Dataset:
+    """Numeric columns mapped to [0, 1] by the bounds, or back when `invert`;
+    a constant feature maps to 0.0 (back to its one value); nulls stay null."""
     by_name = {n: (lo, hi) for n, lo, hi in params.bounds}
-    lookup = {}
-    for j in data.schema.numeric_indices:
-        name = data.schema[j].name
-        if name not in by_name:
-            raise DataError(f"normalization params lack feature {name!r}")
-        lookup[j] = by_name[name]
-    return lookup
+    cols = data.schema.numeric_indices
+    for j in cols:
+        if data.schema[j].name not in by_name:
+            raise DataError(f"normalization params lack feature {data.schema[j].name!r}")
+    low, high = np.array([by_name[data.schema[j].name] for j in cols]).reshape(-1, 2).T
+    const = high == low
+    values = data.values.copy()
+    x = values[:, cols]
+    null = np.isnan(x[:, const])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if invert:
+            x *= high - low
+            x += low
+        else:
+            x -= low
+            x /= high - low
+    x[:, const] = np.where(null, np.nan, low[const] if invert else 0.0)
+    values[:, cols] = x
+    return Dataset._of(data.schema, values, data.labels)
 
 
 def apply_normalize(data: Dataset, params: NormParams) -> Dataset:
     """Min-max scale numeric features to [0,1]; constant features map to 0.0."""
-    lookup = _norm_lookup(data, params)
-    rows = []
-    for row in data.rows:
-        cells = list(row)
-        for j, (lo, hi) in lookup.items():
-            if cells[j] is None:
-                continue
-            cells[j] = 0.0 if hi == lo else (float(cells[j]) - lo) / (hi - lo)
-        rows.append(tuple(cells))
-    return Dataset(data.schema, rows, data.labels)
+    return _rescale(data, params, invert=False)
 
 
 def invert_normalize(data: Dataset, params: NormParams) -> Dataset:
-    lookup = _norm_lookup(data, params)
-    rows = []
-    for row in data.rows:
-        cells = list(row)
-        for j, (lo, hi) in lookup.items():
-            if cells[j] is None:
-                continue
-            cells[j] = lo if hi == lo else float(cells[j]) * (hi - lo) + lo
-        rows.append(tuple(cells))
-    return Dataset(data.schema, rows, data.labels)
+    return _rescale(data, params, invert=True)
 
 
 # ---------------------------------------------------------------------------
@@ -575,28 +618,24 @@ def stratified_split(data: Dataset, train_fraction: float, seed: int) -> SplitPa
     if not 0.0 < train_fraction <= 1.0:
         raise DataError("train_fraction must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
+    in_train = np.zeros(data.n, dtype=bool)
     for cls in (0, 1):
         members = np.flatnonzero(labels == cls)
         if len(members) < 2:
             raise DataError(f"class {cls} has fewer than 2 rows")
         n_train = round_half_up(len(members) * train_fraction)
-        perm = rng.permutation(len(members))
-        train_idx.extend(int(members[k]) for k in perm[:n_train])
-    train_set = set(train_idx)
-    train_sorted = sorted(train_set)
-    test_sorted = [i for i in range(data.n) if i not in train_set]
-    return SplitPair(data.subset(train_sorted), data.subset(test_sorted), seed)
+        in_train[members[rng.permutation(len(members))[:n_train]]] = True
+    return SplitPair(data.subset(np.flatnonzero(in_train)), data.subset(np.flatnonzero(~in_train)), seed)
 
 
 def occ_split(data: Dataset) -> SplitPair:
     """Train = every negative row, test = every positive row, order kept."""
     labels = data.require_labels()
-    neg = [i for i in range(data.n) if labels[i] == 0]
-    pos = [i for i in range(data.n) if labels[i] == 1]
-    if not neg:
+    neg = np.flatnonzero(labels == 0)
+    pos = np.flatnonzero(labels == 1)
+    if not neg.size:
         raise DataError("no negative rows to train on")
-    if not pos:
+    if not pos.size:
         raise DataError("no positive rows to test on")
     return SplitPair(data.subset(neg), data.subset(pos), 0)
 

@@ -1,8 +1,4 @@
-"""Exception taxonomy shared by every fraudkit module.
-
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-ModelError -> 4.
-"""
+"""Exception taxonomy shared by every fraudkit module."""
 
 from __future__ import annotations
 

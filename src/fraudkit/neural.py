@@ -8,7 +8,6 @@ and autoencoder training loops can chain networks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import document_parser, read_document, write_document
 from .errors import ConfigError, ModelError
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "logistic", "linear")
@@ -166,13 +166,6 @@ class Network:
         self.weights = weights
         self.biases = biases
 
-    @property
-    def output_dim(self) -> int:
-        return self.spec.layers[-1].width
-
-    def copy(self) -> "Network":
-        return Network(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     # -- forward / backward ------------------------------------------------
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
@@ -246,6 +239,7 @@ class Network:
         }
 
     @classmethod
+    @document_parser
     def from_dict(cls, doc: dict) -> "Network":
         if doc.get("format") != "fraudkit.network/1":
             raise ModelError(f"unsupported network document {doc.get('format')!r}")
@@ -255,11 +249,11 @@ class Network:
         return cls(spec, weights, biases)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
+        write_document(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "Network":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_document(path, cls.from_dict)
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:

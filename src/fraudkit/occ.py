@@ -9,7 +9,6 @@ All detectors score with "higher = more anomalous" and cut decisions at the
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, as_matrix, require_finite
+from .classify import check_parameters
+from .data import Dataset, as_matrix, document_parser, read_document, require_finite, write_document
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, layer_stack, init_network
 from .tree import Nodes, grow
@@ -26,44 +26,16 @@ KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
 
 OCSVM_KERNELS = ("linear", "rbf", "poly", "sigmoid")
 
-# Published search grids for the detector hyperparameters.
-TABLE_GRIDS: dict[str, dict[str, list]] = {
-    "ocsvm": {"kernel": ["linear", "rbf", "poly", "sigmoid"]},
-    "iforest": {
-        "n_estimators": [10, 50, 100, 150, 200, 250, 300],
-        "max_samples": [500, 1000, 1500, 2000],
-    },
-    "abod": {"n_neighbours": [5, 10, 20, 30, 40, 50]},
-    "copod": {},
-    "mcd": {},
-    "vae": {},
+ENUM_PARAMS: dict[str, dict[str, tuple]] = {"ocsvm": {"kernel": OCSVM_KERNELS}}
+
+NUMERIC_PARAMS: dict[str, dict[str, tuple[float, float]]] = {
+    # name -> (min, max) inclusive sanity bounds
+    "ocsvm": {"nu": (1e-9, 1.0), "tol": (0.0, 1.0), "max_iter": (1, 1e8)},
+    "iforest": {"n_estimators": (1, 1e6), "max_samples": (2, 1e9)},
+    "abod": {"n_neighbours": (2, 1e6)},
+    "mcd": {"support_fraction": (0.5, 1.0)},
+    "vae": {"epochs": (1, 1e7), "learning_rate": (0.0, 10.0), "latent_dim": (1, 1e4)},
 }
-
-
-def _validate_detector_params(kind: str, params: dict) -> None:
-    if kind not in KINDS:
-        raise ConfigError(f"unknown detector kind {kind!r}")
-    enums = {"ocsvm": {"kernel": OCSVM_KERNELS}}.get(kind, {})
-    numerics: dict[str, tuple[float, float]] = {
-        "ocsvm": {"nu": (1e-9, 1.0), "tol": (0.0, 1.0), "max_iter": (1, 1e8)},
-        "iforest": {"n_estimators": (1, 1e6), "max_samples": (2, 1e9)},
-        "abod": {"n_neighbours": (2, 1e6)},
-        "mcd": {"support_fraction": (0.5, 1.0)},
-        "vae": {"epochs": (1, 1e7), "learning_rate": (0.0, 10.0), "latent_dim": (1, 1e4)},
-        "copod": {},
-    }[kind]
-    for name, value in params.items():
-        if name in enums:
-            if value not in enums[name]:
-                raise ConfigError(f"{kind}: {name} must be one of {enums[name]}")
-        elif name in numerics:
-            low, high = numerics[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{kind}: {name} must be numeric")
-            if not (low <= value <= high):
-                raise ConfigError(f"{kind}: {name}={value} outside [{low}, {high}]")
-        else:
-            raise ConfigError(f"{kind}: unknown hyperparameter {name!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +46,11 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _validate_detector_params(self.kind, self.parameters)
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown detector kind {self.kind!r}")
+        check_parameters(
+            self.kind, self.parameters, ENUM_PARAMS.get(self.kind, {}), NUMERIC_PARAMS.get(self.kind, {})
+        )
         if not 0.0 < self.contamination <= 0.5:
             raise ConfigError("contamination must lie in (0, 0.5]")
 
@@ -131,7 +107,7 @@ class TrainedDetector:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
+        write_document(self.to_dict(), path)
 
 
 def classification_rate(predictions: Sequence[int] | np.ndarray) -> float:
@@ -642,7 +618,7 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
         Optimizer("adam", lr, net) for net in (encoder, mu_head, logvar_head, decoder)
     ]
     rng = np.random.default_rng(config.seed + 4)
-    batch_size = min(int(params.get("batch_size", 64)) if "batch_size" in params else 64, n)
+    batch_size = min(64, n)
 
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -718,6 +694,7 @@ def fit_detector(config: DetectorConfig, negatives: Dataset | np.ndarray) -> Tra
     return detector
 
 
+@document_parser
 def detector_from_dict(doc: dict) -> TrainedDetector:
     if doc.get("format") != "fraudkit.detector/1":
         raise ModelError(f"unsupported detector document {doc.get('format')!r}")
@@ -730,4 +707,4 @@ def detector_from_dict(doc: dict) -> TrainedDetector:
 
 
 def load_detector(path: str | Path) -> TrainedDetector:
-    return detector_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_document(path, detector_from_dict)

@@ -100,17 +100,14 @@ def knn(a: np.ndarray, b: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray
     return out
 
 
-def _classes(data: Dataset) -> tuple[np.ndarray, np.ndarray, int, int]:
+def minority_rows(data: Dataset) -> tuple[np.ndarray, int]:
+    """Indices and label of the minority class (label 1 on a tie)."""
     labels = data.require_labels()
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("both classes must be nonempty")
-    if len(pos) <= len(neg):
-        minority_label, majority_label = 1, 0
-    else:
-        minority_label, majority_label = 0, 1
-    return pos, neg, minority_label, majority_label
+    return (pos, 1) if len(pos) <= len(neg) else (neg, 0)
 
 
 def project_onehot(matrix: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
@@ -124,6 +121,21 @@ def project_onehot(matrix: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nd
         block[np.arange(block.shape[0]), winners] = 1.0
         out[:, cols] = block
     return out
+
+
+def with_synthetic(
+    data: Dataset,
+    synth_rows,
+    minority_label: int,
+    onehot_groups: Sequence[Sequence[int]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and labels of `data` with synthetic minority rows appended, each
+    one-hot column group of theirs snapped to a valid indicator vector."""
+    synth = np.reshape(synth_rows, (-1, data.d))
+    if onehot_groups:
+        synth = project_onehot(synth, onehot_groups)
+    labels = np.concatenate([data.require_labels(), np.full(len(synth), minority_label)])
+    return np.vstack([data.matrix(), synth]), labels
 
 
 def _check_unit_box(x: np.ndarray) -> None:
@@ -143,9 +155,7 @@ def smote(
     """
     x = data.matrix()
     _check_unit_box(x)
-    labels = data.require_labels()
-    pos, neg, minority_label, _ = _classes(data)
-    minority_idx = pos if minority_label == 1 else neg
+    minority_idx, minority_label = minority_rows(data)
     majority_count = data.n - len(minority_idx)
     if len(minority_idx) <= cfg.k_neighbors:
         raise DataError(
@@ -167,15 +177,8 @@ def smote(
         synth_rows.append(row)
         draws.append(SmoteDraw(int(minority_idx[i]), int(minority_idx[nn_local]), u))
 
-    if synth_rows:
-        synth = np.vstack(synth_rows)
-        if onehot_groups:
-            synth = project_onehot(synth, onehot_groups)
-        new_x = np.vstack([x, synth])
-        new_labels = np.concatenate([labels, np.full(len(synth_rows), minority_label)])
-    else:
-        new_x, new_labels = x, labels
-    out = dataset_from_matrix(new_x, new_labels, schema=data.schema)
+    x, labels = with_synthetic(data, synth_rows, minority_label, onehot_groups)
+    out = dataset_from_matrix(x, labels, schema=data.schema)
     if with_provenance:
         return out, draws
     return out
@@ -222,7 +225,7 @@ def smote_enn(
     onehot_groups: Sequence[Sequence[int]] | None = None,
 ) -> Dataset:
     """SMOTE, then ENN cleanup over the full augmented set."""
-    _, _, _, majority_label = _classes(data)
+    majority_label = 1 - minority_rows(data)[1]
     grown = smote(data, cfg, onehot_groups)
     return enn_filter(grown, cfg.enn_k, majority_label=majority_label)
 
@@ -233,7 +236,7 @@ def smote_tomek(
     onehot_groups: Sequence[Sequence[int]] | None = None,
 ) -> Dataset:
     """SMOTE, then Tomek-link removal over the full augmented set."""
-    _, _, _, majority_label = _classes(data)
+    majority_label = 1 - minority_rows(data)[1]
     grown = smote(data, cfg, onehot_groups)
     return tomek_remove(grown, majority_label=majority_label)
 
@@ -255,8 +258,8 @@ def _adasyn_plan(data: Dataset, cfg: BalancerConfig):
     """(minority global indices, minority matrix, per-row sample counts)."""
     x = data.matrix()
     labels = data.require_labels()
-    pos, neg, minority_label, majority_label = _classes(data)
-    minority_idx = pos if minority_label == 1 else neg
+    minority_idx, minority_label = minority_rows(data)
+    majority_label = 1 - minority_label
     if len(minority_idx) <= cfg.k_neighbors:
         raise DataError(
             f"minority size {len(minority_idx)} must exceed k_neighbors {cfg.k_neighbors}"
@@ -280,9 +283,7 @@ def adasyn(
     """Density-adaptive oversampling: minority rows with more majority-class
     neighbors receive proportionally more synthetic samples.
     """
-    x = data.matrix()
-    _check_unit_box(x)
-    labels = data.require_labels()
+    _check_unit_box(data.matrix())
     minority_idx, minority, minority_label, alloc = _adasyn_plan(data, cfg)
 
     neighbor_table = knn(minority, minority, cfg.k_neighbors, np.arange(len(minority_idx)))
@@ -294,15 +295,8 @@ def adasyn(
             u = float(rng.uniform())
             synth_rows.append(minority[local] + u * (minority[nn_local] - minority[local]))
 
-    if synth_rows:
-        synth = np.vstack(synth_rows)
-        if onehot_groups:
-            synth = project_onehot(synth, onehot_groups)
-        new_x = np.vstack([x, synth])
-        new_labels = np.concatenate([labels, np.full(len(synth_rows), minority_label)])
-    else:
-        new_x, new_labels = x, labels
-    return dataset_from_matrix(new_x, new_labels, schema=data.schema)
+    x, labels = with_synthetic(data, synth_rows, minority_label, onehot_groups)
+    return dataset_from_matrix(x, labels, schema=data.schema)
 
 
 def adasyn_allocation(data: Dataset, cfg: BalancerConfig) -> np.ndarray:

@@ -9,7 +9,7 @@ from fraudkit.augment import (
     sample_synthetic,
     train_gan,
 )
-from fraudkit.errors import ConfigError, DataError
+from fraudkit.errors import ConfigError, DataError, ModelError
 from fraudkit.neural import NetworkSpec, TrainConfig, layer_stack
 from fraudkit.resample import BalancerConfig
 
@@ -163,6 +163,19 @@ def test_gan_round_trip(tmp_path):
     gan.save(path)
     back = Gan.load(path)
     assert np.array_equal(sample_synthetic(gan, 5, seed=3), sample_synthetic(back, 5, seed=3))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"format": "fraudkit.gan/1"}'],
+    ids=["missing-file", "bad-json", "missing-key"],
+)
+def test_gan_load_failure_is_a_model_error_naming_the_path(tmp_path, content):
+    path = tmp_path / "gan.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ModelError, match="gan.json"):
+        Gan.load(path)
 
 
 # ------------------------------------------------------------- oversampling

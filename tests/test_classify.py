@@ -382,6 +382,19 @@ def test_model_from_dict_rejects_unknown_format():
         model_from_dict({"format": "nope"})
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"format": "fraudkit.model/1", "kind": "nb"}'],
+    ids=["missing-file", "bad-json", "missing-key"],
+)
+def test_load_model_failure_is_a_model_error_naming_the_path(tmp_path, content):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ModelError, match="model.json"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------- rules
 
 

@@ -358,3 +358,44 @@ def test_save_split_writes_manifest(tmp_path, imbalanced_blobs):
     assert (tmp_path / "test.csv").exists()
     manifest = (tmp_path / "split_manifest.json").read_text()
     assert '"seed": 2' in manifest
+
+
+def test_matrix_is_the_stored_read_only_array():
+    ds = dataset_from_matrix(np.arange(6.0).reshape(3, 2))
+    m = ds.matrix()
+    assert np.shares_memory(m, ds.matrix())
+    assert np.shares_memory(m, ds.values)
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
+def test_data_stages_peak_below_eight_matrices():
+    import tracemalloc
+
+    x = np.random.default_rng(0).uniform(size=(20_000, 30))
+    tracemalloc.start()
+    try:
+        raw = dataset_from_matrix(x)
+        clean = cleanse(raw)
+        params = fit_normalize(clean)
+        scaled = apply_normalize(clean, params)
+        m = scaled.matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == x.shape
+    assert peak < 8 * x.nbytes, f"peak {peak / x.nbytes:.1f}x the matrix"
+
+
+def test_dataset_leaves_the_callers_label_array_writable():
+    y = np.array([0, 1, 0])
+    ds = dataset_from_matrix(np.zeros((3, 2)), y)
+    y[0] = 1
+    assert ds.labels.tolist() == [0, 1, 0]
+
+
+def test_dataset_rejects_unknown_category_and_non_numeric_cells(mixed_schema):
+    with pytest.raises(DataError, match="unknown category"):
+        Dataset(mixed_schema, [("green", 1.0, 2.0)])
+    with pytest.raises(DataError, match="numeric cell required"):
+        Dataset(mixed_schema, [("red", "1.0", 2.0)])

@@ -236,3 +236,16 @@ def test_network_json_round_trip(tmp_path):
     assert np.array_equal(net.forward(x), back.forward(x))
     doc = json.loads(path.read_text())
     assert doc["format"] == "fraudkit.network/1"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"format": "fraudkit.network/1"}'],
+    ids=["missing-file", "bad-json", "missing-key"],
+)
+def test_network_load_failure_is_a_model_error_naming_the_path(tmp_path, content):
+    path = tmp_path / "net.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ModelError, match="net.json"):
+        Network.load(path)

@@ -344,6 +344,19 @@ def test_detector_from_dict_rejects_garbage():
         detector_from_dict({"format": "nope"})
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"format": "fraudkit.detector/1", "kind": "mcd"}'],
+    ids=["missing-file", "bad-json", "missing-key"],
+)
+def test_load_detector_failure_is_a_model_error_naming_the_path(tmp_path, content):
+    path = tmp_path / "detector.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ModelError, match="detector.json"):
+        load_detector(path)
+
+
 def test_vae_detector_manual_zero_everything():
     # fully zeroed nets: reconstruction is 0 regardless of input
     from fraudkit.neural import NetworkSpec, layer_stack
