@@ -32,10 +32,7 @@ KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
 # but deliberately not pinned to the published search grids, since off-grid
 # values (learning_rate 0, maxdepth 12, ...) are legitimate.
 ENUM_PARAMS: dict[str, dict[str, tuple]] = {
-    "lr": {
-        "regularizer": ("l1", "l2", "elasticnet"),
-        "optimizer": ("newton-cg", "lbfgs", "liblinear"),
-    },
+    "lr": {"regularizer": ("l1", "l2", "elasticnet")},
     "svm": {
         "regularizer": ("l1", "l2"),
         "loss": ("hinge", "squared-hinge"),
@@ -64,10 +61,7 @@ BOOL_PARAMS: dict[str, tuple[str, ...]] = {"rf": ("bootstrap",)}
 # Published search grids (exhaustive grid-search spaces).
 TABLE_GRIDS: dict[str, dict[str, list]] = {
     "nb": {},
-    "lr": {
-        "regularizer": ["l1", "l2", "elasticnet"],
-        "optimizer": ["newton-cg", "lbfgs", "liblinear"],
-    },
+    "lr": {"regularizer": ["l1", "l2", "elasticnet"]},
     "svm": {"regularizer": ["l1", "l2"], "loss": ["hinge", "squared-hinge"]},
     "dt": {"criterion": ["gini", "entropy"], "maxdepth": list(range(1, 11))},
     "rf": {
@@ -224,14 +218,17 @@ def _fit_nb(x: np.ndarray, y: np.ndarray, names, config: ClassifierConfig) -> Na
 class LinearModel(TrainedModel):
     """Coefficient vector + bias. lr scores through the logistic link;
     svm predicts the sign of the margin and reports logistic(margin) as a
-    probability surrogate."""
+    probability surrogate. `iterations` counts the solver's steps and
+    `converged` says whether it stopped with max|grad| below `tol`."""
 
-    def __init__(self, kind, feature_names, weights, bias, parameters):
+    def __init__(self, kind, feature_names, weights, bias, parameters, iterations=0, converged=False):
         super().__init__(feature_names)
         self.kind = kind
         self.weights = np.asarray(weights, dtype=float)
         self.bias = float(bias)
         self.parameters = dict(parameters)
+        self.iterations = int(iterations)
+        self.converged = bool(converged)
 
     def decision_score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
@@ -245,11 +242,14 @@ class LinearModel(TrainedModel):
             "weights": self.weights.tolist(),
             "bias": self.bias,
             "parameters": self.parameters,
+            "iterations": self.iterations,
+            "converged": self.converged,
         }
 
     @classmethod
     def _from_state(cls, kind, names, state):
-        return cls(kind, names, state["weights"], state["bias"], state.get("parameters", {}))
+        signals = state.get("iterations", 0), state.get("converged", False)
+        return cls(kind, names, state["weights"], state["bias"], state.get("parameters", {}), *signals)
 
 
 def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
@@ -265,20 +265,63 @@ def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
     return 0.5 * strength * (l1 + l2), strength * (0.5 * np.sign(w) + w)
 
 
-def _descend(x, y01, objective, max_iter, tol):
-    """Monotone full-batch (sub)gradient descent with step halving."""
-    w = np.zeros(x.shape[1])
+# An objective maps (w, b) to (loss, gradient in w, gradient in b, curvature).
+# For a smooth loss, curvature() gives the per-row weights c of its
+# (generalized) Hessian in the data term, X1' diag(c) X1 with X1 = [x, 1];
+# for the hinge it is None.
+
+
+def _lr_objective(x, y, regularizer, strength):
+    yf = y.astype(float)
+    n = len(yf)
+
+    def objective(w, b):
+        z = x @ w + b
+        p = sigmoid(z)
+        eps = 1e-12
+        data = -np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
+        grad_z = (p - yf) / n
+        pen, pen_grad = _penalty_terms(w, regularizer, strength)
+        return data + pen, x.T @ grad_z + pen_grad, float(grad_z.sum()), lambda: p * (1.0 - p) / n
+
+    return objective
+
+
+def _svm_objective(x, y, loss_name, regularizer, strength):
+    ypm = 2.0 * y - 1.0  # {0,1} -> {-1,+1}
+    n = len(y)
+
+    def objective(w, b):
+        margin = ypm * (x @ w + b)
+        slack = np.maximum(0.0, 1.0 - margin)
+        if loss_name == "hinge":
+            data = float(np.mean(slack))
+            coeff = np.where(slack > 0, -ypm, 0.0) / n
+            curvature = None
+        else:  # squared-hinge
+            data = float(np.mean(slack * slack))
+            coeff = -2.0 * slack * ypm / n
+            curvature = lambda: np.where(slack > 0, 2.0 / n, 0.0)
+        pen, pen_grad = _penalty_terms(w, regularizer, strength)
+        return data + pen, x.T @ coeff + pen_grad, float(coeff.sum()), curvature
+
+    return objective
+
+
+def _descend(objective, d, max_iter, tol):
+    """Monotone full-batch (sub)gradient descent with step halving, for the
+    objectives Newton cannot take (l1, elasticnet, hinge). Returns
+    (w, b, iterations, converged)."""
+    w = np.zeros(d)
     b = 0.0
     step = 1.0
-    loss, gw, gb = objective(w, b)
-    for _ in range(int(max_iter)):
-        gnorm = max(float(np.max(np.abs(gw))), abs(gb))
-        if gnorm < tol:
-            break
+    loss, gw, gb, _ = objective(w, b)
+    iterations = 0
+    while iterations < max_iter and max(float(np.max(np.abs(gw))), abs(gb)) >= tol:
         while step > 1e-14:
             w2 = w - step * gw
             b2 = b - step * gb
-            loss2, gw2, gb2 = objective(w2, b2)
+            loss2, gw2, gb2, _ = objective(w2, b2)
             if loss2 <= loss + 1e-15:
                 w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
                 step *= 1.2
@@ -286,28 +329,59 @@ def _descend(x, y01, objective, max_iter, tol):
             step *= 0.5
         else:
             break
-    return w, b
+        iterations += 1
+    return w, b, iterations, max(float(np.max(np.abs(gw))), abs(gb)) < tol
+
+
+def _newton(x, objective, ridge, max_iter, tol):
+    """Damped Newton on theta = (w, b) for a smooth objective whose penalty
+    is ridge/2 * |w|^2 (the bias is not penalized): IRLS for the logistic
+    loss, generalized Newton for the squared hinge (Keerthi & DeCoste, JMLR
+    2005). Each step solves the (d+1)x(d+1) system by least squares, so a
+    singular Hessian (empty active set, duplicated columns, ridge 0) gives
+    the minimum-norm step instead of an error, then halves the step until
+    the loss does not rise. Returns (w, b, iterations, converged)."""
+    n, d = x.shape
+    x1 = np.hstack([x, np.ones((n, 1))])
+    diagonal = np.append(np.full(d, ridge), 0.0)
+    theta = np.zeros(d + 1)
+    loss, gw, gb, curvature = objective(theta[:d], theta[d])
+    grad = np.append(gw, gb)
+    iterations = 0
+    while iterations < max_iter and np.max(np.abs(grad)) >= tol:
+        hessian = x1.T @ (curvature()[:, None] * x1) + np.diag(diagonal)
+        direction = np.linalg.lstsq(hessian, -grad, rcond=None)[0]
+        t = 1.0
+        while True:
+            candidate = theta + t * direction
+            loss2, gw, gb, curvature2 = objective(candidate[:d], candidate[d])
+            if loss2 <= loss:
+                break
+            t *= 0.5
+            if t < 1e-12:  # no step lowers the loss: rounding noise at the optimum
+                return theta[:d], float(theta[d]), iterations, False
+        theta, loss, grad, curvature = candidate, loss2, np.append(gw, gb), curvature2
+        iterations += 1
+    return theta[:d], float(theta[d]), iterations, bool(np.max(np.abs(grad)) < tol)
+
+
+def _solve(x, objective, smooth, strength, params):
+    """(w, b, iterations, converged): Newton for an l2-penalized smooth
+    objective, step-halving descent for the rest."""
+    max_iter = int(params.get("max_iter", 2000))
+    tol = float(params.get("tol", 1e-9))
+    if smooth:
+        return _newton(x, objective, 2.0 * strength, max_iter, tol)
+    return _descend(objective, x.shape[1], max_iter, tol)
 
 
 def _fit_lr(x, y, names, config: ClassifierConfig) -> LinearModel:
     params = config.parameters
     regularizer = params.get("regularizer", "l2")
     strength = float(params.get("penalty_strength", 1e-6))
-    max_iter = int(params.get("max_iter", 2000))
-    tol = float(params.get("tol", 1e-9))
-    yf = y.astype(float)
-
-    def objective(w, b):
-        z = x @ w + b
-        p = sigmoid(z)
-        eps = 1e-12
-        data = -np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
-        grad_z = (p - yf) / len(yf)
-        pen, pen_grad = _penalty_terms(w, regularizer, strength)
-        return data + pen, x.T @ grad_z + pen_grad, float(grad_z.sum())
-
-    w, b = _descend(x, y, objective, max_iter, tol)
-    return LinearModel("lr", names, w, b, params)
+    objective = _lr_objective(x, y, regularizer, strength)
+    w, b, iterations, converged = _solve(x, objective, regularizer == "l2", strength, params)
+    return LinearModel("lr", names, w, b, params, iterations, converged)
 
 
 def _fit_svm(x, y, names, config: ClassifierConfig) -> LinearModel:
@@ -315,24 +389,10 @@ def _fit_svm(x, y, names, config: ClassifierConfig) -> LinearModel:
     regularizer = params.get("regularizer", "l2")
     loss_name = params.get("loss", "hinge")
     strength = float(params.get("penalty_strength", 1e-4))
-    max_iter = int(params.get("max_iter", 2000))
-    tol = float(params.get("tol", 1e-9))
-    ypm = 2.0 * y - 1.0  # {0,1} -> {-1,+1}
-
-    def objective(w, b):
-        margin = ypm * (x @ w + b)
-        slack = np.maximum(0.0, 1.0 - margin)
-        if loss_name == "hinge":
-            data = float(np.mean(slack))
-            coeff = np.where(slack > 0, -ypm, 0.0) / len(y)
-        else:  # squared-hinge
-            data = float(np.mean(slack * slack))
-            coeff = -2.0 * slack * ypm / len(y)
-        pen, pen_grad = _penalty_terms(w, regularizer, strength)
-        return data + pen, x.T @ coeff + pen_grad, float(coeff.sum())
-
-    w, b = _descend(x, y, objective, max_iter, tol)
-    return LinearModel("svm", names, w, b, params)
+    objective = _svm_objective(x, y, loss_name, regularizer, strength)
+    smooth = regularizer == "l2" and loss_name == "squared-hinge"
+    w, b, iterations, converged = _solve(x, objective, smooth, strength, params)
+    return LinearModel("svm", names, w, b, params, iterations, converged)
 
 
 # ---------------------------------------------------------------------------

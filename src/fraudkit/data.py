@@ -5,10 +5,11 @@ A Dataset stores its cells in one read-only float64 matrix, `values`: a
 numeric cell is its value, a categorical cell is the index of its category
 and a null is NaN. Cleansing, encoding, scaling and splitting are array
 expressions over that matrix. Cells are converted one at a time only where
-text or Python rows come in or go out: `load_csv`, `save_csv`,
-`Dataset(schema, rows)` and `Dataset.rows`. Every downstream module reads
-the all-numeric, null-free matrix of `encode_one_hot` + `apply_normalize`
-through `Dataset.matrix()`, which returns the stored array without a copy.
+text or Python rows come in or go out: `load_csv`, `Dataset(schema, rows)`
+and `Dataset.rows`; `save_csv` formats a column at a time. Every downstream
+module reads the all-numeric, null-free matrix of `encode_one_hot` +
+`apply_normalize` through `Dataset.matrix()`, which returns the stored array
+without a copy.
 """
 
 from __future__ import annotations
@@ -140,10 +141,15 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
+        """The schema `save` wrote; a missing or unreadable file, bad JSON or
+        a malformed document is a DataError naming the path."""
         p = Path(path)
         if not p.exists():
             raise DataError(f"schema file not found: {p}")
-        return cls.from_dict(json.loads(p.read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(p.read_text(encoding="utf-8")))
+        except (OSError, ValueError, KeyError, TypeError, DataError) as exc:
+            raise DataError(f"cannot load schema {p}: {exc}") from exc
 
 
 class Dataset:
@@ -173,11 +179,12 @@ class Dataset:
     def _set(self, schema: FeatureSchema, values: np.ndarray, labels) -> None:
         values.setflags(write=False)
         if labels is not None:
-            labels = np.array(labels, dtype=int)  # a copy: the caller's array stays writable
+            labels = np.array(labels)  # a copy: the caller's array stays writable
             if labels.shape != (values.shape[0],):
                 raise DataError("labels length must match row count")
-            if not np.all((labels == 0) | (labels == 1)):
+            if not np.all((labels == 0) | (labels == 1)):  # before the cast, which would truncate 0.5
                 raise DataError("labels must be 0/1")
+            labels = labels.astype(int)
             labels.setflags(write=False)
         self.schema = schema
         self.values = values
@@ -385,31 +392,34 @@ def load_csv(
     return Dataset._of(schema, values, labels)
 
 
-def _format_cell(cell: Cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, str):
-        return cell
-    if abs(cell) < 1e15 and cell == int(cell):
-        return str(int(cell))
-    return repr(float(cell))
+def _format_column(values: np.ndarray, feature: Feature) -> list[str]:
+    """One column of cells as CSV text: "" for a null, the category token,
+    str(int) for a whole number below 1e15 in magnitude, else repr."""
+    null = np.isnan(values)
+    text = np.full(values.shape, "", dtype=object)
+    if feature.kind == CATEGORICAL:
+        text[~null] = np.array(feature.categories, dtype=object)[values[~null].astype(np.intp)]
+        return text.tolist()
+    whole = (np.abs(values) < 1e15) & (values == np.trunc(values))
+    rest = ~null & ~whole
+    text[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
+    text[rest] = list(map(repr, values[rest].tolist()))
+    return text.tolist()
 
 
 def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> None:
     """Write a dataset back out; deterministic bytes for identical inputs."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
+    columns = [_format_column(data.values[:, j], f) for j, f in enumerate(data.schema)]
+    header = list(data.schema.names)
+    if data.labels is not None:
+        header.append(label_column)
+        columns.append(list(map(str, data.labels.tolist())))
     with p.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(data.schema.names)
-        if data.labels is not None:
-            header.append(label_column)
         writer.writerow(header)
-        for i, row in enumerate(data.rows):
-            record = [_format_cell(c) for c in row]
-            if data.labels is not None:
-                record.append(str(int(data.labels[i])))
-            writer.writerow(record)
+        writer.writerows(zip(*columns) if columns else [()] * data.n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from fraudkit.classify import (
     LinearModel,
     Rule,
     TABLE_GRIDS,
+    _descend,
+    _lr_objective,
+    _svm_objective,
     extract_rules,
     fit,
     fit_arrays,
@@ -66,8 +69,14 @@ def test_table_grids_match_published_spaces():
     assert TABLE_GRIDS["gbt"]["learning_rate"] == [0.001, 0.01, 0.1]
     assert TABLE_GRIDS["dt"]["maxdepth"] == list(range(1, 11))
     assert TABLE_GRIDS["mlp"]["solver"] == ["adam", "sgd"]
-    assert TABLE_GRIDS["lr"]["optimizer"] == ["newton-cg", "lbfgs", "liblinear"]
+    assert TABLE_GRIDS["lr"] == {"regularizer": ["l1", "l2", "elasticnet"]}
     assert TABLE_GRIDS["svm"]["loss"] == ["hinge", "squared-hinge"]
+
+
+def test_lr_rejects_the_optimizer_parameter():
+    # the objectives are convex, so a solver choice could not change the fit
+    with pytest.raises(ConfigError, match="unknown hyperparameter"):
+        ClassifierConfig("lr", {"optimizer": "lbfgs"})
 
 
 # ---------------------------------------------------------------- decision tree
@@ -185,6 +194,86 @@ def test_lr_duplicate_feature_invariance():
     p_base = base.predict_proba(x)
     p_dup = dup.predict_proba(np.hstack([x, x[:, [0]]]))
     assert np.max(np.abs(p_base - p_dup)) <= 1e-6
+
+
+def skewed_arrays(seed=5, n=2000, d=30, positive=0.05):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, d))
+    y = (rng.uniform(size=n) < positive).astype(int)
+    x[y == 1, :12] += 0.3
+    return x, y
+
+
+SMOOTH_OBJECTIVES = {
+    "lr": (ClassifierConfig("lr"), lambda x, y: _lr_objective(x, y, "l2", 1e-6)),
+    "svm-squared-hinge": (
+        ClassifierConfig("svm", {"loss": "squared-hinge", "regularizer": "l2"}),
+        lambda x, y: _svm_objective(x, y, "squared-hinge", "l2", 1e-4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_OBJECTIVES))
+def test_newton_reaches_the_optimum_of_the_smooth_objectives(name):
+    config, make_objective = SMOOTH_OBJECTIVES[name]
+    x, y = skewed_arrays()
+    objective = make_objective(x, y)
+    model = fit_arrays(config, x, y)
+    loss, gw, gb, _ = objective(model.weights, model.bias)
+    assert max(np.max(np.abs(gw)), abs(gb)) <= 1e-8
+    assert model.converged and 0 < model.iterations < 50
+    w, b, _, descended = _descend(objective, x.shape[1], 2000, 1e-9)
+    assert not descended  # gradient descent stops at max_iter short of the optimum
+    assert loss <= objective(w, b)[0]
+
+
+def duplicated_column_arrays():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(80, 3))
+    y = (sigmoid(1.5 * x[:, 0] - x[:, 1] + 0.3) > rng.uniform(size=80)).astype(int)
+    return np.hstack([x, x[:, [0]]]), y
+
+
+@pytest.mark.parametrize(
+    "config,arrays",
+    [
+        (ClassifierConfig("lr", {"penalty_strength": 1e-8}), duplicated_column_arrays),
+        (ClassifierConfig("lr", {"penalty_strength": 0.0}), duplicated_column_arrays),
+        (ClassifierConfig("svm", {"loss": "squared-hinge", "penalty_strength": 1e-8}), duplicated_column_arrays),
+        (ClassifierConfig("svm", {"loss": "squared-hinge", "penalty_strength": 1e-8}), blob_arrays),
+        (ClassifierConfig("svm", {"loss": "squared-hinge", "penalty_strength": 0.0}), blob_arrays),
+    ],
+    ids=["lr-duplicate", "lr-duplicate-unpenalized", "svm-duplicate", "svm-blobs", "svm-blobs-unpenalized"],
+)
+def test_newton_survives_a_singular_hessian(config, arrays):
+    x, y = arrays()
+    model = fit_arrays(config, x, y)
+    assert model.converged
+    assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+    if arrays is duplicated_column_arrays:
+        assert model.weights[0] == pytest.approx(model.weights[3], rel=1e-6)
+    else:  # separable blobs: the squared hinge's active set empties near the optimum
+        assert np.mean(model.predict(x) == y) == 1.0
+
+
+def test_descend_reports_when_it_stops_at_max_iter():
+    x, y = skewed_arrays()
+    model = fit_arrays(ClassifierConfig("lr", {"regularizer": "l1", "max_iter": 5}), x, y)
+    assert (model.iterations, model.converged) == (5, False)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{}, {"regularizer": "l1", "max_iter": 5}],
+    ids=["newton", "descend"],
+)
+def test_solver_signals_survive_save_and_load(tmp_path, params):
+    x, y = blob_arrays(seed=14)
+    model = fit_arrays(ClassifierConfig("lr", params), x, y)
+    model.save(tmp_path / "lr.json")
+    back = load_model(tmp_path / "lr.json")
+    assert (back.iterations, back.converged) == (model.iterations, model.converged)
+    assert model.iterations > 0
 
 
 @pytest.mark.parametrize("loss", ["hinge", "squared-hinge"])

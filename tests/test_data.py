@@ -58,6 +58,18 @@ def test_schema_json_round_trip(mixed_schema, tmp_path):
     assert FeatureSchema.load(path) == mixed_schema
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", '{"features": [{"kind": "numeric"}]}', '{"features": [3]}'],
+    ids=["bad-json", "missing-name", "entry-not-an-object"],
+)
+def test_schema_load_failure_is_a_data_error_naming_the_path(tmp_path, content):
+    path = tmp_path / "schema.json"
+    path.write_text(content)
+    with pytest.raises(DataError, match="schema.json"):
+        FeatureSchema.load(path)
+
+
 # ---------------------------------------------------------------- load_csv
 
 
@@ -399,3 +411,11 @@ def test_dataset_rejects_unknown_category_and_non_numeric_cells(mixed_schema):
         Dataset(mixed_schema, [("green", 1.0, 2.0)])
     with pytest.raises(DataError, match="numeric cell required"):
         Dataset(mixed_schema, [("red", "1.0", 2.0)])
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 0.999], [1.0, np.nan]])
+def test_dataset_rejects_labels_that_are_not_exactly_0_or_1(labels):
+    with pytest.raises(DataError, match="0/1"):
+        dataset_from_matrix(np.zeros((2, 1)), labels)
+    with pytest.raises(DataError, match="0/1"):
+        Dataset(two_feature_schema(), [(0.0, 0.0), (1.0, 1.0)], labels)

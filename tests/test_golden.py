@@ -5,9 +5,11 @@ Each model digest is the SHA-256 of the float64 bytes of a model's output on
 fixed rows, taken both from the fitted model and from its saved-and-reloaded
 copy. A change to how trees are grown, stored, routed or serialized, or to how
 a detector is fitted or scored, must leave every digest unchanged. The
-resampling digests cover the rows and labels each balancer returns on rows
-with exact distance ties, so a change to the neighbour search must keep its
-lowest-index tie-break. The data-path digests cover a mixed CSV taken
+`lr-l2` and `svm-l2-squared-hinge` digests pin the damped-Newton solver, the
+other linear ones step-halving gradient descent. The resampling digests
+cover the rows and labels each balancer returns on rows with exact distance
+ties, so a change to the neighbour search must keep its lowest-index
+tie-break. The data-path digests cover a mixed CSV taken
 through loading, cleansing, one-hot encoding, min-max scaling, a stratified
 split and writing back, so a change to how a dataset is stored must keep
 every cell, bound and written byte.
@@ -73,7 +75,7 @@ CLASSIFIER_GOLDEN = {
     ),
     "lr-l2": (
         ClassifierConfig("lr", {"penalty_strength": 0.01, "max_iter": 300}),
-        "38b9b6dc6788fb1a65993d7a3219cd5397704f044ded67da70faecad89a1c9f2",
+        "4a05c5d957ad00f4840232647a3565db58d4aa48c1fe8045ce4a2e02c5a31855",
     ),
     "lr-l1": (
         ClassifierConfig("lr", {"regularizer": "l1", "penalty_strength": 0.01, "max_iter": 300}),
@@ -86,6 +88,10 @@ CLASSIFIER_GOLDEN = {
     "svm-l2": (
         ClassifierConfig("svm", {"penalty_strength": 0.01, "max_iter": 300}),
         "12f09af6292191cdad04824a2e387bd272cc4b6aa7e27c39f0f80456f7bc1ead",
+    ),
+    "svm-l2-squared-hinge": (
+        ClassifierConfig("svm", {"loss": "squared-hinge", "penalty_strength": 0.01, "max_iter": 300}),
+        "c2fcad4e754221c6df91ae69b36d4c247186a14f2160b8e6e542c180c65b25ea",
     ),
     "svm-l1": (
         ClassifierConfig(
