@@ -12,16 +12,21 @@ ties, so a change to the neighbour search must keep its lowest-index
 tie-break. The data-path digests cover a mixed CSV taken
 through loading, cleansing, one-hot encoding, min-max scaling, a stratified
 split and writing back, so a change to how a dataset is stored must keep
-every cell, bound and written byte.
+every cell, bound and written byte. The neural digests pin the `mlp`
+classifier under adam and sgd, the `vae` detector, both GAN variants'
+samples and loss curves, and one saved network document, so a change to
+how a network stores, updates or clips its parameters must keep every bit.
 """
 
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fraudkit.augment import default_gan_spec, sample_synthetic, train_gan
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model
 from fraudkit.data import (
     Feature,
@@ -93,6 +98,18 @@ CLASSIFIER_GOLDEN = {
         ClassifierConfig("svm", {"loss": "squared-hinge", "penalty_strength": 0.01, "max_iter": 300}),
         "c2fcad4e754221c6df91ae69b36d4c247186a14f2160b8e6e542c180c65b25ea",
     ),
+    "mlp-adam": (
+        ClassifierConfig("mlp", {"epochs": 30}, seed=2),
+        "3e8059f66f8d3da061af7ef1c30dc43630914d7f2cb5204ad80e4845e3d94218",
+    ),
+    "mlp-adam-logistic": (
+        ClassifierConfig("mlp", {"activation": "logistic", "epochs": 30}, seed=2),
+        "50c7a9be045483d0d048cc5855bf28fbd1f0e9e6a334fc20915c6b0433b66c3f",
+    ),
+    "mlp-sgd": (
+        ClassifierConfig("mlp", {"solver": "sgd", "activation": "tanh", "epochs": 30}, seed=2),
+        "819c0147764cc7c81ebd85b35331fd2c32e4c43a137f88e9fe88da4657bcf20c",
+    ),
     "svm-l1": (
         ClassifierConfig(
             "svm", {"regularizer": "l1", "loss": "squared-hinge", "penalty_strength": 0.01, "max_iter": 300}
@@ -132,6 +149,12 @@ DETECTOR_GOLDEN = {
         lambda: _train_rows()[0],
         "2fa411820ae0211c81f7f4593b557c440b1c630fe263f5ce9548cf48094a607c",
         "fadd78ee14c53448480ab6aec85a6b8c49479708e4adf1a9063e2612059ffa3d",
+    ),
+    "vae": (
+        DetectorConfig("vae", {"epochs": 20}, seed=6),
+        lambda: _train_rows()[0],
+        "bb1a0762d8d328a20726c231528215968121bcaaf7914e52e43193f365d60b9e",
+        "283b3d9e9d1359fef2f9401aa7b2030c87667da5f2975d858ed061b8c75d35e2",
     ),
 }
 
@@ -311,3 +334,31 @@ def test_data_path_golden(tmp_path):
     digests["inverted"] = _digest(invert_normalize(scaled, params).matrix())
     assert clean.schema.names == ["kind", "amount", "zero", "channel", "score"]
     assert digests == DATA_PATH_GOLDEN
+
+
+# variant: (epochs, samples digest, disc_losses digest, gen_losses digest)
+GAN_GOLDEN = {
+    "vgan": (12, "537b74c30cd42469f7ec3b0af6e93caae538430a6698c5b1c1cbfd322afa6bea", "f27780fa587435bb11bd3def94cd28100a252bc810e86f916da2669fe5775e90", "e84d2426e8750a5564e8e27b273da59d5eeda5cfadea927896d993f8bc51e35a"),
+    "wgan": (4, "9066cc59038b5caaf9f4f699f1ff42d2d64d8958e8dff6f444530699a5df1187", "006650b24de8959d8d15c725a84382671f3ea1d5354b433ee4ffcabb32f9dcda", "052c2c4edcf842c7435fdebbf2c656477373d7df92856b6e4c75bcbec6457bd0"),
+}
+NETWORK_DOCUMENT = "9402bd3b3613d96aaea6d47c250ddca16c2d9a7f0997d8f15d4803708b6ad13c"
+
+
+@pytest.mark.parametrize("variant", sorted(GAN_GOLDEN))
+def test_gan_samples_and_losses_golden(variant):
+    epochs, samples, disc_losses, gen_losses = GAN_GOLDEN[variant]
+    x = np.random.default_rng(13).uniform(size=(40, 4))
+    spec = default_gan_spec(variant, 4)
+    spec = replace(spec, train=replace(spec.train, epochs=epochs, seed=5))
+    gan = train_gan(x, spec)
+    assert len(gan.disc_losses) == epochs
+    assert _digest(sample_synthetic(gan, 50, seed=8)) == samples
+    assert _digest(gan.disc_losses) == disc_losses
+    assert _digest(gan.gen_losses) == gen_losses
+
+
+def test_network_document_golden():
+    x, y = _train_rows()
+    model = fit_arrays(ClassifierConfig("mlp", {"epochs": 5}, seed=4), x, y)
+    text = json.dumps(model.network.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NETWORK_DOCUMENT
