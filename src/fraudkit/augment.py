@@ -15,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, dataset_from_matrix, document_parser, read_document, round_half_up, write_document
+from .data import (
+    Dataset, dataset_from_matrix, document_parser, read_document, require_finite, round_half_up, write_document
+)
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
     LayerSpec,
@@ -49,11 +51,11 @@ class GanSpec:
             raise ConfigError("latent_dim must be positive")
         if self.critic_steps < 1:
             raise ConfigError("critic_steps must be positive")
-        head = self.discriminator.layers[-1].activation
-        if self.variant == "vgan" and head != "logistic":
-            raise ConfigError("vgan discriminator must end in a logistic layer")
-        if self.variant == "wgan" and head != "linear":
-            raise ConfigError("wgan critic must end in a linear layer")
+        head, loss = self.discriminator.layers[-1].activation, self.discriminator.loss
+        if self.variant == "vgan" and loss != "binary_cross_entropy":  # which needs a logistic head
+            raise ConfigError("vgan discriminator must use binary_cross_entropy")
+        if self.variant == "wgan" and (head, loss) != ("linear", "wasserstein_critic"):
+            raise ConfigError("wgan critic must end in a linear layer with wasserstein_critic loss")
         if self.generator.input_dim != self.latent_dim:
             raise ConfigError("generator input width must equal latent_dim")
 
@@ -159,14 +161,6 @@ class Gan:
         return read_document(path, cls.from_dict)
 
 
-def _bce(outputs: np.ndarray, targets: np.ndarray):
-    eps = 1e-12
-    yc = np.clip(outputs, eps, 1.0 - eps)
-    loss = float(-np.mean(targets * np.log(yc) + (1.0 - targets) * np.log(1.0 - yc)))
-    dz = (outputs - targets) / outputs.size  # logistic-head shortcut
-    return loss, dz
-
-
 def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
     """Alternating adversarial training on minority rows in the unit box.
 
@@ -178,6 +172,7 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
     x = minority.matrix() if isinstance(minority, Dataset) else np.asarray(minority, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("need >= 2 minority rows")
+    require_finite(x, "minority rows")
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
         raise DataError("minority rows must be normalized to [0, 1]")
     if x.shape[1] != spec.feature_count:
@@ -187,8 +182,8 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
     cfg = spec.train
     disc = init_network(spec.discriminator, cfg.seed)
     gen = init_network(spec.generator, cfg.seed + 1)
-    d_opt = Optimizer(cfg.optimizer, cfg.learning_rate, disc)
-    g_opt = Optimizer(cfg.optimizer, cfg.learning_rate, gen)
+    d_opt = Optimizer(cfg.optimizer, cfg.learning_rate, disc.params, disc.grads)
+    g_opt = Optimizer(cfg.optimizer, cfg.learning_rate, gen.params, gen.grads)
     rng = np.random.default_rng(cfg.seed + 2)
     m = min(cfg.batch_size, n)
 
@@ -209,14 +204,14 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
         for _ in range(critic_steps):
             real = real_batch()
             fake = gen.forward(fake_batch())
-            batch = np.vstack([real, fake])
-            out, cache = disc.forward_cached(batch)
+            out, cache = disc.forward_cached(np.vstack([real, fake]))
             if spec.variant == "vgan":
                 targets = np.vstack([np.ones((real.shape[0], 1)), np.zeros((m, 1))])
-                d_loss, dz = _bce(out, targets)
-                grads, _ = disc.backward(cache, dz, dout_is_dz=True)
+                d_loss, dout, is_dz = disc.loss_and_output_grad(out, targets)
+                disc.backward(cache, dout, dout_is_dz=is_dz)
             else:
-                # maximize mean(real) - mean(fake)  ==  minimize the negation
+                # maximize mean(real) - mean(fake)  ==  minimize the negation;
+                # each half is averaged on its own, unlike the critic loss's -t/m
                 d_loss = float(-(np.mean(out[: real.shape[0]]) - np.mean(out[real.shape[0] :])))
                 dout = np.vstack(
                     [
@@ -224,23 +219,17 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
                         np.full((m, 1), 1.0 / m),
                     ]
                 )
-                grads, _ = disc.backward(cache, dout)
-            d_opt.step(disc, grads)
+                disc.backward(cache, dout)
+            d_opt.step()
             if cfg.weight_clip is not None:
                 disc.clip_weights(cfg.weight_clip)
 
-        # --- generator phase (discriminator frozen)
-        z = fake_batch()
-        g_out, g_cache = gen.forward_cached(z)
+        # --- generator phase (discriminator frozen; disc.grads goes unused)
+        g_out, g_cache = gen.forward_cached(fake_batch())
         d_out, d_cache = disc.forward_cached(g_out)
-        if spec.variant == "vgan":
-            g_loss, dz = _bce(d_out, np.ones_like(d_out))
-            _, dx = disc.backward(d_cache, dz, dout_is_dz=True)
-        else:
-            g_loss = float(-np.mean(d_out))
-            _, dx = disc.backward(d_cache, np.full_like(d_out, -1.0 / d_out.size))
-        g_grads, _ = gen.backward(g_cache, dx)
-        g_opt.step(gen, g_grads)
+        g_loss, dout, is_dz = disc.loss_and_output_grad(d_out, np.ones_like(d_out))
+        gen.backward(g_cache, disc.backward(d_cache, dout, dout_is_dz=is_dz))
+        g_opt.step()
 
         if not (math.isfinite(d_loss) and math.isfinite(g_loss)):
             raise ModelError(f"non-finite GAN loss at epoch {epoch}")

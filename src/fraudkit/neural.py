@@ -1,9 +1,11 @@
 """Minimal dense feed-forward engine: four activations plus linear, three
 losses, SGD and Adam, manual backpropagation.
 
-Shared by the MLP classifier, both GAN variants and the VAE detector. The
-low-level forward_cached/backward API exposes input gradients so adversarial
-and autoencoder training loops can chain networks.
+Shared by the MLP classifier, both GAN variants and the VAE detector. A
+network's weights and biases are views into one float64 vector, `params`;
+`backward` writes their gradients into a second vector, `grads`, and returns
+only the input gradient, so adversarial and autoencoder training loops can
+chain networks. An `Optimizer` steps one `params`/`grads` pair as a whole.
 """
 
 from __future__ import annotations
@@ -158,13 +160,38 @@ def _act_grad(z: np.ndarray, a: np.ndarray, kind: str, slope: float) -> np.ndarr
     return np.ones_like(z)
 
 
-class Network:
-    """Fully-connected stack with per-layer weights (out, in) and biases."""
+def _weight_shapes(spec: NetworkSpec) -> list[tuple[int, int]]:
+    fan_ins = [spec.input_dim] + [layer.width for layer in spec.layers[:-1]]
+    return [(layer.width, fan_in) for layer, fan_in in zip(spec.layers, fan_ins)]
 
-    def __init__(self, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
+
+def _views(vector: np.ndarray, spec: NetworkSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight and bias views into `vector`: layer by layer, weights first."""
+    shapes = _weight_shapes(spec)
+    sizes = [n for out, fan_in in shapes for n in (out * fan_in, out)]
+    parts = np.split(vector, np.cumsum(sizes)[:-1])
+    return [w.reshape(shape) for w, shape in zip(parts[::2], shapes)], parts[1::2]
+
+
+class Network:
+    """Fully-connected stack with per-layer weights (out, in) and biases,
+    all views into one vector `params`; `grads` has the same layout."""
+
+    def __init__(self, spec: NetworkSpec, weights: Sequence, biases: Sequence):
+        shapes = _weight_shapes(spec)
+        bias_shapes = [(out,) for out, _ in shapes]
+        if [np.shape(w) for w in weights] != shapes or [np.shape(b) for b in biases] != bias_shapes:
+            raise ModelError(f"weights and biases do not fit the spec's weight shapes {shapes}")
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
+        params = np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair], dtype=float)
+        self._bind(params, np.zeros_like(params))
+
+    def _bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Rebind the weight, bias and gradient views onto `params` and
+        `grads` (this network's layout; nothing is copied)."""
+        self.params, self.grads = params, grads
+        self.weights, self.biases = _views(params, self.spec)
+        self._dw, self._db = _views(grads, self.spec)
 
     # -- forward / backward ------------------------------------------------
 
@@ -186,14 +213,13 @@ class Network:
             a = a_next
         return a, cache
 
-    def backward(self, cache, dout: np.ndarray, dout_is_dz: bool = False):
-        """Backpropagate d(loss)/d(output); returns (grads, d(loss)/d(input)).
+    def backward(self, cache, dout: np.ndarray, dout_is_dz: bool = False) -> np.ndarray:
+        """Backpropagate d(loss)/d(output): write every layer's dW and db
+        into `grads` and return d(loss)/d(input).
 
-        grads is a list of (dW, db) aligned with the layers. When
-        dout_is_dz is set, dout is taken as the gradient w.r.t. the final
+        When dout_is_dz is set, dout is taken as the gradient w.r.t. the final
         pre-activation (the numerically stable logistic/BCE shortcut).
         """
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)  # type: ignore[list-item]
         delta = np.asarray(dout, dtype=float)
         for i in range(len(self.weights) - 1, -1, -1):
             a_prev, z, a = cache[i]
@@ -202,9 +228,10 @@ class Network:
                 dz = delta
             else:
                 dz = delta * _act_grad(z, a, layer.activation, self.spec.leaky_slope)
-            grads[i] = (dz.T @ a_prev, dz.sum(axis=0))
+            np.matmul(dz.T, a_prev, out=self._dw[i])
+            dz.sum(axis=0, out=self._db[i])
             delta = dz @ self.weights[i]
-        return grads, delta
+        return delta
 
     def loss_and_output_grad(self, outputs: np.ndarray, targets: np.ndarray):
         """Loss value plus its gradient; flag marks a pre-activation gradient."""
@@ -224,9 +251,7 @@ class Network:
         return float(-np.mean(t * y)), -t / m, False
 
     def clip_weights(self, limit: float) -> None:
-        for w, b in zip(self.weights, self.biases):
-            np.clip(w, -limit, limit, out=w)
-            np.clip(b, -limit, limit, out=b)
+        np.clip(self.params, -limit, limit, out=self.params)
 
     # -- persistence --------------------------------------------------------
 
@@ -243,10 +268,7 @@ class Network:
     def from_dict(cls, doc: dict) -> "Network":
         if doc.get("format") != "fraudkit.network/1":
             raise ModelError(f"unsupported network document {doc.get('format')!r}")
-        spec = NetworkSpec.from_dict(doc["spec"])
-        weights = [np.array(w, dtype=float) for w in doc["weights"]]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        return cls(spec, weights, biases)
+        return cls(NetworkSpec.from_dict(doc["spec"]), doc["weights"], doc["biases"])
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)
@@ -260,51 +282,49 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
     weights = []
-    biases = []
-    fan_in = spec.input_dim
-    for layer in spec.layers:
-        limit = math.sqrt(6.0 / (fan_in + layer.width))
-        weights.append(rng.uniform(-limit, limit, size=(layer.width, fan_in)))
-        biases.append(np.zeros(layer.width))
-        fan_in = layer.width
-    return Network(spec, weights, biases)
+    for out, fan_in in _weight_shapes(spec):
+        limit = math.sqrt(6.0 / (fan_in + out))
+        weights.append(rng.uniform(-limit, limit, size=(out, fan_in)))
+    return Network(spec, weights, [np.zeros(layer.width) for layer in spec.layers])
+
+
+def join_parameters(networks: Sequence[Network]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the networks' parameters into one vector pair, rebind each
+    network onto its slice and return (params, grads) for one Optimizer."""
+    params = np.concatenate([net.params for net in networks])
+    grads = np.zeros_like(params)
+    cuts = np.cumsum([net.params.size for net in networks])[:-1]
+    for net, p, g in zip(networks, np.split(params, cuts), np.split(grads, cuts)):
+        net._bind(p, g)
+    return params, grads
 
 
 class Optimizer:
-    """SGD or Adam over one network's parameter list."""
+    """SGD or Adam over one parameter vector and its gradient vector."""
 
-    def __init__(self, kind: str, learning_rate: float, net: Network):
+    def __init__(self, kind: str, learning_rate: float, params: np.ndarray, grads: np.ndarray):
         if kind not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.lr = learning_rate
+        self.params, self.grads = params, grads
         if kind == "adam":
-            self._m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-            self._v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
             self._t = 0
 
-    def step(self, net: Network, grads) -> None:
+    def step(self) -> None:
         if self.kind == "sgd":
-            for (dw, db), w, b in zip(grads, net.weights, net.biases):
-                w -= self.lr * dw
-                b -= self.lr * db
+            self.params -= self.lr * self.grads
             return
         self._t += 1
         correct1 = 1.0 - ADAM_BETA1 ** self._t
         correct2 = 1.0 - ADAM_BETA2 ** self._t
-        for i, ((dw, db), w, b) in enumerate(zip(grads, net.weights, net.biases)):
-            mw, mb = self._m[i]
-            vw, vb = self._v[i]
-            mw *= ADAM_BETA1
-            mw += (1 - ADAM_BETA1) * dw
-            mb *= ADAM_BETA1
-            mb += (1 - ADAM_BETA1) * db
-            vw *= ADAM_BETA2
-            vw += (1 - ADAM_BETA2) * dw * dw
-            vb *= ADAM_BETA2
-            vb += (1 - ADAM_BETA2) * db * db
-            w -= self.lr * (mw / correct1) / (np.sqrt(vw / correct2) + ADAM_EPS)
-            b -= self.lr * (mb / correct1) / (np.sqrt(vb / correct2) + ADAM_EPS)
+        self._m *= ADAM_BETA1
+        self._m += (1 - ADAM_BETA1) * self.grads
+        self._v *= ADAM_BETA2
+        self._v += (1 - ADAM_BETA2) * self.grads * self.grads
+        self.params -= self.lr * (self._m / correct1) / (np.sqrt(self._v / correct2) + ADAM_EPS)
 
 
 def gradient_check(net: Network, inputs: np.ndarray, targets: np.ndarray, h: float = 1e-5) -> float:
@@ -321,29 +341,25 @@ def gradient_check(net: Network, inputs: np.ndarray, targets: np.ndarray, h: flo
 
     out, cache = net.forward_cached(x)
     _, dout, is_dz = net.loss_and_output_grad(out, t)
-    grads, _ = net.backward(cache, dout, dout_is_dz=is_dz)
-    analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
+    net.backward(cache, dout, dout_is_dz=is_dz)
 
     def loss_at() -> float:
         y = net.forward(x)
         loss, _, _ = net.loss_and_output_grad(y, t)
         return loss
 
-    numeric = []
-    for arrays in zip(net.weights, net.biases):
-        for arr in arrays:
-            flat = arr.ravel()
-            for k in range(flat.size):
-                keep = flat[k]
-                flat[k] = keep + h
-                up = loss_at()
-                flat[k] = keep - h
-                down = loss_at()
-                flat[k] = keep
-                numeric.append((up - down) / (2.0 * h))
-    numeric = np.asarray(numeric)
-    denom = np.linalg.norm(analytic) + np.linalg.norm(numeric) + 1e-12
-    return float(np.linalg.norm(analytic - numeric) / denom)
+    params = net.params
+    numeric = np.empty_like(params)
+    for k in range(params.size):
+        keep = params[k]
+        params[k] = keep + h
+        up = loss_at()
+        params[k] = keep - h
+        down = loss_at()
+        params[k] = keep
+        numeric[k] = (up - down) / (2.0 * h)
+    denom = np.linalg.norm(net.grads) + np.linalg.norm(numeric) + 1e-12
+    return float(np.linalg.norm(net.grads - numeric) / denom)
 
 
 @dataclass
@@ -366,7 +382,7 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfi
     if x.shape[0] != t.shape[0]:
         raise ModelError("inputs and targets must have equal row counts")
     n = x.shape[0]
-    optimizer = Optimizer(cfg.optimizer, cfg.learning_rate, net)
+    optimizer = Optimizer(cfg.optimizer, cfg.learning_rate, net.params, net.grads)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     full_batch = cfg.batch_size >= n
@@ -379,8 +395,8 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfi
             loss, dout, is_dz = net.loss_and_output_grad(out, t[idx])
             if not math.isfinite(loss):
                 raise ModelError(f"non-finite loss {loss} at epoch {epoch}")
-            grads, _ = net.backward(cache, dout, dout_is_dz=is_dz)
-            optimizer.step(net, grads)
+            net.backward(cache, dout, dout_is_dz=is_dz)
+            optimizer.step()
             if cfg.weight_clip is not None:
                 net.clip_weights(cfg.weight_clip)
             epoch_losses.append(loss)

@@ -19,7 +19,7 @@ import numpy as np
 from .classify import check_parameters
 from .data import Dataset, as_matrix, document_parser, read_document, require_finite, write_document
 from .errors import ConfigError, DataError, ModelError
-from .neural import LayerSpec, Network, NetworkSpec, Optimizer, layer_stack, init_network
+from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
 from .tree import Nodes, grow
 
 KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
@@ -614,9 +614,7 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
         NetworkSpec(latent, layer_stack([9, 10, d], ["relu", "relu", "linear"]), "mse"),
         config.seed + 3,
     )
-    opts = [
-        Optimizer("adam", lr, net) for net in (encoder, mu_head, logvar_head, decoder)
-    ]
+    opt = Optimizer("adam", lr, *join_parameters((encoder, mu_head, logvar_head, decoder)))
     rng = np.random.default_rng(config.seed + 4)
     batch_size = min(64, n)
 
@@ -645,17 +643,13 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
                 raise ModelError(f"non-finite vae loss at epoch {epoch}")
 
             d_recon = 2.0 * recon_err / (m * d)
-            dec_grads, dz = decoder.backward(dec_cache, d_recon)
+            dz = decoder.backward(dec_cache, d_recon)
             d_mu = dz + mu / (m * d)
             d_logvar = dz * (0.5 * std * eps) + (np.exp(logvar) - 1.0) / (2.0 * m * d)
-            mu_grads, dh1 = mu_head.backward(mu_cache, d_mu)
-            lv_grads, dh2 = logvar_head.backward(lv_cache, d_logvar)
-            enc_grads, _ = encoder.backward(enc_cache, dh1 + dh2)
-
-            for opt, net, grads in zip(
-                opts, (encoder, mu_head, logvar_head, decoder), (enc_grads, mu_grads, lv_grads, dec_grads)
-            ):
-                opt.step(net, grads)
+            dh1 = mu_head.backward(mu_cache, d_mu)
+            dh2 = logvar_head.backward(lv_cache, d_logvar)
+            encoder.backward(enc_cache, dh1 + dh2)
+            opt.step()
 
     return VaeDetector(d, encoder, mu_head, logvar_head, decoder)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ def test_spec_validates_heads():
         GanSpec("wgan", good.latent_dim, good.discriminator, good.generator, good.train)
 
 
+@pytest.mark.parametrize("variant", ["vgan", "wgan"])
+def test_spec_requires_the_variants_discriminator_loss(variant):
+    good = small_spec(variant)
+    disc = replace(good.discriminator, loss="mse")
+    with pytest.raises(ConfigError):
+        GanSpec(variant, good.latent_dim, disc, good.generator, good.train)
+
+
 # ------------------------------------------------------------- training
 
 
@@ -126,6 +136,11 @@ def test_train_gan_loss_curves_length():
 def test_train_gan_requires_unit_box():
     with pytest.raises(DataError):
         train_gan(np.array([[0.5, 3.0], [0.1, 0.2]]), small_spec("vgan"))
+
+
+def test_train_gan_rejects_nan_rows_as_data_error():
+    with pytest.raises(DataError, match="finite"):
+        train_gan(np.array([[0.5, np.nan], [0.1, 0.2]]), small_spec("vgan"))
 
 
 def test_train_gan_requires_two_rows():

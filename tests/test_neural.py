@@ -3,15 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from fraudkit.classify import ClassifierConfig, fit_arrays, load_model
 from fraudkit.errors import ConfigError, ModelError
 from fraudkit.neural import (
     ACTIVATIONS,
     LayerSpec,
     Network,
     NetworkSpec,
+    Optimizer,
     TrainConfig,
     gradient_check,
     init_network,
+    join_parameters,
     layer_stack,
     train,
 )
@@ -152,6 +155,58 @@ def test_gradient_check_all_pairs(activation, loss):
         assert gradient_check(net, x, t) <= 1e-4
 
 
+# ---------------------------------------------------------------- layout
+
+
+def test_weights_and_biases_are_views_of_params():
+    net = init_network(NetworkSpec(3, layer_stack([4, 2], ["tanh", "linear"]), "mse"), seed=5)
+    assert net.params.size == 3 * 4 + 4 + 4 * 2 + 2
+    net.params[:] = np.arange(net.params.size)
+    assert net.weights[0].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    assert net.biases[0].tolist() == [12, 13, 14, 15]
+    assert net.weights[1].tolist() == [[16, 17, 18, 19], [20, 21, 22, 23]]
+    assert net.biases[1].tolist() == [24, 25]
+    net.weights[1][0, 0] = -1.0
+    assert net.params[16] == -1.0
+
+
+def test_backward_fills_grads_and_returns_input_gradient():
+    net, x, t = draw_checkable_net("tanh", "mse", 11)
+    out, cache = net.forward_cached(x)
+    _, dout, _ = net.loss_and_output_grad(out, t)
+    dx = net.backward(cache, dout)
+    assert dx.shape == x.shape
+    analytic = net.grads.copy()
+    h = 1e-6
+    numeric = np.empty_like(net.params)
+    for k in range(net.params.size):
+        keep = net.params[k]
+        losses = []
+        for value in (keep + h, keep - h):
+            net.params[k] = value
+            losses.append(net.loss_and_output_grad(net.forward(x), t)[0])
+        net.params[k] = keep
+        numeric[k] = (losses[0] - losses[1]) / (2 * h)
+    assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+    # gradient_check's analytic side is what backward leaves in grads
+    assert gradient_check(net, x, t) <= 1e-4
+    assert np.array_equal(net.grads, analytic)
+
+
+def test_join_parameters_rebinds_every_network_onto_one_vector():
+    nets = [init_network(linear_spec(2, 3), seed=1), init_network(linear_spec(3, 1), seed=2)]
+    before = [net.params.copy() for net in nets]
+    params, grads = join_parameters(nets)
+    assert np.array_equal(params, np.concatenate(before))
+    params[:] = 0.5
+    grads[:] = 1.0
+    for net in nets:
+        assert all(np.all(w == 0.5) for w in net.weights + net.biases)
+        assert np.all(net.grads == 1.0)
+    Optimizer("sgd", 0.25, params, grads).step()
+    assert all(np.all(w == 0.25) for net in nets for w in net.weights + net.biases)
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -236,6 +291,43 @@ def test_network_json_round_trip(tmp_path):
     assert np.array_equal(net.forward(x), back.forward(x))
     doc = json.loads(path.read_text())
     assert doc["format"] == "fraudkit.network/1"
+
+
+def _misfit_missing_layer(doc):
+    doc["weights"], doc["biases"] = doc["weights"][:1], doc["biases"][:1]
+
+
+def _misfit_weight_shape(doc):
+    doc["weights"][1] = np.transpose(doc["weights"][1]).tolist()
+
+
+def _misfit_bias_shape(doc):
+    doc["biases"][1] = doc["biases"][1] + [0.0]
+
+
+@pytest.mark.parametrize("entry", ["network", "mlp"])
+@pytest.mark.parametrize(
+    "misfit",
+    [_misfit_missing_layer, _misfit_weight_shape, _misfit_bias_shape],
+    ids=["missing-layer", "weight-shape", "bias-shape"],
+)
+def test_load_rejects_parameters_that_do_not_fit_the_spec(tmp_path, entry, misfit):
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(size=(20, 3)), np.arange(20) % 2
+    model = fit_arrays(ClassifierConfig("mlp", {"epochs": 1}), x, y)
+    path = tmp_path / "doc.json"
+    if entry == "network":
+        doc = model.network.to_dict()
+        misfit(doc)
+        with pytest.raises(ModelError, match="shapes"):
+            Network.from_dict(doc)
+    else:
+        model.save(path)
+        doc = json.loads(path.read_text())
+        misfit(doc["state"]["network"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="shapes"):
+            load_model(path)
 
 
 @pytest.mark.parametrize(

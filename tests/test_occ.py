@@ -305,6 +305,18 @@ def test_vae_zero_decoder_scores_mean_square():
     assert np.allclose(det.score(x), np.sum(x * x, axis=1) / 4)
 
 
+def test_vae_networks_share_one_parameter_vector():
+    x = np.random.default_rng(8).uniform(size=(10, 4))
+    det = fit_detector(DetectorConfig("vae", {"epochs": 2}), x)
+    nets = (det.encoder, det.mu_head, det.logvar_head, det.decoder)
+    joint = nets[0].params.base
+    assert joint is not None and all(net.params.base is joint for net in nets)
+    assert joint.size == sum(net.params.size for net in nets)
+    joint[:] = 0.0
+    assert all(np.all(w == 0.0) for net in nets for w in net.weights + net.biases)
+    assert np.allclose(det.score(x), np.sum(x * x, axis=1) / 4)
+
+
 def test_vae_training_reduces_reconstruction_error():
     rng = np.random.default_rng(9)
     x = np.clip(rng.normal(0.5, 0.05, size=(80, 3)), 0, 1)
