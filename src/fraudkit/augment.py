@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    Dataset, dataset_from_matrix, document_parser, read_document, require_finite, round_half_up, write_document
+    Dataset, dataset_from_matrix, document_parser, read_document, require_finite, write_document
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
@@ -27,7 +27,7 @@ from .neural import (
     TrainConfig,
     init_network,
 )
-from .resample import minority_rows, with_synthetic
+from .resample import minority_rows, rows_wanted, with_synthetic
 
 VGAN_DISC_HIDDEN = (128, 64, 32, 8)
 WGAN_CRITIC_HIDDEN = (256, 128, 64, 32)
@@ -145,13 +145,11 @@ class Gan:
     def from_dict(cls, doc: dict) -> "Gan":
         if doc.get("format") != "fraudkit.gan/1":
             raise ModelError(f"unsupported gan document {doc.get('format')!r}")
-        return cls(
-            GanSpec.from_dict(doc["spec"]),
-            Network.from_dict(doc["generator"]),
-            Network.from_dict(doc["discriminator"]),
-            [],
-            [],
-        )
+        spec = GanSpec.from_dict(doc["spec"])
+        generator, discriminator = Network.from_dict(doc["generator"]), Network.from_dict(doc["discriminator"])
+        if (generator.spec, discriminator.spec) != (spec.generator, spec.discriminator):
+            raise ModelError("gan generator or discriminator network differs from the gan spec")
+        return cls(spec, generator, discriminator, [], [])
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)
@@ -259,9 +257,8 @@ def oversample_gan(
 ) -> Dataset:
     """Balance a labeled dataset by GAN-sampling new minority rows."""
     minority_idx, minority_label = minority_rows(data)
-    majority_count = data.n - len(minority_idx)
-    wanted = round_half_up(majority_count * cfg.target_ratio) - len(minority_idx)
-    if wanted <= 0:
+    wanted = rows_wanted(data, len(minority_idx), cfg.target_ratio)
+    if wanted == 0:
         return data
 
     x = data.matrix()

@@ -16,6 +16,7 @@ import numpy as np
 from .data import (
     Dataset,
     as_matrix,
+    config_parser,
     document_parser,
     read_document,
     require_finite,
@@ -126,6 +127,7 @@ class ClassifierConfig:
         return {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed}
 
     @classmethod
+    @config_parser
     def from_dict(cls, doc: dict) -> "ClassifierConfig":
         return cls(doc["kind"], dict(doc.get("parameters", {})), int(doc.get("seed", 0)))
 

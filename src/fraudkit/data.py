@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError, FraudkitError, ModelError
+from .errors import ConfigError, DataError, FraudkitError, ModelError
 
 Cell = float | str | None
 T = TypeVar("T")
@@ -294,20 +294,28 @@ def as_matrix(rows, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON documents of fitted models
+# JSON documents of fitted models and configurations
 
-def document_parser(parse: Callable[..., T]) -> Callable[..., T]:
-    """`parse` (a `from_dict`) raising ModelError, not KeyError, TypeError or
-    ValueError, when its document lacks a key or holds a wrong value."""
+def _parser(error: type[FraudkitError]) -> Callable[[Callable[..., T]], Callable[..., T]]:
+    """Decorator: `parse` (a `from_dict`) raising `error`, not KeyError,
+    TypeError, ValueError or OverflowError, when its document is not a
+    mapping, lacks a key or holds a wrong value."""
 
-    @functools.wraps(parse)
-    def checked(*args):
-        try:
-            return parse(*args)
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
-            raise ModelError(f"malformed document: {exc!r}") from exc
+    def decorate(parse: Callable[..., T]) -> Callable[..., T]:
+        @functools.wraps(parse)
+        def checked(*args):
+            try:
+                return parse(*args)
+            except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise error(f"malformed document: {exc!r}") from exc
 
-    return checked
+        return checked
+
+    return decorate
+
+
+document_parser = _parser(ModelError)  # documents of fitted models
+config_parser = _parser(ConfigError)  # configuration documents
 
 
 def write_document(doc: dict, path: str | Path) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import check_parameters
-from .data import Dataset, as_matrix, document_parser, read_document, require_finite, write_document
+from .data import Dataset, as_matrix, config_parser, document_parser, read_document, require_finite, write_document
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
 from .tree import Nodes, grow
@@ -63,6 +63,7 @@ class DetectorConfig:
         }
 
     @classmethod
+    @config_parser
     def from_dict(cls, doc: dict) -> "DetectorConfig":
         return cls(
             doc["kind"],
@@ -585,14 +586,13 @@ class VaeDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        return cls(
-            n_features,
-            Network.from_dict(state["encoder"]),
-            Network.from_dict(state["mu_head"]),
-            Network.from_dict(state["logvar_head"]),
-            Network.from_dict(state["decoder"]),
-            threshold,
+        nets = [Network.from_dict(state[k]) for k in ("encoder", "mu_head", "logvar_head", "decoder")]
+        (enc_in, enc_out), (mu_in, mu_out), (lv_in, lv_out), (dec_in, dec_out) = (
+            (net.spec.input_dim, net.spec.layers[-1].width) for net in nets
         )
+        if not (enc_in == dec_out == n_features and mu_in == lv_in == enc_out and mu_out == lv_out == dec_in):
+            raise ModelError(f"vae networks do not chain encoder -> heads -> decoder over {n_features} features")
+        return cls(n_features, *nets, threshold)
 
 
 def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:

@@ -7,20 +7,28 @@ distances over the (normalized) feature matrix, computed a block of rows at
 a time so that no n x n matrix is ever held, with ties broken toward the
 lowest row index, so every method is deterministic for a fixed
 (data, config) pair.
+
+SMOTE and ADASYN build each synthetic row as x_b + u * (x_nn - x_b): x_b a
+minority row, x_nn one of its k nearest minority neighbours and u ~ U[0, 1).
+For w synthetic rows both draw from `default_rng(seed)` in one order: SMOTE
+first draws the w bases as one `integers(m, size=w)` over the m minority
+rows (ADASYN takes them from its allocation instead, each minority row in
+turn repeated as often as it is allotted), then the w neighbour slots as one
+`integers(k, size=w)`, then the w factors as one `uniform(size=w)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, dataset_from_matrix, round_half_up
+from .data import Dataset, config_parser, dataset_from_matrix, round_half_up
 from .errors import ConfigError, DataError
 
 METHODS = ("none", "smote", "smote_enn", "smote_tomek", "adasyn", "vgan", "wgan")
-SMOTE_FAMILY = ("smote", "smote_enn", "smote_tomek", "adasyn")
 
 
 @dataclass(frozen=True)
@@ -34,38 +42,24 @@ class BalancerConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"unknown balancing method {self.method!r}")
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be positive")
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise ConfigError("target_ratio must lie in (0, 1]")
-        if self.enn_k < 1:
-            raise ConfigError("enn_k must be positive")
+        for name, low in (("k_neighbors", 1), ("enn_k", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        ratio = self.target_ratio
+        if not isinstance(ratio, numbers.Real) or isinstance(ratio, bool) or not 0.0 < ratio <= 1.0:
+            raise ConfigError(f"target_ratio must be a real number in (0, 1], got {ratio!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "k_neighbors": self.k_neighbors,
-            "target_ratio": self.target_ratio,
-            "enn_k": self.enn_k,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
+    @config_parser
     def from_dict(cls, doc: dict) -> "BalancerConfig":
-        known = {"method", "k_neighbors", "target_ratio", "enn_k", "seed"}
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown balancer fields {sorted(extra)}")
         return cls(**doc)
-
-
-@dataclass(frozen=True)
-class SmoteDraw:
-    """Provenance of one synthetic row: endpoints and interpolation factor."""
-
-    base_index: int
-    neighbor_index: int
-    u: float
 
 
 _CHUNK = 1024  # rows of `a` per distance block in `knn`
@@ -138,50 +132,63 @@ def with_synthetic(
     return np.vstack([data.matrix(), synth]), labels
 
 
-def _check_unit_box(x: np.ndarray) -> None:
+def rows_wanted(data: Dataset, minority_count: int, target_ratio: float) -> int:
+    """Synthetic minority rows that lift minority/majority to target_ratio
+    (0 when the ratio is already met)."""
+    return max(round_half_up((data.n - minority_count) * target_ratio) - minority_count, 0)
+
+
+def _minority(data: Dataset, cfg: BalancerConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Feature matrix, minority indices and minority label of a dataset whose
+    features lie in the unit box and whose minority exceeds k_neighbors."""
+    x = data.matrix()
     if x.size and (x.min() < -1e-9 or x.max() > 1.0 + 1e-9):
         raise DataError("features must be normalized to [0, 1] before resampling")
+    minority_idx, minority_label = minority_rows(data)
+    if len(minority_idx) <= cfg.k_neighbors:
+        raise DataError(f"minority size {len(minority_idx)} must exceed k_neighbors {cfg.k_neighbors}")
+    return x, minority_idx, minority_label
+
+
+def _draw(x: np.ndarray, minority_idx: np.ndarray, base: np.ndarray, k: int, rng) -> tuple:
+    """(base_index, neighbor_index, u) for the local minority rows `base`:
+    one neighbour slot per row from one `integers(k)` draw, then one factor
+    per row from one `uniform` draw; indices are rows of x."""
+    minority = x[minority_idx]
+    table = knn(minority, minority, k, np.arange(len(minority_idx)))
+    neighbor = table[base, rng.integers(k, size=len(base))]
+    u = rng.uniform(size=len(base))
+    return minority_idx[base], minority_idx[neighbor], u
+
+
+def _interpolated(data: Dataset, draws: tuple, minority_label: int, onehot_groups) -> Dataset:
+    """`data` with one row x_b + u * (x_nn - x_b) appended per draw."""
+    x = data.matrix()
+    base, neighbor, u = draws
+    synth = x[base] + u[:, None] * (x[neighbor] - x[base])
+    x, labels = with_synthetic(data, synth, minority_label, onehot_groups)
+    return dataset_from_matrix(x, labels, schema=data.schema)
+
+
+def smote_draws(data: Dataset, cfg: BalancerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Provenance of SMOTE's synthetic rows, in order: base and neighbour row
+    indices of `data` and the interpolation factor u of each."""
+    x, minority_idx, _ = _minority(data, cfg)
+    m = len(minority_idx)
+    rng = np.random.default_rng(cfg.seed)
+    base = rng.integers(m, size=rows_wanted(data, m, cfg.target_ratio))
+    return _draw(x, minority_idx, base, cfg.k_neighbors, rng)
 
 
 def smote(
     data: Dataset,
     cfg: BalancerConfig,
     onehot_groups: Sequence[Sequence[int]] | None = None,
-    with_provenance: bool = False,
-):
-    """Append interpolated minority rows until minority/majority hits the
-    target ratio. Each synthetic row is x_i + u * (x_nn - x_i) with u ~ U[0,1]
-    and x_nn one of the k nearest minority neighbors of a random minority row.
-    """
-    x = data.matrix()
-    _check_unit_box(x)
-    minority_idx, minority_label = minority_rows(data)
-    majority_count = data.n - len(minority_idx)
-    if len(minority_idx) <= cfg.k_neighbors:
-        raise DataError(
-            f"minority size {len(minority_idx)} must exceed k_neighbors {cfg.k_neighbors}"
-        )
-
-    wanted = round_half_up(majority_count * cfg.target_ratio) - len(minority_idx)
-    minority = x[minority_idx]
-    neighbor_table = knn(minority, minority, cfg.k_neighbors, np.arange(len(minority_idx)))
-
-    rng = np.random.default_rng(cfg.seed)
-    synth_rows = []
-    draws: list[SmoteDraw] = []
-    for _ in range(max(wanted, 0)):
-        i = int(rng.integers(len(minority_idx)))
-        nn_local = int(neighbor_table[i][int(rng.integers(cfg.k_neighbors))])
-        u = float(rng.uniform())
-        row = minority[i] + u * (minority[nn_local] - minority[i])
-        synth_rows.append(row)
-        draws.append(SmoteDraw(int(minority_idx[i]), int(minority_idx[nn_local]), u))
-
-    x, labels = with_synthetic(data, synth_rows, minority_label, onehot_groups)
-    out = dataset_from_matrix(x, labels, schema=data.schema)
-    if with_provenance:
-        return out, draws
-    return out
+) -> Dataset:
+    """Append minority rows interpolated at `smote_draws` until
+    minority/majority hits the target ratio."""
+    draws = smote_draws(data, cfg)
+    return _interpolated(data, draws, minority_rows(data)[1], onehot_groups)
 
 
 def enn_filter(data: Dataset, enn_k: int = 3, majority_label: int | None = None) -> Dataset:
@@ -225,9 +232,7 @@ def smote_enn(
     onehot_groups: Sequence[Sequence[int]] | None = None,
 ) -> Dataset:
     """SMOTE, then ENN cleanup over the full augmented set."""
-    majority_label = 1 - minority_rows(data)[1]
-    grown = smote(data, cfg, onehot_groups)
-    return enn_filter(grown, cfg.enn_k, majority_label=majority_label)
+    return enn_filter(smote(data, cfg, onehot_groups), cfg.enn_k, 1 - minority_rows(data)[1])
 
 
 def smote_tomek(
@@ -236,43 +241,30 @@ def smote_tomek(
     onehot_groups: Sequence[Sequence[int]] | None = None,
 ) -> Dataset:
     """SMOTE, then Tomek-link removal over the full augmented set."""
-    majority_label = 1 - minority_rows(data)[1]
-    grown = smote(data, cfg, onehot_groups)
-    return tomek_remove(grown, majority_label=majority_label)
+    return tomek_remove(smote(data, cfg, onehot_groups), 1 - minority_rows(data)[1])
 
 
 def allocate_adaptive(r: np.ndarray | Sequence[float], total: int) -> np.ndarray:
-    """Distribute `total` synthetic samples proportionally to hardness ratios,
-    rounding half-up; uniform fallback when every ratio is zero."""
+    """Distribute `total` (at least 0) synthetic samples proportionally to
+    hardness ratios, rounding half-up; uniform fallback when every ratio is zero."""
     r = np.asarray(r, dtype=float)
+    total = max(total, 0)
     if r.sum() > 0:
-        weights = r / r.sum()
-        return np.array([round_half_up(w * total) for w in weights], dtype=int)
-    base, rem = divmod(max(total, 0), len(r))
+        return np.floor(r / r.sum() * total + 0.5).astype(int)
+    base, rem = divmod(total, len(r))
     alloc = np.full(len(r), base, dtype=int)
     alloc[:rem] += 1
     return alloc
 
 
 def _adasyn_plan(data: Dataset, cfg: BalancerConfig):
-    """(minority global indices, minority matrix, per-row sample counts)."""
-    x = data.matrix()
-    labels = data.require_labels()
-    minority_idx, minority_label = minority_rows(data)
-    majority_label = 1 - minority_label
-    if len(minority_idx) <= cfg.k_neighbors:
-        raise DataError(
-            f"minority size {len(minority_idx)} must exceed k_neighbors {cfg.k_neighbors}"
-        )
-    majority_count = data.n - len(minority_idx)
-    total = round_half_up((majority_count - len(minority_idx)) * cfg.target_ratio)
-    minority = x[minority_idx]
-
+    """(feature matrix, minority indices, minority label, per-row sample counts)."""
+    x, minority_idx, minority_label = _minority(data, cfg)
+    total = round_half_up((data.n - 2 * len(minority_idx)) * cfg.target_ratio)
     # hardness ratio per minority row: majority share among its kNN over all rows
-    nn = knn(minority, x, cfg.k_neighbors, minority_idx)
-    r = np.sum(labels[nn] == majority_label, axis=1) / cfg.k_neighbors
-
-    return minority_idx, minority, minority_label, allocate_adaptive(r, total)
+    nn = knn(x[minority_idx], x, cfg.k_neighbors, minority_idx)
+    r = np.sum(data.require_labels()[nn] != minority_label, axis=1) / cfg.k_neighbors
+    return x, minority_idx, minority_label, allocate_adaptive(r, total)
 
 
 def adasyn(
@@ -281,22 +273,11 @@ def adasyn(
     onehot_groups: Sequence[Sequence[int]] | None = None,
 ) -> Dataset:
     """Density-adaptive oversampling: minority rows with more majority-class
-    neighbors receive proportionally more synthetic samples.
-    """
-    _check_unit_box(data.matrix())
-    minority_idx, minority, minority_label, alloc = _adasyn_plan(data, cfg)
-
-    neighbor_table = knn(minority, minority, cfg.k_neighbors, np.arange(len(minority_idx)))
-    rng = np.random.default_rng(cfg.seed)
-    synth_rows = []
-    for local, count in enumerate(alloc):
-        for _ in range(int(count)):
-            nn_local = int(neighbor_table[local][int(rng.integers(cfg.k_neighbors))])
-            u = float(rng.uniform())
-            synth_rows.append(minority[local] + u * (minority[nn_local] - minority[local]))
-
-    x, labels = with_synthetic(data, synth_rows, minority_label, onehot_groups)
-    return dataset_from_matrix(x, labels, schema=data.schema)
+    neighbors receive proportionally more synthetic samples."""
+    x, minority_idx, minority_label, alloc = _adasyn_plan(data, cfg)
+    base = np.repeat(np.arange(len(minority_idx)), alloc)
+    draws = _draw(x, minority_idx, base, cfg.k_neighbors, np.random.default_rng(cfg.seed))
+    return _interpolated(data, draws, minority_label, onehot_groups)
 
 
 def adasyn_allocation(data: Dataset, cfg: BalancerConfig) -> np.ndarray:
@@ -313,14 +294,9 @@ def balance(
     """Dispatch on cfg.method; `none` returns the input unchanged."""
     if cfg.method == "none":
         return data
-    if cfg.method == "smote":
-        return smote(data, cfg, onehot_groups)
-    if cfg.method == "smote_enn":
-        return smote_enn(data, cfg, onehot_groups)
-    if cfg.method == "smote_tomek":
-        return smote_tomek(data, cfg, onehot_groups)
-    if cfg.method == "adasyn":
-        return adasyn(data, cfg, onehot_groups)
-    from . import augment  # GAN methods live in their own module
+    if cfg.method in ("vgan", "wgan"):
+        from . import augment  # GAN methods live in their own module
 
-    return augment.oversample_gan(data, cfg, onehot_groups, overrides=gan_overrides)
+        return augment.oversample_gan(data, cfg, onehot_groups, overrides=gan_overrides)
+    oversample = {"smote": smote, "smote_enn": smote_enn, "smote_tomek": smote_tomek, "adasyn": adasyn}
+    return oversample[cfg.method](data, cfg, onehot_groups)

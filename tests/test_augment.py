@@ -12,7 +12,7 @@ from fraudkit.augment import (
     train_gan,
 )
 from fraudkit.errors import ConfigError, DataError, ModelError
-from fraudkit.neural import NetworkSpec, TrainConfig, layer_stack
+from fraudkit.neural import NetworkSpec, TrainConfig, init_network, layer_stack
 from fraudkit.resample import BalancerConfig
 
 
@@ -191,6 +191,21 @@ def test_gan_load_failure_is_a_model_error_naming_the_path(tmp_path, content):
         path.write_text(content)
     with pytest.raises(ModelError, match="gan.json"):
         Gan.load(path)
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("generator", NetworkSpec(8, layer_stack([5, 3], ["leaky_relu", "logistic"]), "mse")),
+        ("discriminator", NetworkSpec(2, layer_stack([4, 1], ["leaky_relu", "logistic"]), "binary_cross_entropy")),
+    ],
+    ids=["generator", "discriminator"],
+)
+def test_gan_document_whose_network_differs_from_its_spec_is_a_model_error(name, spec):
+    doc = train_gan(point_mass_minority(), small_spec("vgan", epochs=2, latent=8)).to_dict()
+    doc[name] = init_network(spec, 0).to_dict()
+    with pytest.raises(ModelError, match="spec"):
+        Gan.from_dict(doc)
 
 
 # ------------------------------------------------------------- oversampling

@@ -9,10 +9,15 @@ a detector is fitted or scored, must leave every digest unchanged. The
 other linear ones step-halving gradient descent. The resampling digests
 cover the rows and labels each balancer returns on rows with exact distance
 ties, so a change to the neighbour search must keep its lowest-index
-tie-break. The data-path digests cover a mixed CSV taken
-through loading, cleansing, one-hot encoding, min-max scaling, a stratified
-split and writing back, so a change to how a dataset is stored must keep
-every cell, bound and written byte. The neural digests pin the `mlp`
+tie-break. The `smote`, `smote_enn`, `smote_tomek` and `adasyn` row digests
+and `SMOTE_PROVENANCE` were regenerated when SMOTE and ADASYN moved to one
+vectorized draw: each now draws all bases, then all neighbour slots, then all
+factors u (the order the `resample` module documents) instead of one row's
+draws at a time. Each row's arithmetic stayed the same; only which random
+numbers it gets changed. `ADASYN_ALLOCATION` did not change. The data-path
+digests cover a mixed CSV taken through loading, cleansing, one-hot
+encoding, min-max scaling, a stratified split and writing back, so a change
+to how a dataset is stored must keep every cell, bound and written byte. The neural digests pin the `mlp`
 classifier under adam and sgd, the `vae` detector, both GAN variants'
 samples and loss curves, and one saved network document, so a change to
 how a network stores, updates or clips its parameters must keep every bit.
@@ -42,7 +47,9 @@ from fraudkit.data import (
     stratified_split,
 )
 from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, fit_detector, load_detector
-from fraudkit.resample import BalancerConfig, adasyn, adasyn_allocation, smote, smote_enn, smote_tomek
+from fraudkit.resample import (
+    BalancerConfig, adasyn, adasyn_allocation, smote, smote_draws, smote_enn, smote_tomek
+)
 
 
 def _digest(values) -> str:
@@ -228,12 +235,12 @@ ONEHOT_GROUPS = [[3, 4]]
 RESAMPLE_CONFIG = BalancerConfig(method="smote", k_neighbors=3, seed=9)
 
 RESAMPLE_GOLDEN = {
-    "smote": (smote, "fc23e99e7bdba252392b6a8a81bf1249be42599f528cee499a88df1d9aea57fd"),
-    "smote_enn": (smote_enn, "f99cbb326aa3370ed42b908bb401d7a7c546fc30cd70ed9569b1627b698c0dd0"),
-    "smote_tomek": (smote_tomek, "3e6e4ca6b7d52950cdb2b6a965cd567627226697b3ef47bd1daab762988aac2a"),
-    "adasyn": (adasyn, "3eb680bcd950417a8395285d320d2941a295a8ec6eb1a0f8cd2483becf6d801e"),
+    "smote": (smote, "a09ddb0bfcaa5959c75cf1d48d455a3998ed8bcad893121b885f6f0018058664"),
+    "smote_enn": (smote_enn, "cc1ccbde956728195806883914e1895f7df083864066c170fa12a892a151b5f3"),
+    "smote_tomek": (smote_tomek, "848201ab4e1bbd9141f8823ab94948f02a2f44dfcb983cc983f414b65e31aaf9"),
+    "adasyn": (adasyn, "c63e6a797c07b8b0d00b1ff47aa560bb87c90209279f291db0e2f60cb5d6ce9e"),
 }
-SMOTE_PROVENANCE = "1b7b4878ebf6b8dce40bac6738946d044d712e21bcc5a72c3d60f1b4b7afcd97"
+SMOTE_PROVENANCE = "0278e9dbf4ca7e40a37c6d0d446d7558e449f1cbd97188b42bda0ef842891974"
 ADASYN_ALLOCATION = "86590e9d6b9c05761967503895071a5e285547214ad3b95ceb2b74621dea65f0"
 
 
@@ -246,9 +253,10 @@ def test_resampled_rows_golden(name):
 
 def test_smote_provenance_golden():
     data = _resample_rows()
-    out, draws = smote(data, RESAMPLE_CONFIG, ONEHOT_GROUPS, with_provenance=True)
-    assert out.n == data.n + len(draws)
-    assert _digest([(d.base_index, d.neighbor_index, d.u) for d in draws]) == SMOTE_PROVENANCE
+    out = smote(data, RESAMPLE_CONFIG, ONEHOT_GROUPS)
+    base_index, neighbor_index, u = smote_draws(data, RESAMPLE_CONFIG)
+    assert out.n == data.n + len(u)
+    assert _digest(np.column_stack([base_index, neighbor_index, u])) == SMOTE_PROVENANCE
 
 
 def test_adasyn_allocation_golden():

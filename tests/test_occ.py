@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chi2
 
 from fraudkit.errors import ConfigError, DataError, ModelError
-from fraudkit.neural import init_network
+from fraudkit.neural import NetworkSpec, init_network, layer_stack
 from fraudkit.occ import (
     AbodDetector,
     DetectorConfig,
@@ -315,6 +315,24 @@ def test_vae_networks_share_one_parameter_vector():
     joint[:] = 0.0
     assert all(np.all(w == 0.0) for net in nets for w in net.weights + net.biases)
     assert np.allclose(det.score(x), np.sum(x * x, axis=1) / 4)
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("encoder", NetworkSpec(3, layer_stack([9, 10], ["relu", "relu"]), "mse")),
+        ("mu_head", NetworkSpec(9, layer_stack([2], ["linear"]), "mse")),
+        ("logvar_head", NetworkSpec(10, layer_stack([3], ["linear"]), "mse")),
+        ("decoder", NetworkSpec(2, layer_stack([9, 10, 5], ["relu", "relu", "linear"]), "mse")),
+    ],
+    ids=["encoder-input", "head-input", "head-output", "decoder-output"],
+)
+def test_vae_document_whose_networks_do_not_chain_is_a_model_error(name, spec):
+    x = np.random.default_rng(8).uniform(size=(10, 4))
+    doc = fit_detector(DetectorConfig("vae", {"epochs": 2}), x).to_dict()
+    doc["state"][name] = init_network(spec, 0).to_dict()
+    with pytest.raises(ModelError, match="chain"):
+        detector_from_dict(doc)
 
 
 def test_vae_training_reduces_reconstruction_error():

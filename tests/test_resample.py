@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fraudkit.classify import ClassifierConfig
 from fraudkit.data import dataset_from_matrix
 from fraudkit.errors import ConfigError, DataError
+from fraudkit.occ import DetectorConfig
 from fraudkit.resample import (
     BalancerConfig,
     adasyn,
@@ -15,6 +17,7 @@ from fraudkit.resample import (
     knn,
     project_onehot,
     smote,
+    smote_draws,
     smote_enn,
     smote_tomek,
     tomek_remove,
@@ -36,6 +39,41 @@ def test_config_rejects_bad_method():
 def test_config_rejects_bad_ratio():
     with pytest.raises(ConfigError):
         BalancerConfig(target_ratio=1.5)
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (BalancerConfig.from_dict, {"k_neighbors": "5"}),
+        (BalancerConfig.from_dict, {"k_neighbors": True}),
+        (BalancerConfig.from_dict, {"enn_k": 2.5}),
+        (BalancerConfig.from_dict, {"seed": None}),
+        (BalancerConfig.from_dict, {"seed": -1}),
+        (BalancerConfig.from_dict, {"target_ratio": None}),
+        (BalancerConfig.from_dict, {"target_ratio": "0.5"}),
+        (BalancerConfig.from_dict, None),
+        (BalancerConfig.from_dict, ["method"]),
+        (ClassifierConfig.from_dict, {}),
+        (ClassifierConfig.from_dict, "nb"),
+        (ClassifierConfig.from_dict, {"kind": "nb", "seed": "x"}),
+        (ClassifierConfig.from_dict, {"kind": "nb", "seed": float("inf")}),
+        (ClassifierConfig.from_dict, {"kind": "dt", "parameters": 3}),
+        (DetectorConfig.from_dict, {"parameters": {}}),
+        (DetectorConfig.from_dict, 7),
+        (DetectorConfig.from_dict, {"kind": "iforest", "contamination": "x"}),
+        (DetectorConfig.from_dict, {"kind": "iforest", "contamination": None}),
+    ],
+    ids=[
+        "balancer-k-string", "balancer-k-bool", "balancer-enn-float", "balancer-seed-null",
+        "balancer-seed-negative", "balancer-ratio-null", "balancer-ratio-string", "balancer-null",
+        "balancer-list", "classifier-no-kind", "classifier-string", "classifier-seed-string",
+        "classifier-seed-inf", "classifier-parameters-int", "detector-no-kind", "detector-int",
+        "detector-contamination-string", "detector-contamination-null",
+    ],
+)
+def test_config_documents_fail_only_with_config_error(parse, doc):
+    with pytest.raises(ConfigError):
+        parse(doc)
 
 
 # ------------------------------------------------------------------ knn
@@ -123,16 +161,47 @@ def test_smote_count_arithmetic(imbalanced_blobs):
 
 def test_smote_provenance_betweenness(imbalanced_blobs):
     cfg = BalancerConfig(method="smote", k_neighbors=5, seed=7)
-    out, draws = smote(imbalanced_blobs, cfg, with_provenance=True)
+    out = smote(imbalanced_blobs, cfg)
+    base_index, neighbor_index, u = smote_draws(imbalanced_blobs, cfg)
     x = imbalanced_blobs.matrix()
     synth = out.matrix()[imbalanced_blobs.n :]
-    assert len(draws) == synth.shape[0]
-    for row, draw in zip(synth, draws):
-        expected = x[draw.base_index] + draw.u * (x[draw.neighbor_index] - x[draw.base_index])
+    assert len(u) == len(base_index) == len(neighbor_index) == synth.shape[0]
+    for row, b, nn, f in zip(synth, base_index, neighbor_index, u):
+        expected = x[b] + f * (x[nn] - x[b])
         assert np.allclose(row, expected, atol=1e-9, rtol=0)
-        assert 0.0 <= draw.u <= 1.0
-        assert imbalanced_blobs.labels[draw.base_index] == 1
-        assert imbalanced_blobs.labels[draw.neighbor_index] == 1
+        assert 0.0 <= f <= 1.0
+        assert imbalanced_blobs.labels[b] == 1
+        assert imbalanced_blobs.labels[nn] == 1
+
+
+def test_smote_draws_follow_the_documented_order(imbalanced_blobs):
+    # one default_rng(seed) stream: all bases, then all neighbour slots, then all u
+    cfg = BalancerConfig(method="smote", k_neighbors=5, seed=13)
+    minority = np.flatnonzero(imbalanced_blobs.labels == 1)
+    x = imbalanced_blobs.matrix()[minority]
+    rng = np.random.default_rng(13)
+    base = rng.integers(len(minority), size=76)  # 88 majority - 12 minority
+    slot = rng.integers(5, size=76)
+    u = rng.uniform(size=76)
+    neighbor = knn(x, x, 5, np.arange(len(minority)))[base, slot]
+    base_index, neighbor_index, drawn_u = smote_draws(imbalanced_blobs, cfg)
+    assert base_index.tolist() == minority[base].tolist()
+    assert neighbor_index.tolist() == minority[neighbor].tolist()
+    assert drawn_u.tolist() == u.tolist()
+    synth = smote(imbalanced_blobs, cfg).matrix()[imbalanced_blobs.n :]
+    assert synth.tolist() == [(x[b] + f * (x[n] - x[b])).tolist() for b, n, f in zip(base, neighbor, u)]
+
+
+def test_smote_with_the_ratio_met_appends_nothing():
+    x = [[0.1, 0.1]] * 4 + [[0.5, 0.5], [0.6, 0.6], [0.7, 0.7]]
+    y = [0] * 4 + [1] * 3
+    data = labeled(x, y)
+    cfg = BalancerConfig(method="smote", k_neighbors=2, target_ratio=0.5, seed=0)
+    base_index, neighbor_index, u = smote_draws(data, cfg)
+    assert len(base_index) == len(neighbor_index) == len(u) == 0
+    out = smote(data, cfg)
+    assert out.rows == data.rows
+    assert out.labels.tolist() == y
 
 
 def test_smote_originals_untouched_and_labels_pure(imbalanced_blobs):
@@ -171,10 +240,10 @@ def test_smote_equidistant_neighbours_go_to_lowest_index():
     x = np.array(minority + [[1.0, 0.0]] * 200)
     y = [1] * 6 + [0] * 200
     cfg = BalancerConfig(method="smote", k_neighbors=2, seed=0)
-    _, draws = smote(labeled(x, y), cfg, with_provenance=True)
+    base_index, neighbor_index, _ = smote_draws(labeled(x, y), cfg)
     drawn = {}
-    for d in draws:
-        drawn.setdefault(d.base_index, set()).add(d.neighbor_index)
+    for b, nn in zip(base_index.tolist(), neighbor_index.tolist()):
+        drawn.setdefault(b, set()).add(nn)
     assert drawn[2] == {0, 3}  # not 4 or 5
     assert drawn[0] == {2, 3}  # rows 3 and 5 tie for second
     for base, neighbours in drawn.items():
@@ -341,6 +410,11 @@ def test_allocate_adaptive_uniform_fallback():
     assert allocate_adaptive([0.0, 0.0, 0.0], 8).tolist() == [3, 3, 2]
 
 
+@pytest.mark.parametrize("r", [[0.5, 0.5], [0.0, 0.0]])
+def test_allocate_adaptive_negative_total_allocates_nothing(r):
+    assert allocate_adaptive(r, -4).tolist() == [0, 0]
+
+
 def adasyn_fixture():
     # 1-D layout with hand-derivable hardness ratios at k=2:
     # minority A,B,C isolated cluster (r=0); D between two majority (r=1);
@@ -365,6 +439,19 @@ def test_adasyn_appends_allocated_rows():
     out = adasyn(ds, cfg)
     assert out.n == ds.n + 8
     assert np.all(out.labels[ds.n :] == 1)
+
+
+def test_adasyn_rows_follow_the_documented_draw_order():
+    # bases repeat each minority row by its allocation, then slots, then u
+    ds = adasyn_fixture()
+    x = ds.matrix()[:6]
+    base = np.repeat(np.arange(6), [0, 0, 0, 4, 2, 2])
+    rng = np.random.default_rng(4)
+    slot = rng.integers(2, size=8)
+    u = rng.uniform(size=8)
+    neighbor = knn(x, x, 2, np.arange(6))[base, slot]
+    synth = adasyn(ds, BalancerConfig(method="adasyn", k_neighbors=2, seed=4)).matrix()[ds.n :]
+    assert synth.tolist() == [(x[b] + f * (x[n] - x[b])).tolist() for b, n, f in zip(base, neighbor, u)]
 
 
 def test_adasyn_ratio_reached_within_rounding(imbalanced_blobs):
