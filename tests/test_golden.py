@@ -165,6 +165,12 @@ DETECTOR_GOLDEN = {
     ),
 }
 
+# name: (digest of the support indices, raw log-determinant)
+MCD_SUPPORT = {
+    "mcd-exhaustive": ("a70f10be45e3208fb7d440e5a21c4bd8f9ac84a13a64bbeb5a0797adfe1ab831", -4.330477846229576),
+    "mcd-random-starts": ("b6dbee55fce42b12389f2562c131dd745b53a5a9d6ac221b2f9f7d0d0f6fd2af", -2.934825972620148),
+}
+
 IFOREST_SCORE = "07f6564c1d1df2d4a8ad42660fa05929c5ab7dcc29c3e154c194c7ff5010513c"
 IFOREST_THRESHOLD = "47ef78b36a10a2805d64b82089e5949eeea5ee2857721fd64628fe0303381138"
 RULES_TEXT = "f2f1139e295e7c96573042aa9cf39a8f7dbdd7baf2d99a29243352cd86e2ba60"
@@ -210,6 +216,15 @@ def test_detector_score_and_threshold_golden(tmp_path, name):
     for d in (detector, load_detector(path)):
         assert _digest(d.score(probe)) == score_digest
         assert _digest([d.threshold]) == threshold_digest
+
+
+@pytest.mark.parametrize("name", sorted(MCD_SUPPORT))
+def test_mcd_support_and_raw_log_det_golden(name):
+    config, rows, _, _ = DETECTOR_GOLDEN[name]
+    support_digest, raw_log_det = MCD_SUPPORT[name]
+    detector = fit_detector(config, rows())
+    assert _digest(detector.support_indices) == support_digest
+    assert detector.raw_log_det == pytest.approx(raw_log_det, rel=0.0, abs=1e-12)
 
 
 def test_depth3_rules_text_golden():

@@ -274,6 +274,36 @@ def test_mcd_support_excludes_cluster_of_outliers():
     assert all(i < 9 for i in det.support_indices)
 
 
+def _reference_c_steps(x, subset, h, steps):
+    # up to `steps` C-steps, each an ML fit of the subset and then the h rows
+    # nearest to it in Mahalanobis distance; stops once the set repeats
+    for _ in range(steps):
+        rows = x[subset]
+        centered = x - rows.mean(axis=0)
+        cov = np.cov(rows, rowvar=False, bias=True)
+        d2 = np.sum(centered * np.linalg.solve(cov, centered.T).T, axis=1)
+        new = np.argsort(d2, kind="stable")[:h]
+        if set(new) == set(subset):
+            break
+        subset = new
+    return np.sort(subset), np.linalg.slogdet(np.cov(x[subset], rowvar=False, bias=True))[1]
+
+
+def test_mcd_random_starts_follow_the_documented_search():
+    rng = np.random.default_rng(5)
+    x = np.vstack([rng.normal(size=(100, 3)), rng.normal(4.0, 0.5, size=(20, 3))])
+    n, p = x.shape
+    h = (n + p + 1) // 2
+    starts = np.random.default_rng(9)
+    trials = [_reference_c_steps(x, starts.permutation(n)[: p + 1], h, 3) for _ in range(250)]
+    trials.sort(key=lambda t: t[1])
+    finals = [_reference_c_steps(x, subset, h, 100) for subset, _ in trials[:10]]
+    support, log_det = min(finals, key=lambda t: t[1])
+    det = fit_detector(DetectorConfig("mcd", seed=9), x)
+    assert det.support_indices == tuple(support.tolist())
+    assert det.raw_log_det == pytest.approx(log_det, rel=0.0, abs=1e-12)
+
+
 def test_mcd_singular_data_raises():
     x = np.zeros((10, 2))
     with pytest.raises(DataError):
