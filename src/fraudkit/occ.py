@@ -513,23 +513,9 @@ def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
                 best_logdet, best_subset = ld, subset
     else:
         rng = np.random.default_rng(config.seed)
-        trials = []
-        for _ in range(250):
-            start = rng.permutation(n)[: p + 1]
-            mean, cov = _ml_cov(x[start])
-            if _logdet(cov) == math.inf:
-                continue
-            d2 = _mahalanobis2(x, mean, cov)
-            subset = np.argsort(d2, kind="stable")[:h]
-            for _ in range(2):  # two cheap refinement steps
-                mean, cov = _ml_cov(x[subset])
-                if _logdet(cov) == math.inf:
-                    break
-                subset = np.argsort(_mahalanobis2(x, mean, cov), kind="stable")[:h]
-            _, cov = _ml_cov(x[subset])
-            trials.append((_logdet(cov), subset))
-        trials.sort(key=lambda t: t[0])
-        for _, subset in trials[:10]:
+        starts = [_c_step(x, rng.permutation(n)[: p + 1], h, 3) for _ in range(250)]
+        starts.sort(key=lambda t: t[1])
+        for subset, _ in starts[:10]:
             refined, ld = _c_step(x, subset, h)
             if ld < best_logdet:
                 best_logdet, best_subset = ld, refined
