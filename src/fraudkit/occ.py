@@ -414,38 +414,40 @@ def _fit_abod(x: np.ndarray, config: DetectorConfig) -> AbodDetector:
 # ---------------------------------------------------------------------------
 # Minimum covariance determinant
 
-def _ml_cov(rows: np.ndarray):
+def _cholesky(cov: np.ndarray):
+    """(log det cov, lower Cholesky factor of cov), or None when cov is singular."""
+    try:
+        lower = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.log(np.diagonal(lower)).sum()), lower
+
+
+def _gaussian(rows: np.ndarray):
     mean = rows.mean(axis=0)
     centered = rows - mean
     cov = centered.T @ centered / rows.shape[0]
-    return mean, cov
+    factor = _cholesky(cov)
+    return None if factor is None else (mean, cov, *factor)
 
 
-def _logdet(cov: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not math.isfinite(logdet):
-        return math.inf
-    return float(logdet)
-
-
-def _mahalanobis2(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    centered = x - mean
-    solved = np.linalg.solve(cov, centered.T).T
-    return np.sum(centered * solved, axis=1)
+def _mahalanobis2(x: np.ndarray, mean: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    return np.square((x - mean) @ np.linalg.inv(lower).T).sum(axis=1)
 
 
 def _c_step(x: np.ndarray, subset: np.ndarray, h: int, max_steps: int = 100):
-    for _ in range(max_steps):
-        mean, cov = _ml_cov(x[subset])
-        if _logdet(cov) == math.inf:
-            return subset, math.inf
-        d2 = _mahalanobis2(x, mean, cov)
-        new_subset = np.argsort(d2, kind="stable")[:h]
-        if np.array_equal(np.sort(new_subset), np.sort(subset)):
+    """Up to max_steps C-steps from `subset`, until it repeats: (sorted subset,
+    its log det cov or inf when singular). Each keeps the h rows nearest its fit."""
+    subset = np.sort(subset)
+    for step in range(max_steps + 1):
+        fit = _gaussian(x[subset])
+        if fit is None or step == max_steps:
             break
-        subset = new_subset
-    mean, cov = _ml_cov(x[subset])
-    return np.sort(subset), _logdet(cov)
+        nearest = np.sort(np.argsort(_mahalanobis2(x, fit[0], fit[3]), kind="stable")[:h])
+        if np.array_equal(nearest, subset):
+            break
+        subset = nearest
+    return subset, math.inf if fit is None else fit[2]
 
 
 class McdDetector(TrainedDetector):
@@ -455,12 +457,13 @@ class McdDetector(TrainedDetector):
         super().__init__(n_features, threshold)
         self.mean = np.asarray(mean, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
+        self.lower = _cholesky(self.cov)[1]
         self.support_indices = tuple(int(i) for i in support_indices)
         self.raw_log_det = float(raw_log_det)
 
     def score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
-        return np.sqrt(np.maximum(_mahalanobis2(x, self.mean, self.cov), 0.0))
+        return np.sqrt(_mahalanobis2(x, self.mean, self.lower))
 
     def _state_dict(self) -> dict:
         return {
@@ -493,6 +496,13 @@ def _chi2_ppf(q: float, df: int) -> float:
     return float(2.0 * gammaincinv(df / 2.0, q))
 
 
+def _consistent(x: np.ndarray, fit: tuple):
+    """The fit's mean, and its cov and the d² of x scaled by median(d²) / χ²₀.₅(p)."""
+    d2 = _mahalanobis2(x, fit[0], fit[3])
+    factor = np.median(d2) / _chi2_ppf(0.5, x.shape[1])
+    return fit[0], fit[1] * factor, d2 / factor
+
+
 def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
     n, p = x.shape
     if n < p + 2:
@@ -501,40 +511,23 @@ def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
     h = int(math.ceil(fraction * n)) if fraction is not None else (n + p + 1) // 2
     h = min(max(h, p + 1), n)
 
-    best_subset = None
-    best_logdet = math.inf
     if math.comb(n, h) <= EXHAUSTIVE_SUBSET_LIMIT:
         # the determinant-minimizing h-subset, by definition
-        for combo in itertools.combinations(range(n), h):
-            subset = np.array(combo)
-            _, cov = _ml_cov(x[subset])
-            ld = _logdet(cov)
-            if ld < best_logdet:
-                best_logdet, best_subset = ld, subset
+        candidates = [_c_step(x, np.array(c), h, 0) for c in itertools.combinations(range(n), h)]
     else:
         rng = np.random.default_rng(config.seed)
         starts = [_c_step(x, rng.permutation(n)[: p + 1], h, 3) for _ in range(250)]
         starts.sort(key=lambda t: t[1])
-        for subset, _ in starts[:10]:
-            refined, ld = _c_step(x, subset, h)
-            if ld < best_logdet:
-                best_logdet, best_subset = ld, refined
-
-    if best_subset is None or best_logdet == math.inf:
+        candidates = [_c_step(x, subset, h) for subset, _ in starts[:10]]
+    best_subset, best_logdet = min(candidates, key=lambda t: t[1])
+    if best_logdet == math.inf:
         raise DataError("mcd: covariance is singular on every candidate subset")
 
-    raw_mean, raw_cov = _ml_cov(x[best_subset])
-    d2 = _mahalanobis2(x, raw_mean, raw_cov)
-    raw_cov = raw_cov * (np.median(d2) / _chi2_ppf(0.5, p))
-
-    inliers = _mahalanobis2(x, raw_mean, raw_cov) <= _chi2_ppf(0.975, p)
-    if inliers.sum() > p:
-        rw_mean, rw_cov = _ml_cov(x[inliers])
-        if _logdet(rw_cov) < math.inf:
-            d2 = _mahalanobis2(x, rw_mean, rw_cov)
-            rw_cov = rw_cov * (np.median(d2) / _chi2_ppf(0.5, p))
-            return McdDetector(p, rw_mean, rw_cov, best_subset, best_logdet)
-    return McdDetector(p, raw_mean, raw_cov, best_subset, best_logdet)
+    raw = _consistent(x, _gaussian(x[best_subset]))
+    inliers = raw[2] <= _chi2_ppf(0.975, p)
+    reweighted = _gaussian(x[inliers]) if inliers.sum() > p else None
+    mean, cov, _ = raw if reweighted is None else _consistent(x, reweighted)
+    return McdDetector(p, mean, cov, best_subset, best_logdet)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ and `SMOTE_PROVENANCE` were regenerated when SMOTE and ADASYN moved to one
 vectorized draw: each now draws all bases, then all neighbour slots, then all
 factors u (the order the `resample` module documents) instead of one row's
 draws at a time. Each row's arithmetic stayed the same; only which random
-numbers it gets changed. `ADASYN_ALLOCATION` did not change. The data-path
+numbers it gets changed. `ADASYN_ALLOCATION` did not change. The `mcd-exhaustive` score digest and
+the `mcd-random-starts` score and threshold digests were regenerated when MCD
+moved from an LU solve per Mahalanobis distance to one Cholesky factor per
+fitted subset: distances now come from the whitened residuals, which round
+differently in the last bits (at most about 5e-16 relative). `MCD_SUPPORT`
+pins the support indices and raw log-determinants, which did not change.
+The data-path
 digests cover a mixed CSV taken through loading, cleansing, one-hot
 encoding, min-max scaling, a stratified split and writing back, so a change
 to how a dataset is stored must keep every cell, bound and written byte. The neural digests pin the `mlp`
@@ -130,14 +136,14 @@ DETECTOR_GOLDEN = {
     "mcd-exhaustive": (
         DetectorConfig("mcd"),
         lambda: np.random.default_rng(11).normal(size=(12, 2)),
-        "6f442556fe041a1add1ec23fd8d9a7f63ecbaf200b582e4b02a146b9f4b0cd01",
+        "7b515183714cac0ed7b02071cc4d4ac7a59b756b49a38d93773935c9cb89ba8a",
         "2ae37a2f85324d5864deaba3435f9c9f9542af860b39ad6d0914de7a86003f67",
     ),
     "mcd-random-starts": (
         DetectorConfig("mcd", seed=4),
         lambda: _train_rows()[0],
-        "dac6b51155afc059ff3b927c35ec52a2dc29f17b166836fff1313993722f3fd9",
-        "09ff46b9a8e664537ebdcdf7696b50f2aded5c0c20177c70d1f189b4a63f512d",
+        "1ae0f76f4276b7a2c4e1fc9fcd5a9245603b8411193ebbd79721eb8667808070",
+        "6b59b9fd1e2eb2b5a5b6b0df51526269f2b53dcb2d3ff2283661f906dbbd26cd",
     ),
     "copod": (
         DetectorConfig("copod"),
