@@ -415,12 +415,17 @@ def _fit_abod(x: np.ndarray, config: DetectorConfig) -> AbodDetector:
 # Minimum covariance determinant
 
 def _cholesky(cov: np.ndarray):
-    """(log det cov, lower Cholesky factor of cov), or None when cov is singular."""
+    """(log det cov, lower Cholesky factor of cov), or None when cov is singular:
+    the factorization fails or its smallest pivot² is at most
+    p·eps·max(diag(cov)), where a rank deficiency is lost in rounding."""
     try:
         lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.log(np.diagonal(lower)).sum()), lower
+    pivots = np.diagonal(lower)
+    if not np.min(pivots) ** 2 > len(cov) * np.finfo(float).eps * np.max(np.diagonal(cov)):
+        return None
+    return 2.0 * float(np.log(pivots).sum()), lower
 
 
 def _gaussian(rows: np.ndarray):

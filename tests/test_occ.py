@@ -310,6 +310,16 @@ def test_mcd_singular_data_raises():
         fit_detector(DetectorConfig("mcd"), x)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_mcd_rank_deficient_data_raises(seed):
+    # rank 3 of 5: whether a factorization of such a covariance succeeds is
+    # down to rounding, so the pivots must be checked against their scale
+    a = np.random.default_rng(seed).uniform(size=(80, 3))
+    x = np.column_stack([a, a[:, 0] + a[:, 1], a[:, 1] - 0.5 * a[:, 2]])
+    with pytest.raises(DataError, match="singular"):
+        fit_detector(DetectorConfig("mcd", seed=0), x)
+
+
 def test_chi2_ppf_equals_scipy_stats():
     for p in range(1, 65):
         for q in (0.5, 0.975):
