@@ -111,6 +111,16 @@ class TrainedDetector:
         write_document(self.to_dict(), path)
 
 
+def _state_array(name: str, values, *shape: int) -> np.ndarray:
+    """A detector document's `values` as a finite float array of `shape`, where
+    -1 matches any length; ModelError otherwise."""
+    array = np.asarray(values, dtype=float)
+    fits = array.ndim == len(shape) and all(s in (-1, a) for s, a in zip(shape, array.shape))
+    if not fits or not np.isfinite(array).all():
+        raise ModelError(f"{name} must be a finite array of shape {shape}, got shape {array.shape}")
+    return array
+
+
 def classification_rate(predictions: Sequence[int] | np.ndarray) -> float:
     """Share of positive-only test rows flagged positive."""
     preds = np.asarray(predictions)
@@ -167,15 +177,9 @@ class OcsvmDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        return cls(
-            n_features,
-            state["support_rows"],
-            state["alphas"],
-            state["rho"],
-            state["kernel"],
-            state["gamma"],
-            threshold,
-        )
+        rows = _state_array("ocsvm support_rows", state["support_rows"], -1, n_features)
+        alphas = _state_array("ocsvm alphas", state["alphas"], len(rows))
+        return cls(n_features, rows, alphas, state["rho"], state["kernel"], state["gamma"], threshold)
 
 
 def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
@@ -356,7 +360,8 @@ class CopodDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        return cls(n_features, state["sorted_columns"], state["skews"], threshold)
+        columns = _state_array("copod sorted_columns", state["sorted_columns"], n_features, -1)
+        return cls(n_features, columns, _state_array("copod skews", state["skews"], n_features), threshold)
 
 
 def _fit_copod(x: np.ndarray, config: DetectorConfig) -> CopodDetector:
@@ -401,7 +406,8 @@ class AbodDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        return cls(n_features, state["train_rows"], state["n_neighbours"], threshold)
+        rows = _state_array("abod train_rows", state["train_rows"], -1, n_features)
+        return cls(n_features, rows, state["n_neighbours"], threshold)
 
 
 def _fit_abod(x: np.ndarray, config: DetectorConfig) -> AbodDetector:
@@ -462,7 +468,10 @@ class McdDetector(TrainedDetector):
         super().__init__(n_features, threshold)
         self.mean = np.asarray(mean, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
-        self.lower = _cholesky(self.cov)[1]
+        factor = _cholesky(self.cov)
+        if factor is None:
+            raise ModelError("mcd covariance is singular")
+        self.lower = factor[1]
         self.support_indices = tuple(int(i) for i in support_indices)
         self.raw_log_det = float(raw_log_det)
 
@@ -482,8 +491,8 @@ class McdDetector(TrainedDetector):
     def _from_state(cls, n_features, threshold, state):
         return cls(
             n_features,
-            state["mean"],
-            state["cov"],
+            _state_array("mcd mean", state["mean"], n_features),
+            _state_array("mcd cov", state["cov"], n_features, n_features),
             state.get("support_indices", ()),
             state.get("raw_log_det", 0.0),
             threshold,

@@ -375,6 +375,31 @@ def test_vae_document_whose_networks_do_not_chain_is_a_model_error(name, spec):
         detector_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("mcd", lambda s: {"mean": [0.0] * 4, "cov": np.eye(4).tolist()}),
+        ("mcd", lambda s: {"cov": np.zeros((3, 3)).tolist()}),
+        ("mcd", lambda s: {"cov": np.full((3, 3), np.nan).tolist()}),
+        ("ocsvm", lambda s: {"support_rows": [row + [0.0] for row in s["support_rows"]]}),
+        ("ocsvm", lambda s: {"alphas": s["alphas"][:-1]}),
+        ("abod", lambda s: {"train_rows": [row[:-1] for row in s["train_rows"]]}),
+        ("copod", lambda s: {"sorted_columns": s["sorted_columns"][:2]}),
+        ("copod", lambda s: {"skews": s["skews"][:2]}),
+    ],
+    ids=[
+        "mcd-four-wide", "mcd-zero-cov", "mcd-nan-cov", "ocsvm-wide-support-rows", "ocsvm-short-alphas",
+        "abod-narrow-train-rows", "copod-two-columns", "copod-two-skews",
+    ],
+)
+def test_detector_document_whose_state_does_not_fit_its_features_is_a_model_error(kind, edit):
+    x = np.random.default_rng(8).normal(size=(40, 3))
+    doc = fit_detector(DetectorConfig(kind), x).to_dict()
+    doc["state"].update(edit(doc["state"]))
+    with pytest.raises(ModelError):
+        detector_from_dict(doc)
+
+
 def test_vae_training_reduces_reconstruction_error():
     rng = np.random.default_rng(9)
     x = np.clip(rng.normal(0.5, 0.05, size=(80, 3)), 0, 1)
