@@ -7,6 +7,7 @@ Every model exposes predict_proba in [0,1] and predict = proba >= 0.5.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -16,6 +17,7 @@ import numpy as np
 from .data import (
     Dataset,
     as_matrix,
+    check_integer,
     config_parser,
     document_parser,
     read_document,
@@ -87,8 +89,11 @@ def check_parameters(
     numerics: dict[str, tuple[float, float]],
     bools: tuple[str, ...] = (),
 ) -> None:
-    """ConfigError unless each parameter is a listed value of an enumerated
-    one, a number within the bounds of a numeric one, or a bool."""
+    """ConfigError unless parameters is a mapping and each parameter is a
+    listed value of an enumerated one, a number within the bounds of a numeric
+    one, or a bool."""
+    if not isinstance(parameters, Mapping):
+        raise ConfigError(f"{kind}: parameters must be a mapping, got {parameters!r}")
     for name, value in parameters.items():
         if name in enums:
             if value not in enums[name]:
@@ -122,6 +127,7 @@ class ClassifierConfig:
 
     def __post_init__(self) -> None:
         validate_parameters(self.kind, self.parameters)
+        check_integer("seed", self.seed, 0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed}
@@ -129,7 +135,7 @@ class ClassifierConfig:
     @classmethod
     @config_parser
     def from_dict(cls, doc: dict) -> "ClassifierConfig":
-        return cls(doc["kind"], dict(doc.get("parameters", {})), int(doc.get("seed", 0)))
+        return cls(doc["kind"], doc.get("parameters", {}), doc.get("seed", 0))
 
 
 class TrainedModel:

@@ -318,6 +318,18 @@ document_parser = _parser(ModelError)  # documents of fitted models
 config_parser = _parser(ConfigError)  # configuration documents
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """ConfigError unless `value` is an integer (not a bool) of at least `low`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_fraction(name: str, value, high: float) -> None:
+    """ConfigError unless `value` is a real number (not a bool) in (0, high]."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= high:
+        raise ConfigError(f"{name} must be a real number in (0, {high}], got {value!r}")
+
+
 def write_document(doc: dict, path: str | Path) -> None:
     p = Path(path)
     try:

@@ -17,7 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .classify import check_parameters
-from .data import Dataset, as_matrix, config_parser, document_parser, read_document, require_finite, write_document
+from .data import (
+    Dataset, as_matrix, check_fraction, check_integer, config_parser, document_parser, read_document, require_finite,
+    write_document,
+)
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
 from .tree import Nodes, grow
@@ -51,8 +54,8 @@ class DetectorConfig:
         check_parameters(
             self.kind, self.parameters, ENUM_PARAMS.get(self.kind, {}), NUMERIC_PARAMS.get(self.kind, {})
         )
-        if not 0.0 < self.contamination <= 0.5:
-            raise ConfigError("contamination must lie in (0, 0.5]")
+        check_fraction("contamination", self.contamination, 0.5)
+        check_integer("seed", self.seed, 0)
 
     def to_dict(self) -> dict:
         return {
@@ -65,12 +68,7 @@ class DetectorConfig:
     @classmethod
     @config_parser
     def from_dict(cls, doc: dict) -> "DetectorConfig":
-        return cls(
-            doc["kind"],
-            dict(doc.get("parameters", {})),
-            float(doc.get("contamination", 0.05)),
-            int(doc.get("seed", 0)),
-        )
+        return cls(doc["kind"], doc.get("parameters", {}), doc.get("contamination", 0.05), doc.get("seed", 0))
 
 
 def quantile_threshold(scores: np.ndarray, contamination: float) -> float:

@@ -19,13 +19,12 @@ turn repeated as often as it is allotted), then the w neighbour slots as one
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, config_parser, dataset_from_matrix, round_half_up
+from .data import Dataset, check_fraction, check_integer, config_parser, dataset_from_matrix, round_half_up
 from .errors import ConfigError, DataError
 
 METHODS = ("none", "smote", "smote_enn", "smote_tomek", "adasyn", "vgan", "wgan")
@@ -43,12 +42,8 @@ class BalancerConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown balancing method {self.method!r}")
         for name, low in (("k_neighbors", 1), ("enn_k", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        ratio = self.target_ratio
-        if not isinstance(ratio, numbers.Real) or isinstance(ratio, bool) or not 0.0 < ratio <= 1.0:
-            raise ConfigError(f"target_ratio must be a real number in (0, 1], got {ratio!r}")
+            check_integer(name, getattr(self, name), low)
+        check_fraction("target_ratio", self.target_ratio, 1)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -62,18 +62,49 @@ def test_config_rejects_bad_ratio():
         (DetectorConfig.from_dict, 7),
         (DetectorConfig.from_dict, {"kind": "iforest", "contamination": "x"}),
         (DetectorConfig.from_dict, {"kind": "iforest", "contamination": None}),
+        (ClassifierConfig.from_dict, {"kind": "nb", "seed": 3.7}),
+        (ClassifierConfig.from_dict, {"kind": "rf", "seed": -1}),
+        (DetectorConfig.from_dict, {"kind": "iforest", "seed": -1}),
+        (DetectorConfig.from_dict, {"kind": "iforest", "seed": True}),
+        (DetectorConfig.from_dict, {"kind": "iforest", "parameters": [["n_estimators", 10]]}),
     ],
     ids=[
         "balancer-k-string", "balancer-k-bool", "balancer-enn-float", "balancer-seed-null",
         "balancer-seed-negative", "balancer-ratio-null", "balancer-ratio-string", "balancer-null",
         "balancer-list", "classifier-no-kind", "classifier-string", "classifier-seed-string",
         "classifier-seed-inf", "classifier-parameters-int", "detector-no-kind", "detector-int",
-        "detector-contamination-string", "detector-contamination-null",
+        "detector-contamination-string", "detector-contamination-null", "classifier-seed-fraction",
+        "classifier-seed-negative", "detector-seed-negative", "detector-seed-bool", "detector-parameters-pairs",
     ],
 )
 def test_config_documents_fail_only_with_config_error(parse, doc):
     with pytest.raises(ConfigError):
         parse(doc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DetectorConfig("iforest", contamination="x"),
+        lambda: DetectorConfig("iforest", contamination=None),
+        lambda: DetectorConfig("iforest", parameters=None),
+        lambda: DetectorConfig("iforest", seed="x"),
+        lambda: DetectorConfig("iforest", seed=-1),
+        lambda: DetectorConfig("iforest", seed=2.0),
+        lambda: ClassifierConfig("nb", parameters=None),
+        lambda: ClassifierConfig("nb", seed="x"),
+        lambda: ClassifierConfig("rf", seed=-1),
+        lambda: ClassifierConfig("nb", seed=False),
+    ],
+    ids=[
+        "detector-contamination-string", "detector-contamination-none", "detector-parameters-none",
+        "detector-seed-string", "detector-seed-negative", "detector-seed-float", "classifier-parameters-none",
+        "classifier-seed-string", "classifier-seed-negative", "classifier-seed-bool",
+    ],
+)
+def test_config_constructors_check_field_types(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 # ------------------------------------------------------------------ knn
