@@ -516,6 +516,22 @@ def _consistent(x: np.ndarray, fit: tuple):
 
 
 def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
+    """Minimum covariance determinant over h-row subsets, h = (n + p + 1) // 2
+    unless support_fraction sets it (FastMCD; Rousseeuw & Van Driessen,
+    Technometrics 1999). A C-step fits a subset's Gaussian and keeps the h
+    rows of x with the smallest squared Mahalanobis distance d² to it.
+
+    When C(n, h) <= EXHAUSTIVE_SUBSET_LIMIT (20,000), every h-subset is tried.
+    Otherwise 250 starts, each default_rng(seed).permutation(n)[:p + 1] in
+    turn, get 3 C-steps; the 10 with the lowest log-determinants (the earlier
+    start on a tie) are taken to convergence, at most 100 C-steps, and the
+    lowest wins. A covariance is singular when its Cholesky factorization
+    fails or its smallest pivot² is at most p·eps·max(diag(cov)); DataError
+    when every candidate is. The winner's covariance is scaled by the
+    consistency factor median(d²) / χ²₀.₅(p). The rows with d² <= χ²₀.₉₇₅(p)
+    under that fit are then refitted and scaled the same way, unless at most
+    p rows remain or their covariance is singular.
+    """
     n, p = x.shape
     if n < p + 2:
         raise DataError(f"mcd needs at least {p + 2} rows for {p} features")
