@@ -111,9 +111,9 @@ class TrainedDetector:
 
 def _state_array(name: str, values, *shape: int) -> np.ndarray:
     """A detector document's `values` as a finite float array of `shape`, where
-    -1 matches any length; ModelError otherwise."""
+    -1 matches any nonzero length; ModelError otherwise."""
     array = np.asarray(values, dtype=float)
-    fits = array.ndim == len(shape) and all(s in (-1, a) for s, a in zip(shape, array.shape))
+    fits = array.ndim == len(shape) and all(a == s or (s == -1 and a > 0) for s, a in zip(shape, array.shape))
     if not fits or not np.isfinite(array).all():
         raise ModelError(f"{name} must be a finite array of shape {shape}, got shape {array.shape}")
     return array

@@ -386,10 +386,11 @@ def test_vae_document_whose_networks_do_not_chain_is_a_model_error(name, spec):
         ("abod", lambda s: {"train_rows": [row[:-1] for row in s["train_rows"]]}),
         ("copod", lambda s: {"sorted_columns": s["sorted_columns"][:2]}),
         ("copod", lambda s: {"skews": s["skews"][:2]}),
+        ("copod", lambda s: {"sorted_columns": [[], [], []]}),
     ],
     ids=[
         "mcd-four-wide", "mcd-zero-cov", "mcd-nan-cov", "ocsvm-wide-support-rows", "ocsvm-short-alphas",
-        "abod-narrow-train-rows", "copod-two-columns", "copod-two-skews",
+        "abod-narrow-train-rows", "copod-two-columns", "copod-two-skews", "copod-empty-columns",
     ],
 )
 def test_detector_document_whose_state_does_not_fit_its_features_is_a_model_error(kind, edit):
