@@ -14,17 +14,17 @@ and `SMOTE_PROVENANCE` were regenerated when SMOTE and ADASYN moved to one
 vectorized draw: each now draws all bases, then all neighbour slots, then all
 factors u (the order the `resample` module documents) instead of one row's
 draws at a time. Each row's arithmetic stayed the same; only which random
-numbers it gets changed. `ADASYN_ALLOCATION` did not change. The `mcd-exhaustive` score digest and
-the `mcd-random-starts` score and threshold digests were regenerated when MCD
-moved from an LU solve per Mahalanobis distance to one Cholesky factor per
-fitted subset: distances now come from the whitened residuals, which round
-differently in the last bits (at most about 5e-16 relative). `MCD_SUPPORT`
-pins the support indices and raw log-determinants, which did not change.
-The data-path
-digests cover a mixed CSV taken through loading, cleansing, one-hot
-encoding, min-max scaling, a stratified split and writing back, so a change
-to how a dataset is stored must keep every cell, bound and written byte. The neural digests pin the `mlp`
-classifier under adam and sgd, the `vae` detector, both GAN variants'
+numbers it gets changed. `ADASYN_ALLOCATION` did not change. The
+`mcd-exhaustive` score digest and the `mcd-random-starts` score and threshold
+digests were regenerated when MCD moved from an LU solve per Mahalanobis
+distance to one Cholesky factor per fitted subset: distances now come from
+whitened residuals, which round differently in the last bits (at most about
+5e-16 relative). `MCD_SUPPORT` pins the support indices and raw
+log-determinants, which did not change. The data-path digests cover a mixed
+CSV taken through loading, cleansing, one-hot encoding, min-max scaling, a
+stratified split and writing back, so a change to how a dataset is stored
+must keep every cell, bound and written byte. The neural digests pin the
+`mlp` classifier under adam and sgd, the `vae` detector, both GAN variants'
 samples and loss curves, and one saved network document, so a change to
 how a network stores, updates or clips its parameters must keep every bit.
 """
