@@ -206,7 +206,7 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
             if spec.variant == "vgan":
                 targets = np.vstack([np.ones((real.shape[0], 1)), np.zeros((m, 1))])
                 d_loss, dout, is_dz = disc.loss_and_output_grad(out, targets)
-                disc.backward(cache, dout, dout_is_dz=is_dz)
+                disc.backward(cache, dout, dout_is_dz=is_dz, input_grad=False)
             else:
                 # maximize mean(real) - mean(fake)  ==  minimize the negation;
                 # each half is averaged on its own, unlike the critic loss's -t/m
@@ -217,7 +217,7 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
                         np.full((m, 1), 1.0 / m),
                     ]
                 )
-                disc.backward(cache, dout)
+                disc.backward(cache, dout, input_grad=False)
             d_opt.step()
             if cfg.weight_clip is not None:
                 disc.clip_weights(cfg.weight_clip)
@@ -226,7 +226,7 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
         g_out, g_cache = gen.forward_cached(fake_batch())
         d_out, d_cache = disc.forward_cached(g_out)
         g_loss, dout, is_dz = disc.loss_and_output_grad(d_out, np.ones_like(d_out))
-        gen.backward(g_cache, disc.backward(d_cache, dout, dout_is_dz=is_dz))
+        gen.backward(g_cache, disc.backward(d_cache, dout, dout_is_dz=is_dz), input_grad=False)
         g_opt.step()
 
         if not (math.isfinite(d_loss) and math.isfinite(g_loss)):

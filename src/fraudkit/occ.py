@@ -23,7 +23,8 @@ from .data import (
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
-from .tree import Nodes, grow
+from .resample import _CHUNK
+from .tree import COLUMNS, Nodes
 
 KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
 
@@ -177,6 +178,8 @@ class OcsvmDetector(TrainedDetector):
     def _from_state(cls, n_features, threshold, state):
         rows = _state_array("ocsvm support_rows", state["support_rows"], -1, n_features)
         alphas = _state_array("ocsvm alphas", state["alphas"], len(rows))
+        if state["kernel"] not in OCSVM_KERNELS:
+            raise ModelError(f"unknown ocsvm kernel {state['kernel']!r}")
         return cls(n_features, rows, alphas, state["rho"], state["kernel"], state["gamma"], threshold)
 
 
@@ -231,7 +234,10 @@ def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
 # Isolation forest
 
 def harmonic(k: int) -> float:
-    return float(sum(1.0 / i for i in range(1, k + 1)))
+    total = 0.0
+    for i in range(1, k + 1):  # left to right, as np.cumsum adds in _path_length_table
+        total += 1.0 / i
+    return total
 
 
 def average_path_length(m: int) -> float:
@@ -241,24 +247,136 @@ def average_path_length(m: int) -> float:
     return 2.0 * harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-def _grow_isolation_tree(x: np.ndarray, limit: int, rng: np.random.Generator) -> Nodes:
-    """Random splits until a node holds one row, its rows are all equal or
-    the depth limit is hit; a leaf's value is its estimated path length."""
+def _path_length_table(m: int) -> np.ndarray:
+    """c(0), ..., c(m), each equal to average_path_length bit for bit."""
+    n = np.arange(2, m + 1)
+    h = np.cumsum(1.0 / np.arange(1, m))  # H(1), ..., H(m - 1)
+    return np.concatenate(([0.0, 0.0], 2.0 * h - 2.0 * (n - 1) / n))
 
-    def split_or_leaf(indices, depth):
-        if len(indices) > 1 and depth < limit:
-            rows = x[indices]
-            lo = rows.min(axis=0)
-            hi = rows.max(axis=0)
-            usable = np.nonzero(hi > lo)[0]
-            if usable.size:
-                feature = int(usable[int(rng.integers(usable.size))])
-                split = float(rng.uniform(lo[feature], hi[feature]))
-                # rows below the split go left; one ulp down, `<=` routes them alike
-                return feature, float(np.nextafter(split, -np.inf)), 0.0, 0
-        return -1, 0.0, depth + average_path_length(len(indices)), 0
 
-    return grow(x, split_or_leaf)[0]
+def _reduce_segments(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment (min, max) of values cut at `starts`; no segment is empty."""
+    return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+
+
+def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.ndarray, rngs: list):
+    """(feature, threshold, goes left) for splittable nodes, drawn as
+    `_fit_iforest` states. `rows` holds the nodes' rows node after node,
+    seg[i] of them for node i of tree trees[i]; feature -1 means no column
+    varies on the node. `goes left` is per row and means nothing there."""
+    d = x.shape[1]
+    starts = np.cumsum(seg) - seg
+    counts = np.bincount(trees, minlength=len(rngs))
+    u1, u2 = np.concatenate([rngs[t].random((2, c)) for t, c in enumerate(counts) if c], axis=1)
+    feature = (u1 * d).astype(np.intp)
+    values = x[rows, np.repeat(feature, seg)]
+    lo, hi = _reduce_segments(values, starts)
+    flat = np.nonzero(hi == lo)[0]
+    if flat.size:
+        # a column at a time, so that no rows x features array is gathered
+        in_flat = np.repeat(hi == lo, seg)
+        flat_rows = rows[in_flat]
+        flat_starts = np.cumsum(seg[flat]) - seg[flat]
+        col_lo, col_hi = np.empty((2, flat.size, d))
+        for j in range(d):
+            col_lo[:, j], col_hi[:, j] = _reduce_segments(x[flat_rows, j], flat_starts)
+        usable = col_hi > col_lo
+        counts = np.bincount(trees[flat], minlength=len(rngs))
+        u3 = np.concatenate([rngs[t].random(c) for t, c in enumerate(counts) if c])
+        pick = (u3 * usable.sum(axis=1)).astype(np.intp)
+        redrawn = np.argmax(np.cumsum(usable, axis=1) > pick[:, None], axis=1)  # the pick-th usable column
+        feature[flat] = np.where(usable.any(axis=1), redrawn, -1)
+        lo[flat] = col_lo[np.arange(flat.size), redrawn]
+        hi[flat] = col_hi[np.arange(flat.size), redrawn]
+        values[in_flat] = x[flat_rows, np.repeat(redrawn, seg[flat])]
+    cut = np.nextafter(lo + (hi - lo) * u2, -np.inf)
+    return feature, cut, values <= np.repeat(cut, seg)
+
+
+def _partition(rows: np.ndarray, go_left: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's rows that go left, then the rest, both in row order;
+    and each segment's count of rows that go left."""
+    starts = np.cumsum(seg) - seg
+    lefts = np.add.reduceat(go_left, starts, dtype=np.intp)
+    out = np.empty_like(rows)
+    for side, first, count in ((go_left, starts, lefts), (~go_left, starts + lefts, seg - lefts)):
+        # the i-th row of this side overall goes to first[s] + (i - rows of this side before segment s)
+        at = np.repeat(first - (np.cumsum(count) - count), count)
+        at += np.arange(at.size)
+        out[at] = rows[side]
+    return out, lefts
+
+
+def _grow_isolation_forest(x: np.ndarray, m: int, n_estimators: int, seed: int) -> list[Nodes]:
+    """The trees of `_fit_iforest`, grown a depth at a time across all trees.
+
+    `rows` holds the rows of every node of the current depth, node after
+    node in creation order: tree by tree, breadth first within a tree.
+    """
+    limit = math.ceil(math.log2(max(m, 2)))
+    table = _path_length_table(m)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_estimators)]
+    rows = np.concatenate([rng.permutation(x.shape[0])[:m] for rng in rngs])
+    tree = np.arange(n_estimators)
+    size = np.full(n_estimators, m)
+    columns: dict[str, list] = {c: [] for c in ("tree", "feature", "threshold", "value", "n_samples", "left")}
+    created = 0
+    for depth in range(limit + 1):
+        k = tree.size
+        feature = np.full(k, -1)
+        threshold = np.zeros(k)
+        left = np.full(k, -1)
+        split = np.nonzero((size > 1) & (depth < limit))[0]
+        next_tree = next_size = np.zeros(0, dtype=np.intp)
+        if split.size:
+            rows = rows[np.repeat(size > 1, size)]
+            f, cut, go_left = _draw_splits(x, rows, size[split], tree[split], rngs)
+            keep = np.repeat(f >= 0, size[split])
+            rows, go_left = rows[keep], go_left[keep]
+            inner = split[f >= 0]
+            rows, lefts = _partition(rows, go_left, size[inner])
+            feature[inner], threshold[inner] = f[f >= 0], cut[f >= 0]
+            left[inner] = created + k + 2 * np.arange(inner.size)
+            next_tree = np.repeat(tree[inner], 2)
+            next_size = np.column_stack((lefts, size[inner] - lefts)).ravel()
+        value = np.where(feature < 0, depth + table[size], 0.0)
+        for name, column in zip(columns, (tree, feature, threshold, value, size, left)):
+            columns[name].append(column)
+        created += k
+        tree, size = next_tree, next_size
+        if tree.size == 0:
+            break
+    return _pre_order_trees(columns, n_estimators)
+
+
+def _pre_order_trees(columns: dict[str, list], n_estimators: int) -> list[Nodes]:
+    """One pre-order `Nodes` per tree from per-depth node columns, where node
+    ids run depth by depth and a right child's id is one after its left's.
+    Empties `columns` as it goes, which keeps the peak memory down."""
+    bounds = np.cumsum([0] + [len(part) for part in columns["tree"]])
+    levels = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    tree, left = np.concatenate(columns.pop("tree")), np.concatenate(columns.pop("left"))
+    subtree = np.ones(left.size, dtype=np.intp)
+    for level in levels[::-1]:
+        ids = level.start + np.nonzero(left[level] >= 0)[0]
+        subtree[ids] += subtree[left[ids]] + subtree[left[ids] + 1]
+    pre = np.zeros(left.size, dtype=np.intp)
+    for level in levels:
+        ids = level.start + np.nonzero(left[level] >= 0)[0]
+        pre[left[ids]] = pre[ids] + 1
+        pre[left[ids] + 1] = pre[ids] + 1 + subtree[left[ids]]
+    offset = np.cumsum(subtree[:n_estimators]) - subtree[:n_estimators]
+    order = np.empty(left.size, dtype=np.intp)
+    order[offset[tree] + pre] = np.arange(left.size)
+    del tree, subtree
+    cols = {name: np.concatenate(columns.pop(name))[order] for name in list(columns)}
+    left = left[order]
+    inner = left >= 0
+    cols["right"] = np.where(inner, pre[left + 1], -1)
+    cols["left"] = np.where(inner, pre[left], -1)
+    cols["n_positive"] = np.zeros(left.size, dtype=np.intp)
+    parts = {c: np.split(v, offset[1:]) for c, v in cols.items()}
+    return [Nodes(**{c: parts[c][t] for c in COLUMNS}) for t in range(n_estimators)]
 
 
 class IsolationForestDetector(TrainedDetector):
@@ -270,13 +388,19 @@ class IsolationForestDetector(TrainedDetector):
         self.subsample_size = int(subsample_size)
 
     def score(self, rows) -> np.ndarray:
+        """2^(-mean path length / c(subsample_size)), routed _CHUNK rows at a
+        time so that the path lengths take O(_CHUNK x trees) memory."""
         x = as_matrix(rows, self.n_features)
-        paths = np.empty((x.shape[0], len(self.trees)))
-        for t, tree in enumerate(self.trees):
-            paths[:, t] = tree.value[tree.route(x)]
         c = average_path_length(self.subsample_size)
+        exponent = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], _CHUNK):
+            block = x[start : start + _CHUNK]
+            paths = np.empty((block.shape[0], len(self.trees)))
+            for t, tree in enumerate(self.trees):
+                paths[:, t] = tree.value[tree.route(block)]
+            exponent[start : start + _CHUNK] = -paths.mean(axis=1) / c
         # Python's scalar pow: numpy's vectorized power can differ in the last bit
-        return np.array([2.0**v for v in (-paths.mean(axis=1) / c).tolist()])
+        return np.array([2.0**v for v in exponent.tolist()])
 
     def _state_dict(self) -> dict:
         return {
@@ -286,29 +410,37 @@ class IsolationForestDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        return cls(
-            n_features,
-            [Nodes.from_dict(t, n_features) for t in state["trees"]],
-            state["subsample_size"],
-            threshold,
-        )
+        subsample_size = state["subsample_size"]
+        if not isinstance(subsample_size, int) or subsample_size < 2:
+            raise ModelError(f"iforest subsample_size must be an integer >= 2, got {subsample_size!r}")
+        trees = [Nodes.from_dict(t, n_features) for t in state["trees"]]
+        return cls(n_features, trees, subsample_size, threshold)
 
 
 def _fit_iforest(x: np.ndarray, config: DetectorConfig) -> IsolationForestDetector:
+    """n_estimators isolation trees (Liu, Ting & Zhou, ICDM 2008), each on
+    m = min(max_samples, n) rows and cut at depth ceil(log2 m).
+
+    Tree t draws from default_rng(SeedSequence(seed).spawn(n_estimators)[t]),
+    so the first k trees of a forest are the k-tree forest. It first draws
+    its subsample, permutation(n)[:m]. Then, depth by depth, it draws for its
+    splittable nodes (more than one row, above the depth limit) in breadth-
+    first order: one array u1, then one array u2, one value per node. A
+    node's feature is floor(u1 * d). Where that feature is constant on the
+    node's rows, one more array u3, one value per such node, picks
+    usable[floor(u3 * len(usable))] among the node's non-constant features;
+    with none the node is a leaf. The threshold is lo + (hi - lo) * u2 over
+    the feature's values on the node, moved one ulp down so that rows `<=` it
+    go left. A leaf's value is its depth plus c(rows) (average_path_length).
+    Each tree's nodes are numbered in pre-order.
+    """
     n, d = x.shape
     if n < 2:
         raise DataError("iforest needs >= 2 rows")
     params = config.parameters
     n_estimators = int(params.get("n_estimators", 100))
-    max_samples = int(params.get("max_samples", 500))
-    m = min(max_samples, n)
-    limit = math.ceil(math.log2(max(m, 2)))
-    trees = []
-    for seq in np.random.SeedSequence(config.seed).spawn(n_estimators):
-        rng = np.random.default_rng(seq)
-        idx = rng.permutation(n)[:m]  # subsample without replacement
-        trees.append(_grow_isolation_tree(x[idx], limit, rng))
-    return IsolationForestDetector(d, trees, m)
+    m = min(int(params.get("max_samples", 500)), n)
+    return IsolationForestDetector(d, _grow_isolation_forest(x, m, n_estimators, config.seed), m)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +505,83 @@ def _fit_copod(x: np.ndarray, config: DetectorConfig) -> CopodDetector:
 # ---------------------------------------------------------------------------
 # Angle-based detector
 
+_ABOD_BLOCK = 2**16  # query rows x training rows per block of `_angle_factors`
+
+
+def _angle_factors(train: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Angle factor of each query row: the variance over pairs of its k
+    nearest usable training rows of inverse-square-weighted angle terms,
+    in blocks of at most max(1, _ABOD_BLOCK // len(train)) query rows."""
+    t_sq = np.sum(train * train, axis=1)
+    step = max(1, _ABOD_BLOCK // len(train))
+    pairs: dict[int, tuple] = {}  # upper-triangle indices by neighbour count
+    factors = np.empty(len(queries))
+    for at in range(0, len(queries), step):
+        factors[at : at + step] = _block_factors(train, t_sq, queries[at : at + step], k, pairs)
+    return factors
+
+
+def _block_factors(train: np.ndarray, t_sq: np.ndarray, block: np.ndarray, k: int, pairs: dict) -> np.ndarray:
+    """`_angle_factors` of one block of queries.
+
+    Squared distances from |q|² + |t|² - 2 q·t are off by at most
+    tol = 8 (d + 2) eps (|q|² + max |t|²) from the exact ones, so only rows
+    within 2 tol of the k-th nearest certainly usable row, and not certainly
+    at zero distance, have their exact squared distances worked out.
+    """
+    n, d = train.shape
+    approx = block @ train.T
+    approx *= -2.0
+    approx += t_sq
+    q_sq = np.sum(block * block, axis=1)
+    approx += q_sq[:, None]
+    tol = 8 * (d + 2) * np.finfo(float).eps * (q_sq + t_sq.max())
+    reach = np.full(len(block), np.inf)
+    if k <= n:
+        kth = np.where(approx > (1e-24 + tol)[:, None], approx, np.inf)
+        kth.partition(k - 1, axis=1)
+        reach = kth[:, k - 1] + 2.0 * tol
+        del kth
+    rows, cols = np.nonzero((approx <= reach[:, None]) & (approx > (1e-24 - tol)[:, None]))
+    del approx
+    dist2 = np.empty(rows.size)
+    chunk = _ABOD_BLOCK // d + 1
+    for at in range(0, rows.size, chunk):
+        diffs = train[cols[at : at + chunk]] - block[rows[at : at + chunk]]
+        dist2[at : at + chunk] = np.sum(diffs * diffs, axis=1)
+    usable = dist2 > 1e-24
+    rows, cols, dist2 = rows[usable], cols[usable], dist2[usable]
+    # per query, nearest first; the sort is stable, so equal distances stay in row order
+    order = np.lexsort((dist2, rows))
+    counts = np.bincount(rows, minlength=len(block))
+    nearest = order[np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts) < k]
+    v = (train[cols[nearest]] - block[rows[nearest]]) / dist2[nearest, None]
+    kept = np.minimum(counts, k)
+    factors = np.zeros(len(block))  # fewer than 2 usable rows: factor 0
+    for i, (end, m) in enumerate(zip(np.cumsum(kept).tolist(), kept.tolist())):
+        if m >= 2:
+            u = v[end - m : end]
+            if m not in pairs:
+                pairs[m] = np.triu_indices(m, k=1)
+            terms = (u @ u.T)[pairs[m]]
+            # np.var's arithmetic, without its per-call overhead
+            dev = terms - terms.sum() / terms.size
+            factors[i] = (dev * dev).sum() / terms.size
+    return factors
+
+
 class AbodDetector(TrainedDetector):
+    """Angle-based outlier factors over the k nearest training rows
+    (FastABOD; Kriegel, Schubert & Zimek, KDD 2008); score is minus the factor.
+
+    Training rows at squared distance <= 1e-24 from a query (its duplicates)
+    are left out, ties in distance go to the lower row index, and a query
+    with fewer than 2 usable rows gets factor 0. Queries are screened in
+    blocks of at most max(1, 2^16 // training rows) rows, so memory is
+    O(block x training rows); each query's chosen rows are then handled on
+    their own.
+    """
+
     kind = "abod"
 
     def __init__(self, n_features, train_rows, n_neighbours, threshold=0.0):
@@ -381,23 +589,9 @@ class AbodDetector(TrainedDetector):
         self.train_rows = np.asarray(train_rows, dtype=float)
         self.n_neighbours = int(n_neighbours)
 
-    def angle_factor(self, row: np.ndarray, k: int | None = None) -> float:
-        """Variance of inverse-square-weighted angle terms over neighbor pairs."""
-        k = self.n_neighbours if k is None else k
-        diffs = self.train_rows - row
-        dist2 = np.sum(diffs * diffs, axis=1)
-        usable = np.nonzero(dist2 > 1e-24)[0]
-        if usable.size < 2:
-            return 0.0
-        order = usable[np.argsort(dist2[usable], kind="stable")][:k]
-        v = diffs[order] / dist2[order, None]
-        w = v @ v.T
-        iu = np.triu_indices(len(order), k=1)
-        return float(np.var(w[iu]))
-
     def score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
-        return np.array([-self.angle_factor(row) for row in x])
+        return -_angle_factors(self.train_rows, x, self.n_neighbours)
 
     def _state_dict(self) -> dict:
         return {"train_rows": self.train_rows.tolist(), "n_neighbours": self.n_neighbours}
@@ -405,7 +599,10 @@ class AbodDetector(TrainedDetector):
     @classmethod
     def _from_state(cls, n_features, threshold, state):
         rows = _state_array("abod train_rows", state["train_rows"], -1, n_features)
-        return cls(n_features, rows, state["n_neighbours"], threshold)
+        k = state["n_neighbours"]
+        if not isinstance(k, int) or k < 2:
+            raise ModelError(f"abod n_neighbours must be an integer >= 2, got {k!r}")
+        return cls(n_features, rows, k, threshold)
 
 
 def _fit_abod(x: np.ndarray, config: DetectorConfig) -> AbodDetector:
@@ -655,7 +852,7 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
             d_logvar = dz * (0.5 * std * eps) + (np.exp(logvar) - 1.0) / (2.0 * m * d)
             dh1 = mu_head.backward(mu_cache, d_mu)
             dh2 = logvar_head.backward(lv_cache, d_logvar)
-            encoder.backward(enc_cache, dh1 + dh2)
+            encoder.backward(enc_cache, dh1 + dh2, input_grad=False)
             opt.step()
 
     return VaeDetector(d, encoder, mu_head, logvar_head, decoder)

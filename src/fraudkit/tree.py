@@ -1,6 +1,7 @@
 """CART trees: greedy binary splits over midpoint thresholds with gini,
-entropy or squared-error criteria, stored in the flat `Nodes` layout that
-the isolation forest shares.
+entropy or squared-error criteria, stored in the flat `Nodes` layout. The
+isolation forest grows its own trees (`occ._fit_iforest`) and stores and
+routes them as `Nodes` too.
 
 Shared by the decision-tree classifier, the random forest and the boosted
 ensemble. Tie-breaks are fixed (lowest feature index, then lowest
@@ -106,7 +107,7 @@ class Nodes:
 
 
 def grow(x: np.ndarray, node_rule) -> tuple[Nodes, dict[int, np.ndarray]]:
-    """Grow one tree over the rows of x with an explicit stack.
+    """Grow one CART tree over the rows of x with an explicit stack.
 
     `node_rule(indices, depth)` returns (feature, threshold, value, n_positive)
     for the node holding rows `indices`; feature -1 makes it a leaf. Rows go

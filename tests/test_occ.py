@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fraudkit.occ import (
     DetectorConfig,
     VaeDetector,
     _chi2_ppf,
+    _path_length_table,
     average_path_length,
     classification_rate,
     detector_from_dict,
@@ -94,6 +96,12 @@ def test_detector_determinism(config, negatives):
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind)
+def test_detector_scores_no_rows(config, negatives):
+    det = fit_detector(config, negatives)
+    assert det.score(np.zeros((0, negatives.shape[1]))).shape == (0,)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind)
 def test_detector_round_trip(tmp_path, config, negatives):
     det = fit_detector(config, negatives)
     path = tmp_path / f"{config.kind}.json"
@@ -138,6 +146,21 @@ def test_detector_rejects_non_finite_rows(negatives, bad):
         det.score(x)
 
 
+@pytest.mark.parametrize("kind", ["iforest", "abod"])
+def test_fit_and_score_peak_memory_is_a_small_multiple_of_the_input(kind):
+    # 5,000 training rows and 20,000 queries: an array of queries x training
+    # rows alone would be 800 MB
+    rng = np.random.default_rng(0)
+    train, queries = rng.uniform(size=(5000, 30)), rng.uniform(size=(20000, 30))
+    tracemalloc.start()
+    try:
+        fit_detector(DetectorConfig(kind), train).score(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (train.nbytes + queries.nbytes)
+
+
 # ---------------------------------------------------------------- CR
 
 
@@ -180,6 +203,123 @@ def test_iforest_subsample_capped_at_n(negatives):
     assert det.subsample_size == 100
 
 
+def _tree_sizes(tree):
+    """Nodes in each node's subtree, children before parents."""
+    size = np.ones(len(tree), dtype=int)
+    for i in range(len(tree) - 1, -1, -1):
+        if tree.feature[i] >= 0:
+            size[i] += size[tree.left[i]] + size[tree.right[i]]
+    return size
+
+
+def test_iforest_nodes_are_numbered_in_pre_order(negatives):
+    det = fit_detector(DetectorConfig("iforest", {"n_estimators": 20, "max_samples": 64}, seed=3), negatives)
+    for tree in det.trees:
+        size = _tree_sizes(tree)
+        inner = np.nonzero(tree.feature >= 0)[0]
+        assert size[0] == len(tree)
+        assert np.array_equal(tree.left[inner], inner + 1)
+        assert np.array_equal(tree.right[inner], inner + 1 + size[inner + 1])
+
+
+def test_iforest_first_trees_equal_the_smaller_forest(negatives):
+    big = fit_detector(DetectorConfig("iforest", {"n_estimators": 12, "max_samples": 64}, seed=4), negatives)
+    small = fit_detector(DetectorConfig("iforest", {"n_estimators": 5, "max_samples": 64}, seed=4), negatives)
+    assert [t.to_dict() for t in big.trees[:5]] == [t.to_dict() for t in small.trees]
+
+
+def test_iforest_never_splits_on_a_constant_column():
+    x = np.random.default_rng(6).normal(size=(80, 4))
+    x[:, 1] = 0.25
+    det = fit_detector(DetectorConfig("iforest", {"n_estimators": 30, "max_samples": 64}), x)
+    assert all(not np.any(tree.feature == 1) for tree in det.trees)
+    assert sum(int(np.sum(tree.feature >= 0)) for tree in det.trees) > 0
+
+
+def test_iforest_path_length_table_equals_average_path_length():
+    table = _path_length_table(700)
+    assert table.shape == (701,)
+    assert all(table[m] == average_path_length(m) for m in range(701))
+
+
+def _reference_isolation_forest(x, n_estimators, max_samples, seed):
+    """The documented draw order, one node at a time: per tree, the
+    subsample, then per depth u1 and u2 for the splittable nodes in
+    breadth-first order and u3 for those whose first feature is constant.
+    Returns each tree's columns renumbered to pre-order."""
+    n, d = x.shape
+    m = min(max_samples, n)
+    limit = math.ceil(math.log2(max(m, 2)))
+    forest = []
+    for seq in np.random.SeedSequence(seed).spawn(n_estimators):
+        rng = np.random.default_rng(seq)
+        level = [(x[rng.permutation(n)[:m]], None)]  # (rows, (parent, side))
+        nodes = []
+        for depth in range(limit + 1):
+            if not level:
+                break
+            split = [i for i, (rows, _) in enumerate(level) if len(rows) > 1 and depth < limit]
+            u1 = rng.random(len(split))
+            u2 = rng.random(len(split))
+            feature = {i: int(u * d) for i, u in zip(split, u1)}
+            redraw = [i for i in split if np.ptp(level[i][0][:, feature[i]]) == 0]
+            for i, u in zip(redraw, rng.random(len(redraw))):
+                rows = level[i][0]
+                usable = np.nonzero(rows.max(axis=0) > rows.min(axis=0))[0]
+                feature[i] = int(usable[int(u * usable.size)]) if usable.size else -1
+            draw = dict(zip(split, u2))
+            next_level = []
+            for i, (rows, link) in enumerate(level):
+                node = {"rows": len(rows), "left": -1, "right": -1}
+                if link is not None:
+                    nodes[link[0]][link[1]] = len(nodes)
+                f = feature.get(i, -1)
+                if f < 0:
+                    node.update(feature=-1, threshold=0.0, value=depth + average_path_length(len(rows)))
+                else:
+                    lo, hi = rows[:, f].min(), rows[:, f].max()
+                    threshold = float(np.nextafter(lo + (hi - lo) * draw[i], -np.inf))
+                    node.update(feature=f, threshold=threshold, value=0.0)
+                    go_left = rows[:, f] <= threshold
+                    next_level += [(rows[go_left], (len(nodes), "left")), (rows[~go_left], (len(nodes), "right"))]
+                nodes.append(node)
+            level = next_level
+        order = []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if nodes[i]["feature"] >= 0:
+                stack += [nodes[i]["right"], nodes[i]["left"]]
+        pre = {old: new for new, old in enumerate(order)}
+        relabel = lambda i: pre[i] if i >= 0 else -1
+        forest.append({
+            "feature": [nodes[i]["feature"] for i in order],
+            "threshold": [nodes[i]["threshold"] for i in order],
+            "left": [relabel(nodes[i]["left"]) for i in order],
+            "right": [relabel(nodes[i]["right"]) for i in order],
+            "value": [nodes[i]["value"] for i in order],
+            "n_samples": [nodes[i]["rows"] for i in order],
+            "n_positive": [0] * len(order),
+        })
+    return forest
+
+
+def test_iforest_matches_the_documented_draw_order():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 4))
+    x[:, 2] = 1.0  # constant: every draw of it is drawn again
+    x[:, 3] = rng.integers(0, 2, size=40)  # binary: constant on many small nodes
+    x[30:36] = x[0]  # duplicates: nodes whose rows are all equal end as leaves
+    det = fit_detector(DetectorConfig("iforest", {"n_estimators": 8, "max_samples": 24}, seed=7), x)
+    reference = _reference_isolation_forest(x, 8, 24, 7)
+    assert len(det.trees) == len(reference)
+    for tree, expected in zip(det.trees, reference):
+        doc = tree.to_dict()
+        for column, values in expected.items():
+            assert doc[column] == values, column
+
+
 # ---------------------------------------------------------------- copod
 
 
@@ -210,15 +350,28 @@ def test_copod_finite_outside_support():
 # ---------------------------------------------------------------- abod
 
 
+def _reference_angle_factor(train, row, k):
+    """One row's factor by the per-row formula the blocked scorer replaces:
+    the variance over neighbour pairs of inverse-square-weighted angle terms,
+    among the k nearest rows at squared distance above 1e-24."""
+    diffs = train - row
+    dist2 = np.sum(diffs * diffs, axis=1)
+    usable = np.nonzero(dist2 > 1e-24)[0]
+    if usable.size < 2:
+        return 0.0
+    order = usable[np.argsort(dist2[usable], kind="stable")][:k]
+    v = diffs[order] / dist2[order, None]
+    w = v @ v.T
+    return float(np.var(w[np.triu_indices(len(order), k=1)]))
+
+
 def test_abod_centroid_has_higher_angle_variance():
     rng = np.random.default_rng(7)
     cloud = rng.uniform(-1, 1, size=(50, 2))
     det = fit_detector(DetectorConfig("abod", {"n_neighbours": 49}), cloud)
-    centroid_factor = det.angle_factor(cloud.mean(axis=0))
-    outlier_factor = det.angle_factor(np.array([10.0, 10.0]))
-    assert centroid_factor > outlier_factor
-    # lower variance => more anomalous => higher score
-    assert det.score([[10.0, 10.0]])[0] > det.score([cloud.mean(axis=0)])[0]
+    centroid, outlier = det.score([cloud.mean(axis=0), [10.0, 10.0]])
+    # lower angle variance => more anomalous => higher score
+    assert outlier > centroid
 
 
 def test_abod_fast_equals_bruteforce_when_k_covers_all():
@@ -233,13 +386,34 @@ def test_abod_fast_equals_bruteforce_when_k_covers_all():
         di, dj = diffs[i], diffs[j]
         pairs.append(float(di @ dj) / (float(di @ di) * float(dj @ dj)))
     brute = float(np.var(pairs))
-    assert det.angle_factor(query) == pytest.approx(brute, abs=1e-9)
+    assert -det.score([query])[0] == pytest.approx(brute, abs=1e-9)
 
 
 def test_abod_excludes_zero_distance_neighbors():
     train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     det = fit_detector(DetectorConfig("abod", {"n_neighbours": 3}), train)
-    assert math.isfinite(det.angle_factor(train[0]))
+    assert np.all(np.isfinite(det.score(train)))
+
+
+@pytest.mark.parametrize("k, d", [(2, 4), (5, 4), (10, 4), (60, 4), (10, 30)])
+def test_abod_scores_equal_the_per_row_formula(k, d):
+    rng = np.random.default_rng(21)
+    train = rng.normal(size=(50, d))
+    train[40:45] = train[3]  # exact duplicates: zero distances to exclude
+    train[45:] = train[10] + 1e-13  # within the 1e-24 squared-distance rule
+    queries = np.vstack([train, rng.normal(size=(30, d)), rng.normal(scale=50.0, size=(5, d))])
+    det = fit_detector(DetectorConfig("abod", {"n_neighbours": k}), train)
+    expected = [-_reference_angle_factor(train, row, k) for row in queries]
+    assert np.array_equal(det.score(queries), expected)
+
+
+def test_abod_scores_zero_with_fewer_than_two_usable_neighbours():
+    train = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    det = fit_detector(DetectorConfig("abod", {"n_neighbours": 3}), train)
+    queries = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+    expected = [-_reference_angle_factor(train, row, 3) for row in queries]
+    assert np.array_equal(det.score(queries), expected)
+    assert det.score(queries)[0] == 0.0  # one row lies apart from it
 
 
 # ---------------------------------------------------------------- mcd
@@ -387,10 +561,14 @@ def test_vae_document_whose_networks_do_not_chain_is_a_model_error(name, spec):
         ("copod", lambda s: {"sorted_columns": s["sorted_columns"][:2]}),
         ("copod", lambda s: {"skews": s["skews"][:2]}),
         ("copod", lambda s: {"sorted_columns": [[], [], []]}),
+        ("iforest", lambda s: {"subsample_size": 1}),
+        ("abod", lambda s: {"n_neighbours": 1}),
+        ("ocsvm", lambda s: {"kernel": "wavelet"}),
     ],
     ids=[
         "mcd-four-wide", "mcd-zero-cov", "mcd-nan-cov", "ocsvm-wide-support-rows", "ocsvm-short-alphas",
         "abod-narrow-train-rows", "copod-two-columns", "copod-two-skews", "copod-empty-columns",
+        "iforest-subsample-below-two", "abod-one-neighbour", "ocsvm-unknown-kernel",
     ],
 )
 def test_detector_document_whose_state_does_not_fit_its_features_is_a_model_error(kind, edit):
