@@ -23,7 +23,6 @@ from .data import (
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
-from .resample import _CHUNK
 from .tree import COLUMNS, Nodes
 
 KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
@@ -233,30 +232,17 @@ def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
 # ---------------------------------------------------------------------------
 # Isolation forest
 
-def harmonic(k: int) -> float:
-    total = 0.0
-    for i in range(1, k + 1):  # left to right, as np.cumsum adds in _path_length_table
-        total += 1.0 / i
-    return total
-
-
-def average_path_length(m: int) -> float:
-    """Expected unsuccessful-search depth c(m) of a binary search tree."""
-    if m <= 1:
-        return 0.0
-    return 2.0 * harmonic(m - 1) - 2.0 * (m - 1) / m
-
-
 def _path_length_table(m: int) -> np.ndarray:
-    """c(0), ..., c(m), each equal to average_path_length bit for bit."""
+    """c(0), ..., c(m): the expected unsuccessful-search depth of a binary
+    search tree on n keys, 2 H(n - 1) - 2 (n - 1) / n, and 0 below 2 keys."""
     n = np.arange(2, m + 1)
     h = np.cumsum(1.0 / np.arange(1, m))  # H(1), ..., H(m - 1)
     return np.concatenate(([0.0, 0.0], 2.0 * h - 2.0 * (n - 1) / n))
 
 
-def _reduce_segments(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment (min, max) of values cut at `starts`; no segment is empty."""
-    return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+def average_path_length(m: int) -> float:
+    """c(m), as `_path_length_table` gives it."""
+    return float(_path_length_table(m)[m]) if m > 1 else 0.0
 
 
 def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.ndarray, rngs: list):
@@ -270,7 +256,7 @@ def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.nda
     u1, u2 = np.concatenate([rngs[t].random((2, c)) for t, c in enumerate(counts) if c], axis=1)
     feature = (u1 * d).astype(np.intp)
     values = x[rows, np.repeat(feature, seg)]
-    lo, hi = _reduce_segments(values, starts)
+    lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
     flat = np.nonzero(hi == lo)[0]
     if flat.size:
         # a column at a time, so that no rows x features array is gathered
@@ -279,7 +265,9 @@ def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.nda
         flat_starts = np.cumsum(seg[flat]) - seg[flat]
         col_lo, col_hi = np.empty((2, flat.size, d))
         for j in range(d):
-            col_lo[:, j], col_hi[:, j] = _reduce_segments(x[flat_rows, j], flat_starts)
+            column = x[flat_rows, j]
+            col_lo[:, j] = np.minimum.reduceat(column, flat_starts)
+            col_hi[:, j] = np.maximum.reduceat(column, flat_starts)
         usable = col_hi > col_lo
         counts = np.bincount(trees[flat], minlength=len(rngs))
         u3 = np.concatenate([rngs[t].random(c) for t, c in enumerate(counts) if c])
@@ -388,17 +376,13 @@ class IsolationForestDetector(TrainedDetector):
         self.subsample_size = int(subsample_size)
 
     def score(self, rows) -> np.ndarray:
-        """2^(-mean path length / c(subsample_size)), routed _CHUNK rows at a
-        time so that the path lengths take O(_CHUNK x trees) memory."""
+        """2^(-mean path length / c(subsample_size)), the path lengths added
+        up tree by tree so that memory stays O(rows)."""
         x = as_matrix(rows, self.n_features)
-        c = average_path_length(self.subsample_size)
-        exponent = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], _CHUNK):
-            block = x[start : start + _CHUNK]
-            paths = np.empty((block.shape[0], len(self.trees)))
-            for t, tree in enumerate(self.trees):
-                paths[:, t] = tree.value[tree.route(block)]
-            exponent[start : start + _CHUNK] = -paths.mean(axis=1) / c
+        total = np.zeros(x.shape[0])
+        for tree in self.trees:
+            total += tree.value[tree.route(x)]
+        exponent = -total / len(self.trees) / average_path_length(self.subsample_size)
         # Python's scalar pow: numpy's vectorized power can differ in the last bit
         return np.array([2.0**v for v in exponent.tolist()])
 
@@ -414,6 +398,8 @@ class IsolationForestDetector(TrainedDetector):
         if not isinstance(subsample_size, int) or subsample_size < 2:
             raise ModelError(f"iforest subsample_size must be an integer >= 2, got {subsample_size!r}")
         trees = [Nodes.from_dict(t, n_features) for t in state["trees"]]
+        if any(int(t.n_samples[0]) != subsample_size for t in trees):
+            raise ModelError(f"iforest tree roots must hold subsample_size = {subsample_size} rows")
         return cls(n_features, trees, subsample_size, threshold)
 
 

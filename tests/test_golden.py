@@ -21,18 +21,20 @@ distance to one Cholesky factor per fitted subset: distances now come from
 whitened residuals, which round differently in the last bits (at most about
 5e-16 relative). `MCD_SUPPORT` pins the support indices and raw
 log-determinants, which did not change. `IFOREST_SCORE` (07f6564c… →
-22ba02e6…) and `IFOREST_THRESHOLD` (47ef78b3… → 4aae15cd…) were regenerated
+ed9dbbf1…) and `IFOREST_THRESHOLD` (47ef78b3… → cdb22457…) were regenerated
 when the isolation forest moved from growing one node at a time, depth
 first, to growing every node of one depth at once: each tree now draws one
 array of feature draws and one of threshold draws per depth, breadth first
 (the order the `_fit_iforest` docstring states), instead of an integer and a
 uniform per node in pre-order, and picks a feature among all d columns
-before falling back to the node's non-constant ones. The subsamples, the
-path-length rule and the scoring did not change; only which random numbers
-each node gets did. The data-path digests cover a mixed
-CSV taken through loading, cleansing, one-hot encoding, min-max scaling, a
-stratified split and writing back, so a change to how a dataset is stored
-must keep every cell, bound and written byte. The neural digests pin the
+before falling back to the node's non-constant ones. The subsamples and the
+path-length rule did not change. Scoring now adds the trees' path lengths
+to one running total, tree by tree, instead of taking the mean of a rows x
+trees array, which moves a score by at most about 7e-16 relative. The
+data-path digests cover a mixed CSV taken through loading, cleansing,
+one-hot encoding, min-max scaling, a stratified split and writing back, so a
+change to how a dataset is stored must keep every cell, bound and written
+byte. The neural digests pin the
 `mlp` classifier under adam and sgd, the `vae` detector, both GAN variants'
 samples and loss curves, and one saved network document, so a change to
 how a network stores, updates or clips its parameters must keep every bit.
@@ -186,8 +188,8 @@ MCD_SUPPORT = {
     "mcd-random-starts": ("b6dbee55fce42b12389f2562c131dd745b53a5a9d6ac221b2f9f7d0d0f6fd2af", -2.934825972620148),
 }
 
-IFOREST_SCORE = "22ba02e65df58a27207f9e29d47f893feecc9d6fcf54ea1e0ab282c4bb150cac"
-IFOREST_THRESHOLD = "4aae15cd30f8ee478429406b7fd5a49e59181a859d994efca169c343df7f32d6"
+IFOREST_SCORE = "ed9dbbf1540c142231238fbaac987055d04de6d4cb76fc3d89b2ad9d96dbfd8b"
+IFOREST_THRESHOLD = "cdb224570f4431df1c25ce983a521f1900ffa0e229e7e94887df8f4956147508"
 RULES_TEXT = "f2f1139e295e7c96573042aa9cf39a8f7dbdd7baf2d99a29243352cd86e2ba60"
 
 

@@ -148,10 +148,10 @@ def test_detector_rejects_non_finite_rows(negatives, bad):
 
 @pytest.mark.parametrize("kind", ["iforest", "abod"])
 def test_fit_and_score_peak_memory_is_a_small_multiple_of_the_input(kind):
-    # 5,000 training rows and 20,000 queries: an array of queries x training
-    # rows alone would be 800 MB
+    # 5,000 training rows; an array of queries x training rows alone would be
+    # 800 MB for iforest's 20,000 queries and 80 MB for abod's 2,000
     rng = np.random.default_rng(0)
-    train, queries = rng.uniform(size=(5000, 30)), rng.uniform(size=(20000, 30))
+    train, queries = rng.uniform(size=(5000, 30)), rng.uniform(size=({"iforest": 20000, "abod": 2000}[kind], 30))
     tracemalloc.start()
     try:
         fit_detector(DetectorConfig(kind), train).score(queries)
@@ -236,10 +236,12 @@ def test_iforest_never_splits_on_a_constant_column():
     assert sum(int(np.sum(tree.feature >= 0)) for tree in det.trees) > 0
 
 
-def test_iforest_path_length_table_equals_average_path_length():
+def test_iforest_path_length_table_follows_the_harmonic_formula():
     table = _path_length_table(700)
     assert table.shape == (701,)
-    assert all(table[m] == average_path_length(m) for m in range(701))
+    assert table[0] == table[1] == 0.0
+    expected = [2.0 * math.fsum(1.0 / i for i in range(1, m)) - 2.0 * (m - 1) / m for m in range(2, 701)]
+    assert table[2:] == pytest.approx(expected, rel=1e-14)
 
 
 def _reference_isolation_forest(x, n_estimators, max_samples, seed):
@@ -562,13 +564,15 @@ def test_vae_document_whose_networks_do_not_chain_is_a_model_error(name, spec):
         ("copod", lambda s: {"skews": s["skews"][:2]}),
         ("copod", lambda s: {"sorted_columns": [[], [], []]}),
         ("iforest", lambda s: {"subsample_size": 1}),
+        ("iforest", lambda s: {"subsample_size": s["subsample_size"] + 1}),
         ("abod", lambda s: {"n_neighbours": 1}),
         ("ocsvm", lambda s: {"kernel": "wavelet"}),
     ],
     ids=[
         "mcd-four-wide", "mcd-zero-cov", "mcd-nan-cov", "ocsvm-wide-support-rows", "ocsvm-short-alphas",
         "abod-narrow-train-rows", "copod-two-columns", "copod-two-skews", "copod-empty-columns",
-        "iforest-subsample-below-two", "abod-one-neighbour", "ocsvm-unknown-kernel",
+        "iforest-subsample-below-two", "iforest-subsample-not-the-root-size", "abod-one-neighbour",
+        "ocsvm-unknown-kernel",
     ],
 )
 def test_detector_document_whose_state_does_not_fit_its_features_is_a_model_error(kind, edit):
