@@ -27,7 +27,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
-from .tree import SQUARED, DecisionTree
+from .tree import SQUARED, DecisionTree, presort
 
 KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
 
@@ -61,6 +61,12 @@ NUMERIC_PARAMS: dict[str, dict[str, tuple[float, float]]] = {
 
 BOOL_PARAMS: dict[str, tuple[str, ...]] = {"rf": ("bootstrap",)}
 
+# Numeric hyperparameters, of classifiers and detectors alike, that count
+# something: a fractional value is rejected rather than truncated.
+INTEGER_PARAMS = frozenset(
+    {"max_iter", "maxdepth", "estimators", "epochs", "n_estimators", "max_samples", "n_neighbours", "latent_dim"}
+)
+
 # Published search grids (exhaustive grid-search spaces).
 TABLE_GRIDS: dict[str, dict[str, list]] = {
     "nb": {},
@@ -91,7 +97,7 @@ def check_parameters(
 ) -> None:
     """ConfigError unless parameters is a mapping and each parameter is a
     listed value of an enumerated one, a number within the bounds of a numeric
-    one, or a bool."""
+    one (an integer for one in INTEGER_PARAMS), or a bool."""
     if not isinstance(parameters, Mapping):
         raise ConfigError(f"{kind}: parameters must be a mapping, got {parameters!r}")
     for name, value in parameters.items():
@@ -100,7 +106,9 @@ def check_parameters(
                 raise ConfigError(f"{kind}: {name} must be one of {enums[name]}, got {value!r}")
         elif name in numerics:
             low, high = numerics[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if name in INTEGER_PARAMS:
+                check_integer(f"{kind}: {name}", value, int(low))
+            elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{kind}: {name} must be numeric")
             if not (low <= value <= high):
                 raise ConfigError(f"{kind}: {name}={value} outside [{low}, {high}]")
@@ -226,8 +234,16 @@ def _fit_nb(x: np.ndarray, y: np.ndarray, names, config: ClassifierConfig) -> Na
 class LinearModel(TrainedModel):
     """Coefficient vector + bias. lr scores through the logistic link;
     svm predicts the sign of the margin and reports logistic(margin) as a
-    probability surrogate. `iterations` counts the solver's steps and
-    `converged` says whether it stopped with max|grad| below `tol`."""
+    probability surrogate.
+
+    `iterations` and `converged` depend on the solver:
+    - damped Newton (`lr` l2, `svm` squared hinge l2): Newton steps, and
+      whether it stopped with max|grad| below `tol`;
+    - smoothed Newton (`svm` hinge l2, `_fit_hinge`): Newton steps over all
+      smoothing stages, and whether a duality-gap certificate within `tol`
+      holds; an uncertified fit adds the fallback descent's steps;
+    - step-halving descent (l1, elasticnet): descent steps, and whether
+      max|subgradient| fell below `tol`, which at a kink it rarely does."""
 
     def __init__(self, kind, feature_names, weights, bias, parameters, iterations=0, converged=False):
         super().__init__(feature_names)
@@ -274,9 +290,9 @@ def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
 
 
 # An objective maps (w, b) to (loss, gradient in w, gradient in b, curvature).
-# For a smooth loss, curvature() gives the per-row weights c of its
-# (generalized) Hessian in the data term, X1' diag(c) X1 with X1 = [x, 1];
-# for the hinge it is None.
+# For a smooth loss, curvature() gives the rows of X1 = [x, 1] with nonzero
+# weight in the data term of its (generalized) Hessian, X1' diag(c) X1, and
+# their weights c; for the hinge it is None.
 
 
 def _lr_objective(x, y, regularizer, strength):
@@ -290,7 +306,7 @@ def _lr_objective(x, y, regularizer, strength):
         data = -np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
         grad_z = (p - yf) / n
         pen, pen_grad = _penalty_terms(w, regularizer, strength)
-        return data + pen, x.T @ grad_z + pen_grad, float(grad_z.sum()), lambda: p * (1.0 - p) / n
+        return data + pen, x.T @ grad_z + pen_grad, float(grad_z.sum()), lambda: (slice(None), p * (1.0 - p) / n)
 
     return objective
 
@@ -309,7 +325,7 @@ def _svm_objective(x, y, loss_name, regularizer, strength):
         else:  # squared-hinge
             data = float(np.mean(slack * slack))
             coeff = -2.0 * slack * ypm / n
-            curvature = lambda: np.where(slack > 0, 2.0 / n, 0.0)
+            curvature = lambda: (slice(None), np.where(slack > 0, 2.0 / n, 0.0))
         pen, pen_grad = _penalty_terms(w, regularizer, strength)
         return data + pen, x.T @ coeff + pen_grad, float(coeff.sum()), curvature
 
@@ -318,8 +334,8 @@ def _svm_objective(x, y, loss_name, regularizer, strength):
 
 def _descend(objective, d, max_iter, tol):
     """Monotone full-batch (sub)gradient descent with step halving, for the
-    objectives Newton cannot take (l1, elasticnet, hinge). Returns
-    (w, b, iterations, converged)."""
+    objectives Newton cannot take (l1, elasticnet, and the hinge where its
+    optimum is not certified). Returns (w, b, iterations, converged)."""
     w = np.zeros(d)
     b = 0.0
     step = 1.0
@@ -341,31 +357,50 @@ def _descend(objective, d, max_iter, tol):
     return w, b, iterations, max(float(np.max(np.abs(gw))), abs(gb)) < tol
 
 
-def _newton(x, objective, ridge, max_iter, tol):
-    """Damped Newton on theta = (w, b) for a smooth objective whose penalty
-    is ridge/2 * |w|^2 (the bias is not penalized): IRLS for the logistic
-    loss, generalized Newton for the squared hinge (Keerthi & DeCoste, JMLR
-    2005). Each step solves the (d+1)x(d+1) system by least squares, so a
-    singular Hessian (empty active set, duplicated columns, ridge 0) gives
-    the minimum-norm step instead of an error, then halves the step until
-    the loss does not rise. Returns (w, b, iterations, converged)."""
+def _newton(x, objective, ridge, max_iter, tol, start=None, bias_floor=0.0):
+    """Damped Newton on theta = (w, b) from `start` (zeros by default) for a
+    smooth objective whose penalty is ridge/2 * |w|^2 (the bias is not
+    penalized): IRLS for the logistic loss, generalized Newton for the
+    squared hinge (Keerthi & DeCoste, JMLR 2005) and for the smoothed hinge,
+    whose bias curvature is raised to at least `bias_floor`.
+
+    Each step solves the (d+1)x(d+1) system. With a ridge and a bias floor
+    the Hessian is positive definite and is solved directly; otherwise by
+    least squares, so a singular Hessian (empty active set, duplicated
+    columns, ridge 0) gives the minimum-norm step instead of an error. A
+    step that raises the loss is cut back to the minimum of the parabola
+    through the loss and slope at 0 and the loss at the step, kept within
+    [1/10, 1/2] of it, until the loss does not rise. Stops when
+    max|grad| < tol (converged) or after max_iter steps. Returns
+    (w, b, iterations, converged)."""
     n, d = x.shape
     x1 = np.hstack([x, np.ones((n, 1))])
     diagonal = np.append(np.full(d, ridge), 0.0)
-    theta = np.zeros(d + 1)
+    theta = np.zeros(d + 1) if start is None else start
+    if ridge > 0 and bias_floor > 0:  # the Hessian is positive definite
+        solve = np.linalg.solve
+    else:
+        solve = lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]
     loss, gw, gb, curvature = objective(theta[:d], theta[d])
     grad = np.append(gw, gb)
     iterations = 0
     while iterations < max_iter and np.max(np.abs(grad)) >= tol:
-        hessian = x1.T @ (curvature()[:, None] * x1) + np.diag(diagonal)
-        direction = np.linalg.lstsq(hessian, -grad, rcond=None)[0]
+        rows, c = curvature()
+        xr = x1[rows]
+        hessian = xr.T @ (c[:, None] * xr) + np.diag(diagonal)
+        hessian[d, d] = max(hessian[d, d], bias_floor)
+        direction = solve(hessian, -grad)
+        slope = float(grad @ direction)
         t = 1.0
         while True:
             candidate = theta + t * direction
             loss2, gw, gb, curvature2 = objective(candidate[:d], candidate[d])
             if loss2 <= loss:
                 break
-            t *= 0.5
+            # the minimum of the parabola through the loss and slope at 0 and
+            # the loss at t, kept within [t/10, t/2]
+            rise = loss2 - loss - slope * t
+            t = min(max(-slope * t * t / (2.0 * rise), 0.1 * t), 0.5 * t) if rise > 0 else 0.5 * t
             if t < 1e-12:  # no step lowers the loss: rounding noise at the optimum
                 return theta[:d], float(theta[d]), iterations, False
         theta, loss, grad, curvature = candidate, loss2, np.append(gw, gb), curvature2
@@ -373,11 +408,148 @@ def _newton(x, objective, ridge, max_iter, tol):
     return theta[:d], float(theta[d]), iterations, bool(np.max(np.abs(grad)) < tol)
 
 
+# The hinge solver's smoothing schedule: the first width (above 1, so that at
+# theta = 0, where every row has u = 1, the bias has curvature), the factor
+# from one stage to the next, the number of stages and the Newton steps one
+# stage may take; and the largest margin set the exact finish solves for,
+# in multiples of d + 1.
+_HUBER_START = 2.0
+_HUBER_SHRINK = 0.2
+_HUBER_STAGES = 14
+_HUBER_STAGE_STEPS = 50
+_FINISH_ROWS = 4
+
+
+def _huber_hinge_objective(x, ypm, strength, h):
+    """Mean Huber-smoothed hinge of width h plus strength * |w|^2. With
+    u = 1 - y(w.x + b) a row's slope in u is a = clip((u + h) / 2h, 0, 1)
+    and its loss is u for u >= h and h * a^2 below, that is (u + h)^2 / 4h
+    for |u| < h and 0 for u <= -h."""
+    n = len(ypm)
+    pull = -ypm / n
+
+    def objective(w, b):
+        u = 1.0 - ypm * (x @ w + b)
+        slope = np.clip((u + h) / (2.0 * h), 0.0, 1.0)
+        loss = np.where(u >= h, u, h * slope * slope)
+        coeff = slope * pull
+
+        def curvature():
+            rows = np.flatnonzero(np.abs(u) < h)
+            return rows, np.full(rows.size, 1.0 / (2.0 * h * n))
+
+        value = float(loss.sum()) / n + strength * float(w @ w)
+        return value, x.T @ coeff + 2.0 * strength * w, float(coeff.sum()), curvature
+
+    return objective
+
+
+def _exact_finish(x, ypm, strength, u, h):
+    """(w, b, alpha) that solve the hinge's optimality conditions when the
+    rows S with |u| < h lie on the margin and the rows V with u >= h have
+    alpha 1 (every other row alpha 0), or None when S is empty or larger
+    than _FINISH_ROWS * (d + 1). alpha_S and b come from the (|S|+1)-square
+    system y_i (w.x_i + b) = 1 on S, sum(alpha * y) = 0, solved by least
+    squares, with w = sum(alpha_i y_i x_i) / (2 strength n); alpha is then
+    clipped into [0, 1]."""
+    n, d = x.shape
+    margin = np.flatnonzero(np.abs(u) < h)
+    k = margin.size
+    if k == 0 or k > _FINISH_ROWS * (d + 1):
+        return None
+    bound = u >= h
+    scale = 2.0 * strength * n
+    xs, ys = x[margin], ypm[margin]
+    pull = x.T @ np.where(bound, ypm, 0.0)
+    system = np.zeros((k + 1, k + 1))
+    system[:k, :k] = np.outer(ys, ys) * (xs @ xs.T) / scale
+    system[:k, k] = ys
+    system[k, :k] = ys
+    rhs = np.append(1.0 - ys * (xs @ pull) / scale, -float(ypm[bound].sum()))
+    solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    alpha = bound.astype(float)
+    alpha[margin] = np.clip(solution[:k], 0.0, 1.0)
+    return x.T @ (alpha * ypm) / scale, float(solution[k]), alpha
+
+
+def _certified(x, ypm, strength, tol, loss, alpha):
+    """Whether alpha in [0, 1] certifies a hinge objective of `loss` as
+    optimal: |sum(alpha * y)| / n <= tol and loss - D(alpha) <=
+    tol * max(1, loss), where D(alpha) = mean(alpha) - strength * |w|^2 with
+    w = sum(alpha_i y_i x_i) / (2 strength n) is the dual objective, a lower
+    bound on the optimum."""
+    n = len(ypm)
+    if abs(float(alpha @ ypm)) > tol * n:
+        return False
+    w = x.T @ (alpha * ypm) / (2.0 * strength * n)
+    return loss - (float(alpha.mean()) - strength * float(w @ w)) <= tol * max(1.0, loss)
+
+
+def _fit_hinge(x, y, strength, max_iter, tol):
+    """The l2 hinge SVM, min mean(max(0, 1 - y(w.x + b))) + strength * |w|^2
+    with the bias unpenalized, by Newton on a Huber-smoothed hinge with
+    continuation (Chapelle, Neural Computation 2007). Returns
+    (w, b, iterations, converged).
+
+    Stage s = 0, 1, ..., _HUBER_STAGES - 1 smooths the hinge to width
+    h = _HUBER_START * _HUBER_SHRINK**s (2, 0.4, 0.08, ...) and runs
+    `_newton` from the previous stage's point for at most
+    _HUBER_STAGE_STEPS steps, stopping once max|grad| < tol. After each
+    stage two candidates are checked: the exact finish (`_exact_finish`)
+    and the stage's point with its own slopes as alpha. The first that
+    `_certified` accepts ends the fit with converged true: its duality gap
+    is at most tol * max(1, P). `max_iter` caps the Newton steps of all
+    stages together, and `iterations` counts them; `tol` bounds both each
+    stage's gradient and the certificate.
+
+    When no candidate is certified (strength 0, where the dual has no such
+    form, a budget too small, or a margin set too large to solve for), the
+    step-halving descent `_descend` runs from zero for up to `max_iter`
+    steps, the lower of its end and the lowest-objective point seen is
+    kept, `iterations` adds the descent's steps to the Newton steps, and
+    converged is false. The fit thus never ends above the descent alone.
+    """
+    n, d = x.shape
+    ypm = 2.0 * y - 1.0
+    primal = _svm_objective(x, y, "hinge", "l2", strength)
+    theta = np.zeros(d + 1)
+    best = (primal(theta[:d], 0.0)[0], theta)
+    steps = 0
+    stages = _HUBER_STAGES if strength > 0 else 0  # without a penalty no candidate can be certified
+    for stage in range(stages):
+        if steps >= max_iter:
+            break
+        h = _HUBER_START * _HUBER_SHRINK**stage
+        smoothed = _huber_hinge_objective(x, ypm, strength, h)
+        budget = min(_HUBER_STAGE_STEPS, max_iter - steps)
+        # every row in the quadratic zone adds 1 / 2hn to the bias's curvature;
+        # with none there, it gets that of one row, or b could not move
+        w, b, taken, _ = _newton(x, smoothed, 2.0 * strength, budget, tol, theta, 1.0 / (2.0 * h * n))
+        steps += taken
+        theta = np.append(w, b)
+        u = 1.0 - ypm * (x @ w + b)
+        finish = _exact_finish(x, ypm, strength, u, h)
+        slopes = np.clip((u + h) / (2.0 * h), 0.0, 1.0)
+        for w, b, alpha in ([finish] if finish else []) + [(w, b, slopes)]:
+            loss = primal(w, b)[0]
+            if loss < best[0]:
+                best = (loss, np.append(w, b))
+            if _certified(x, ypm, strength, tol, loss, alpha):
+                return w, b, steps, True
+    w, b, more, _ = _descend(primal, d, max_iter, tol)
+    if primal(w, b)[0] > best[0]:
+        w, b = best[1][:d], float(best[1][d])
+    return w, b, steps + more, False
+
+
+def _limits(params) -> tuple[int, float]:
+    return int(params.get("max_iter", 2000)), float(params.get("tol", 1e-9))
+
+
 def _solve(x, objective, smooth, strength, params):
     """(w, b, iterations, converged): Newton for an l2-penalized smooth
     objective, step-halving descent for the rest."""
-    max_iter = int(params.get("max_iter", 2000))
-    tol = float(params.get("tol", 1e-9))
+    max_iter, tol = _limits(params)
     if smooth:
         return _newton(x, objective, 2.0 * strength, max_iter, tol)
     return _descend(objective, x.shape[1], max_iter, tol)
@@ -397,9 +569,11 @@ def _fit_svm(x, y, names, config: ClassifierConfig) -> LinearModel:
     regularizer = params.get("regularizer", "l2")
     loss_name = params.get("loss", "hinge")
     strength = float(params.get("penalty_strength", 1e-4))
-    objective = _svm_objective(x, y, loss_name, regularizer, strength)
-    smooth = regularizer == "l2" and loss_name == "squared-hinge"
-    w, b, iterations, converged = _solve(x, objective, smooth, strength, params)
+    if regularizer == "l2" and loss_name == "hinge":
+        w, b, iterations, converged = _fit_hinge(x, y, strength, *_limits(params))
+    else:
+        objective = _svm_objective(x, y, loss_name, regularizer, strength)
+        w, b, iterations, converged = _solve(x, objective, regularizer == "l2", strength, params)
     return LinearModel("svm", names, w, b, params, iterations, converged)
 
 
@@ -468,14 +642,26 @@ def _fit_rf(x, y, names, config: ClassifierConfig) -> ForestModel:
     else:
         max_features = None
     seeds = np.random.SeedSequence(config.seed).spawn(n_estimators)
+    order = presort(x)
     trees = []
     for seq in seeds:
         rng = np.random.default_rng(seq)
         idx = rng.integers(0, x.shape[0], size=x.shape[0]) if bootstrap else np.arange(x.shape[0])
         tree = DecisionTree(criterion=criterion, max_depth=max_depth, max_features=max_features)
-        tree.fit(x[idx], y[idx], rng=rng)
+        tree.fit(x, y, rng=rng, order=order, counts=np.bincount(idx, minlength=x.shape[0]))
+        tree.leaf_training_indices = _sample_positions(tree.leaf_training_indices, idx)
         trees.append(tree)
     return ForestModel(names, trees, params)
+
+
+def _sample_positions(leaf_rows, idx):
+    """Per leaf, the positions in the sample x[idx] of the rows that reached
+    it, ascending: the leaf indices of the tree grown on the sample itself."""
+    leaf_of_row = np.full(int(idx.max()) + 1, -1)
+    for leaf, rows in leaf_rows.items():
+        leaf_of_row[rows] = leaf
+    leaf_of_position = leaf_of_row[idx]
+    return {leaf: np.flatnonzero(leaf_of_position == leaf) for leaf in leaf_rows}
 
 
 class BoostedModel(TrainedModel):
@@ -495,16 +681,6 @@ class BoostedModel(TrainedModel):
         for tree in self.trees:
             score += self.learning_rate * tree.predict_value(x)
         return score
-
-    def staged_scores(self, rows) -> list[np.ndarray]:
-        """Additive score after each boosting stage (stage 0 = initial)."""
-        x = as_matrix(rows, self.n_features)
-        score = np.full(x.shape[0], self.initial_score)
-        stages = [score.copy()]
-        for tree in self.trees:
-            score = score + self.learning_rate * tree.predict_value(x)
-            stages.append(score.copy())
-        return stages
 
     def predict_proba(self, rows) -> np.ndarray:
         return sigmoid(self.decision_score(rows))
@@ -541,6 +717,7 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
     f0 = math.log(p_base / (1.0 - p_base))
     score = np.full(x.shape[0], f0)
     ypm = 2.0 * y.astype(float) - 1.0
+    order = presort(x)  # every round fits the same rows
     trees: list[DecisionTree] = []
     for _ in range(n_estimators):
         if loss == "deviance":
@@ -551,7 +728,7 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
             w = np.exp(np.clip(-ypm * score / 2.0, -30.0, 30.0))
             residual = ypm * w
             hessian = np.maximum(w, 1e-12) / 2.0
-        tree = DecisionTree(criterion=SQUARED, max_depth=max_depth).fit(x, residual)
+        tree = DecisionTree(criterion=SQUARED, max_depth=max_depth).fit(x, residual, order=order)
         values = tree.nodes_by_id().value
         for leaf_id, idx in tree.leaf_training_indices.items():
             num = float(np.sum(residual[idx]))

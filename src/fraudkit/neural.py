@@ -11,6 +11,7 @@ chain networks. An `Optimizer` steps one `params`/`grads` pair as a whole.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -57,6 +58,9 @@ class NetworkSpec:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.loss == "binary_cross_entropy" and self.layers[-1].activation != "logistic":
             raise ConfigError("binary_cross_entropy requires a logistic output layer")
+        slope = self.leaky_slope
+        if not isinstance(slope, numbers.Real) or isinstance(slope, bool) or not 0.0 <= slope <= 1.0:
+            raise ConfigError(f"leaky_slope must be a real number in [0, 1], got {self.leaky_slope!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -136,7 +140,7 @@ def _act(z: np.ndarray, kind: str, slope: float) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
-        return np.where(z > 0.0, z, slope * z)
+        return np.maximum(z, slope * z)  # equals where(z > 0, z, slope * z) for 0 <= slope <= 1
     if kind == "tanh":
         return np.tanh(z)
     if kind == "logistic":
@@ -149,7 +153,7 @@ def _act_grad(z: np.ndarray, a: np.ndarray, kind: str, slope: float) -> np.ndarr
     if kind == "relu":
         return (z > 0.0).astype(z.dtype)
     if kind == "leaky_relu":
-        return np.where(z > 0.0, 1.0, slope)
+        return np.maximum(z > 0.0, slope)
     if kind == "tanh":
         return 1.0 - a * a
     if kind == "logistic":

@@ -6,10 +6,17 @@ routes them as `Nodes` too.
 Shared by the decision-tree classifier, the random forest and the boosted
 ensemble. Tie-breaks are fixed (lowest feature index, then lowest
 threshold) so fits are reproducible. An impure node splits even at zero
-impurity decrease, which is what lets a depth-2 tree carve out XOR. A
-node's split search sorts and scores all its candidate columns as one
-array, with no loop over features. Trees are grown, routed and serialized
-without recursion, so depth is bounded only by the data.
+impurity decrease, which is what lets a depth-2 tree carve out XOR.
+
+Columns are sorted once per fit (`presort`, as in SLIQ: Mehta, Agrawal &
+Rissanen, EDBT 1996), not per node: every node carries its rows' part of
+each column's sorted list, a split hands each child its part of every list
+in order, and a node's split search scores all its candidate columns'
+lists as one array, with no loop over features. Callers that fit many
+trees on one matrix share one presort: the boosted ensemble, and the random
+forest, whose bootstrap samples enter as row counts. Trees are grown,
+routed and serialized without recursion, so depth is bounded only by the
+data.
 """
 
 from __future__ import annotations
@@ -106,33 +113,61 @@ class Nodes:
         return cls(**cols)
 
 
-def grow(x: np.ndarray, node_rule) -> tuple[Nodes, dict[int, np.ndarray]]:
-    """Grow one CART tree over the rows of x with an explicit stack.
+def presort(x: np.ndarray) -> np.ndarray:
+    """(d, n) row lists: row j is a stable argsort of column j of x, so tied
+    values keep their row order."""
+    columns = np.ascontiguousarray(x.T)
+    # numpy's default sort is several times faster than its stable one, and
+    # the two agree on a column without ties
+    order = np.argsort(columns, axis=1)
+    ranked = np.take_along_axis(columns, order, axis=1)
+    tied = np.any(ranked[:, :-1] == ranked[:, 1:], axis=1)
+    order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
+    return order
 
-    `node_rule(indices, depth)` returns (feature, threshold, value, n_positive)
-    for the node holding rows `indices`; feature -1 makes it a leaf. Rows go
-    left where x[:, feature] <= threshold. The left child is taken first, so
-    nodes are numbered in pre-order and `node_rule` sees them (and makes any
-    random draws) in the order of a recursive left-first grower. Returns the
-    nodes and, per leaf id, the indices of the rows that reached it.
+
+def grow(
+    x: np.ndarray, order: np.ndarray, node_rule, rows: np.ndarray | None = None
+) -> tuple[Nodes, dict[int, np.ndarray]]:
+    """Grow one CART tree over `rows` of x (all of them by default) with an
+    explicit stack.
+
+    `order` holds, per column of x, those rows in sorted order (`presort(x)`
+    for all rows). `node_rule(indices, lists, depth)` returns (feature,
+    threshold, value, n_samples, n_positive) for the node holding rows
+    `indices` (in row order), whose part of every list of `order` is the
+    matching row of `lists`, in the same order; feature -1 makes it a leaf.
+    Rows go left where x[:, feature] <= threshold. The left child is taken
+    first, so nodes are numbered in pre-order and `node_rule` sees them (and
+    makes any random draws) in the order of a recursive left-first grower.
+    Returns the nodes and, per leaf id, the indices of the rows that reached
+    it.
     """
     cols: dict[str, list] = {c: [] for c in COLUMNS}
     leaf_rows: dict[int, np.ndarray] = {}
-    stack: list[tuple[np.ndarray, int, int, list | None]] = [(np.arange(x.shape[0]), 0, -1, None)]
+    go_left = np.zeros(x.shape[0], dtype=bool)
+    stack: list[tuple[np.ndarray, np.ndarray, int, int, list | None]] = [
+        (np.arange(x.shape[0]) if rows is None else rows, order, 0, -1, None)
+    ]
     while stack:
-        indices, depth, parent, link = stack.pop()
+        indices, lists, depth, parent, link = stack.pop()
         node = len(cols["feature"])
         if link is not None:
             link[parent] = node
-        feature, threshold, value, n_positive = node_rule(indices, depth)
-        for c, v in zip(COLUMNS, (feature, threshold, -1, -1, value, len(indices), n_positive)):
+        feature, threshold, value, n_samples, n_positive = node_rule(indices, lists, depth)
+        for c, v in zip(COLUMNS, (feature, threshold, -1, -1, value, n_samples, n_positive)):
             cols[c].append(v)
         if feature < 0:
             leaf_rows[node] = indices
             continue
-        go_left = x[indices, feature] <= threshold
-        stack.append((indices[~go_left], depth + 1, node, cols["right"]))
-        stack.append((indices[go_left], depth + 1, node, cols["left"]))
+        left = x[indices, feature] <= threshold
+        go_left[indices] = left
+        # each child keeps its entries of every list, in order; compress on
+        # the flat mask is several times faster than 2-D boolean indexing
+        in_left = go_left[lists].ravel()
+        d = len(lists)
+        stack.append((indices[~left], lists.compress(~in_left).reshape(d, -1), depth + 1, node, cols["right"]))
+        stack.append((indices[left], lists.compress(in_left).reshape(d, -1), depth + 1, node, cols["left"]))
     return Nodes(**_as_columns(cols)), leaf_rows
 
 
@@ -144,70 +179,72 @@ def _best_cut(xs, decrease):
     """(column, threshold) of the largest decrease over cuts between distinct
     sorted values, or None when no column has two distinct values.
 
-    Row i of decrease is the cut after sorted row i. The first maximum is
-    taken per column and then across columns, which is the documented
-    tie-break: lowest feature, then lowest threshold.
+    Row j of xs holds candidate column j's values in sorted order, and entry
+    (j, i) of decrease is the cut after its sorted entry i. The first maximum
+    in that row-major order wins, which is the documented tie-break: lowest
+    feature, then lowest threshold.
     """
-    if xs.shape[1] == 0:
+    if xs.size == 0:
         return None
-    decrease = np.where(xs[:-1] < xs[1:], decrease, -np.inf)
-    rows = np.argmax(decrease, axis=0)
-    best = decrease[rows, np.arange(decrease.shape[1])]
-    j = int(np.argmax(best))
-    if best[j] == -np.inf:
+    decrease = np.where(xs[:, :-1] < xs[:, 1:], decrease, -np.inf)
+    j, i = divmod(int(np.argmax(decrease)), decrease.shape[1])
+    if decrease[j, i] == -np.inf:
         return None
-    i = rows[j]
-    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    return j, float((xs[j, i] + xs[j, i + 1]) / 2.0)
 
 
-def _best_split_classification(cols, y, criterion):
-    """`_best_cut` by impurity decrease over all columns of one node's rows."""
-    n = len(y)
-    total_pos = int(y.sum())
+def _entropy(p):
+    out = np.zeros_like(p)
+    mask = (p > 0) & (p < 1)
+    pm = p[mask]
+    out[mask] = -(pm * np.log2(pm) + (1 - pm) * np.log2(1 - pm))
+    return out
+
+
+def _best_split_classification(xs, ys, ws, n, total_pos, criterion):
+    """`_best_cut` by impurity decrease, from the candidate columns' sorted
+    values xs and, in the same order, each row's positive count ys and its
+    number of copies ws (None: one each); the node holds n samples, total_pos
+    of them positive. The counts left of a cut are the same integers a tree
+    grown on the copies themselves would sum, so the decreases are too."""
     parent = _impurity(total_pos, n, criterion)
-    # numpy's default sort is several times faster than its stable one; the
-    # 0/1 label counts at a cut between distinct values do not depend on the
-    # order it leaves tied rows in
-    order = np.argsort(cols, axis=0)
-    xs = np.take_along_axis(cols, order, axis=0)
-    prefix_pos = np.cumsum(y[order], axis=0)[:-1]
-    nl = np.arange(1.0, n)[:, None]
+    prefix_pos = np.cumsum(ys[:, :-1], axis=1)
+    nl = np.arange(1.0, n) if ws is None else np.cumsum(ws[:, :-1], axis=1)
     nr = n - nl
     pl = prefix_pos / nl
-    pr = (total_pos - prefix_pos) / nr
+    pr = np.subtract(total_pos, prefix_pos, out=prefix_pos)
+    pr /= nr
+    # each side's row count times its impurity, in place
     if criterion == GINI:
-        il = 2.0 * pl * (1.0 - pl)
-        ir = 2.0 * pr * (1.0 - pr)
+        # (1 - p) p 2n rounds as n (2p (1 - p)) does, since doubling is exact
+        left = np.subtract(1.0, pl)
+        left *= pl
+        left *= 2.0 * nl
+        right = np.subtract(1.0, pr)
+        right *= pr
+        right *= 2.0 * nr
     else:
-        def ent(p):
-            out = np.zeros_like(p)
-            mask = (p > 0) & (p < 1)
-            pm = p[mask]
-            out[mask] = -(pm * np.log2(pm) + (1 - pm) * np.log2(1 - pm))
-            return out
-
-        il = ent(pl)
-        ir = ent(pr)
-    return _best_cut(xs, parent - (nl * il + nr * ir) / n)
+        left = nl * _entropy(pl)
+        right = nr * _entropy(pr)
+    left += right
+    left /= n
+    return _best_cut(xs, np.subtract(parent, left, out=left))
 
 
-def _best_split_regression(cols, t):
-    """`_best_cut` by squared-error decrease over all columns of one node's rows."""
+def _best_split_regression(xs, ts, t):
+    """`_best_cut` by squared-error decrease, from the candidate columns'
+    sorted values xs and the targets ts in the same order; t holds the
+    node's targets in row order."""
     n = len(t)
     sse_parent = float(np.sum((t - t.mean()) ** 2))
-    order = np.argsort(cols, axis=0)
-    xs = np.take_along_axis(cols, order, axis=0)
-    # sums of real targets round differently in another order, so tied rows
-    # must keep their row order: only columns with ties need a stable sort
-    tied = np.any(xs[:-1] == xs[1:], axis=0)
-    order[:, tied] = np.argsort(cols[:, tied], axis=0, kind="stable")
-    ts = t[order]
-    s1 = np.cumsum(ts, axis=0)
-    s2 = np.cumsum(ts * ts, axis=0)
-    nl = np.arange(1.0, n)[:, None]
+    # the lists are stable, so tied rows keep their row order and every
+    # column's prefix sums round as a stable sort's would
+    s1 = np.cumsum(ts, axis=1)
+    s2 = np.cumsum(ts * ts, axis=1)
+    nl = np.arange(1.0, n)
     nr = n - nl
-    sl = s2[:-1] - s1[:-1] ** 2 / nl
-    sr = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / nr
+    sl = s2[:, :-1] - s1[:, :-1] ** 2 / nl
+    sr = (s2[:, -1:] - s2[:, :-1]) - (s1[:, -1:] - s1[:, :-1]) ** 2 / nr
     return _best_cut(xs, sse_parent - (sl + sr))
 
 
@@ -223,45 +260,74 @@ class DecisionTree:
     n_features: int = 0
     leaf_training_indices: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def fit(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None) -> "DecisionTree":
+    def fit(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        rng: np.random.Generator | None = None,
+        order: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+    ) -> "DecisionTree":
+        """Grow the tree on rows x with targets y. `order` is `presort(x)`,
+        computed here when not given, so that fits on one matrix can share it.
+        `counts` (classification only) gives each row's number of copies in a
+        bootstrap sample, 0 leaving it out: the tree is the one grown on those
+        copies, and `leaf_training_indices` lists each leaf's rows once."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ModelError("bad training shapes")
         if self.criterion not in (GINI, ENTROPY, SQUARED):
             raise ModelError(f"unknown criterion {self.criterion!r}")
+        if counts is not None and self.criterion == SQUARED:
+            raise ModelError("row counts need a classification criterion")
         if self.max_features is not None and rng is None:
             rng = np.random.default_rng(0)
         self.n_features = x.shape[1]
+        values = np.ascontiguousarray(x.T).ravel()
+        order = presort(x) if order is None else order
+        rows = None
+        if counts is not None:
+            counts = np.asarray(counts, dtype=float)
+            rows = np.flatnonzero(counts)
+            order = order.compress(counts.take(order).ravel() > 0).reshape(len(order), -1)
         self.nodes, self.leaf_training_indices = grow(
-            x, lambda indices, depth: self._split_or_leaf(x, y, indices, depth, rng)
+            x,
+            order,
+            lambda indices, lists, depth: self._split_or_leaf(values, y, counts, indices, lists, depth, rng),
+            rows,
         )
         return self
 
-    def _split_or_leaf(self, x, y, indices, depth, rng) -> tuple[int, float, float, int]:
-        n = len(indices)
+    def _split_or_leaf(self, values, y, counts, indices, lists, depth, rng) -> tuple[int, float, float, int, int]:
+        """`values` is x column by column, flattened, so that entry
+        j * n + i is x[i, j]."""
         ys = y[indices]
-        n_positive = 0 if self.criterion == SQUARED else int(ys.sum())
+        weights = None if counts is None else counts[indices]
+        n = len(indices) if weights is None else int(weights.sum())
+        n_positive = 0 if self.criterion == SQUARED else int(ys.sum() if weights is None else ys @ weights)
         if n < 2 or (ys == ys[0]).all() or (self.max_depth is not None and depth >= self.max_depth):
-            return self._leaf(ys, n_positive)
+            return self._leaf(ys, n, n_positive)
 
         if self.max_features is not None and self.max_features < self.n_features:
             candidates = np.sort(rng.permutation(self.n_features)[: self.max_features])
+            lists = lists[candidates]
         else:
             candidates = np.arange(self.n_features)
-
-        cols = x[np.ix_(indices, candidates)]
+        xs = values[lists + (candidates * len(y))[:, None]]
         if self.criterion == SQUARED:
-            best = _best_split_regression(cols, ys)
+            best = _best_split_regression(xs, y[lists], ys)
         else:
-            best = _best_split_classification(cols, ys, self.criterion)
+            ws = None if counts is None else counts[lists]
+            labels = y[lists] if ws is None else y[lists] * ws
+            best = _best_split_classification(xs, labels, ws, n, n_positive, self.criterion)
         if best is None:
-            return self._leaf(ys, n_positive)
-        return int(candidates[best[0]]), best[1], 0.0, n_positive
+            return self._leaf(ys, n, n_positive)
+        return int(candidates[best[0]]), best[1], 0.0, n, n_positive
 
-    def _leaf(self, ys: np.ndarray, n_positive: int) -> tuple[int, float, float, int]:
-        value = float(ys.mean()) if self.criterion == SQUARED else n_positive / len(ys)
-        return -1, 0.0, value, n_positive
+    def _leaf(self, ys: np.ndarray, n: int, n_positive: int) -> tuple[int, float, float, int, int]:
+        value = float(ys.mean()) if self.criterion == SQUARED else n_positive / n
+        return -1, 0.0, value, n, n_positive
 
     # ---------------------------------------------------------------- use
 

@@ -64,6 +64,33 @@ def test_config_rejects_unknown_kind():
         ClassifierConfig("xgboost", {})
 
 
+@pytest.mark.parametrize(
+    "kind,name,value",
+    [
+        ("svm", "max_iter", 2.5),
+        ("lr", "max_iter", 300.0),
+        ("dt", "maxdepth", 1.9),
+        ("rf", "estimators", 2.7),
+        ("rf", "maxdepth", 3.0),
+        ("gbt", "estimators", 1.5),
+        ("mlp", "epochs", 1.2),
+        ("dt", "maxdepth", True),
+    ],
+)
+def test_config_rejects_a_fractional_count(kind, name, value):
+    # counts used to be bounded as reals and then truncated by the fitters
+    with pytest.raises(ConfigError, match=name):
+        ClassifierConfig(kind, {name: value})
+    with pytest.raises(ConfigError, match=name):
+        ClassifierConfig.from_dict({"kind": kind, "parameters": {name: value}})
+
+
+def test_config_bounds_a_count_from_above():
+    with pytest.raises(ConfigError, match="maxdepth"):
+        ClassifierConfig("dt", {"maxdepth": 10**7})
+    ClassifierConfig("dt", {"maxdepth": np.int64(4)})
+
+
 def test_table_grids_match_published_spaces():
     assert TABLE_GRIDS["rf"]["estimators"] == [10, 20, 50, 100, 200]
     assert TABLE_GRIDS["gbt"]["learning_rate"] == [0.001, 0.01, 0.1]
@@ -276,6 +303,98 @@ def test_solver_signals_survive_save_and_load(tmp_path, params):
     assert model.iterations > 0
 
 
+def _hinge_by_slsqp(x, y, strength):
+    """Independent oracle: the l2 hinge as a quadratic program in (w, b) and
+    the slacks, solved by scipy's SLSQP. Returns its optimal objective."""
+    from scipy.optimize import minimize
+
+    n, d = x.shape
+    ypm = 2.0 * y - 1.0
+    rows = np.hstack([ypm[:, None] * x, ypm[:, None], np.eye(n)])  # y(w.x + b) + slack >= 1
+    value = lambda v: v[d + 1 :].mean() + strength * v[:d] @ v[:d]
+    grad = lambda v: np.concatenate([2.0 * strength * v[:d], [0.0], np.full(n, 1.0 / n)])
+    result = minimize(
+        value,
+        np.concatenate([np.zeros(d + 1), np.ones(n)]),
+        jac=grad,
+        method="SLSQP",
+        bounds=[(None, None)] * (d + 1) + [(0.0, None)] * n,
+        constraints=[{"type": "ineq", "fun": lambda v: rows @ v - 1.0, "jac": lambda v: rows}],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    assert result.success
+    return result.fun
+
+
+@pytest.mark.parametrize("strength", [1e-3, 0.05, 1.0])
+def test_hinge_svm_matches_a_quadratic_program_oracle(strength):
+    x, y = blob_arrays(seed=4, n=15, gap=1.5)  # overlapping classes: some slacks are positive
+    model = fit_arrays(ClassifierConfig("svm", {"penalty_strength": strength}), x, y)
+    loss = _svm_objective(x, y, "hinge", "l2", strength)(model.weights, model.bias)[0]
+    assert model.converged
+    assert loss == pytest.approx(_hinge_by_slsqp(x, y, strength), rel=1e-9)
+
+
+def _hinge_dual_gap(x, y, strength, w, b):
+    """Smallest duality gap of (w, b) against dual points built here, one
+    per margin width t: rows with u > t get alpha 1, rows with u < -t get 0,
+    and rows with |u| <= t the alpha in [0, 1] that best satisfies
+    stationarity and sum(alpha * y) = 0, by bounded least squares. Only
+    points that meet sum(alpha * y) = 0 to 1e-9 count, so that each gap is
+    an upper bound on how far (w, b) is from the optimum."""
+    from scipy.optimize import lsq_linear
+
+    n = len(y)
+    ypm = 2.0 * y - 1.0
+    u = 1.0 - ypm * (x @ w + b)
+    primal = _svm_objective(x, y, "hinge", "l2", strength)(w, b)[0]
+    gaps = [np.inf]
+    for t in (1e-9, 1e-7, 1e-5):
+        on = np.abs(u) <= t
+        alpha = (u > t).astype(float)
+        if on.any():
+            a = np.vstack([(ypm[on, None] * x[on]).T, ypm[on]])
+            target = np.append(2.0 * strength * n * w - x.T @ (alpha * ypm), -alpha @ ypm)
+            alpha[on] = lsq_linear(a, target, bounds=(0.0, 1.0), tol=1e-14).x
+        if abs(alpha @ ypm) <= 1e-9 * n:
+            dual_w = x.T @ (alpha * ypm) / (2.0 * strength * n)
+            gaps.append(primal - (alpha.mean() - strength * dual_w @ dual_w))
+    return min(gaps)
+
+
+def duplicated_row_arrays():
+    x, y = skewed_arrays(seed=3, n=300, d=8)
+    return np.vstack([x, x[:100]]), np.concatenate([y, y[:100]])
+
+
+@pytest.mark.parametrize("max_iter", [2000, 5])
+@pytest.mark.parametrize("strength", [1e-8, 1e-4, 1e-2, 1.0, 0.0, 10.0])
+@pytest.mark.parametrize(
+    "arrays",
+    [blob_arrays, skewed_arrays, duplicated_column_arrays, duplicated_row_arrays],
+    ids=["blobs", "skewed", "duplicated-columns", "duplicated-rows"],
+)
+def test_hinge_svm_never_ends_above_descent_and_converged_is_honest(arrays, strength, max_iter):
+    x, y = arrays()
+    params = {"penalty_strength": strength, "max_iter": max_iter}
+    model = fit_arrays(ClassifierConfig("svm", params), x, y)
+    objective = _svm_objective(x, y, "hinge", "l2", strength)
+    w, b, _, _ = _descend(objective, x.shape[1], max_iter, 1e-9)
+    loss = objective(model.weights, model.bias)[0]
+    assert loss <= objective(w, b)[0]
+    if strength == 0.0:
+        assert not model.converged  # no dual of the certified form
+    if model.converged:
+        assert _hinge_dual_gap(x, y, strength, model.weights, model.bias) <= 1e-7 * max(1.0, loss)
+    if max_iter == 2000 and strength > 0.0:
+        assert model.converged and model.iterations <= 100
+
+
+def test_default_svm_certifies_its_optimum_on_skewed_data():
+    model = fit_arrays(ClassifierConfig("svm"), *skewed_arrays())
+    assert model.converged and 0 < model.iterations <= 100
+
+
 @pytest.mark.parametrize("loss", ["hinge", "squared-hinge"])
 @pytest.mark.parametrize("regularizer", ["l1", "l2"])
 def test_svm_separable(loss, regularizer):
@@ -354,6 +473,16 @@ def test_gbt_zero_learning_rate_is_base_rate():
     assert np.allclose(model.decision_score(x), np.log(np.mean(y) / (1 - np.mean(y))))
 
 
+def _staged_scores(model, x):
+    """Additive score after each boosting stage (stage 0 = initial)."""
+    score = np.full(x.shape[0], model.initial_score)
+    stages = [score.copy()]
+    for tree in model.trees:
+        score = score + model.learning_rate * tree.predict_value(x)
+        stages.append(score.copy())
+    return stages
+
+
 @pytest.mark.parametrize("loss", ["deviance", "exponential"])
 def test_gbt_training_logloss_non_increasing(loss):
     rng = np.random.default_rng(9)
@@ -366,7 +495,7 @@ def test_gbt_training_logloss_non_increasing(loss):
     )
     eps = 1e-12
     losses = []
-    for score in model.staged_scores(x):
+    for score in _staged_scores(model, x):
         p = np.clip(sigmoid(score), eps, 1 - eps)
         losses.append(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
     diffs = np.diff(losses)

@@ -4,9 +4,15 @@ detectors, the SMOTE family and the data path on fixed seeds.
 Each model digest is the SHA-256 of the float64 bytes of a model's output on
 fixed rows, taken both from the fitted model and from its saved-and-reloaded
 copy. A change to how trees are grown, stored, routed or serialized, or to how
-a detector is fitted or scored, must leave every digest unchanged. The
-`lr-l2` and `svm-l2-squared-hinge` digests pin the damped-Newton solver, the
-other linear ones step-halving gradient descent. The resampling digests
+a detector is fitted or scored, must leave every digest unchanged; the tree
+digests stayed bit-identical when CART moved from a per-node argsort to one
+presort per fit. The `lr-l2` and `svm-l2-squared-hinge` digests pin the
+damped-Newton solver, `svm-l2` the smoothed-Newton hinge solver and the
+other linear ones step-halving gradient descent. `svm-l2` was regenerated
+(12f09af6… → 1db3733b…) when the l2 hinge moved from step-halving descent,
+which stopped at `max_iter` 300 with objective 0.5671954210744514, to
+smoothed Newton, which certifies the optimum 0.5671951188927399 (duality
+gap within `tol`) after 29 Newton steps. The resampling digests
 cover the rows and labels each balancer returns on rows with exact distance
 ties, so a change to the neighbour search must keep its lowest-index
 tie-break. The `smote`, `smote_enn`, `smote_tomek` and `adasyn` row digests
@@ -116,7 +122,7 @@ CLASSIFIER_GOLDEN = {
     ),
     "svm-l2": (
         ClassifierConfig("svm", {"penalty_strength": 0.01, "max_iter": 300}),
-        "12f09af6292191cdad04824a2e387bd272cc4b6aa7e27c39f0f80456f7bc1ead",
+        "1db3733be5d0258b6fb9eec7687d6519fda7a0420480e2b37a44aa41ece82a2b",
     ),
     "svm-l2-squared-hinge": (
         ClassifierConfig("svm", {"loss": "squared-hinge", "penalty_strength": 0.01, "max_iter": 300}),

@@ -12,6 +12,8 @@ from fraudkit.neural import (
     NetworkSpec,
     Optimizer,
     TrainConfig,
+    _act,
+    _act_grad,
     init_network,
     join_parameters,
     layer_stack,
@@ -69,6 +71,26 @@ def test_spec_requires_layers():
 def test_bce_requires_logistic_head():
     with pytest.raises(ConfigError):
         NetworkSpec(2, (LayerSpec(1, "linear"),), "binary_cross_entropy")
+
+
+@pytest.mark.parametrize("slope", [-1.0, -1e-300, 1.0 + 1e-15, 3.0, float("nan"), True, "0.2"])
+def test_spec_rejects_a_leaky_slope_outside_the_unit_interval(slope):
+    with pytest.raises(ConfigError, match="leaky_slope"):
+        NetworkSpec(2, (LayerSpec(1, "leaky_relu"),), "mse", slope)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_leaky_relu_matches_its_where_form_bit_for_bit(slope):
+    # maximum(z, slope z) and maximum(z > 0, slope) equal the where forms for
+    # every finite z when 0 <= slope <= 1, signed zero and NaN included
+    z = np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 2.25, np.nan, -7e307, 7e307])
+    out = _act(z, "leaky_relu", slope)
+    expected = np.where(z > 0.0, z, slope * z)
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    grad = _act_grad(z, out, "leaky_relu", slope)
+    assert grad.dtype == np.float64
+    assert np.array_equal(grad, np.where(z > 0.0, 1.0, slope))
 
 
 # ---------------------------------------------------------------- init
@@ -328,6 +350,19 @@ def test_network_json_round_trip(tmp_path):
     assert np.array_equal(net.forward(x), back.forward(x))
     doc = json.loads(path.read_text())
     assert doc["format"] == "fraudkit.network/1"
+
+
+def test_network_document_with_a_leaky_slope_outside_the_unit_interval_fails_at_load(tmp_path):
+    spec = NetworkSpec(3, layer_stack([4, 1], ["leaky_relu", "logistic"]), "binary_cross_entropy")
+    doc = init_network(spec, seed=21).to_dict()
+    for slope in (-1.0, 3.0):
+        doc["spec"]["leaky_slope"] = slope
+        with pytest.raises(ConfigError, match="leaky_slope"):
+            Network.from_dict(doc)
+    doc["spec"]["leaky_slope"] = 0.2
+    doc["spec"]["layers"][0][1] = "swish"  # the same failure as an unknown activation
+    with pytest.raises(ConfigError, match="activation"):
+        Network.from_dict(doc)
 
 
 def _misfit_missing_layer(doc):

@@ -59,6 +59,26 @@ def test_config_rejects_unknown_parameter():
         DetectorConfig("iforest", {"depth": 3})
 
 
+@pytest.mark.parametrize(
+    "kind,name,value",
+    [
+        ("iforest", "n_estimators", 2.5),
+        ("iforest", "max_samples", 64.0),
+        ("abod", "n_neighbours", 5.5),
+        ("ocsvm", "max_iter", 100.5),
+        ("vae", "epochs", 1.5),
+        ("vae", "latent_dim", 2.0),
+        ("iforest", "n_estimators", True),
+    ],
+)
+def test_config_rejects_a_fractional_count(kind, name, value):
+    # counts used to be bounded as reals and then truncated by the fitters
+    with pytest.raises(ConfigError, match=name):
+        DetectorConfig(kind, {name: value})
+    with pytest.raises(ConfigError, match=name):
+        DetectorConfig.from_dict({"kind": kind, "parameters": {name: value}})
+
+
 # ---------------------------------------------------------------- threshold
 
 

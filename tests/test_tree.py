@@ -138,3 +138,133 @@ def test_malformed_isolation_tree_is_model_error():
     doc["state"]["trees"][1]["right"][0] = 0  # would route rows back to the root forever
     with pytest.raises(ModelError):
         detector_from_dict(doc)
+
+
+# ---------------------------------------------------------------- per-node argsort oracle
+#
+# The CART grower as it was before the presort: every node argsorts its
+# candidate columns again (stably for tied squared-error columns). The
+# presorted grower must give the same node table, bit for bit.
+
+
+def _oracle_cut(xs, decrease):
+    decrease = np.where(xs[:-1] < xs[1:], decrease, -np.inf)
+    if decrease.shape[1] == 0:
+        return None
+    rows = np.argmax(decrease, axis=0)
+    best = decrease[rows, np.arange(decrease.shape[1])]
+    j = int(np.argmax(best))
+    if best[j] == -np.inf:
+        return None
+    return j, float((xs[rows[j], j] + xs[rows[j] + 1, j]) / 2.0)
+
+
+def _oracle_split(cols, t, criterion):
+    n = len(t)
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    if criterion == "squared_error":
+        order = np.argsort(cols, axis=0)
+        xs = np.take_along_axis(cols, order, axis=0)
+        tied = np.any(xs[:-1] == xs[1:], axis=0)
+        order[:, tied] = np.argsort(cols[:, tied], axis=0, kind="stable")
+        ts = t[order]
+        s1, s2 = np.cumsum(ts, axis=0), np.cumsum(ts * ts, axis=0)
+        sl = s2[:-1] - s1[:-1] ** 2 / nl
+        sr = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / nr
+        return _oracle_cut(xs, float(np.sum((t - t.mean()) ** 2)) - (sl + sr))
+    total = int(t.sum())
+    order = np.argsort(cols, axis=0)
+    xs = np.take_along_axis(cols, order, axis=0)
+    prefix = np.cumsum(t[order], axis=0)[:-1]
+    pl, pr = prefix / nl, (total - prefix) / nr
+
+    def impurity(p):
+        if criterion == "gini":
+            return 2.0 * p * (1.0 - p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+        return np.where((p > 0) & (p < 1), out, 0.0)
+
+    parent = float(impurity(np.array(total / n)))
+    return _oracle_cut(xs, parent - (nl * impurity(pl) + nr * impurity(pr)) / n)
+
+
+def _oracle_tree(x, y, criterion, max_depth=None, max_features=None, rng=None):
+    """Node columns and leaf rows of a left-first pre-order CART grower."""
+    d = x.shape[1]
+    cols = {c: [] for c in ("feature", "threshold", "left", "right", "value", "n_samples", "n_positive")}
+    leaves = {}
+    stack = [(np.arange(len(y)), 0, -1, None)]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        node = len(cols["feature"])
+        if side is not None:
+            cols[side][parent] = node
+        ys = y[rows]
+        n_positive = 0 if criterion == "squared_error" else int(ys.sum())
+        best = None
+        if len(rows) >= 2 and not (ys == ys[0]).all() and (max_depth is None or depth < max_depth):
+            if max_features is not None and max_features < d:
+                candidates = np.sort(rng.permutation(d)[:max_features])
+            else:
+                candidates = np.arange(d)
+            best = _oracle_split(x[np.ix_(rows, candidates)], ys, criterion)
+        if best is None:
+            value = float(ys.mean()) if criterion == "squared_error" else n_positive / len(ys)
+            feature, threshold = -1, 0.0
+        else:
+            feature, threshold, value = int(candidates[best[0]]), best[1], 0.0
+        for c, v in zip(cols, (feature, threshold, -1, -1, value, len(rows), n_positive)):
+            cols[c].append(v)
+        if feature < 0:
+            leaves[node] = rows
+            continue
+        go_left = x[rows, feature] <= threshold
+        stack.append((rows[~go_left], depth + 1, node, "right"))
+        stack.append((rows[go_left], depth + 1, node, "left"))
+    return cols, leaves
+
+
+def _tied_rows(seed, n=240, d=6):
+    """Few distinct values per column, duplicated rows, one continuous column."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, size=(n, d)).astype(float)
+    x[:, -1] = rng.uniform(size=n)
+    x = np.vstack([x, x[rng.integers(0, n, size=n // 4)]])
+    signal = x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0.0, 1.5, size=len(x))
+    return x, signal
+
+
+def _assert_same_tree(tree, oracle):
+    cols, leaves = oracle
+    nodes = tree.nodes_by_id()
+    for c, v in cols.items():
+        expected = np.asarray(v, dtype=float if c in ("threshold", "value") else np.intp)
+        assert np.array_equal(getattr(nodes, c), expected), c
+    assert sorted(tree.leaf_training_indices) == sorted(leaves)
+    for leaf, rows in leaves.items():
+        assert np.array_equal(tree.leaf_training_indices[leaf], rows)
+
+
+@pytest.mark.parametrize("max_features", [None, 2])
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "squared_error"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_matches_per_node_argsort_oracle(seed, criterion, max_features):
+    x, signal = _tied_rows(seed)
+    y = signal if criterion == "squared_error" else (signal > 3.0).astype(float)
+    tree = DecisionTree(criterion=criterion, max_depth=7, max_features=max_features)
+    tree.fit(x, y, rng=np.random.default_rng(seed))
+    _assert_same_tree(tree, _oracle_tree(x, y, criterion, 7, max_features, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_forest_matches_per_node_argsort_oracle_on_bootstrap_samples(criterion):
+    x, signal = _tied_rows(4)
+    y = (signal > 3.0).astype(int)
+    params = {"criterion": criterion, "estimators": 4, "maxdepth": 6}
+    model = fit_arrays(ClassifierConfig("rf", params, seed=9), x, y)
+    for tree, seq in zip(model.trees, np.random.SeedSequence(9).spawn(4)):
+        rng = np.random.default_rng(seq)  # the draws `_fit_rf` makes for this tree; sqrt(6) rounds to 2
+        idx = rng.integers(0, len(y), size=len(y))
+        _assert_same_tree(tree, _oracle_tree(x[idx], y[idx].astype(float), criterion, 6, 2, rng))
