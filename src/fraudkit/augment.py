@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    Dataset, dataset_from_matrix, document_parser, read_document, require_finite, write_document
+    COUNT, Dataset, check_fields, dataset_from_matrix, document_parser, read_document, require_finite, write_document
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
@@ -45,12 +45,7 @@ class GanSpec:
     critic_steps: int = 5
 
     def __post_init__(self) -> None:
-        if self.variant not in ("vgan", "wgan"):
-            raise ConfigError(f"unknown GAN variant {self.variant!r}")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be positive")
-        if self.critic_steps < 1:
-            raise ConfigError("critic_steps must be positive")
+        check_fields(self, {"variant": ("vgan", "wgan"), "latent_dim": COUNT, "critic_steps": COUNT})
         head, loss = self.discriminator.layers[-1].activation, self.discriminator.loss
         if self.variant == "vgan" and loss != "binary_cross_entropy":  # which needs a logistic head
             raise ConfigError("vgan discriminator must use binary_cross_entropy")
@@ -77,19 +72,17 @@ class GanSpec:
     def from_dict(cls, doc: dict) -> "GanSpec":
         return cls(
             variant=doc["variant"],
-            latent_dim=int(doc["latent_dim"]),
+            latent_dim=doc["latent_dim"],
             discriminator=NetworkSpec.from_dict(doc["discriminator"]),
             generator=NetworkSpec.from_dict(doc["generator"]),
             train=TrainConfig.from_dict(doc["train"]),
-            critic_steps=int(doc["critic_steps"]),
+            critic_steps=doc["critic_steps"],
         )
 
 
 def default_gan_spec(variant: str, feature_count: int, latent_dim: int = 8) -> GanSpec:
     """Published architectures: four leaky-ReLU hidden layers per critic,
     10,000 training epochs; generator mirrors the hidden widths reversed."""
-    if feature_count < 1:
-        raise ConfigError("feature_count must be positive")
     if variant == "vgan":
         hidden = VGAN_DISC_HIDDEN
         head = LayerSpec(1, "logistic")
@@ -255,19 +248,22 @@ def oversample_gan(
     spec: GanSpec | None = None,
     overrides: dict | None = None,
 ) -> Dataset:
-    """Balance a labeled dataset by GAN-sampling new minority rows."""
+    """Balance a labeled dataset by GAN-sampling new minority rows. Without a
+    `spec`, the default one trains with cfg.seed and the TrainConfig fields
+    that `overrides` names."""
+    if spec is None:
+        spec = default_gan_spec(cfg.method, data.d)
+        overrides = {"seed": cfg.seed, **(overrides or {})}
+        unknown = set(overrides) - set(spec.train.to_dict())
+        if unknown:
+            raise ConfigError(f"gan overrides name no TrainConfig field: {sorted(unknown)}")
+        spec = replace(spec, train=replace(spec.train, **overrides))
     minority_idx, minority_label = minority_rows(data)
     wanted = rows_wanted(data, len(minority_idx), cfg.target_ratio)
     if wanted == 0:
         return data
 
     x = data.matrix()
-    if spec is None:
-        spec = default_gan_spec(cfg.method, x.shape[1])
-        train = replace(spec.train, seed=cfg.seed)
-        if overrides:
-            train = replace(train, **{k: v for k, v in overrides.items() if k in train.to_dict()})
-        spec = replace(spec, train=train)
     gan = train_gan(x[minority_idx], spec)
     synth = sample_synthetic(gan, wanted, seed=cfg.seed + 1)
     x, labels = with_synthetic(data, synth, minority_label, onehot_groups)

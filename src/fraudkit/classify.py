@@ -7,7 +7,6 @@ Every model exposes predict_proba in [0,1] and predict = proba >= 0.5.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -15,57 +14,75 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
+    SEED,
+    TOLERANCE,
     Dataset,
+    Range,
     as_matrix,
-    check_integer,
+    check_fields,
+    check_table,
     config_parser,
     document_parser,
     read_document,
     require_finite,
     round_half_up,
+    state_array,
+    with_defaults,
     write_document,
 )
-from .errors import ConfigError, DataError, ModelError
+from .errors import DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
 from .tree import SQUARED, DecisionTree, presort
 
 KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
 
-# Enumerated hyperparameter domains; numeric parameters are sanity-checked
-# but deliberately not pinned to the published search grids, since off-grid
-# values (learning_rate 0, maxdepth 12, ...) are legitimate.
-ENUM_PARAMS: dict[str, dict[str, tuple]] = {
-    "lr": {"regularizer": ("l1", "l2", "elasticnet")},
+_MAX_ITER = (2000, Range(int, 1, 10**7))
+_TOL = (1e-9, TOLERANCE)
+_CRITERION = ("gini", ("gini", "entropy"))
+_DEPTH = Range(int, 1, 10**6)
+_ESTIMATORS = Range(int, 1, 10**6)
+PARAMETERS: dict[str, dict[str, tuple]] = {
+    "nb": {},
+    "lr": {
+        "regularizer": ("l2", ("l1", "l2", "elasticnet")),
+        "penalty_strength": (1e-6, Range(float, 0.0)),
+        "max_iter": _MAX_ITER,
+        "tol": _TOL,
+    },
     "svm": {
-        "regularizer": ("l1", "l2"),
-        "loss": ("hinge", "squared-hinge"),
+        "regularizer": ("l2", ("l1", "l2")),
+        "loss": ("hinge", ("hinge", "squared-hinge")),
+        "penalty_strength": (1e-4, Range(float, 0.0)),
+        "max_iter": _MAX_ITER,
+        "tol": _TOL,
     },
-    "dt": {"criterion": ("gini", "entropy")},
-    "rf": {"criterion": ("gini", "entropy"), "max_features": ("sqrt", "all")},
-    "gbt": {"loss": ("deviance", "exponential")},
+    "dt": {"criterion": _CRITERION, "maxdepth": (None, _DEPTH)},
+    "rf": {
+        "criterion": _CRITERION,
+        "maxdepth": (None, _DEPTH),
+        "estimators": (100, _ESTIMATORS),
+        "max_features": ("sqrt", ("sqrt", "all")),
+        "bootstrap": (True, bool),
+    },
+    "gbt": {
+        "loss": ("deviance", ("deviance", "exponential")),
+        "learning_rate": (0.1, Range(float, 0.0, 10.0)),
+        "maxdepth": (3, _DEPTH),
+        "estimators": (50, _ESTIMATORS),
+    },
     "mlp": {
-        "activation": ("logistic", "tanh", "relu"),
-        "solver": ("adam", "sgd"),
+        "activation": ("relu", ("logistic", "tanh", "relu")),
+        "solver": ("adam", ("adam", "sgd")),
+        "epochs": (300, Range(int, 1, 10**7)),
+        "learning_rate": (None, Range(float, 0.0, 10.0)),
     },
 }
-
-NUMERIC_PARAMS: dict[str, dict[str, tuple[float, float]]] = {
-    # name -> (min, max) inclusive sanity bounds
-    "lr": {"penalty_strength": (0.0, math.inf), "max_iter": (1, 1e7), "tol": (0.0, 1.0)},
-    "svm": {"penalty_strength": (0.0, math.inf), "max_iter": (1, 1e7), "tol": (0.0, 1.0)},
-    "dt": {"maxdepth": (1, 1e6)},
-    "rf": {"maxdepth": (1, 1e6), "estimators": (1, 1e6)},
-    "gbt": {"maxdepth": (1, 1e6), "estimators": (1, 1e6), "learning_rate": (0.0, 10.0)},
-    "mlp": {"epochs": (1, 1e7), "learning_rate": (0.0, 10.0)},
-}
-
-BOOL_PARAMS: dict[str, tuple[str, ...]] = {"rf": ("bootstrap",)}
-
-# Numeric hyperparameters, of classifiers and detectors alike, that count
-# something: a fractional value is rejected rather than truncated.
-INTEGER_PARAMS = frozenset(
-    {"max_iter", "maxdepth", "estimators", "epochs", "n_estimators", "max_samples", "n_neighbours", "latent_dim"}
-)
+"""Every classifier parameter, as name -> (default, domain) (see
+`data.check_table`). Three defaults are None, worked out by the fitter: `dt`
+and `rf` grow to any depth without `maxdepth`, and the `mlp` learning_rate is
+0.01 under adam and 0.3 under sgd. Numeric bounds are sanity bounds, not the
+published search grids, since off-grid values (learning_rate 0, maxdepth 12,
+...) are legitimate."""
 
 # Published search grids (exhaustive grid-search spaces).
 TABLE_GRIDS: dict[str, dict[str, list]] = {
@@ -88,45 +105,6 @@ TABLE_GRIDS: dict[str, dict[str, list]] = {
 }
 
 
-def check_parameters(
-    kind: str,
-    parameters: dict,
-    enums: dict[str, tuple],
-    numerics: dict[str, tuple[float, float]],
-    bools: tuple[str, ...] = (),
-) -> None:
-    """ConfigError unless parameters is a mapping and each parameter is a
-    listed value of an enumerated one, a number within the bounds of a numeric
-    one (an integer for one in INTEGER_PARAMS), or a bool."""
-    if not isinstance(parameters, Mapping):
-        raise ConfigError(f"{kind}: parameters must be a mapping, got {parameters!r}")
-    for name, value in parameters.items():
-        if name in enums:
-            if value not in enums[name]:
-                raise ConfigError(f"{kind}: {name} must be one of {enums[name]}, got {value!r}")
-        elif name in numerics:
-            low, high = numerics[name]
-            if name in INTEGER_PARAMS:
-                check_integer(f"{kind}: {name}", value, int(low))
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{kind}: {name} must be numeric")
-            if not (low <= value <= high):
-                raise ConfigError(f"{kind}: {name}={value} outside [{low}, {high}]")
-        elif name in bools:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{kind}: {name} must be boolean")
-        else:
-            raise ConfigError(f"{kind}: unknown hyperparameter {name!r}")
-
-
-def validate_parameters(kind: str, parameters: dict) -> None:
-    if kind not in KINDS:
-        raise ConfigError(f"unknown classifier kind {kind!r}")
-    check_parameters(
-        kind, parameters, ENUM_PARAMS.get(kind, {}), NUMERIC_PARAMS.get(kind, {}), BOOL_PARAMS.get(kind, ())
-    )
-
-
 @dataclass(frozen=True)
 class ClassifierConfig:
     kind: str
@@ -134,8 +112,12 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        validate_parameters(self.kind, self.parameters)
-        check_integer("seed", self.seed, 0)
+        check_fields(self, {"kind": KINDS, "seed": SEED})
+        check_table(self.kind, self.parameters, PARAMETERS[self.kind])
+
+    def settings(self) -> dict:
+        """Every parameter of the kind: the given value, else its default."""
+        return with_defaults(self.parameters, PARAMETERS[self.kind])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed}
@@ -143,7 +125,7 @@ class ClassifierConfig:
     @classmethod
     @config_parser
     def from_dict(cls, doc: dict) -> "ClassifierConfig":
-        return cls(doc["kind"], doc.get("parameters", {}), doc.get("seed", 0))
+        return cls(**doc)
 
 
 class TrainedModel:
@@ -212,7 +194,12 @@ class NaiveBayesModel(TrainedModel):
 
     @classmethod
     def _from_state(cls, names, state):
-        return cls(names, state["log_prior"], state["means"], state["variances"])
+        d = len(names)
+        variances = state_array("nb variances", state["variances"], 2, d)
+        if not (variances > 0).all():
+            raise ModelError("nb variances must be positive")
+        log_prior = state_array("nb log_prior", state["log_prior"], 2)
+        return cls(names, log_prior, state_array("nb means", state["means"], 2, d), variances)
 
 
 def _fit_nb(x: np.ndarray, y: np.ndarray, names, config: ClassifierConfig) -> NaiveBayesModel:
@@ -272,8 +259,10 @@ class LinearModel(TrainedModel):
 
     @classmethod
     def _from_state(cls, kind, names, state):
+        weights = state_array(f"{kind} weights", state["weights"], len(names))
+        bias = state_array(f"{kind} bias", state["bias"])
         signals = state.get("iterations", 0), state.get("converged", False)
-        return cls(kind, names, state["weights"], state["bias"], state.get("parameters", {}), *signals)
+        return cls(kind, names, weights, bias, state.get("parameters", {}), *signals)
 
 
 def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
@@ -542,39 +531,33 @@ def _fit_hinge(x, y, strength, max_iter, tol):
     return w, b, steps + more, False
 
 
-def _limits(params) -> tuple[int, float]:
-    return int(params.get("max_iter", 2000)), float(params.get("tol", 1e-9))
-
-
-def _solve(x, objective, smooth, strength, params):
+def _solve(x, objective, smooth, strength, max_iter, tol):
     """(w, b, iterations, converged): Newton for an l2-penalized smooth
     objective, step-halving descent for the rest."""
-    max_iter, tol = _limits(params)
     if smooth:
         return _newton(x, objective, 2.0 * strength, max_iter, tol)
     return _descend(objective, x.shape[1], max_iter, tol)
 
 
 def _fit_lr(x, y, names, config: ClassifierConfig) -> LinearModel:
-    params = config.parameters
-    regularizer = params.get("regularizer", "l2")
-    strength = float(params.get("penalty_strength", 1e-6))
-    objective = _lr_objective(x, y, regularizer, strength)
-    w, b, iterations, converged = _solve(x, objective, regularizer == "l2", strength, params)
-    return LinearModel("lr", names, w, b, params, iterations, converged)
+    params = config.settings()
+    strength = float(params["penalty_strength"])
+    limits = int(params["max_iter"]), float(params["tol"])
+    objective = _lr_objective(x, y, params["regularizer"], strength)
+    w, b, iterations, converged = _solve(x, objective, params["regularizer"] == "l2", strength, *limits)
+    return LinearModel("lr", names, w, b, config.parameters, iterations, converged)
 
 
 def _fit_svm(x, y, names, config: ClassifierConfig) -> LinearModel:
-    params = config.parameters
-    regularizer = params.get("regularizer", "l2")
-    loss_name = params.get("loss", "hinge")
-    strength = float(params.get("penalty_strength", 1e-4))
-    if regularizer == "l2" and loss_name == "hinge":
-        w, b, iterations, converged = _fit_hinge(x, y, strength, *_limits(params))
+    params = config.settings()
+    strength = float(params["penalty_strength"])
+    limits = int(params["max_iter"]), float(params["tol"])
+    if params["regularizer"] == "l2" and params["loss"] == "hinge":
+        w, b, iterations, converged = _fit_hinge(x, y, strength, *limits)
     else:
-        objective = _svm_objective(x, y, loss_name, regularizer, strength)
-        w, b, iterations, converged = _solve(x, objective, regularizer == "l2", strength, params)
-    return LinearModel("svm", names, w, b, params, iterations, converged)
+        objective = _svm_objective(x, y, params["loss"], params["regularizer"], strength)
+        w, b, iterations, converged = _solve(x, objective, params["regularizer"] == "l2", strength, *limits)
+    return LinearModel("svm", names, w, b, config.parameters, iterations, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +583,10 @@ class TreeModel(TrainedModel):
 
 
 def _fit_dt(x, y, names, config: ClassifierConfig) -> TreeModel:
-    params = config.parameters
-    tree = DecisionTree(
-        criterion=params.get("criterion", "gini"),
-        max_depth=int(params["maxdepth"]) if "maxdepth" in params else None,
-    ).fit(x, y)
-    return TreeModel(names, tree, params)
+    params = config.settings()
+    max_depth = None if params["maxdepth"] is None else int(params["maxdepth"])
+    tree = DecisionTree(criterion=params["criterion"], max_depth=max_depth).fit(x, y)
+    return TreeModel(names, tree, config.parameters)
 
 
 class ForestModel(TrainedModel):
@@ -632,26 +613,23 @@ class ForestModel(TrainedModel):
 
 
 def _fit_rf(x, y, names, config: ClassifierConfig) -> ForestModel:
-    params = config.parameters
-    n_estimators = int(params.get("estimators", 100))
-    criterion = params.get("criterion", "gini")
-    max_depth = int(params["maxdepth"]) if "maxdepth" in params else None
-    bootstrap = bool(params.get("bootstrap", True))
-    if params.get("max_features", "sqrt") == "sqrt":
+    params = config.settings()
+    max_depth = None if params["maxdepth"] is None else int(params["maxdepth"])
+    if params["max_features"] == "sqrt":
         max_features = max(1, round_half_up(math.sqrt(x.shape[1])))
     else:
         max_features = None
-    seeds = np.random.SeedSequence(config.seed).spawn(n_estimators)
+    seeds = np.random.SeedSequence(config.seed).spawn(int(params["estimators"]))
     order = presort(x)
     trees = []
     for seq in seeds:
         rng = np.random.default_rng(seq)
-        idx = rng.integers(0, x.shape[0], size=x.shape[0]) if bootstrap else np.arange(x.shape[0])
-        tree = DecisionTree(criterion=criterion, max_depth=max_depth, max_features=max_features)
+        idx = rng.integers(0, x.shape[0], size=x.shape[0]) if params["bootstrap"] else np.arange(x.shape[0])
+        tree = DecisionTree(criterion=params["criterion"], max_depth=max_depth, max_features=max_features)
         tree.fit(x, y, rng=rng, order=order, counts=np.bincount(idx, minlength=x.shape[0]))
         tree.leaf_training_indices = _sample_positions(tree.leaf_training_indices, idx)
         trees.append(tree)
-    return ForestModel(names, trees, params)
+    return ForestModel(names, trees, config.parameters)
 
 
 def _sample_positions(leaf_rows, idx):
@@ -698,20 +676,17 @@ class BoostedModel(TrainedModel):
     def _from_state(cls, names, state):
         return cls(
             names,
-            state["initial_score"],
+            state_array("gbt initial_score", state["initial_score"]),
             [DecisionTree.from_dict(t) for t in state["trees"]],
-            state["learning_rate"],
+            state_array("gbt learning_rate", state["learning_rate"]),
             state["loss"],
             state.get("parameters", {}),
         )
 
 
 def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
-    params = config.parameters
-    loss = params.get("loss", "deviance")
-    learning_rate = float(params.get("learning_rate", 0.1))
-    n_estimators = int(params.get("estimators", 50))
-    max_depth = int(params.get("maxdepth", 3))
+    params = config.settings()
+    loss, learning_rate, max_depth = params["loss"], float(params["learning_rate"]), int(params["maxdepth"])
 
     p_base = float(np.mean(y))
     f0 = math.log(p_base / (1.0 - p_base))
@@ -719,7 +694,7 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
     ypm = 2.0 * y.astype(float) - 1.0
     order = presort(x)  # every round fits the same rows
     trees: list[DecisionTree] = []
-    for _ in range(n_estimators):
+    for _ in range(int(params["estimators"])):
         if loss == "deviance":
             p = sigmoid(score)
             residual = y - p
@@ -736,7 +711,7 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
             values[leaf_id] = num / den if den > 0 else 0.0
         score = score + learning_rate * tree.predict_value(x)
         trees.append(tree)
-    return BoostedModel(names, f0, trees, learning_rate, loss, params)
+    return BoostedModel(names, f0, trees, learning_rate, loss, config.parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -759,32 +734,33 @@ class MlpModel(TrainedModel):
 
     @classmethod
     def _from_state(cls, names, state):
-        return cls(names, Network.from_dict(state["network"]), state.get("parameters", {}))
+        network = Network.from_dict(state["network"])
+        if (network.spec.input_dim, network.spec.layers[-1].width) != (len(names), 1):
+            raise ModelError(f"mlp network must map {len(names)} features to one output")
+        return cls(names, network, state.get("parameters", {}))
 
 
 def _fit_mlp(x, y, names, config: ClassifierConfig) -> MlpModel:
-    params = config.parameters
-    activation = params.get("activation", "relu")
-    solver = params.get("solver", "adam")
-    epochs = int(params.get("epochs", 300))
-    default_lr = 0.01 if solver == "adam" else 0.3
-    learning_rate = float(params.get("learning_rate", default_lr))
+    params = config.settings()
+    learning_rate = params["learning_rate"]
+    if learning_rate is None:
+        learning_rate = 0.01 if params["solver"] == "adam" else 0.3
     d = x.shape[1]
     spec = NetworkSpec(
         d,
-        (LayerSpec(d, activation), LayerSpec(1, "logistic")),
+        (LayerSpec(d, params["activation"]), LayerSpec(1, "logistic")),
         "binary_cross_entropy",
     )
     net = init_network(spec, config.seed)
     cfg = TrainConfig(
-        optimizer=solver,
-        learning_rate=learning_rate,
-        epochs=epochs,
+        optimizer=params["solver"],
+        learning_rate=float(learning_rate),
+        epochs=int(params["epochs"]),
         batch_size=max(32, min(256, x.shape[0])),
         seed=config.seed,
     )
     train(net, x, y.astype(float).reshape(-1, 1), cfg)
-    return MlpModel(names, net, params)
+    return MlpModel(names, net, config.parameters)
 
 
 # ---------------------------------------------------------------------------

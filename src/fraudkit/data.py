@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -318,16 +319,78 @@ document_parser = _parser(ModelError)  # documents of fitted models
 config_parser = _parser(ConfigError)  # configuration documents
 
 
-def check_integer(name: str, value, low: int) -> None:
-    """ConfigError unless `value` is an integer (not a bool) of at least `low`."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def state_array(name: str, values, *shape: int) -> np.ndarray:
+    """A model document's `values` as a finite float array of `shape`, where
+    -1 matches any nonzero length; ModelError otherwise."""
+    array = np.asarray(values, dtype=float)
+    fits = array.ndim == len(shape) and all(a == s or (s == -1 and a > 0) for s, a in zip(shape, array.shape))
+    if not fits or not np.isfinite(array).all():
+        raise ModelError(f"{name} must be a finite array of shape {shape}, got shape {array.shape}")
+    return array
 
 
-def check_fraction(name: str, value, high: float) -> None:
-    """ConfigError unless `value` is a real number (not a bool) in (0, high]."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= high:
-        raise ConfigError(f"{name} must be a real number in (0, {high}], got {value!r}")
+# ---------------------------------------------------------------------------
+# Configuration values
+
+@dataclass(frozen=True)
+class Range:
+    """The numbers from `low` to `high`, both included unless `open_low`
+    leaves `low` out: integers when `number` is int, any real number when it
+    is float, never a bool."""
+
+    number: type
+    low: float
+    high: float = math.inf
+    open_low: bool = False
+
+    def __contains__(self, value) -> bool:
+        kind = numbers.Integral if self.number is int else numbers.Real
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return False
+        return (self.low < value if self.open_low else self.low <= value) and value <= self.high
+
+    def __str__(self) -> str:
+        what = "an integer" if self.number is int else "a real number"
+        return f"{what} in {'(' if self.open_low else '['}{self.low}, {self.high}]"
+
+
+SEED = Range(int, 0)
+COUNT = Range(int, 1)
+TOLERANCE = Range(float, 1e-12, 1.0)  # no gradient test or duality-gap certificate can meet 0
+
+
+def check_value(name: str, value, domain) -> None:
+    """ConfigError unless `value` lies in `domain`: a tuple of the allowed
+    values, `bool` (a bool), or a Range."""
+    if domain is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be a bool, got {value!r}")
+    elif value not in domain:
+        what = domain if isinstance(domain, Range) else f"one of {domain}"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def check_fields(config, domains: dict) -> None:
+    """`check_value` on each field of `config` that `domains` names."""
+    for name, domain in domains.items():
+        check_value(name, getattr(config, name), domain)
+
+
+def check_table(owner: str, parameters, table: dict) -> None:
+    """ConfigError unless `parameters` maps names in `table` to values in
+    their domains. A parameter table maps each name to (default, domain); a
+    default of None is worked out by the fitter from other values."""
+    if not isinstance(parameters, Mapping):
+        raise ConfigError(f"{owner}: parameters must be a mapping, got {parameters!r}")
+    for name, value in parameters.items():
+        if name not in table:
+            raise ConfigError(f"{owner}: unknown hyperparameter {name!r}")
+        check_value(f"{owner}: {name}", value, table[name][1])
+
+
+def with_defaults(parameters: Mapping, table: dict) -> dict:
+    """Every parameter of `table`: its value in `parameters`, else its default."""
+    return {name: parameters.get(name, default) for name, (default, _) in table.items()}
 
 
 def write_document(doc: dict, path: str | Path) -> None:

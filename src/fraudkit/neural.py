@@ -11,14 +11,15 @@ chain networks. An `Optimizer` steps one `params`/`grads` pair as a whole.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import document_parser, read_document, write_document
+from .data import (
+    COUNT, SEED, Range, check_fields, check_value, document_parser, read_document, state_array, write_document
+)
 from .errors import ConfigError, ModelError
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "logistic", "linear")
@@ -36,10 +37,7 @@ class LayerSpec:
     activation: str
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ConfigError("layer width must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+        check_fields(self, {"width": COUNT, "activation": ACTIVATIONS})
 
 
 @dataclass(frozen=True)
@@ -50,17 +48,11 @@ class NetworkSpec:
     leaky_slope: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be positive")
+        check_fields(self, {"input_dim": COUNT, "loss": LOSSES, "leaky_slope": Range(float, 0.0, 1.0)})
         if not self.layers:
             raise ConfigError("network needs >= 1 layer")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.loss == "binary_cross_entropy" and self.layers[-1].activation != "logistic":
             raise ConfigError("binary_cross_entropy requires a logistic output layer")
-        slope = self.leaky_slope
-        if not isinstance(slope, numbers.Real) or isinstance(slope, bool) or not 0.0 <= slope <= 1.0:
-            raise ConfigError(f"leaky_slope must be a real number in [0, 1], got {self.leaky_slope!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -73,10 +65,10 @@ class NetworkSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkSpec":
         return cls(
-            input_dim=int(doc["input_dim"]),
-            layers=tuple(LayerSpec(int(w), a) for w, a in doc["layers"]),
+            input_dim=doc["input_dim"],
+            layers=tuple(LayerSpec(w, a) for w, a in doc["layers"]),
             loss=doc["loss"],
-            leaky_slope=float(doc.get("leaky_slope", 0.2)),
+            leaky_slope=doc.get("leaky_slope", 0.2),
         )
 
 
@@ -96,36 +88,24 @@ class TrainConfig:
     weight_clip: float | None = None
 
     def __post_init__(self) -> None:
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.weight_clip is not None and self.weight_clip <= 0:
-            raise ConfigError("weight_clip must be positive")
+        rate = Range(float, 0.0)
+        fields = {"optimizer": OPTIMIZERS, "learning_rate": rate, "epochs": COUNT, "batch_size": COUNT, "seed": SEED}
+        check_fields(self, fields)
+        if self.weight_clip is not None:
+            check_value("weight_clip", self.weight_clip, Range(float, 0.0, open_low=True))
 
     def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "weight_clip": self.weight_clip,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         return cls(
             optimizer=doc["optimizer"],
-            learning_rate=float(doc["learning_rate"]),
-            epochs=int(doc["epochs"]),
-            batch_size=int(doc["batch_size"]),
-            seed=int(doc["seed"]),
-            weight_clip=None if doc.get("weight_clip") is None else float(doc["weight_clip"]),
+            learning_rate=doc["learning_rate"],
+            epochs=doc["epochs"],
+            batch_size=doc["batch_size"],
+            seed=doc["seed"],
+            weight_clip=doc.get("weight_clip"),
         )
 
 
@@ -272,7 +252,9 @@ class Network:
     def from_dict(cls, doc: dict) -> "Network":
         if doc.get("format") != "fraudkit.network/1":
             raise ModelError(f"unsupported network document {doc.get('format')!r}")
-        return cls(NetworkSpec.from_dict(doc["spec"]), doc["weights"], doc["biases"])
+        net = cls(NetworkSpec.from_dict(doc["spec"]), doc["weights"], doc["biases"])
+        state_array("network weights and biases", net.params, net.params.size)
+        return net
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)

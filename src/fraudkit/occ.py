@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import check_parameters
 from .data import (
-    Dataset, as_matrix, check_fraction, check_integer, config_parser, document_parser, read_document, require_finite,
-    write_document,
+    SEED, TOLERANCE, Dataset, Range, as_matrix, check_fields, check_table, config_parser, document_parser, read_document,
+    require_finite, state_array, with_defaults, write_document,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
@@ -29,16 +28,26 @@ KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
 
 OCSVM_KERNELS = ("linear", "rbf", "poly", "sigmoid")
 
-ENUM_PARAMS: dict[str, dict[str, tuple]] = {"ocsvm": {"kernel": OCSVM_KERNELS}}
-
-NUMERIC_PARAMS: dict[str, dict[str, tuple[float, float]]] = {
-    # name -> (min, max) inclusive sanity bounds
-    "ocsvm": {"nu": (1e-9, 1.0), "tol": (0.0, 1.0), "max_iter": (1, 1e8)},
-    "iforest": {"n_estimators": (1, 1e6), "max_samples": (2, 1e9)},
-    "abod": {"n_neighbours": (2, 1e6)},
-    "mcd": {"support_fraction": (0.5, 1.0)},
-    "vae": {"epochs": (1, 1e7), "learning_rate": (0.0, 10.0), "latent_dim": (1, 1e4)},
+PARAMETERS: dict[str, dict[str, tuple]] = {
+    "ocsvm": {
+        "kernel": ("rbf", OCSVM_KERNELS),
+        "nu": (0.5, Range(float, 1e-9, 1.0)),
+        "tol": (1e-6, TOLERANCE),
+        "max_iter": (20000, Range(int, 1, 10**8)),
+    },
+    "iforest": {"n_estimators": (100, Range(int, 1, 10**6)), "max_samples": (500, Range(int, 2, 10**9))},
+    "copod": {},
+    "abod": {"n_neighbours": (10, Range(int, 2, 10**6))},
+    "mcd": {"support_fraction": (None, Range(float, 0.5, 1.0))},
+    "vae": {
+        "epochs": (300, Range(int, 1, 10**7)),
+        "learning_rate": (1e-3, Range(float, 0.0, 10.0)),
+        "latent_dim": (2, Range(int, 1, 10**4)),
+    },
 }
+"""Every detector parameter, as name -> (default, domain) (see
+`data.check_table`). The mcd support_fraction defaults to None: the fitter
+then takes subsets of (n + p + 1) // 2 rows."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +58,12 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown detector kind {self.kind!r}")
-        check_parameters(
-            self.kind, self.parameters, ENUM_PARAMS.get(self.kind, {}), NUMERIC_PARAMS.get(self.kind, {})
-        )
-        check_fraction("contamination", self.contamination, 0.5)
-        check_integer("seed", self.seed, 0)
+        check_fields(self, {"kind": KINDS, "contamination": Range(float, 0.0, 0.5, open_low=True), "seed": SEED})
+        check_table(self.kind, self.parameters, PARAMETERS[self.kind])
+
+    def settings(self) -> dict:
+        """Every parameter of the kind: the given value, else its default."""
+        return with_defaults(self.parameters, PARAMETERS[self.kind])
 
     def to_dict(self) -> dict:
         return {
@@ -68,7 +76,7 @@ class DetectorConfig:
     @classmethod
     @config_parser
     def from_dict(cls, doc: dict) -> "DetectorConfig":
-        return cls(doc["kind"], doc.get("parameters", {}), doc.get("contamination", 0.05), doc.get("seed", 0))
+        return cls(**doc)
 
 
 def quantile_threshold(scores: np.ndarray, contamination: float) -> float:
@@ -107,16 +115,6 @@ class TrainedDetector:
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)
-
-
-def _state_array(name: str, values, *shape: int) -> np.ndarray:
-    """A detector document's `values` as a finite float array of `shape`, where
-    -1 matches any nonzero length; ModelError otherwise."""
-    array = np.asarray(values, dtype=float)
-    fits = array.ndim == len(shape) and all(a == s or (s == -1 and a > 0) for s, a in zip(shape, array.shape))
-    if not fits or not np.isfinite(array).all():
-        raise ModelError(f"{name} must be a finite array of shape {shape}, got shape {array.shape}")
-    return array
 
 
 def classification_rate(predictions: Sequence[int] | np.ndarray) -> float:
@@ -175,8 +173,8 @@ class OcsvmDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        rows = _state_array("ocsvm support_rows", state["support_rows"], -1, n_features)
-        alphas = _state_array("ocsvm alphas", state["alphas"], len(rows))
+        rows = state_array("ocsvm support_rows", state["support_rows"], -1, n_features)
+        alphas = state_array("ocsvm alphas", state["alphas"], len(rows))
         if state["kernel"] not in OCSVM_KERNELS:
             raise ModelError(f"unknown ocsvm kernel {state['kernel']!r}")
         return cls(n_features, rows, alphas, state["rho"], state["kernel"], state["gamma"], threshold)
@@ -186,11 +184,8 @@ def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
     n, d = x.shape
     if n < 2:
         raise DataError("ocsvm needs >= 2 rows")
-    params = config.parameters
-    kernel = params.get("kernel", "rbf")
-    nu = float(params.get("nu", 0.5))
-    tol = float(params.get("tol", 1e-6))
-    max_iter = int(params.get("max_iter", 20000))
+    params = config.settings()
+    kernel, nu, tol, max_iter = params["kernel"], float(params["nu"]), float(params["tol"]), int(params["max_iter"])
     gamma = 1.0 / d
 
     k = kernel_matrix(x, x, kernel, gamma)
@@ -423,10 +418,9 @@ def _fit_iforest(x: np.ndarray, config: DetectorConfig) -> IsolationForestDetect
     n, d = x.shape
     if n < 2:
         raise DataError("iforest needs >= 2 rows")
-    params = config.parameters
-    n_estimators = int(params.get("n_estimators", 100))
-    m = min(int(params.get("max_samples", 500)), n)
-    return IsolationForestDetector(d, _grow_isolation_forest(x, m, n_estimators, config.seed), m)
+    params = config.settings()
+    m = min(int(params["max_samples"]), n)
+    return IsolationForestDetector(d, _grow_isolation_forest(x, m, int(params["n_estimators"]), config.seed), m)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +470,8 @@ class CopodDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        columns = _state_array("copod sorted_columns", state["sorted_columns"], n_features, -1)
-        return cls(n_features, columns, _state_array("copod skews", state["skews"], n_features), threshold)
+        columns = state_array("copod sorted_columns", state["sorted_columns"], n_features, -1)
+        return cls(n_features, columns, state_array("copod skews", state["skews"], n_features), threshold)
 
 
 def _fit_copod(x: np.ndarray, config: DetectorConfig) -> CopodDetector:
@@ -584,7 +578,7 @@ class AbodDetector(TrainedDetector):
 
     @classmethod
     def _from_state(cls, n_features, threshold, state):
-        rows = _state_array("abod train_rows", state["train_rows"], -1, n_features)
+        rows = state_array("abod train_rows", state["train_rows"], -1, n_features)
         k = state["n_neighbours"]
         if not isinstance(k, int) or k < 2:
             raise ModelError(f"abod n_neighbours must be an integer >= 2, got {k!r}")
@@ -594,7 +588,7 @@ class AbodDetector(TrainedDetector):
 def _fit_abod(x: np.ndarray, config: DetectorConfig) -> AbodDetector:
     if x.shape[0] < 3:
         raise DataError("abod needs >= 3 rows")
-    k = int(config.parameters.get("n_neighbours", 10))
+    k = int(config.settings()["n_neighbours"])
     return AbodDetector(x.shape[1], x, k)
 
 
@@ -672,8 +666,8 @@ class McdDetector(TrainedDetector):
     def _from_state(cls, n_features, threshold, state):
         return cls(
             n_features,
-            _state_array("mcd mean", state["mean"], n_features),
-            _state_array("mcd cov", state["cov"], n_features, n_features),
+            state_array("mcd mean", state["mean"], n_features),
+            state_array("mcd cov", state["cov"], n_features, n_features),
             state.get("support_indices", ()),
             state.get("raw_log_det", 0.0),
             threshold,
@@ -718,7 +712,7 @@ def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
     n, p = x.shape
     if n < p + 2:
         raise DataError(f"mcd needs at least {p + 2} rows for {p} features")
-    fraction = config.parameters.get("support_fraction")
+    fraction = config.settings()["support_fraction"]
     h = int(math.ceil(fraction * n)) if fraction is not None else (n + p + 1) // 2
     h = min(max(h, p + 1), n)
 
@@ -789,10 +783,8 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
     n, d = x.shape
     if n < 2:
         raise DataError("vae needs >= 2 rows")
-    params = config.parameters
-    epochs = int(params.get("epochs", 300))
-    lr = float(params.get("learning_rate", 1e-3))
-    latent = int(params.get("latent_dim", 2))
+    params = config.settings()
+    epochs, lr, latent = int(params["epochs"]), float(params["learning_rate"]), int(params["latent_dim"])
 
     # published layout: two ReLU layers of 9 and 10 units on each side
     encoder = init_network(

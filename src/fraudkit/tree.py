@@ -100,6 +100,8 @@ class Nodes:
         n = len(cols["feature"])
         if n == 0 or any(v.shape != (n,) for v in cols.values()):
             raise ModelError("tree columns must be nonempty and of equal length")
+        if not (np.isfinite(cols["threshold"]).all() and np.isfinite(cols["value"]).all()):
+            raise ModelError("tree thresholds and values must be finite")
         feature, left, right = cols["feature"], cols["left"], cols["right"]
         inner = feature != -1
         if np.any(feature[inner] < 0) or np.any(feature[inner] >= n_features):

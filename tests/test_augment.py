@@ -13,7 +13,7 @@ from fraudkit.augment import (
 )
 from fraudkit.errors import ConfigError, DataError, ModelError
 from fraudkit.neural import NetworkSpec, TrainConfig, init_network, layer_stack
-from fraudkit.resample import BalancerConfig
+from fraudkit.resample import BalancerConfig, balance
 
 
 def small_spec(variant, d=2, epochs=200, seed=0, lr=2e-3, latent=4):
@@ -209,6 +209,25 @@ def test_gan_document_whose_network_differs_from_its_spec_is_a_model_error(name,
 
 
 # ------------------------------------------------------------- oversampling
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"epoch": 5}, {"epochs": 2.5}, {"batch_size": 0}], ids=["unknown-field", "fractional", "zero"]
+)
+def test_balance_rejects_gan_overrides_it_cannot_apply(imbalanced_blobs, overrides):
+    # a misspelt field used to be dropped, so training ran all 10,000 default
+    # epochs; 2.5 epochs failed in range() with a bare TypeError
+    with pytest.raises(ConfigError):
+        balance(imbalanced_blobs, BalancerConfig(method="vgan"), None, overrides)
+
+
+@pytest.mark.parametrize("name, value", [("latent_dim", 4.0), ("critic_steps", 2.5)])
+def test_gan_spec_document_rejects_a_fractional_count(name, value):
+    # int() used to truncate these
+    doc = small_spec("wgan").to_dict()
+    doc[name] = value
+    with pytest.raises(ConfigError, match=name):
+        GanSpec.from_dict(doc)
 
 
 def test_oversample_gan_balances_counts(imbalanced_blobs):

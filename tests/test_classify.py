@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraudkit.classify import (
+    PARAMETERS,
     ClassifierConfig,
     Condition,
     ForestModel,
@@ -21,8 +22,9 @@ from fraudkit.classify import (
     model_from_dict,
     sigmoid,
 )
-from fraudkit.data import dataset_from_matrix
+from fraudkit.data import check_value, dataset_from_matrix
 from fraudkit.errors import ConfigError, DataError, ModelError
+from fraudkit.neural import NetworkSpec, init_network, layer_stack
 from fraudkit.tree import DecisionTree, Nodes
 
 
@@ -98,6 +100,37 @@ def test_table_grids_match_published_spaces():
     assert TABLE_GRIDS["mlp"]["solver"] == ["adam", "sgd"]
     assert TABLE_GRIDS["lr"] == {"regularizer": ["l1", "l2", "elasticnet"]}
     assert TABLE_GRIDS["svm"]["loss"] == ["hinge", "squared-hinge"]
+
+
+def test_every_default_lies_in_its_domain():
+    worked_out = set()
+    for kind, table in PARAMETERS.items():
+        for name, (default, domain) in table.items():
+            if default is None:
+                worked_out.add((kind, name))
+            else:
+                check_value(f"{kind}: {name}", default, domain)
+    assert worked_out == {("dt", "maxdepth"), ("rf", "maxdepth"), ("mlp", "learning_rate")}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_GRIDS))
+def test_every_table_grid_point_is_accepted(kind):
+    grid = TABLE_GRIDS[kind]
+    for values in itertools.product(*grid.values()):
+        ClassifierConfig(kind, dict(zip(grid, values)))
+
+
+@pytest.mark.parametrize("kind", ["lr", "svm"])
+def test_tol_has_a_positive_floor(kind):
+    # no gradient test or duality-gap certificate can meet a tolerance of 0,
+    # so such a fit used to run all of max_iter (and the svm its fallback descent)
+    for tol in (0.0, 1e-13):
+        with pytest.raises(ConfigError, match="tol"):
+            ClassifierConfig(kind, {"tol": tol})
+    x, y = blob_arrays(seed=3)
+    floor = fit_arrays(ClassifierConfig(kind, {"tol": 1e-12}), x, y)
+    default = fit_arrays(ClassifierConfig(kind), x, y)
+    assert floor.converged and default.converged
 
 
 def test_lr_rejects_the_optimizer_parameter():
@@ -593,6 +626,43 @@ def test_model_round_trip(tmp_path, kind, params):
     assert np.allclose(model.predict_proba(grid), back.predict_proba(grid))
     assert back.kind == kind
     assert back.feature_names == model.feature_names
+
+
+def _three_input_network():
+    spec = NetworkSpec(3, layer_stack([3, 1], ["relu", "logistic"]), "binary_cross_entropy")
+    return init_network(spec, 0).to_dict()
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("nb", lambda s: s.update(means=[row[:-1] for row in s["means"]])),
+        ("nb", lambda s: s.update(log_prior=s["log_prior"][:1])),
+        ("nb", lambda s: s["variances"][1].__setitem__(0, float("nan"))),
+        ("nb", lambda s: s["variances"][0].__setitem__(1, -1.0)),
+        ("lr", lambda s: s.update(weights=s["weights"][:-1])),
+        ("lr", lambda s: s["weights"].__setitem__(0, float("nan"))),
+        ("svm", lambda s: s.update(bias=float("inf"))),
+        ("gbt", lambda s: s.update(learning_rate=float("nan"))),
+        ("gbt", lambda s: s.update(initial_score=float("nan"))),
+        ("dt", lambda s: s["tree"]["value"].__setitem__(-1, float("nan"))),
+        ("mlp", lambda s: s["network"]["weights"][0][0].__setitem__(0, float("nan"))),
+        ("mlp", lambda s: s.update(network=_three_input_network())),
+    ],
+    ids=[
+        "nb-short-means", "nb-short-log-prior", "nb-nan-variance", "nb-negative-variance", "lr-short-weights",
+        "lr-nan-weight", "svm-inf-bias", "gbt-nan-learning-rate", "gbt-nan-initial-score", "dt-nan-leaf-value",
+        "mlp-nan-weight", "mlp-three-inputs",
+    ],
+)
+def test_model_document_whose_state_does_not_fit_is_a_model_error(kind, edit):
+    # each of these used to load, then predicted all-NaN probabilities or
+    # raised a bare numpy error
+    x, y = blob_arrays(seed=14)
+    doc = fit_arrays(ClassifierConfig(kind, {"epochs": 2} if kind == "mlp" else {}), x, y).to_dict()
+    edit(doc["state"])
+    with pytest.raises(ModelError):
+        model_from_dict(doc)
 
 
 def test_model_from_dict_rejects_unknown_format():

@@ -365,6 +365,27 @@ def test_network_document_with_a_leaky_slope_outside_the_unit_interval_fails_at_
         Network.from_dict(doc)
 
 
+SPEC_DOC = {"input_dim": 3, "layers": [[4, "relu"]], "loss": "mse"}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, name",
+    [
+        (NetworkSpec.from_dict, {**SPEC_DOC, "input_dim": 2.7}, "input_dim"),
+        (NetworkSpec.from_dict, {**SPEC_DOC, "layers": [[1.9, "relu"]]}, "width"),
+        (NetworkSpec.from_dict, {**SPEC_DOC, "leaky_slope": "0.2"}, "leaky_slope"),
+        (TrainConfig.from_dict, {**TrainConfig().to_dict(), "epochs": 2.5}, "epochs"),
+        (TrainConfig.from_dict, {**TrainConfig().to_dict(), "learning_rate": "0.1"}, "learning_rate"),
+        (TrainConfig.from_dict, {**TrainConfig().to_dict(), "seed": -1}, "seed"),
+    ],
+    ids=["input-dim-fraction", "width-fraction", "slope-string", "epochs-fraction", "rate-string", "seed-negative"],
+)
+def test_spec_documents_reject_values_they_used_to_convert(parse, doc, name):
+    # int() and float() used to truncate 2.7 to 2 and parse "0.2"
+    with pytest.raises(ConfigError, match=name):
+        parse(doc)
+
+
 def _misfit_missing_layer(doc):
     doc["weights"], doc["biases"] = doc["weights"][:1], doc["biases"][:1]
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from fraudkit.data import check_value
 from fraudkit.errors import ConfigError, DataError, ModelError
 from fraudkit.neural import NetworkSpec, init_network, layer_stack
 from fraudkit.occ import (
+    PARAMETERS,
     AbodDetector,
     DetectorConfig,
     VaeDetector,
@@ -77,6 +79,25 @@ def test_config_rejects_a_fractional_count(kind, name, value):
         DetectorConfig(kind, {name: value})
     with pytest.raises(ConfigError, match=name):
         DetectorConfig.from_dict({"kind": kind, "parameters": {name: value}})
+
+
+def test_every_default_lies_in_its_domain():
+    worked_out = set()
+    for kind, table in PARAMETERS.items():
+        for name, (default, domain) in table.items():
+            if default is None:
+                worked_out.add((kind, name))
+            else:
+                check_value(f"{kind}: {name}", default, domain)
+    assert worked_out == {("mcd", "support_fraction")}
+
+
+def test_ocsvm_tol_has_a_positive_floor(negatives):
+    # a gap below 0 is never reached, so a tolerance of 0 ran all of max_iter
+    for tol in (0.0, 1e-13):
+        with pytest.raises(ConfigError, match="tol"):
+            DetectorConfig("ocsvm", {"tol": tol})
+    fit_detector(DetectorConfig("ocsvm", {"tol": 1e-12}), negatives)
 
 
 # ---------------------------------------------------------------- threshold

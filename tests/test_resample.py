@@ -67,6 +67,9 @@ def test_config_rejects_bad_ratio():
         (DetectorConfig.from_dict, {"kind": "iforest", "seed": -1}),
         (DetectorConfig.from_dict, {"kind": "iforest", "seed": True}),
         (DetectorConfig.from_dict, {"kind": "iforest", "parameters": [["n_estimators", 10]]}),
+        (ClassifierConfig.from_dict, {"kind": "lr", "params": {"max_iter": 5}}),
+        (DetectorConfig.from_dict, {"kind": "iforest", "params": {"n_estimators": 5}}),
+        (BalancerConfig.from_dict, {"method": "smote", "k": 3}),
     ],
     ids=[
         "balancer-k-string", "balancer-k-bool", "balancer-enn-float", "balancer-seed-null",
@@ -75,6 +78,7 @@ def test_config_rejects_bad_ratio():
         "classifier-seed-inf", "classifier-parameters-int", "detector-no-kind", "detector-int",
         "detector-contamination-string", "detector-contamination-null", "classifier-seed-fraction",
         "classifier-seed-negative", "detector-seed-negative", "detector-seed-bool", "detector-parameters-pairs",
+        "classifier-unknown-key", "detector-unknown-key", "balancer-unknown-key",
     ],
 )
 def test_config_documents_fail_only_with_config_error(parse, doc):
