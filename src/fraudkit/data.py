@@ -294,6 +294,15 @@ def as_matrix(rows, width: int) -> np.ndarray:
     return require_finite(x, "rows")
 
 
+BLOCK = 2**17  # float64 entries (1 MB) per block of a pairwise kernel; ROADMAP's Baseline has the size sweep
+
+
+def block_rows(n_other: int) -> int:
+    """Rows per block when each row is paired with `n_other` rows, so that a
+    block of pairs holds at most BLOCK entries (at least one row)."""
+    return max(1, BLOCK // n_other)
+
+
 # ---------------------------------------------------------------------------
 # JSON documents of fitted models and configurations
 
@@ -365,7 +374,7 @@ def check_value(name: str, value, domain) -> None:
     if domain is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{name} must be a bool, got {value!r}")
-    elif value not in domain:
+    elif isinstance(value, np.ndarray) or value not in domain:
         what = domain if isinstance(domain, Range) else f"one of {domain}"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 

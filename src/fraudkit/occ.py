@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    SEED, TOLERANCE, Dataset, Range, as_matrix, check_fields, check_table, config_parser, document_parser, read_document,
-    require_finite, state_array, with_defaults, write_document,
+    COUNT, SEED, TOLERANCE, Dataset, Range, as_matrix, block_rows, check_fields, check_table, config_parser,
+    document_parser, read_document, require_finite, state_array, with_defaults, write_document,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
@@ -158,9 +158,16 @@ class OcsvmDetector(TrainedDetector):
         self.gamma = float(gamma)
 
     def score(self, rows) -> np.ndarray:
+        """rho minus the kernel-weighted sum over the support rows, for
+        `data.block_rows(support rows)` query rows at a time, so no block of
+        kernel values exceeds `data.BLOCK` entries (or one row of them)."""
         x = as_matrix(rows, self.n_features)
-        k = kernel_matrix(x, self.support_rows, self.kernel, self.gamma)
-        return self.rho - k @ self.alphas
+        out = np.empty(len(x))
+        step = block_rows(len(self.support_rows))
+        for at in range(0, len(x), step):
+            k = kernel_matrix(x[at : at + step], self.support_rows, self.kernel, self.gamma)
+            out[at : at + step] = self.rho - k @ self.alphas
+        return out
 
     def _state_dict(self) -> dict:
         return {
@@ -177,7 +184,8 @@ class OcsvmDetector(TrainedDetector):
         alphas = state_array("ocsvm alphas", state["alphas"], len(rows))
         if state["kernel"] not in OCSVM_KERNELS:
             raise ModelError(f"unknown ocsvm kernel {state['kernel']!r}")
-        return cls(n_features, rows, alphas, state["rho"], state["kernel"], state["gamma"], threshold)
+        rho, gamma = (float(state_array(f"ocsvm {name}", state[name])) for name in ("rho", "gamma"))
+        return cls(n_features, rows, alphas, rho, state["kernel"], gamma, threshold)
 
 
 def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
@@ -485,15 +493,12 @@ def _fit_copod(x: np.ndarray, config: DetectorConfig) -> CopodDetector:
 # ---------------------------------------------------------------------------
 # Angle-based detector
 
-_ABOD_BLOCK = 2**16  # query rows x training rows per block of `_angle_factors`
-
-
 def _angle_factors(train: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Angle factor of each query row: the variance over pairs of its k
     nearest usable training rows of inverse-square-weighted angle terms,
-    in blocks of at most max(1, _ABOD_BLOCK // len(train)) query rows."""
+    in blocks of `data.block_rows(len(train))` query rows."""
     t_sq = np.sum(train * train, axis=1)
-    step = max(1, _ABOD_BLOCK // len(train))
+    step = block_rows(len(train))
     pairs: dict[int, tuple] = {}  # upper-triangle indices by neighbour count
     factors = np.empty(len(queries))
     for at in range(0, len(queries), step):
@@ -525,7 +530,7 @@ def _block_factors(train: np.ndarray, t_sq: np.ndarray, block: np.ndarray, k: in
     rows, cols = np.nonzero((approx <= reach[:, None]) & (approx > (1e-24 - tol)[:, None]))
     del approx
     dist2 = np.empty(rows.size)
-    chunk = _ABOD_BLOCK // d + 1
+    chunk = block_rows(d)
     for at in range(0, rows.size, chunk):
         diffs = train[cols[at : at + chunk]] - block[rows[at : at + chunk]]
         dist2[at : at + chunk] = np.sum(diffs * diffs, axis=1)
@@ -557,9 +562,8 @@ class AbodDetector(TrainedDetector):
     Training rows at squared distance <= 1e-24 from a query (its duplicates)
     are left out, ties in distance go to the lower row index, and a query
     with fewer than 2 usable rows gets factor 0. Queries are screened in
-    blocks of at most max(1, 2^16 // training rows) rows, so memory is
-    O(block x training rows); each query's chosen rows are then handled on
-    their own.
+    blocks of `data.block_rows(training rows)` rows, so memory is
+    O(data.BLOCK); each query's chosen rows are then handled on their own.
     """
 
     kind = "abod"
@@ -879,7 +883,11 @@ def detector_from_dict(doc: dict) -> TrainedDetector:
         cls = _DETECTOR_CLASSES[kind]
     except KeyError as exc:
         raise ModelError(f"unknown detector kind {kind!r}") from exc
-    return cls._from_state(int(doc["n_features"]), float(doc["threshold"]), doc["state"])
+    n_features = doc["n_features"]
+    if n_features not in COUNT:
+        raise ModelError(f"detector n_features must be a positive integer, got {n_features!r}")
+    threshold = float(state_array("detector threshold", doc["threshold"]))
+    return cls._from_state(n_features, threshold, doc["state"])
 
 
 def load_detector(path: str | Path) -> TrainedDetector:

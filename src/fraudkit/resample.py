@@ -4,9 +4,9 @@ also routes to the GAN oversamplers.
 
 Every neighbour-based method finds its neighbours with `knn`: Euclidean
 distances over the (normalized) feature matrix, computed a block of rows at
-a time so that no n x n matrix is ever held, with ties broken toward the
-lowest row index, so every method is deterministic for a fixed
-(data, config) pair.
+a time (`data.block_rows`, about 1 MB of distances per block) so that no
+n x n matrix is ever held, with ties broken toward the lowest row index, so
+every method is deterministic for a fixed (data, config) pair.
 
 SMOTE and ADASYN build each synthetic row as x_b + u * (x_nn - x_b): x_b a
 minority row, x_nn one of its k nearest minority neighbours and u ~ U[0, 1).
@@ -24,7 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import COUNT, SEED, Dataset, Range, check_fields, config_parser, dataset_from_matrix, round_half_up
+from .data import (
+    COUNT, SEED, Dataset, Range, block_rows, check_fields, config_parser, dataset_from_matrix, round_half_up,
+)
 from .errors import DataError
 
 METHODS = ("none", "smote", "smote_enn", "smote_tomek", "adasyn", "vgan", "wgan")
@@ -52,23 +54,22 @@ class BalancerConfig:
         return cls(**doc)
 
 
-_CHUNK = 1024  # rows of `a` per distance block in `knn`
-
-
 def knn(a: np.ndarray, b: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
     """Indices of the k nearest rows of b for each row of a, nearest first.
 
     Row i of a never gets back b row exclude[i]. Distances are Euclidean, so
     ties (sqrt can make distinct squared distances equal) go to the lower
-    index. Distances are worked out for _CHUNK rows of a at a time: memory is
-    O(_CHUNK * len(b)), never len(a) * len(b).
+    index. Distances are worked out for `block_rows(len(b))` rows of a at a
+    time, so each block holds at most `data.BLOCK` distances (or one row of
+    them), never len(a) * len(b).
     """
     if k > b.shape[0] - 1:
         raise DataError(f"{k} neighbours need more than {k} rows, got {b.shape[0]}")
     out = np.empty((a.shape[0], k), dtype=np.intp)
     b_sq = np.sum(b * b, axis=1)
-    for start in range(0, a.shape[0], _CHUNK):
-        block = a[start : start + _CHUNK]
+    step = block_rows(b.shape[0])
+    for start in range(0, a.shape[0], step):
+        block = a[start : start + step]
         rows = np.arange(block.shape[0])
         d = np.sum(block * block, axis=1)[:, None] + b_sq[None, :]
         # doubling the factor, not the product: `block @ b.T` of a view of b
@@ -76,7 +77,7 @@ def knn(a: np.ndarray, b: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray
         d -= (2.0 * block) @ b.T
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
-        d[rows, exclude[start : start + _CHUNK]] = np.inf
+        d[rows, exclude[start : start + step]] = np.inf
         for j in range(k):
             nearest = np.argmin(d, axis=1)  # first minimum: the lowest index
             out[start + rows, j] = nearest

@@ -184,11 +184,12 @@ def _best_cut(xs, decrease):
     Row j of xs holds candidate column j's values in sorted order, and entry
     (j, i) of decrease is the cut after its sorted entry i. The first maximum
     in that row-major order wins, which is the documented tie-break: lowest
-    feature, then lowest threshold.
+    feature, then lowest threshold. `decrease` is overwritten: a cut that
+    does not lie between increasing values becomes -inf.
     """
     if xs.size == 0:
         return None
-    decrease = np.where(xs[:, :-1] < xs[:, 1:], decrease, -np.inf)
+    np.putmask(decrease, ~(xs[:, :-1] < xs[:, 1:]), -np.inf)
     j, i = divmod(int(np.argmax(decrease)), decrease.shape[1])
     if decrease[j, i] == -np.inf:
         return None
@@ -234,20 +235,29 @@ def _best_split_classification(xs, ys, ws, n, total_pos, criterion):
 
 
 def _best_split_regression(xs, ts, t):
-    """`_best_cut` by squared-error decrease, from the candidate columns'
-    sorted values xs and the targets ts in the same order; t holds the
-    node's targets in row order."""
+    """`_best_cut` by squared-error decrease sse_parent - (sl + sr), where
+    sl = s2 - s1² / nl over prefix sums of the targets (s1) and of their
+    squares (s2) and sr is the same over suffix sums; xs holds the candidate
+    columns' sorted values, ts their targets in the same order (overwritten)
+    and t the node's targets in row order."""
     n = len(t)
     sse_parent = float(np.sum((t - t.mean()) ** 2))
     # the lists are stable, so tied rows keep their row order and every
     # column's prefix sums round as a stable sort's would
     s1 = np.cumsum(ts, axis=1)
-    s2 = np.cumsum(ts * ts, axis=1)
+    s2 = np.cumsum(np.square(ts, out=ts), axis=1, out=ts)
     nl = np.arange(1.0, n)
     nr = n - nl
-    sl = s2[:, :-1] - s1[:, :-1] ** 2 / nl
-    sr = (s2[:, -1:] - s2[:, :-1]) - (s1[:, -1:] - s1[:, :-1]) ** 2 / nr
-    return _best_cut(xs, sse_parent - (sl + sr))
+    decrease = np.square(s1[:, :-1])
+    decrease /= nl
+    np.subtract(s2[:, :-1], decrease, out=decrease)  # sl
+    right = np.subtract(s1[:, -1:], s1[:, :-1], out=s1[:, :-1])
+    np.square(right, out=right)
+    right /= nr
+    np.subtract(s2[:, -1:], s2[:, :-1], out=s2[:, :-1])
+    np.subtract(s2[:, :-1], right, out=right)  # sr
+    decrease += right
+    return _best_cut(xs, np.subtract(sse_parent, decrease, out=decrease))
 
 
 @dataclass

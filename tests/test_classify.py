@@ -56,6 +56,16 @@ def test_config_rejects_bad_enum_value():
         ClassifierConfig("dt", {"criterion": "chi2"})
 
 
+@pytest.mark.parametrize(
+    "value", [np.array(["gini", "entropy"]), np.array(["gini"]), np.array("gini")], ids=["two", "one", "zero-d"]
+)
+def test_config_rejects_an_array_as_an_enumerated_value(value):
+    # a tuple domain's `in` test compared the array element-wise: two values
+    # raised a bare ValueError, one or a 0-d array passed as "gini"
+    with pytest.raises(ConfigError, match="criterion"):
+        ClassifierConfig("dt", {"criterion": value})
+
+
 def test_config_allows_off_grid_numerics():
     ClassifierConfig("gbt", {"learning_rate": 0.0})
     ClassifierConfig("dt", {"maxdepth": 12})

@@ -187,15 +187,20 @@ def test_detector_rejects_non_finite_rows(negatives, bad):
         det.score(x)
 
 
-@pytest.mark.parametrize("kind", ["iforest", "abod"])
+@pytest.mark.parametrize("kind", ["iforest", "abod", "ocsvm"])
 def test_fit_and_score_peak_memory_is_a_small_multiple_of_the_input(kind):
-    # 5,000 training rows; an array of queries x training rows alone would be
-    # 800 MB for iforest's 20,000 queries and 80 MB for abod's 2,000
+    # an array of queries x training rows alone would be 800 MB for iforest,
+    # 80 MB for abod and 160 MB for ocsvm (about 1,000 support rows); the
+    # ocsvm fit still builds its n x n kernel, so only its score is traced
+    n_train, n_queries = {"iforest": (5000, 20000), "abod": (5000, 2000), "ocsvm": (2000, 20000)}[kind]
     rng = np.random.default_rng(0)
-    train, queries = rng.uniform(size=(5000, 30)), rng.uniform(size=({"iforest": 20000, "abod": 2000}[kind], 30))
+    train, queries = rng.uniform(size=(n_train, 30)), rng.uniform(size=(n_queries, 30))
+    detector = fit_detector(DetectorConfig(kind), train) if kind == "ocsvm" else None
     tracemalloc.start()
     try:
-        fit_detector(DetectorConfig(kind), train).score(queries)
+        if detector is None:
+            detector = fit_detector(DetectorConfig(kind), train)
+        detector.score(queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -621,6 +626,29 @@ def test_detector_document_whose_state_does_not_fit_its_features_is_a_model_erro
     doc = fit_detector(DetectorConfig(kind), x).to_dict()
     doc["state"].update(edit(doc["state"]))
     with pytest.raises(ModelError):
+        detector_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threshold", math.nan),
+        ("threshold", math.inf),
+        ("n_features", 3.7),
+        ("n_features", 0),
+        ("n_features", True),
+        ("rho", math.nan),
+        ("gamma", math.inf),
+    ],
+    ids=["threshold-nan", "threshold-inf", "n-features-fractional", "n-features-zero", "n-features-bool", "rho-nan",
+         "gamma-inf"],
+)
+def test_detector_document_with_a_bad_scalar_is_a_model_error(field, value):
+    # a NaN threshold used to load and flag nothing, and 3.7 features load as 3
+    x = np.random.default_rng(8).normal(size=(40, 3))
+    doc = fit_detector(DetectorConfig("ocsvm"), x).to_dict()
+    (doc["state"] if field in ("rho", "gamma") else doc)[field] = value
+    with pytest.raises(ModelError, match=field):
         detector_from_dict(doc)
 
 

@@ -152,18 +152,29 @@ def test_knn_needs_more_rows_than_k():
         knn(x, x, 3, np.arange(3))
 
 
-@pytest.mark.parametrize("method", [tomek_remove, enn_filter])
+@pytest.mark.parametrize(
+    "method",
+    [
+        tomek_remove,
+        enn_filter,
+        lambda data: knn(data.matrix(), data.matrix(), 5, np.arange(data.n)),
+        lambda data: smote_tomek(data, BalancerConfig("smote_tomek")),
+    ],
+    ids=["tomek_remove", "enn_filter", "knn", "smote_tomek"],
+)
 def test_neighbour_filters_never_hold_a_full_distance_matrix(method):
-    n = 4000
+    # one n x n float64 matrix is 200 MB; 1,024-row blocks of distances took
+    # 82-151 MB, blocks of at most data.BLOCK distances 2-6 MB
+    n = 5000
     rng = np.random.default_rng(3)
-    data = labeled(rng.uniform(size=(n, 4)), (rng.uniform(size=n) < 0.3).astype(int))
+    data = labeled(rng.uniform(size=(n, 30)), (rng.uniform(size=n) < 0.1).astype(int))
     tracemalloc.start()
     try:
         method(data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8  # bytes of one n x n float64 matrix
+    assert peak <= 8 * 2**20
 
 
 # ------------------------------------------------------------------ smote

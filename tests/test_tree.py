@@ -2,6 +2,7 @@
 tie-breaks."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, load_model
 from fraudkit.errors import ModelError
 from fraudkit.occ import DetectorConfig, detector_from_dict, fit_detector
-from fraudkit.tree import TREE_FORMAT, DecisionTree
+from fraudkit.tree import SQUARED, TREE_FORMAT, DecisionTree
 
 
 def test_unbounded_tree_on_deep_data(tmp_path):
@@ -268,3 +269,16 @@ def test_forest_matches_per_node_argsort_oracle_on_bootstrap_samples(criterion):
         rng = np.random.default_rng(seq)  # the draws `_fit_rf` makes for this tree; sqrt(6) rounds to 2
         idx = rng.integers(0, len(y), size=len(y))
         _assert_same_tree(tree, _oracle_tree(x[idx], y[idx].astype(float), criterion, 6, 2, rng))
+
+
+def test_regression_split_search_works_in_place():
+    # a search allocating a fresh array per step of sl and sr peaked at 13.0 MB
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(size=(5000, 30)), rng.uniform(size=5000)
+    tracemalloc.start()
+    try:
+        DecisionTree(SQUARED, max_depth=3).fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * x.nbytes
