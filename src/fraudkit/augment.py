@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    COUNT, Dataset, check_fields, dataset_from_matrix, document_parser, read_document, require_finite, write_document
+    COUNT, Dataset, check_fields, config_parser, dataset_from_matrix, document_parser, read_document, require_finite,
+    write_document,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
@@ -69,6 +70,7 @@ class GanSpec:
         }
 
     @classmethod
+    @config_parser
     def from_dict(cls, doc: dict) -> "GanSpec":
         return cls(
             variant=doc["variant"],

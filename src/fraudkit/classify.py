@@ -7,7 +7,7 @@ Every model exposes predict_proba in [0,1] and predict = proba >= 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +19,7 @@ from .data import (
     Dataset,
     Range,
     as_matrix,
+    binary_labels,
     check_fields,
     check_table,
     config_parser,
@@ -120,7 +121,7 @@ class ClassifierConfig:
         return with_defaults(self.parameters, PARAMETERS[self.kind])
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     @config_parser
@@ -531,33 +532,23 @@ def _fit_hinge(x, y, strength, max_iter, tol):
     return w, b, steps + more, False
 
 
-def _solve(x, objective, smooth, strength, max_iter, tol):
-    """(w, b, iterations, converged): Newton for an l2-penalized smooth
-    objective, step-halving descent for the rest."""
-    if smooth:
-        return _newton(x, objective, 2.0 * strength, max_iter, tol)
-    return _descend(objective, x.shape[1], max_iter, tol)
-
-
-def _fit_lr(x, y, names, config: ClassifierConfig) -> LinearModel:
+def _fit_linear(x, y, names, config: ClassifierConfig) -> LinearModel:
+    """`lr` or `svm` by smoothed Newton (the l2 hinge), damped Newton (the
+    other l2 objectives) or step-halving descent (l1, elasticnet)."""
     params = config.settings()
-    strength = float(params["penalty_strength"])
+    regularizer, strength = params["regularizer"], float(params["penalty_strength"])
     limits = int(params["max_iter"]), float(params["tol"])
-    objective = _lr_objective(x, y, params["regularizer"], strength)
-    w, b, iterations, converged = _solve(x, objective, params["regularizer"] == "l2", strength, *limits)
-    return LinearModel("lr", names, w, b, config.parameters, iterations, converged)
-
-
-def _fit_svm(x, y, names, config: ClassifierConfig) -> LinearModel:
-    params = config.settings()
-    strength = float(params["penalty_strength"])
-    limits = int(params["max_iter"]), float(params["tol"])
-    if params["regularizer"] == "l2" and params["loss"] == "hinge":
-        w, b, iterations, converged = _fit_hinge(x, y, strength, *limits)
+    if config.kind == "lr":
+        objective = _lr_objective(x, y, regularizer, strength)
     else:
-        objective = _svm_objective(x, y, params["loss"], params["regularizer"], strength)
-        w, b, iterations, converged = _solve(x, objective, params["regularizer"] == "l2", strength, *limits)
-    return LinearModel("svm", names, w, b, config.parameters, iterations, converged)
+        objective = _svm_objective(x, y, params["loss"], regularizer, strength)
+    if regularizer != "l2":
+        w, b, iterations, converged = _descend(objective, x.shape[1], *limits)
+    elif params.get("loss") != "hinge":
+        w, b, iterations, converged = _newton(x, objective, 2.0 * strength, *limits)
+    else:  # smoothed Newton; `_fit_hinge` builds its own copy of the hinge objective
+        w, b, iterations, converged = _fit_hinge(x, y, strength, *limits)
+    return LinearModel(config.kind, names, w, b, config.parameters, iterations, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +618,8 @@ def _fit_rf(x, y, names, config: ClassifierConfig) -> ForestModel:
         idx = rng.integers(0, x.shape[0], size=x.shape[0]) if params["bootstrap"] else np.arange(x.shape[0])
         tree = DecisionTree(criterion=params["criterion"], max_depth=max_depth, max_features=max_features)
         tree.fit(x, y, rng=rng, order=order, counts=np.bincount(idx, minlength=x.shape[0]))
-        tree.leaf_training_indices = _sample_positions(tree.leaf_training_indices, idx)
         trees.append(tree)
     return ForestModel(names, trees, config.parameters)
-
-
-def _sample_positions(leaf_rows, idx):
-    """Per leaf, the positions in the sample x[idx] of the rows that reached
-    it, ascending: the leaf indices of the tree grown on the sample itself."""
-    leaf_of_row = np.full(int(idx.max()) + 1, -1)
-    for leaf, rows in leaf_rows.items():
-        leaf_of_row[rows] = leaf
-    leaf_of_position = leaf_of_row[idx]
-    return {leaf: np.flatnonzero(leaf_of_position == leaf) for leaf in leaf_rows}
 
 
 class BoostedModel(TrainedModel):
@@ -768,8 +748,8 @@ def _fit_mlp(x, y, names, config: ClassifierConfig) -> MlpModel:
 
 _FITTERS = {
     "nb": _fit_nb,
-    "lr": _fit_lr,
-    "svm": _fit_svm,
+    "lr": _fit_linear,
+    "svm": _fit_linear,
     "dt": _fit_dt,
     "rf": _fit_rf,
     "gbt": _fit_gbt,
@@ -791,8 +771,8 @@ def fit_arrays(
     feature_names: Sequence[str] | None = None,
 ) -> TrainedModel:
     x = require_finite(np.asarray(x, dtype=float), "training matrix")
-    y = np.asarray(y, dtype=int)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    y = binary_labels(y)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
         raise DataError("bad training shapes")
     if len(np.unique(y)) < 2:
         raise DataError("training data must contain both classes")

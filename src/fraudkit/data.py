@@ -40,20 +40,35 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _parser(error: type[FraudkitError]) -> Callable[[Callable[..., T]], Callable[..., T]]:
+    """Decorator: `parse` (a `from_dict`) raising `error`, not a LookupError,
+    TypeError, ValueError, AttributeError or OverflowError, when its document
+    is not a mapping, lacks a key or holds a wrong value."""
+
+    def decorate(parse: Callable[..., T]) -> Callable[..., T]:
+        @functools.wraps(parse)
+        def checked(*args):
+            try:
+                return parse(*args)
+            except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise error(f"malformed document: {exc!r}") from exc
+
+        return checked
+
+    return decorate
+
+
+document_parser = _parser(ModelError)  # documents of fitted models
+config_parser = _parser(ConfigError)  # configuration documents
+
+
 @dataclass(frozen=True)
 class Feature:
-    """One column of the schema.
-
-    `value_range` (declared low/high bounds) and `mutable` are descriptive:
-    they are validated, saved with the schema and carried through one-hot
-    encoding, but no stage reads them.
-    """
+    """One column of the schema."""
 
     name: str
     kind: str
     categories: tuple[str, ...] | None = None
-    mutable: bool = True
-    value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -67,10 +82,6 @@ class Feature:
                 raise DataError(f"duplicate categories on feature {self.name!r}")
         elif self.categories is not None:
             raise DataError(f"numeric feature {self.name!r} must not list categories")
-        if self.value_range is not None:
-            low, high = self.value_range
-            if not (low <= high):
-                raise DataError(f"feature {self.name!r} range low > high")
 
 
 class FeatureSchema:
@@ -110,32 +121,21 @@ class FeatureSchema:
     def to_dict(self) -> dict:
         out = []
         for f in self.features:
-            entry: dict = {"name": f.name, "kind": f.kind, "mutable": f.mutable}
+            entry: dict = {"name": f.name, "kind": f.kind}
             if f.categories is not None:
                 entry["categories"] = list(f.categories)
-            if f.value_range is not None:
-                entry["range"] = list(f.value_range)
             out.append(entry)
         return {"format": "fraudkit.schema/1", "features": out}
 
     @classmethod
+    @_parser(DataError)
     def from_dict(cls, doc: dict) -> "FeatureSchema":
-        try:
-            raw = doc["features"]
-        except (TypeError, KeyError) as exc:
-            raise DataError("schema document lacks a 'features' list") from exc
-        feats = []
-        for entry in raw:
-            feats.append(
-                Feature(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    categories=tuple(entry["categories"]) if entry.get("categories") else None,
-                    mutable=bool(entry.get("mutable", True)),
-                    value_range=tuple(entry["range"]) if entry.get("range") else None,
-                )
-            )
-        return cls(feats)
+        """Keys other than a feature's name, kind and categories (such as the
+        `mutable` and `range` of older documents) are ignored."""
+        return cls(
+            Feature(e["name"], e["kind"], tuple(e["categories"]) if e.get("categories") else None)
+            for e in doc["features"]
+        )
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -149,7 +149,7 @@ class FeatureSchema:
             raise DataError(f"schema file not found: {p}")
         try:
             return cls.from_dict(json.loads(p.read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError, TypeError, DataError) as exc:
+        except (OSError, ValueError, DataError) as exc:
             raise DataError(f"cannot load schema {p}: {exc}") from exc
 
 
@@ -180,12 +180,9 @@ class Dataset:
     def _set(self, schema: FeatureSchema, values: np.ndarray, labels) -> None:
         values.setflags(write=False)
         if labels is not None:
-            labels = np.array(labels)  # a copy: the caller's array stays writable
+            labels = binary_labels(labels)  # a copy: the caller's array stays writable
             if labels.shape != (values.shape[0],):
                 raise DataError("labels length must match row count")
-            if not np.all((labels == 0) | (labels == 1)):  # before the cast, which would truncate 0.5
-                raise DataError("labels must be 0/1")
-            labels = labels.astype(int)
             labels.setflags(write=False)
         self.schema = schema
         self.values = values
@@ -246,9 +243,9 @@ def _cell_value(feature: Feature, cell: Cell) -> float:
     return float(cell)
 
 
-def numeric_schema(names: Sequence[str], value_range: tuple[float, float] | None = None) -> FeatureSchema:
-    """Convenience: schema of all-numeric mutable features."""
-    return FeatureSchema([Feature(n, NUMERIC, value_range=value_range) for n in names])
+def numeric_schema(names: Sequence[str]) -> FeatureSchema:
+    """Convenience: schema of all-numeric features."""
+    return FeatureSchema([Feature(n, NUMERIC) for n in names])
 
 
 def dataset_from_matrix(
@@ -281,6 +278,15 @@ def require_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def binary_labels(labels) -> np.ndarray:
+    """A new int array of `labels`; DataError unless each is exactly 0 or 1,
+    checked before the cast, which would truncate 0.5."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise DataError("labels must be 0/1")
+    return labels.astype(int)
+
+
 def as_matrix(rows, width: int) -> np.ndarray:
     """Rows handed to a fitted model (a Dataset, one row or a matrix) as a
     finite float matrix of the model's width."""
@@ -305,28 +311,6 @@ def block_rows(n_other: int) -> int:
 
 # ---------------------------------------------------------------------------
 # JSON documents of fitted models and configurations
-
-def _parser(error: type[FraudkitError]) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Decorator: `parse` (a `from_dict`) raising `error`, not KeyError,
-    TypeError, ValueError or OverflowError, when its document is not a
-    mapping, lacks a key or holds a wrong value."""
-
-    def decorate(parse: Callable[..., T]) -> Callable[..., T]:
-        @functools.wraps(parse)
-        def checked(*args):
-            try:
-                return parse(*args)
-            except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-                raise error(f"malformed document: {exc!r}") from exc
-
-        return checked
-
-    return decorate
-
-
-document_parser = _parser(ModelError)  # documents of fitted models
-config_parser = _parser(ConfigError)  # configuration documents
-
 
 def state_array(name: str, values, *shape: int) -> np.ndarray:
     """A model document's `values` as a finite float array of `shape`, where
@@ -386,11 +370,12 @@ def check_fields(config, domains: dict) -> None:
 
 
 def check_table(owner: str, parameters, table: dict) -> None:
-    """ConfigError unless `parameters` maps names in `table` to values in
+    """ConfigError unless `parameters` is a dict (a config's `to_dict` copies
+    it with `dataclasses.asdict`) that maps names in `table` to values in
     their domains. A parameter table maps each name to (default, domain); a
     default of None is worked out by the fitter from other values."""
-    if not isinstance(parameters, Mapping):
-        raise ConfigError(f"{owner}: parameters must be a mapping, got {parameters!r}")
+    if not isinstance(parameters, dict):
+        raise ConfigError(f"{owner}: parameters must be a dict, got {parameters!r}")
     for name, value in parameters.items():
         if name not in table:
             raise ConfigError(f"{owner}: unknown hyperparameter {name!r}")
@@ -525,8 +510,7 @@ def cleanse(data: Dataset, null_feature_threshold: float = 0.9) -> Dataset:
     fraction is >= the threshold, then any remaining row containing a null.
     No imputation is performed.
     """
-    if not 0.0 <= null_feature_threshold <= 1.0:
-        raise DataError("null_feature_threshold must lie in [0, 1]")
+    check_value("null_feature_threshold", null_feature_threshold, Range(float, 0.0, 1.0))
     key = data.values.copy() if data.labels is None else np.column_stack([data.values, data.labels])
     key += 0.0  # -0.0 becomes 0.0
     key[np.isnan(key)] = np.nan  # one bit pattern for every null
@@ -590,6 +574,7 @@ class OneHotMap:
         }
 
     @classmethod
+    @_parser(DataError)
     def from_dict(cls, doc: dict) -> "OneHotMap":
         return cls(
             FeatureSchema.from_dict(doc["source"]),
@@ -611,9 +596,7 @@ def encode_one_hot(data: Dataset) -> tuple[Dataset, OneHotMap]:
             encoded_features.append(f)
         else:
             for cat in f.categories:  # type: ignore[union-attr]
-                encoded_features.append(
-                    Feature(f"{f.name}={cat}", NUMERIC, mutable=f.mutable, value_range=(0.0, 1.0))
-                )
+                encoded_features.append(Feature(f"{f.name}={cat}", NUMERIC))
     mapping = OneHotMap(data.schema, FeatureSchema(encoded_features), tuple(spans))
     values = np.zeros((data.n, len(encoded_features)))
     for j, (f, (start, _)) in enumerate(zip(data.schema, spans)):
@@ -645,6 +628,7 @@ class NormParams:
         }
 
     @classmethod
+    @_parser(DataError)
     def from_dict(cls, doc: dict) -> "NormParams":
         return cls(tuple((str(n), float(lo), float(hi)) for n, lo, hi in doc["bounds"]))
 
@@ -717,8 +701,8 @@ def stratified_split(data: Dataset, train_fraction: float, seed: int) -> SplitPa
     relative order inside each side.
     """
     labels = data.require_labels()
-    if not 0.0 < train_fraction <= 1.0:
-        raise DataError("train_fraction must lie in (0, 1]")
+    check_value("train_fraction", train_fraction, Range(float, 0.0, 1.0, open_low=True))
+    check_value("seed", seed, SEED)
     rng = np.random.default_rng(seed)
     in_train = np.zeros(data.n, dtype=bool)
     for cls in (0, 1):

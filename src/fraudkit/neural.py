@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    COUNT, SEED, Range, check_fields, check_value, document_parser, read_document, state_array, write_document
+    COUNT, SEED, Range, check_fields, check_value, config_parser, document_parser, read_document, state_array,
+    write_document,
 )
 from .errors import ConfigError, ModelError
 
@@ -63,6 +64,7 @@ class NetworkSpec:
         }
 
     @classmethod
+    @config_parser
     def from_dict(cls, doc: dict) -> "NetworkSpec":
         return cls(
             input_dim=doc["input_dim"],
@@ -98,15 +100,9 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
+    @config_parser
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(
-            optimizer=doc["optimizer"],
-            learning_rate=doc["learning_rate"],
-            epochs=doc["epochs"],
-            batch_size=doc["batch_size"],
-            seed=doc["seed"],
-            weight_clip=doc.get("weight_clip"),
-        )
+        return cls(**doc)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -66,12 +66,7 @@ class DetectorConfig:
         return with_defaults(self.parameters, PARAMETERS[self.kind])
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "contamination": self.contamination,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     @config_parser
@@ -84,6 +79,8 @@ def quantile_threshold(scores: np.ndarray, contamination: float) -> float:
     most a contamination share of the fitting scores can exceed it."""
     s = np.sort(np.asarray(scores, dtype=float))
     n = len(s)
+    if n == 0:
+        raise DataError("quantile_threshold needs at least one score")
     idx = min(n - 1, max(0, math.ceil((1.0 - contamination) * n) - 1))
     return float(s[idx])
 
@@ -302,7 +299,9 @@ def _grow_isolation_forest(x: np.ndarray, m: int, n_estimators: int, seed: int) 
     """The trees of `_fit_iforest`, grown a depth at a time across all trees.
 
     `rows` holds the rows of every node of the current depth, node after
-    node in creation order: tree by tree, breadth first within a tree.
+    node in creation order: tree by tree, breadth first within a tree. A
+    stable sort by tree then puts each tree's nodes in that order, in which
+    the i-th split node's children are nodes 2i + 1 and 2i + 2.
     """
     limit = math.ceil(math.log2(max(m, 2)))
     table = _path_length_table(m)
@@ -310,13 +309,10 @@ def _grow_isolation_forest(x: np.ndarray, m: int, n_estimators: int, seed: int) 
     rows = np.concatenate([rng.permutation(x.shape[0])[:m] for rng in rngs])
     tree = np.arange(n_estimators)
     size = np.full(n_estimators, m)
-    columns: dict[str, list] = {c: [] for c in ("tree", "feature", "threshold", "value", "n_samples", "left")}
-    created = 0
+    columns: dict[str, list] = {c: [] for c in ("tree", "feature", "threshold", "value", "n_samples")}
     for depth in range(limit + 1):
-        k = tree.size
-        feature = np.full(k, -1)
-        threshold = np.zeros(k)
-        left = np.full(k, -1)
+        feature = np.full(tree.size, -1)
+        threshold = np.zeros(tree.size)
         split = np.nonzero((size > 1) & (depth < limit))[0]
         next_tree = next_size = np.zeros(0, dtype=np.intp)
         if split.size:
@@ -327,46 +323,28 @@ def _grow_isolation_forest(x: np.ndarray, m: int, n_estimators: int, seed: int) 
             inner = split[f >= 0]
             rows, lefts = _partition(rows, go_left, size[inner])
             feature[inner], threshold[inner] = f[f >= 0], cut[f >= 0]
-            left[inner] = created + k + 2 * np.arange(inner.size)
             next_tree = np.repeat(tree[inner], 2)
             next_size = np.column_stack((lefts, size[inner] - lefts)).ravel()
         value = np.where(feature < 0, depth + table[size], 0.0)
-        for name, column in zip(columns, (tree, feature, threshold, value, size, left)):
+        for name, column in zip(columns, (tree, feature, threshold, value, size)):
             columns[name].append(column)
-        created += k
         tree, size = next_tree, next_size
         if tree.size == 0:
             break
-    return _pre_order_trees(columns, n_estimators)
-
-
-def _pre_order_trees(columns: dict[str, list], n_estimators: int) -> list[Nodes]:
-    """One pre-order `Nodes` per tree from per-depth node columns, where node
-    ids run depth by depth and a right child's id is one after its left's.
-    Empties `columns` as it goes, which keeps the peak memory down."""
-    bounds = np.cumsum([0] + [len(part) for part in columns["tree"]])
-    levels = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    tree, left = np.concatenate(columns.pop("tree")), np.concatenate(columns.pop("left"))
-    subtree = np.ones(left.size, dtype=np.intp)
-    for level in levels[::-1]:
-        ids = level.start + np.nonzero(left[level] >= 0)[0]
-        subtree[ids] += subtree[left[ids]] + subtree[left[ids] + 1]
-    pre = np.zeros(left.size, dtype=np.intp)
-    for level in levels:
-        ids = level.start + np.nonzero(left[level] >= 0)[0]
-        pre[left[ids]] = pre[ids] + 1
-        pre[left[ids] + 1] = pre[ids] + 1 + subtree[left[ids]]
-    offset = np.cumsum(subtree[:n_estimators]) - subtree[:n_estimators]
-    order = np.empty(left.size, dtype=np.intp)
-    order[offset[tree] + pre] = np.arange(left.size)
-    del tree, subtree
+    tree = np.concatenate(columns.pop("tree"))
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=n_estimators)
+    starts = np.cumsum(sizes) - sizes
+    del tree
+    # a column at a time, each freed as it is gathered, which keeps the peak memory down
     cols = {name: np.concatenate(columns.pop(name))[order] for name in list(columns)}
-    left = left[order]
-    inner = left >= 0
-    cols["right"] = np.where(inner, pre[left + 1], -1)
-    cols["left"] = np.where(inner, pre[left], -1)
-    cols["n_positive"] = np.zeros(left.size, dtype=np.intp)
-    parts = {c: np.split(v, offset[1:]) for c, v in cols.items()}
+    is_split = cols["feature"] >= 0
+    before = np.cumsum(is_split) - is_split  # split nodes before each node, over all trees
+    i = before - np.repeat(before[starts], sizes)  # ... and within its own tree
+    cols["left"] = np.where(is_split, 2 * i + 1, -1)
+    cols["right"] = np.where(is_split, 2 * i + 2, -1)
+    cols["n_positive"] = np.zeros(is_split.size, dtype=np.intp)
+    parts = {c: np.split(v, starts[1:]) for c, v in cols.items()}
     return [Nodes(**{c: parts[c][t] for c in COLUMNS}) for t in range(n_estimators)]
 
 
@@ -421,7 +399,7 @@ def _fit_iforest(x: np.ndarray, config: DetectorConfig) -> IsolationForestDetect
     with none the node is a leaf. The threshold is lo + (hi - lo) * u2 over
     the feature's values on the node, moved one ulp down so that rows `<=` it
     go left. A leaf's value is its depth plus c(rows) (average_path_length).
-    Each tree's nodes are numbered in pre-order.
+    Each tree's nodes are numbered breadth first, in the order they are drawn.
     """
     n, d = x.shape
     if n < 2:

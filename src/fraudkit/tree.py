@@ -1,7 +1,7 @@
 """CART trees: greedy binary splits over midpoint thresholds with gini,
-entropy or squared-error criteria, stored in the flat `Nodes` layout. The
-isolation forest grows its own trees (`occ._fit_iforest`) and stores and
-routes them as `Nodes` too.
+entropy or squared-error criteria, grown by `DecisionTree.fit` and stored in
+the flat `Nodes` layout. The isolation forest grows its own trees
+(`occ._fit_iforest`) and stores and routes them as `Nodes` too.
 
 Shared by the decision-tree classifier, the random forest and the boosted
 ensemble. Tie-breaks are fixed (lowest feature index, then lowest
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import document_parser, require_finite
 from .errors import ModelError
 
 GINI = "gini"
@@ -54,11 +55,12 @@ _FLOAT_COLUMNS = ("threshold", "value")
 
 @dataclass
 class Nodes:
-    """One tree as parallel per-node columns, nodes numbered in pre-order.
+    """One tree as parallel per-node columns, node 0 the root.
 
     A row at split node i goes to `left[i]` when x[feature[i]] <= threshold[i]
     and to `right[i]` otherwise; children always come after their parent. A
-    leaf has feature, left and right -1 and predicts `value`.
+    leaf has feature, left and right -1 and predicts `value`. CART trees are
+    numbered in pre-order, isolation trees breadth first.
     """
 
     feature: np.ndarray
@@ -89,14 +91,12 @@ class Nodes:
         return {"format": TREE_FORMAT, **{c: getattr(self, c).tolist() for c in COLUMNS}}
 
     @classmethod
+    @document_parser
     def from_dict(cls, doc: dict, n_features: int) -> "Nodes":
         """Columns of a tree document, checked so that routing always ends."""
         if doc.get("format") != TREE_FORMAT:
             raise ModelError(f"unsupported tree document {doc.get('format')!r}")
-        try:
-            cols = _as_columns(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"bad tree columns: {exc}") from None
+        cols = _as_columns(doc)
         n = len(cols["feature"])
         if n == 0 or any(v.shape != (n,) for v in cols.values()):
             raise ModelError("tree columns must be nonempty and of equal length")
@@ -126,51 +126,6 @@ def presort(x: np.ndarray) -> np.ndarray:
     tied = np.any(ranked[:, :-1] == ranked[:, 1:], axis=1)
     order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
     return order
-
-
-def grow(
-    x: np.ndarray, order: np.ndarray, node_rule, rows: np.ndarray | None = None
-) -> tuple[Nodes, dict[int, np.ndarray]]:
-    """Grow one CART tree over `rows` of x (all of them by default) with an
-    explicit stack.
-
-    `order` holds, per column of x, those rows in sorted order (`presort(x)`
-    for all rows). `node_rule(indices, lists, depth)` returns (feature,
-    threshold, value, n_samples, n_positive) for the node holding rows
-    `indices` (in row order), whose part of every list of `order` is the
-    matching row of `lists`, in the same order; feature -1 makes it a leaf.
-    Rows go left where x[:, feature] <= threshold. The left child is taken
-    first, so nodes are numbered in pre-order and `node_rule` sees them (and
-    makes any random draws) in the order of a recursive left-first grower.
-    Returns the nodes and, per leaf id, the indices of the rows that reached
-    it.
-    """
-    cols: dict[str, list] = {c: [] for c in COLUMNS}
-    leaf_rows: dict[int, np.ndarray] = {}
-    go_left = np.zeros(x.shape[0], dtype=bool)
-    stack: list[tuple[np.ndarray, np.ndarray, int, int, list | None]] = [
-        (np.arange(x.shape[0]) if rows is None else rows, order, 0, -1, None)
-    ]
-    while stack:
-        indices, lists, depth, parent, link = stack.pop()
-        node = len(cols["feature"])
-        if link is not None:
-            link[parent] = node
-        feature, threshold, value, n_samples, n_positive = node_rule(indices, lists, depth)
-        for c, v in zip(COLUMNS, (feature, threshold, -1, -1, value, n_samples, n_positive)):
-            cols[c].append(v)
-        if feature < 0:
-            leaf_rows[node] = indices
-            continue
-        left = x[indices, feature] <= threshold
-        go_left[indices] = left
-        # each child keeps its entries of every list, in order; compress on
-        # the flat mask is several times faster than 2-D boolean indexing
-        in_left = go_left[lists].ravel()
-        d = len(lists)
-        stack.append((indices[~left], lists.compress(~in_left).reshape(d, -1), depth + 1, node, cols["right"]))
-        stack.append((indices[left], lists.compress(in_left).reshape(d, -1), depth + 1, node, cols["left"]))
-    return Nodes(**_as_columns(cols)), leaf_rows
 
 
 def _as_columns(values) -> dict[str, np.ndarray]:
@@ -280,13 +235,21 @@ class DecisionTree:
         order: np.ndarray | None = None,
         counts: np.ndarray | None = None,
     ) -> "DecisionTree":
-        """Grow the tree on rows x with targets y. `order` is `presort(x)`,
-        computed here when not given, so that fits on one matrix can share it.
-        `counts` (classification only) gives each row's number of copies in a
-        bootstrap sample, 0 leaving it out: the tree is the one grown on those
-        copies, and `leaf_training_indices` lists each leaf's rows once."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Grow the tree on rows x with targets y with an explicit stack.
+        `order` is `presort(x)`, computed here when not given, so that fits on
+        one matrix can share it. `counts` (classification only) gives each
+        row's number of copies in a bootstrap sample, 0 leaving it out: the
+        tree is the one grown on those copies, and `leaf_training_indices`
+        lists each leaf's rows once, ascending.
+
+        A node holds its rows (in row order) and its part of every list of
+        `order`, in the same order. Rows go left where x[:, feature] <=
+        threshold. The left child is taken first, so nodes are numbered in
+        pre-order and make their random draws in the order of a recursive
+        left-first grower.
+        """
+        x = require_finite(np.asarray(x, dtype=float), "training rows")
+        y = require_finite(np.asarray(y, dtype=float), "training targets")
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ModelError("bad training shapes")
         if self.criterion not in (GINI, ENTROPY, SQUARED):
@@ -297,18 +260,38 @@ class DecisionTree:
             rng = np.random.default_rng(0)
         self.n_features = x.shape[1]
         values = np.ascontiguousarray(x.T).ravel()
-        order = presort(x) if order is None else order
-        rows = None
+        lists = presort(x) if order is None else order
+        rows = np.arange(x.shape[0])
         if counts is not None:
             counts = np.asarray(counts, dtype=float)
             rows = np.flatnonzero(counts)
-            order = order.compress(counts.take(order).ravel() > 0).reshape(len(order), -1)
-        self.nodes, self.leaf_training_indices = grow(
-            x,
-            order,
-            lambda indices, lists, depth: self._split_or_leaf(values, y, counts, indices, lists, depth, rng),
-            rows,
-        )
+            lists = lists.compress(counts.take(lists).ravel() > 0).reshape(len(lists), -1)
+        cols: dict[str, list] = {c: [] for c in COLUMNS}
+        self.leaf_training_indices = {}
+        go_left = np.zeros(x.shape[0], dtype=bool)
+        stack: list[tuple[np.ndarray, np.ndarray, int, int, list | None]] = [(rows, lists, 0, -1, None)]
+        while stack:
+            indices, lists, depth, parent, link = stack.pop()
+            node = len(cols["feature"])
+            if link is not None:
+                link[parent] = node
+            feature, threshold, value, n_samples, n_positive = self._split_or_leaf(
+                values, y, counts, indices, lists, depth, rng
+            )
+            for c, v in zip(COLUMNS, (feature, threshold, -1, -1, value, n_samples, n_positive)):
+                cols[c].append(v)
+            if feature < 0:
+                self.leaf_training_indices[node] = indices
+                continue
+            left = x[indices, feature] <= threshold
+            go_left[indices] = left
+            # each child keeps its entries of every list, in order; compress on
+            # the flat mask is several times faster than 2-D boolean indexing
+            in_left = go_left[lists].ravel()
+            d = len(lists)
+            stack.append((indices[~left], lists.compress(~in_left).reshape(d, -1), depth + 1, node, cols["right"]))
+            stack.append((indices[left], lists.compress(in_left).reshape(d, -1), depth + 1, node, cols["left"]))
+        self.nodes = Nodes(**_as_columns(cols))
         return self
 
     def _split_or_leaf(self, values, y, counts, indices, lists, depth, rng) -> tuple[int, float, float, int, int]:
@@ -368,6 +351,7 @@ class DecisionTree:
         }
 
     @classmethod
+    @document_parser
     def from_dict(cls, doc: dict) -> "DecisionTree":
         n_features = doc.get("n_features")
         if not isinstance(n_features, int) or n_features < 1:

@@ -9,8 +9,8 @@ def mixed_schema() -> FeatureSchema:
     return FeatureSchema(
         [
             Feature("color", "categorical", categories=("red", "blue")),
-            Feature("amount", "numeric", value_range=(0.0, 100.0)),
-            Feature("hour", "numeric", value_range=(0.0, 24.0)),
+            Feature("amount", "numeric"),
+            Feature("hour", "numeric"),
         ]
     )
 

@@ -589,6 +589,16 @@ def test_fit_requires_both_classes():
         fit_arrays(ClassifierConfig("dt"), np.ones((4, 2)), np.array([1, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.5], [0, 2]], ids=["fractions", "two"])
+def test_fit_arrays_rejects_labels_that_are_not_exactly_0_or_1(labels):
+    # 0.5 and 1.5 used to be truncated to 0 and 1 and fitted; nb failed on 2 with a math domain error
+    x, _ = blob_arrays(seed=13)
+    y = np.resize(np.asarray(labels), len(x))
+    for kind in ("nb", "dt"):
+        with pytest.raises(DataError, match="0/1"):
+            fit_arrays(ClassifierConfig(kind), x, y)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fit_arrays_rejects_non_finite(bad):
     x, y = blob_arrays(seed=13)

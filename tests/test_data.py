@@ -22,7 +22,7 @@ from fraudkit.data import (
     save_split,
     stratified_split,
 )
-from fraudkit.errors import DataError
+from fraudkit.errors import ConfigError, DataError
 
 
 def two_feature_schema():
@@ -45,11 +45,6 @@ def test_schema_rejects_empty_categorical():
 def test_schema_rejects_categories_on_numeric():
     with pytest.raises(DataError):
         Feature("n", "numeric", categories=("a",))
-
-
-def test_schema_rejects_inverted_range():
-    with pytest.raises(DataError):
-        Feature("n", "numeric", value_range=(2.0, 1.0))
 
 
 def test_schema_json_round_trip(mixed_schema, tmp_path):
@@ -211,6 +206,12 @@ def test_cleanse_idempotent():
     assert once.schema.names == twice.schema.names
 
 
+def test_cleanse_threshold_must_be_a_number():
+    ds = Dataset(numeric_schema(["a"]), [(1.0,), (2.0,)])
+    with pytest.raises(ConfigError):
+        cleanse(ds, "0.5")
+
+
 def test_cleanse_error_when_everything_null():
     ds = Dataset(numeric_schema(["a"]), [(None,), (None,)])
     with pytest.raises(DataError):
@@ -314,6 +315,14 @@ def test_stratified_split_full_fraction_means_empty_test(imbalanced_blobs):
     pair = stratified_split(imbalanced_blobs, 1.0, seed=1)
     assert pair.test.n == 0
     assert pair.train.n == imbalanced_blobs.n
+
+
+@pytest.mark.parametrize(
+    "fraction, seed, name", [(0.5, -1, "seed"), (0.5, 1.5, "seed"), ("0.5", 0, "train_fraction")]
+)
+def test_stratified_split_arguments_are_config_errors(imbalanced_blobs, fraction, seed, name):
+    with pytest.raises(ConfigError, match=name):
+        stratified_split(imbalanced_blobs, fraction, seed)
 
 
 def test_stratified_split_deterministic(imbalanced_blobs):

@@ -1,5 +1,6 @@
 """Importing fraudkit loads only the standard library, numpy and fraudkit,
-and every entry point that `pyproject.toml` declares can be imported.
+every entry point that `pyproject.toml` declares can be imported, and every
+callable the benchmark's tracer wraps exists.
 
 scipy is imported inside the functions that need it, so a process that never
 calls them never pays for loading it. The check runs in a fresh interpreter,
@@ -7,6 +8,7 @@ because the test process itself may already have imported scipy.
 """
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,3 +41,23 @@ def test_declared_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+def test_every_traced_target_resolves():
+    # `Tracer.install` skips a method that no class defines, which would read as a zero per-layer metric
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for target in tracing.TARGETS:
+        module = importlib.import_module(target.module)
+        owner, _, method = target.path.rpartition(".")
+        if not owner:
+            assert callable(getattr(module, method, None)), target
+            continue
+        classes = _subclasses(getattr(module, owner))
+        assert any(method in cls.__dict__ for cls in classes), target

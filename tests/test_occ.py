@@ -103,6 +103,11 @@ def test_ocsvm_tol_has_a_positive_floor(negatives):
 # ---------------------------------------------------------------- threshold
 
 
+def test_quantile_threshold_of_no_scores_is_data_error():
+    with pytest.raises(DataError):
+        quantile_threshold([], 0.1)
+
+
 def test_quantile_threshold_rule():
     scores = np.arange(100, dtype=float)
     thr = quantile_threshold(scores, 0.05)
@@ -249,23 +254,13 @@ def test_iforest_subsample_capped_at_n(negatives):
     assert det.subsample_size == 100
 
 
-def _tree_sizes(tree):
-    """Nodes in each node's subtree, children before parents."""
-    size = np.ones(len(tree), dtype=int)
-    for i in range(len(tree) - 1, -1, -1):
-        if tree.feature[i] >= 0:
-            size[i] += size[tree.left[i]] + size[tree.right[i]]
-    return size
-
-
-def test_iforest_nodes_are_numbered_in_pre_order(negatives):
+def test_iforest_nodes_are_numbered_breadth_first(negatives):
     det = fit_detector(DetectorConfig("iforest", {"n_estimators": 20, "max_samples": 64}, seed=3), negatives)
     for tree in det.trees:
-        size = _tree_sizes(tree)
         inner = np.nonzero(tree.feature >= 0)[0]
-        assert size[0] == len(tree)
-        assert np.array_equal(tree.left[inner], inner + 1)
-        assert np.array_equal(tree.right[inner], inner + 1 + size[inner + 1])
+        assert np.array_equal(tree.left[inner], 2 * np.arange(inner.size) + 1)
+        assert np.array_equal(tree.right[inner], tree.left[inner] + 1)
+        assert len(tree) == 2 * inner.size + 1
 
 
 def test_iforest_first_trees_equal_the_smaller_forest(negatives):
@@ -294,7 +289,7 @@ def _reference_isolation_forest(x, n_estimators, max_samples, seed):
     """The documented draw order, one node at a time: per tree, the
     subsample, then per depth u1 and u2 for the splittable nodes in
     breadth-first order and u3 for those whose first feature is constant.
-    Returns each tree's columns renumbered to pre-order."""
+    Returns each tree's columns, nodes numbered breadth first."""
     n, d = x.shape
     m = min(max_samples, n)
     limit = math.ceil(math.log2(max(m, 2)))
@@ -332,23 +327,14 @@ def _reference_isolation_forest(x, n_estimators, max_samples, seed):
                     next_level += [(rows[go_left], (len(nodes), "left")), (rows[~go_left], (len(nodes), "right"))]
                 nodes.append(node)
             level = next_level
-        order = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            if nodes[i]["feature"] >= 0:
-                stack += [nodes[i]["right"], nodes[i]["left"]]
-        pre = {old: new for new, old in enumerate(order)}
-        relabel = lambda i: pre[i] if i >= 0 else -1
         forest.append({
-            "feature": [nodes[i]["feature"] for i in order],
-            "threshold": [nodes[i]["threshold"] for i in order],
-            "left": [relabel(nodes[i]["left"]) for i in order],
-            "right": [relabel(nodes[i]["right"]) for i in order],
-            "value": [nodes[i]["value"] for i in order],
-            "n_samples": [nodes[i]["rows"] for i in order],
-            "n_positive": [0] * len(order),
+            "feature": [node["feature"] for node in nodes],
+            "threshold": [node["threshold"] for node in nodes],
+            "left": [node["left"] for node in nodes],
+            "right": [node["right"] for node in nodes],
+            "value": [node["value"] for node in nodes],
+            "n_samples": [node["rows"] for node in nodes],
+            "n_positive": [0] * len(nodes),
         })
     return forest
 

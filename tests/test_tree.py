@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, load_model
-from fraudkit.errors import ModelError
+from fraudkit.errors import DataError, ModelError
 from fraudkit.occ import DetectorConfig, detector_from_dict, fit_detector
 from fraudkit.tree import SQUARED, TREE_FORMAT, DecisionTree
 
@@ -268,7 +268,18 @@ def test_forest_matches_per_node_argsort_oracle_on_bootstrap_samples(criterion):
     for tree, seq in zip(model.trees, np.random.SeedSequence(9).spawn(4)):
         rng = np.random.default_rng(seq)  # the draws `_fit_rf` makes for this tree; sqrt(6) rounds to 2
         idx = rng.integers(0, len(y), size=len(y))
-        _assert_same_tree(tree, _oracle_tree(x[idx], y[idx].astype(float), criterion, 6, 2, rng))
+        cols, leaves = _oracle_tree(x[idx], y[idx].astype(float), criterion, 6, 2, rng)
+        # each leaf's sample positions as the distinct rows of x they hold
+        _assert_same_tree(tree, (cols, {leaf: np.unique(idx[rows]) for leaf, rows in leaves.items()}))
+
+
+@pytest.mark.parametrize("criterion", ["gini", "squared_error"])
+def test_fit_rejects_non_finite_rows_and_targets(criterion):
+    # a NaN row used to be fitted: every comparison with it is false, so it went right
+    x, y = [[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 1.0, 0.0]
+    for bad_x, bad_y in (([[0.0], [1.0], [np.nan], [2.0]], y), (x, [0.0, np.inf, 1.0, 0.0])):
+        with pytest.raises(DataError):
+            DecisionTree(criterion).fit(bad_x, bad_y)
 
 
 def test_regression_split_search_works_in_place():
