@@ -33,7 +33,7 @@ from .data import (
 )
 from .errors import DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
-from .tree import SQUARED, DecisionTree, presort
+from .tree import SQUARED, DecisionTree, fit_forest, presort
 
 KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
 
@@ -604,22 +604,28 @@ class ForestModel(TrainedModel):
 
 
 def _fit_rf(x, y, names, config: ClassifierConfig) -> ForestModel:
+    """`estimators` trees, tree t drawing from
+    default_rng(SeedSequence(seed).spawn(estimators)[t]), so the first k trees
+    of a forest are the k-tree forest. Each tree first draws its bootstrap
+    sample, integers(0, n, size=n) (with `bootstrap` off, every row once);
+    then, level by level, one permutation(d) per open node, breadth first,
+    whose first max_features entries are the node's candidate columns
+    (`tree.fit_forest`)."""
     params = config.settings()
     max_depth = None if params["maxdepth"] is None else int(params["maxdepth"])
     if params["max_features"] == "sqrt":
         max_features = max(1, round_half_up(math.sqrt(x.shape[1])))
     else:
         max_features = None
-    seeds = np.random.SeedSequence(config.seed).spawn(int(params["estimators"]))
-    order = presort(x)
-    trees = []
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        idx = rng.integers(0, x.shape[0], size=x.shape[0]) if params["bootstrap"] else np.arange(x.shape[0])
-        tree = DecisionTree(criterion=params["criterion"], max_depth=max_depth, max_features=max_features)
-        tree.fit(x, y, rng=rng, order=order, counts=np.bincount(idx, minlength=x.shape[0]))
-        trees.append(tree)
-    return ForestModel(names, trees, config.parameters)
+    template = DecisionTree(criterion=params["criterion"], max_depth=max_depth, max_features=max_features)
+
+    def samples():
+        for seq in np.random.SeedSequence(config.seed).spawn(int(params["estimators"])):
+            rng = np.random.default_rng(seq)
+            idx = rng.integers(0, x.shape[0], size=x.shape[0]) if params["bootstrap"] else np.arange(x.shape[0])
+            yield np.bincount(idx, minlength=x.shape[0]), rng
+
+    return ForestModel(names, fit_forest(template, x, y, samples()), config.parameters)
 
 
 class BoostedModel(TrainedModel):

@@ -43,14 +43,19 @@ def round_half_up(x: float) -> int:
 def _parser(error: type[FraudkitError]) -> Callable[[Callable[..., T]], Callable[..., T]]:
     """Decorator: `parse` (a `from_dict`) raising `error`, not a LookupError,
     TypeError, ValueError, AttributeError or OverflowError, when its document
-    is not a mapping, lacks a key or holds a wrong value."""
+    is not a mapping, lacks a key or holds a wrong value. A document nested
+    in it that fails with another `FraudkitError` (a malformed network spec
+    inside a model document is a ConfigError) fails the outer one with
+    `error` too."""
 
     def decorate(parse: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(parse)
         def checked(*args):
             try:
                 return parse(*args)
-            except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            except error:
+                raise
+            except (LookupError, TypeError, ValueError, AttributeError, OverflowError, FraudkitError) as exc:
                 raise error(f"malformed document: {exc!r}") from exc
 
         return checked
@@ -71,13 +76,15 @@ class Feature:
     categories: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise DataError("feature name must be nonempty")
+        if not isinstance(self.name, str) or not self.name:
+            raise DataError(f"feature name must be a nonempty string, got {self.name!r}")
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"unknown feature kind {self.kind!r}")
         if self.kind == CATEGORICAL:
             if not self.categories:
                 raise DataError(f"categorical feature {self.name!r} needs >= 1 category")
+            if not all(isinstance(c, str) for c in self.categories):
+                raise DataError(f"categories of feature {self.name!r} must be strings")
             if len(set(self.categories)) != len(self.categories):
                 raise DataError(f"duplicate categories on feature {self.name!r}")
         elif self.categories is not None:
@@ -131,11 +138,15 @@ class FeatureSchema:
     @_parser(DataError)
     def from_dict(cls, doc: dict) -> "FeatureSchema":
         """Keys other than a feature's name, kind and categories (such as the
-        `mutable` and `range` of older documents) are ignored."""
-        return cls(
-            Feature(e["name"], e["kind"], tuple(e["categories"]) if e.get("categories") else None)
-            for e in doc["features"]
-        )
+        `mutable` and `range` of older documents) are ignored. Categories are
+        a list of strings."""
+        features = []
+        for e in doc["features"]:
+            categories = e.get("categories")
+            if categories is not None and not isinstance(categories, list):
+                raise DataError(f"categories must be a list, got {categories!r}")
+            features.append(Feature(e["name"], e["kind"], tuple(categories) if categories else None))
+        return cls(features)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -469,13 +480,25 @@ def load_csv(
     return Dataset._of(schema, values, labels)
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with its double quotes doubled, when it
+    holds a comma, a double quote or a line break. That is `csv.writer`'s
+    minimal quoting, except that a carriage return is quoted even where the
+    line terminator is a newline alone, so that `csv.reader` reads it back."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format_column(values: np.ndarray, feature: Feature) -> list[str]:
-    """One column of cells as CSV text: "" for a null, the category token,
-    str(int) for a whole number below 1e15 in magnitude, else repr."""
+    """One column of cells as CSV fields: "" for a null, the category token
+    (quoted by `_csv_field`), str(int) for a whole number below 1e15 in
+    magnitude, else repr."""
     null = np.isnan(values)
     text = np.full(values.shape, "", dtype=object)
     if feature.kind == CATEGORICAL:
-        text[~null] = np.array(feature.categories, dtype=object)[values[~null].astype(np.intp)]
+        tokens = np.array([_csv_field(c) for c in feature.categories], dtype=object)
+        text[~null] = tokens[values[~null].astype(np.intp)]
         return text.tolist()
     whole = (np.abs(values) < 1e15) & (values == np.trunc(values))
     rest = ~null & ~whole
@@ -485,18 +508,21 @@ def _format_column(values: np.ndarray, feature: Feature) -> list[str]:
 
 
 def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Write a dataset back out; deterministic bytes for identical inputs."""
+    """Write a dataset back out, a header line and then one line per row,
+    each ended by a newline, with the bytes `csv.writer` would write;
+    deterministic bytes for identical inputs."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     columns = [_format_column(data.values[:, j], f) for j, f in enumerate(data.schema)]
-    header = list(data.schema.names)
+    header = [_csv_field(name) for name in data.schema.names]
     if data.labels is not None:
-        header.append(label_column)
+        header.append(_csv_field(label_column))
         columns.append(list(map(str, data.labels.tolist())))
+    lines = [",".join(header), *map(",".join, zip(*columns))] if columns else [""] * (data.n + 1)
+    if len(columns) == 1:
+        lines = [line or '""' for line in lines]  # a lone empty field, quoted so that the row is not blank
     with p.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*columns) if columns else [()] * data.n)
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

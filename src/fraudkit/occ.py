@@ -22,7 +22,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
-from .tree import COLUMNS, Nodes
+from .tree import Nodes, _breadth_first, _draw_by_rank, _next_level
 
 KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
 
@@ -245,15 +245,15 @@ def average_path_length(m: int) -> float:
     return float(_path_length_table(m)[m]) if m > 1 else 0.0
 
 
-def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.ndarray, rngs: list):
+def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.ndarray, rank: np.ndarray, rngs: list):
     """(feature, threshold, goes left) for splittable nodes, drawn as
     `_fit_iforest` states. `rows` holds the nodes' rows node after node,
-    seg[i] of them for node i of tree trees[i]; feature -1 means no column
-    varies on the node. `goes left` is per row and means nothing there."""
+    seg[i] of them for node i of tree trees[i], whose breadth-first rank is
+    rank[i]; feature -1 means no column varies on the node. `goes left` is
+    per row and means nothing there."""
     d = x.shape[1]
     starts = np.cumsum(seg) - seg
-    counts = np.bincount(trees, minlength=len(rngs))
-    u1, u2 = np.concatenate([rngs[t].random((2, c)) for t, c in enumerate(counts) if c], axis=1)
+    u1, u2 = _draw_by_rank(rngs, trees, rank, lambda rng, k: rng.random((2, k)).T).T
     feature = (u1 * d).astype(np.intp)
     values = x[rows, np.repeat(feature, seg)]
     lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
@@ -269,8 +269,7 @@ def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.nda
             col_lo[:, j] = np.minimum.reduceat(column, flat_starts)
             col_hi[:, j] = np.maximum.reduceat(column, flat_starts)
         usable = col_hi > col_lo
-        counts = np.bincount(trees[flat], minlength=len(rngs))
-        u3 = np.concatenate([rngs[t].random(c) for t, c in enumerate(counts) if c])
+        u3 = _draw_by_rank(rngs, trees[flat], rank[flat], lambda rng, k: rng.random(k))
         pick = (u3 * usable.sum(axis=1)).astype(np.intp)
         redrawn = np.argmax(np.cumsum(usable, axis=1) > pick[:, None], axis=1)  # the pick-th usable column
         feature[flat] = np.where(usable.any(axis=1), redrawn, -1)
@@ -281,71 +280,42 @@ def _draw_splits(x: np.ndarray, rows: np.ndarray, seg: np.ndarray, trees: np.nda
     return feature, cut, values <= np.repeat(cut, seg)
 
 
-def _partition(rows: np.ndarray, go_left: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each segment's rows that go left, then the rest, both in row order;
-    and each segment's count of rows that go left."""
-    starts = np.cumsum(seg) - seg
-    lefts = np.add.reduceat(go_left, starts, dtype=np.intp)
-    out = np.empty_like(rows)
-    for side, first, count in ((go_left, starts, lefts), (~go_left, starts + lefts, seg - lefts)):
-        # the i-th row of this side overall goes to first[s] + (i - rows of this side before segment s)
-        at = np.repeat(first - (np.cumsum(count) - count), count)
-        at += np.arange(at.size)
-        out[at] = rows[side]
-    return out, lefts
-
-
 def _grow_isolation_forest(x: np.ndarray, m: int, n_estimators: int, seed: int) -> list[Nodes]:
     """The trees of `_fit_iforest`, grown a depth at a time across all trees.
 
     `rows` holds the rows of every node of the current depth, node after
-    node in creation order: tree by tree, breadth first within a tree. A
-    stable sort by tree then puts each tree's nodes in that order, in which
-    the i-th split node's children are nodes 2i + 1 and 2i + 2.
+    node; rank[k] is node k's breadth-first position among the depth's
+    nodes, tree by tree, in which the trees make their draws and
+    `tree._breadth_first` numbers their nodes.
     """
     limit = math.ceil(math.log2(max(m, 2)))
     table = _path_length_table(m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_estimators)]
     rows = np.concatenate([rng.permutation(x.shape[0])[:m] for rng in rngs])
-    tree = np.arange(n_estimators)
+    tree = rank = np.arange(n_estimators)
     size = np.full(n_estimators, m)
     columns: dict[str, list] = {c: [] for c in ("tree", "feature", "threshold", "value", "n_samples")}
     for depth in range(limit + 1):
         feature = np.full(tree.size, -1)
         threshold = np.zeros(tree.size)
         split = np.nonzero((size > 1) & (depth < limit))[0]
-        next_tree = next_size = np.zeros(0, dtype=np.intp)
+        next_tree = next_size = next_rank = np.zeros(0, dtype=np.intp)
         if split.size:
             rows = rows[np.repeat(size > 1, size)]
-            f, cut, go_left = _draw_splits(x, rows, size[split], tree[split], rngs)
+            f, cut, go_left = _draw_splits(x, rows, size[split], tree[split], rank[split], rngs)
             keep = np.repeat(f >= 0, size[split])
             rows, go_left = rows[keep], go_left[keep]
             inner = split[f >= 0]
-            rows, lefts = _partition(rows, go_left, size[inner])
             feature[inner], threshold[inner] = f[f >= 0], cut[f >= 0]
-            next_tree = np.repeat(tree[inner], 2)
-            next_size = np.column_stack((lefts, size[inner] - lefts)).ravel()
+            rows, next_size, next_tree, next_rank = _next_level(rows, go_left, size[inner], tree[inner], rank[inner])
         value = np.where(feature < 0, depth + table[size], 0.0)
+        by_rank = np.argsort(rank)
         for name, column in zip(columns, (tree, feature, threshold, value, size)):
-            columns[name].append(column)
-        tree, size = next_tree, next_size
+            columns[name].append(column[by_rank])
+        tree, size, rank = next_tree, next_size, next_rank
         if tree.size == 0:
             break
-    tree = np.concatenate(columns.pop("tree"))
-    order = np.argsort(tree, kind="stable")
-    sizes = np.bincount(tree, minlength=n_estimators)
-    starts = np.cumsum(sizes) - sizes
-    del tree
-    # a column at a time, each freed as it is gathered, which keeps the peak memory down
-    cols = {name: np.concatenate(columns.pop(name))[order] for name in list(columns)}
-    is_split = cols["feature"] >= 0
-    before = np.cumsum(is_split) - is_split  # split nodes before each node, over all trees
-    i = before - np.repeat(before[starts], sizes)  # ... and within its own tree
-    cols["left"] = np.where(is_split, 2 * i + 1, -1)
-    cols["right"] = np.where(is_split, 2 * i + 2, -1)
-    cols["n_positive"] = np.zeros(is_split.size, dtype=np.intp)
-    parts = {c: np.split(v, starts[1:]) for c, v in cols.items()}
-    return [Nodes(**{c: parts[c][t] for c in COLUMNS}) for t in range(n_estimators)]
+    return _breadth_first(columns, n_estimators)
 
 
 class IsolationForestDetector(TrainedDetector):

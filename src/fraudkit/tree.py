@@ -1,7 +1,9 @@
 """CART trees: greedy binary splits over midpoint thresholds with gini,
-entropy or squared-error criteria, grown by `DecisionTree.fit` and stored in
-the flat `Nodes` layout. The isolation forest grows its own trees
-(`occ._fit_iforest`) and stores and routes them as `Nodes` too.
+entropy or squared-error criteria, grown by `DecisionTree.fit` (one tree)
+and `fit_forest` (many trees on one matrix) and stored in the flat `Nodes`
+layout. The isolation forest grows its own trees (`occ._fit_iforest`) with
+the same segment partition and numbering, and stores and routes them as
+`Nodes` too.
 
 Shared by the decision-tree classifier, the random forest and the boosted
 ensemble. Tie-breaks are fixed (lowest feature index, then lowest
@@ -9,44 +11,32 @@ threshold) so fits are reproducible. An impure node splits even at zero
 impurity decrease, which is what lets a depth-2 tree carve out XOR.
 
 Columns are sorted once per fit (`presort`, as in SLIQ: Mehta, Agrawal &
-Rissanen, EDBT 1996), not per node: every node carries its rows' part of
-each column's sorted list, a split hands each child its part of every list
-in order, and a node's split search scores all its candidate columns'
-lists as one array, with no loop over features. Callers that fit many
+Rissanen, EDBT 1996), not per node, and trees grow a level at a time, as
+SLIQ's do: every open node of one depth is split at once. Each sorted list
+holds the entries of all the level's nodes, node after node, so a node is a
+contiguous segment of every list. One search scores the cuts of every node
+and candidate column, and one stable partition by segment (`_partition`)
+hands each child its part of every list, in order. Callers that fit many
 trees on one matrix share one presort: the boosted ensemble, and the random
-forest, whose bootstrap samples enter as row counts. Trees are grown,
-routed and serialized without recursion, so depth is bounded only by the
-data.
+forest, whose bootstrap samples enter as row counts and whose trees grow
+together. Every tree is numbered breadth first (`Nodes`), and trees are
+grown, routed and serialized without recursion, so depth is bounded only by
+the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .data import document_parser, require_finite
-from .errors import ModelError
+from .data import BLOCK, document_parser, require_finite
+from .errors import DataError, ModelError
 
 GINI = "gini"
 ENTROPY = "entropy"
 SQUARED = "squared_error"
-
-
-def _impurity(pos: float, n: float, criterion: str) -> float:
-    if n <= 0:
-        return 0.0
-    p = pos / n
-    if criterion == GINI:
-        return 2.0 * p * (1.0 - p)
-    q = 1.0 - p
-    out = 0.0
-    if p > 0:
-        out -= p * np.log2(p)
-    if q > 0:
-        out -= q * np.log2(q)
-    return float(out)
-
 
 TREE_FORMAT = "fraudkit.tree/2"
 COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples", "n_positive")
@@ -58,9 +48,11 @@ class Nodes:
     """One tree as parallel per-node columns, node 0 the root.
 
     A row at split node i goes to `left[i]` when x[feature[i]] <= threshold[i]
-    and to `right[i]` otherwise; children always come after their parent. A
-    leaf has feature, left and right -1 and predicts `value`. CART trees are
-    numbered in pre-order, isolation trees breadth first.
+    and to `right[i]` otherwise. A leaf has feature, left and right -1 and
+    predicts `value`. Every grower numbers its trees breadth first: a depth's
+    nodes follow the previous depth's, and the i-th split node's children are
+    nodes 2i + 1 (left) and 2i + 2 (right). A document only has to put
+    children after their parent.
     """
 
     feature: np.ndarray
@@ -132,23 +124,86 @@ def _as_columns(values) -> dict[str, np.ndarray]:
     return {c: np.asarray(values[c], dtype=float if c in _FLOAT_COLUMNS else np.intp) for c in COLUMNS}
 
 
-def _best_cut(xs, decrease):
-    """(column, threshold) of the largest decrease over cuts between distinct
-    sorted values, or None when no column has two distinct values.
+# ---------------------------------------------------------------- levels
+#
+# A grower keeps a level's nodes as segments: seg[k] consecutive entries for
+# node k along the last axis of every array of the level. Splitting puts all
+# left children first (`_partition`), so the order of a level's segments is
+# not breadth first; rank[k] is node k's position in breadth-first order,
+# tree by tree, and draws and numbering follow it.
 
-    Row j of xs holds candidate column j's values in sorted order, and entry
-    (j, i) of decrease is the cut after its sorted entry i. The first maximum
-    in that row-major order wins, which is the documented tie-break: lowest
-    feature, then lowest threshold. `decrease` is overwritten: a cut that
-    does not lie between increasing values becomes -inf.
+
+def _partition(entries: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Every row's entries whose side is 0 (left), then those whose side is
+    1 (right), both in order, dropping the rest: with segments along the
+    rows, every segment's left part, in segment order, comes before every
+    right part. Every row keeps as many entries on each side as the first."""
+    shape = (*entries.shape[:-1], -1)
+    side = side.ravel()
+    parts = [entries.compress(side == s).reshape(shape) for s in (0, 1)]
+    return np.concatenate(parts, axis=-1)
+
+
+def _next_level(rows, go_left, seg, tree, rank):
+    """The rows, segment sizes, trees and ranks of the children of a level's
+    split nodes, whose rows are `rows`, seg[k] of them for node k: the i-th
+    split node in breadth-first order has children ranked 2i and 2i + 1."""
+    lefts = np.add.reduceat(go_left, np.cumsum(seg) - seg, dtype=np.intp)
+    i = np.empty_like(rank)
+    i[np.argsort(rank)] = np.arange(len(rank))
+    return (
+        _partition(rows, (~go_left).view(np.int8)),
+        np.concatenate((lefts, seg - lefts)),
+        np.concatenate((tree, tree)),
+        np.concatenate((2 * i, 2 * i + 1)),
+    )
+
+
+def _draw_by_rank(rngs: list, tree: np.ndarray, rank: np.ndarray, draw) -> np.ndarray:
+    """draw(rngs[t], k), one entry along axis 0 per node of tree t, taken by
+    each tree for its nodes in breadth-first order and returned in node
+    order."""
+    by_rank = np.argsort(rank)
+    counts = np.bincount(tree, minlength=len(rngs))
+    drawn = np.concatenate([draw(rngs[t], k) for t, k in enumerate(counts.tolist()) if k])
+    out = np.empty_like(drawn)
+    out[by_rank] = drawn
+    return out
+
+
+def _breadth_first(columns: dict[str, list], n_trees: int) -> list[Nodes]:
+    """Each tree's `Nodes` from per-depth node columns.
+
+    columns[c] holds one array per depth with that depth's nodes in
+    breadth-first order, tree by tree; columns["tree"] names each node's
+    tree. A stable sort by tree then puts each tree's nodes breadth first,
+    where the i-th split node's children are nodes 2i + 1 and 2i + 2.
+    The columns are gathered one at a time, each freed as it goes.
     """
-    if xs.size == 0:
-        return None
-    np.putmask(decrease, ~(xs[:, :-1] < xs[:, 1:]), -np.inf)
-    j, i = divmod(int(np.argmax(decrease)), decrease.shape[1])
-    if decrease[j, i] == -np.inf:
-        return None
-    return j, float((xs[j, i] + xs[j, i + 1]) / 2.0)
+    tree = np.concatenate(columns.pop("tree"))
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=n_trees)
+    starts = np.cumsum(sizes) - sizes
+    del tree
+    cols = {name: np.concatenate(columns.pop(name))[order] for name in list(columns)}
+    is_split = cols["feature"] >= 0
+    before = np.cumsum(is_split) - is_split  # split nodes before each node, over all trees
+    i = before - np.repeat(before[starts], sizes)  # ... and within its own tree
+    cols["left"] = np.where(is_split, 2 * i + 1, -1)
+    cols["right"] = np.where(is_split, 2 * i + 2, -1)
+    if "n_positive" not in cols:
+        cols["n_positive"] = np.zeros(is_split.size, dtype=np.intp)
+    parts = {c: np.split(v, starts[1:]) for c, v in cols.items()}
+    return [Nodes(**{c: parts[c][t] for c in COLUMNS}) for t in range(n_trees)]
+
+
+def _segment_cumsum(a: np.ndarray, starts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Running sums along each row of `a` (overwritten) that restart at every
+    segment, whose sum in every row is totals[k], from one cumsum: each
+    segment's first entry takes away the previous segment's total. Exact for
+    the integer-valued counts it is used on."""
+    a[:, starts[1:]] -= totals[:-1]
+    return np.cumsum(a, axis=-1, out=a)
 
 
 def _entropy(p):
@@ -159,19 +214,24 @@ def _entropy(p):
     return out
 
 
-def _best_split_classification(xs, ys, ws, n, total_pos, criterion):
-    """`_best_cut` by impurity decrease, from the candidate columns' sorted
-    values xs and, in the same order, each row's positive count ys and its
-    number of copies ws (None: one each); the node holds n samples, total_pos
-    of them positive. The counts left of a cut are the same integers a tree
-    grown on the copies themselves would sum, so the decreases are too."""
-    parent = _impurity(total_pos, n, criterion)
-    prefix_pos = np.cumsum(ys[:, :-1], axis=1)
-    nl = np.arange(1.0, n) if ws is None else np.cumsum(ws[:, :-1], axis=1)
-    nr = n - nl
+def _impurity(p: np.ndarray, criterion: str) -> np.ndarray:
+    return 2.0 * p * (1.0 - p) if criterion == GINI else _entropy(p)
+
+
+def _classification_decrease(yl, wl, seg, n, pos, criterion):
+    """Impurity decrease of the cut after every entry: yl (overwritten) holds
+    each entry's positive count and wl (overwritten) its number of copies
+    (None: one each), and segment k holds n[k] samples, pos[k] of them
+    positive. The counts left of a cut are the same integers a tree grown
+    on the copies themselves would sum, so the decreases are too."""
+    starts = np.cumsum(seg) - seg
+    prefix_pos = _segment_cumsum(yl, starts, pos)
+    nl = np.arange(1.0, yl.shape[-1] + 1) - np.repeat(starts, seg) if wl is None else _segment_cumsum(wl, starts, n)
+    n_rep, pos_rep = np.repeat(n, seg), np.repeat(pos, seg)
+    nr = n_rep - nl
     pl = prefix_pos / nl
-    pr = np.subtract(total_pos, prefix_pos, out=prefix_pos)
-    pr /= nr
+    pr = np.subtract(pos_rep, prefix_pos, out=prefix_pos)
+    pr /= nr  # inf or nan at a segment's last entry, which is no cut
     # each side's row count times its impurity, in place
     if criterion == GINI:
         # (1 - p) p 2n rounds as n (2p (1 - p)) does, since doubling is exact
@@ -185,34 +245,234 @@ def _best_split_classification(xs, ys, ws, n, total_pos, criterion):
         left = nl * _entropy(pl)
         right = nr * _entropy(pr)
     left += right
-    left /= n
-    return _best_cut(xs, np.subtract(parent, left, out=left))
+    left /= n_rep
+    return np.subtract(np.repeat(_impurity(pos / n, criterion), seg), left, out=left)
 
 
-def _best_split_regression(xs, ts, t):
-    """`_best_cut` by squared-error decrease sse_parent - (sl + sr), where
-    sl = s2 - s1² / nl over prefix sums of the targets (s1) and of their
-    squares (s2) and sr is the same over suffix sums; xs holds the candidate
-    columns' sorted values, ts their targets in the same order (overwritten)
-    and t the node's targets in row order."""
-    n = len(t)
-    sse_parent = float(np.sum((t - t.mean()) ** 2))
-    # the lists are stable, so tied rows keep their row order and every
-    # column's prefix sums round as a stable sort's would
-    s1 = np.cumsum(ts, axis=1)
-    s2 = np.cumsum(np.square(ts, out=ts), axis=1, out=ts)
-    nl = np.arange(1.0, n)
-    nr = n - nl
-    decrease = np.square(s1[:, :-1])
-    decrease /= nl
-    np.subtract(s2[:, :-1], decrease, out=decrease)  # sl
-    right = np.subtract(s1[:, -1:], s1[:, :-1], out=s1[:, :-1])
+def _regression_proxy(tl, seg):
+    """Squared-error decrease of the cut after every entry up to a per-node
+    constant: sl² / nl + sr² / nr, with sl the running sum of the targets tl
+    (overwritten) and sr the rest (scikit-learn's proxy impurity
+    improvement). Each node sums its own entries, so that its sums round as
+    a tree grown on that node alone would round them."""
+    starts = np.cumsum(seg) - seg
+    for s, m in zip(starts.tolist(), seg.tolist()):
+        np.cumsum(tl[:, s : s + m], axis=1, out=tl[:, s : s + m])
+    nl = np.arange(1.0, tl.shape[1] + 1) - np.repeat(starts, seg)
+    nr = np.repeat(seg, seg) - nl
+    right = np.repeat(tl[:, starts + seg - 1], seg, axis=1)
+    right -= tl
     np.square(right, out=right)
-    right /= nr
-    np.subtract(s2[:, -1:], s2[:, :-1], out=s2[:, :-1])
-    np.subtract(s2[:, :-1], right, out=right)  # sr
-    decrease += right
-    return _best_cut(xs, np.subtract(sse_parent, decrease, out=decrease))
+    right /= nr  # inf or nan at a segment's last entry, which is no cut
+    proxy = np.square(tl, out=tl)
+    proxy /= nl
+    proxy += right
+    return proxy
+
+
+def _best_cuts(xs, score, seg):
+    """(candidate row, threshold, score) of each segment's largest score over
+    cuts between distinct sorted values; the score is -inf where no row has
+    two distinct values.
+
+    Row j of xs holds candidate column j's values, sorted within each
+    segment, and score[j, i] scores the cut after entry i (overwritten: a
+    cut that does not lie between increasing values becomes -inf). A
+    segment's first maximum in row-major order wins, which is the
+    documented tie-break: lowest feature, then lowest threshold.
+    """
+    starts = np.cumsum(seg) - seg
+    np.putmask(score[:, :-1], xs[:, :-1] >= xs[:, 1:], -np.inf)
+    score[:, starts + seg - 1] = -np.inf
+    best_of_row = np.maximum.reduceat(score, starts, axis=1)
+    row = np.argmax(best_of_row, axis=0)
+    best = best_of_row[row, np.arange(len(seg))]
+    along = score[np.repeat(row, seg), np.arange(score.shape[1])]
+    hits = np.flatnonzero(along == np.repeat(best, seg))
+    at = np.minimum(hits[np.searchsorted(hits, starts)], score.shape[1] - 2)
+    return row, (xs[row, at] + xs[row, at + 1]) / 2.0, best
+
+
+# list entries per block of candidate rows that one search pass scores, so
+# that a large level's temporaries stay 512 KB each; at the bench's size a
+# whole level is one block, and smaller blocks were slower there
+_SEARCH_BLOCK = 2**16
+
+
+def _best_splits(xt, row_of, lists, candidates, seg, labels, weight, n, pos, criterion):
+    """(candidate index, threshold) of each segment's best cut, index -1
+    where there is none.
+
+    `lists` holds the segments' part of every sorted list, in segment
+    order; sample s is row row_of[s] (None: row s) of x, and xt is x.T,
+    C-contiguous. candidates[k] names segment k's candidate columns in
+    ascending order (None: every column). The targets are `labels` (positive
+    counts for classification), with `weight` copies per sample (None: one
+    each); segment k holds n[k] samples, pos[k] of them positive. Candidate
+    rows are scored a block at a time; a later block's cut must score
+    strictly higher to win, which keeps the lowest-feature tie-break.
+    """
+    k = len(lists) if candidates is None else candidates.shape[1]
+    if candidates is not None:
+        chosen = np.repeat(candidates.T, seg, axis=1)
+    row, cut, best = np.full(len(seg), -1), np.zeros(len(seg)), np.full(len(seg), -np.inf)
+    step = max(1, _SEARCH_BLOCK // lists.shape[1])
+    for j in range(0, k, step):
+        if candidates is None:
+            column = np.arange(j, min(j + step, k))[:, None]
+            cl = lists[j : j + step].astype(np.intp)  # numpy gathers far faster by intp indices
+        else:
+            column = chosen[j : j + step]
+            cl = np.take_along_axis(lists, column, axis=0).astype(np.intp)
+        xs = xt.take((cl if row_of is None else row_of.take(cl)) + column * xt.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if criterion == SQUARED:
+                score = _regression_proxy(labels.take(cl), seg)
+            else:
+                wl = None if weight is None else weight.take(cl)
+                score = _classification_decrease(labels.take(cl), wl, seg, n, pos, criterion)
+        block_row, block_cut, block_best = _best_cuts(xs, score, seg)
+        better = block_best > best
+        row[better], cut[better], best[better] = block_row[better] + j, block_cut[better], block_best[better]
+    return row, cut
+
+
+# ---------------------------------------------------------------- grower
+
+
+def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["DecisionTree"]:
+    """Trees with `template`'s settings, grown together a level at a time.
+
+    Tree t grows on the rows with counts[t] > 0, each standing for that many
+    copies (counts None: one tree on every row once), and draws its
+    max_features subsets from rngs[t]: per level, one permutation(d) per
+    open node, breadth first, the first max_features entries of which,
+    sorted, are the node's candidate columns. A node is open, and searched,
+    when it holds two or more samples with different targets above the
+    depth limit; it splits when some candidate column has two distinct
+    values on it.
+
+    A sample is one distinct row of one tree. `rows` holds the samples of
+    every node of the level, node after node in the level's order (see
+    `_partition`), each node's in row order; `lists` holds the open nodes'
+    part of every list of `order`, in the same node order; rank[k] is node
+    k's breadth-first position in the level, which fixes the draws and the
+    node ids.
+    """
+    criterion, max_depth, max_features = template.criterion, template.max_depth, template.max_features
+    d, n = xt.shape
+    # 32-bit list entries halve the memory the partitions move
+    entry = np.int32 if n * len(rngs) < 2**31 else np.intp
+    if counts is None:
+        sample_row, weight, lists, seg = np.arange(n), None, order.astype(entry), np.array([n])
+    else:
+        rows_of, parts, offset = [], [], 0
+        for c in counts:
+            present = c > 0
+            if not present.any():
+                raise DataError("a tree needs at least one training row")
+            ids = np.cumsum(present, dtype=entry) + entry(offset - 1)  # sample id of each present row
+            parts.append(ids.take(order.compress(present.take(order).ravel()).reshape(d, -1)))
+            rows_of.append(np.flatnonzero(present))
+            offset += len(rows_of[-1])
+        sample_row, lists = np.concatenate(rows_of), np.concatenate(parts, axis=1)
+        weight = np.concatenate([c[r] for c, r in zip(counts, rows_of)]).astype(float)
+        seg = np.array([len(r) for r in rows_of])
+        del parts
+    n_trees = len(seg)
+    row_of = None if counts is None else sample_row
+    target = y[sample_row]
+    labels = target if weight is None else target * weight
+    draw = max_features is not None and max_features < d
+
+    def node_stats(rows, seg, depth):
+        """Each node's samples, positives, and whether it is open."""
+        starts = np.cumsum(seg) - seg
+        t = target[rows]
+        n_node = seg.astype(float) if weight is None else np.add.reduceat(weight[rows], starts)
+        pos = np.zeros(len(seg)) if criterion == SQUARED else np.add.reduceat(labels[rows], starts)
+        open_ = (n_node >= 2) & (np.minimum.reduceat(t, starts) < np.maximum.reduceat(t, starts))
+        if max_depth is not None and depth >= max_depth:
+            open_[:] = False
+        return n_node, pos, open_
+
+    rows, tree, rank = np.arange(len(sample_row)), np.arange(n_trees), np.arange(n_trees)
+    depth = 0
+    n_node, pos, open_ = node_stats(rows, seg, depth)
+    if not open_.all():
+        lists = lists.compress(np.repeat(open_, seg), axis=1)
+    side = np.empty(len(sample_row), dtype=np.int8)  # where each sample of a split node goes
+    done = np.zeros(n_trees, dtype=np.intp)  # nodes of each tree so far
+    leaves: list[dict[int, np.ndarray]] = [{} for _ in range(n_trees)]
+    columns: dict[str, list] = {c: [] for c in ("tree", "feature", "threshold", "value", "n_samples", "n_positive")}
+    while True:
+        feature = np.full(len(seg), -1)
+        threshold = np.zeros(len(seg))
+        if open_.any():
+            o_seg = seg[open_]
+            candidates = None
+            if draw:
+                candidates = _draw_by_rank(
+                    rngs, tree[open_], rank[open_], lambda rng, k: rng.permuted(np.tile(np.arange(d), (k, 1)), axis=1)
+                )[:, :max_features]
+                candidates.sort(axis=1)
+            best, cut = _best_splits(
+                xt, row_of, lists, candidates, o_seg, labels, weight, n_node[open_], pos[open_], criterion
+            )
+            found = best >= 0
+            picked = best[found] if candidates is None else candidates[np.flatnonzero(found), best[found]]
+            feature[np.flatnonzero(open_)[found]] = picked
+            threshold[np.flatnonzero(open_)[found]] = cut[found]
+            if not found.all():
+                lists = lists.compress(np.repeat(found, o_seg), axis=1)
+        split = feature >= 0
+        starts = np.cumsum(seg) - seg
+        value = np.zeros(len(seg))
+        level_counts = np.bincount(tree, minlength=n_trees)
+        ids = rank - (np.cumsum(level_counts) - level_counts)[tree] + done[tree]  # each node's id in its tree
+        for k in np.flatnonzero(~split).tolist():
+            node_rows = rows[starts[k] : starts[k] + seg[k]]
+            if criterion == SQUARED:
+                value[k] = float(target[node_rows].mean())
+            else:
+                value[k] = pos[k] / n_node[k]
+            leaves[tree[k]][int(ids[k])] = sample_row[node_rows]
+        by_rank = np.argsort(rank)
+        level = (tree, feature, threshold, value, n_node.astype(np.intp), pos.astype(np.intp))
+        for name, column in zip(columns, level):
+            columns[name].append(column[by_rank])
+        done += level_counts
+        if not split.any():
+            break
+        if not split.all():
+            rows = rows.compress(np.repeat(split, seg))
+        split_seg = seg[split]
+        at = rows if row_of is None else row_of[rows]
+        go = xt[np.repeat(feature[split], split_seg), at] <= np.repeat(threshold[split], split_seg)
+        parents = rows
+        rows, seg, tree, rank = _next_level(rows, go, split_seg, tree[split], rank[split])
+        depth += 1
+        n_node, pos, open_ = node_stats(rows, seg, depth)
+        if not open_.any():  # the depth limit, say: no child is searched
+            continue
+        # the lists keep the entries of the open children only
+        child = np.repeat(np.arange(len(split_seg)), split_seg) + np.where(go, 0, len(split_seg))
+        side[parents] = np.where(open_[child], (~go).view(np.int8), 2)
+        lists = _partition(lists, side.take(lists))
+    return [
+        DecisionTree(criterion, max_depth, max_features, nodes=nodes, n_features=d, leaf_training_indices=leaf_rows)
+        for nodes, leaf_rows in zip(_breadth_first(columns, n_trees), leaves)
+    ]
+
+
+def _training_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = require_finite(np.asarray(x, dtype=float), "training rows")
+    y = require_finite(np.asarray(y, dtype=float), "training targets")
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise ModelError("bad training shapes")
+    if x.shape[0] == 0:
+        raise DataError("a tree needs at least one training row")
+    return x, y
 
 
 @dataclass
@@ -233,96 +493,27 @@ class DecisionTree:
         y: np.ndarray,
         rng: np.random.Generator | None = None,
         order: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
     ) -> "DecisionTree":
-        """Grow the tree on rows x with targets y with an explicit stack.
+        """Grow the tree on rows x with targets y, a level at a time.
         `order` is `presort(x)`, computed here when not given, so that fits on
-        one matrix can share it. `counts` (classification only) gives each
-        row's number of copies in a bootstrap sample, 0 leaving it out: the
-        tree is the one grown on those copies, and `leaf_training_indices`
-        lists each leaf's rows once, ascending.
-
-        A node holds its rows (in row order) and its part of every list of
-        `order`, in the same order. Rows go left where x[:, feature] <=
-        threshold. The left child is taken first, so nodes are numbered in
-        pre-order and make their random draws in the order of a recursive
-        left-first grower.
+        one matrix can share it. Rows go left where x[:, feature] <=
+        threshold, and `leaf_training_indices` lists each leaf's rows,
+        ascending. With max_features, the tree draws its candidate columns
+        from rng as `_grow` states.
         """
-        x = require_finite(np.asarray(x, dtype=float), "training rows")
-        y = require_finite(np.asarray(y, dtype=float), "training targets")
-        if x.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise ModelError("bad training shapes")
-        if self.criterion not in (GINI, ENTROPY, SQUARED):
-            raise ModelError(f"unknown criterion {self.criterion!r}")
-        if counts is not None and self.criterion == SQUARED:
-            raise ModelError("row counts need a classification criterion")
+        x, y = _training_arrays(x, y)
+        self._check_criterion()
         if self.max_features is not None and rng is None:
             rng = np.random.default_rng(0)
-        self.n_features = x.shape[1]
-        values = np.ascontiguousarray(x.T).ravel()
-        lists = presort(x) if order is None else order
-        rows = np.arange(x.shape[0])
-        if counts is not None:
-            counts = np.asarray(counts, dtype=float)
-            rows = np.flatnonzero(counts)
-            lists = lists.compress(counts.take(lists).ravel() > 0).reshape(len(lists), -1)
-        cols: dict[str, list] = {c: [] for c in COLUMNS}
-        self.leaf_training_indices = {}
-        go_left = np.zeros(x.shape[0], dtype=bool)
-        stack: list[tuple[np.ndarray, np.ndarray, int, int, list | None]] = [(rows, lists, 0, -1, None)]
-        while stack:
-            indices, lists, depth, parent, link = stack.pop()
-            node = len(cols["feature"])
-            if link is not None:
-                link[parent] = node
-            feature, threshold, value, n_samples, n_positive = self._split_or_leaf(
-                values, y, counts, indices, lists, depth, rng
-            )
-            for c, v in zip(COLUMNS, (feature, threshold, -1, -1, value, n_samples, n_positive)):
-                cols[c].append(v)
-            if feature < 0:
-                self.leaf_training_indices[node] = indices
-                continue
-            left = x[indices, feature] <= threshold
-            go_left[indices] = left
-            # each child keeps its entries of every list, in order; compress on
-            # the flat mask is several times faster than 2-D boolean indexing
-            in_left = go_left[lists].ravel()
-            d = len(lists)
-            stack.append((indices[~left], lists.compress(~in_left).reshape(d, -1), depth + 1, node, cols["right"]))
-            stack.append((indices[left], lists.compress(in_left).reshape(d, -1), depth + 1, node, cols["left"]))
-        self.nodes = Nodes(**_as_columns(cols))
+        order = presort(x) if order is None else order
+        grown = _grow(self, np.ascontiguousarray(x.T), y, order, None, [rng])[0]
+        self.nodes, self.n_features = grown.nodes, grown.n_features
+        self.leaf_training_indices = grown.leaf_training_indices
         return self
 
-    def _split_or_leaf(self, values, y, counts, indices, lists, depth, rng) -> tuple[int, float, float, int, int]:
-        """`values` is x column by column, flattened, so that entry
-        j * n + i is x[i, j]."""
-        ys = y[indices]
-        weights = None if counts is None else counts[indices]
-        n = len(indices) if weights is None else int(weights.sum())
-        n_positive = 0 if self.criterion == SQUARED else int(ys.sum() if weights is None else ys @ weights)
-        if n < 2 or (ys == ys[0]).all() or (self.max_depth is not None and depth >= self.max_depth):
-            return self._leaf(ys, n, n_positive)
-
-        if self.max_features is not None and self.max_features < self.n_features:
-            candidates = np.sort(rng.permutation(self.n_features)[: self.max_features])
-            lists = lists[candidates]
-        else:
-            candidates = np.arange(self.n_features)
-        xs = values[lists + (candidates * len(y))[:, None]]
-        if self.criterion == SQUARED:
-            best = _best_split_regression(xs, y[lists], ys)
-        else:
-            ws = None if counts is None else counts[lists]
-            labels = y[lists] if ws is None else y[lists] * ws
-            best = _best_split_classification(xs, labels, ws, n, n_positive, self.criterion)
-        if best is None:
-            return self._leaf(ys, n, n_positive)
-        return int(candidates[best[0]]), best[1], 0.0, n, n_positive
-
-    def _leaf(self, ys: np.ndarray, n: int, n_positive: int) -> tuple[int, float, float, int, int]:
-        value = float(ys.mean()) if self.criterion == SQUARED else n_positive / n
-        return -1, 0.0, value, n, n_positive
+    def _check_criterion(self, allowed=(GINI, ENTROPY, SQUARED)) -> None:
+        if self.criterion not in allowed:
+            raise ModelError(f"criterion {self.criterion!r} is not one of {allowed}")
 
     # ---------------------------------------------------------------- use
 
@@ -358,3 +549,41 @@ class DecisionTree:
             raise ModelError(f"tree document needs a positive n_features, got {n_features!r}")
         nodes = Nodes.from_dict(doc, n_features)
         return cls(doc.get("criterion", GINI), doc.get("max_depth"), nodes=nodes, n_features=n_features)
+
+
+def fit_forest(
+    template: DecisionTree,
+    x: np.ndarray,
+    y: np.ndarray,
+    samples: Iterable[tuple[np.ndarray, np.random.Generator]],
+) -> list[DecisionTree]:
+    """One classification tree with `template`'s settings per (counts, rng)
+    of `samples`: counts gives each row's number of copies in a bootstrap
+    sample, 0 leaving it out, and the tree is the one `DecisionTree.fit`
+    would grow on those copies with that rng, except that its
+    `leaf_training_indices` list each leaf's rows once, ascending.
+
+    The trees grow together a level at a time, in groups taken in order:
+    a group's sorted lists hold at most `data.BLOCK` entries (d per distinct
+    row of each tree, at least one tree), so that a level's arrays stay
+    within a few MB. Each tree draws its candidate columns from its own rng,
+    breadth first: at every level, one permutation(d) per open node, as
+    `_grow` states.
+    """
+    x, y = _training_arrays(x, y)
+    template._check_criterion((GINI, ENTROPY))
+    order = presort(x)
+    xt = np.ascontiguousarray(x.T)
+    trees: list[DecisionTree] = []
+    group: list[tuple[np.ndarray, np.random.Generator]] = []
+    entries = 0
+    for counts, rng in samples:
+        size = np.count_nonzero(counts) * x.shape[1]
+        if group and entries + size > BLOCK:
+            trees += _grow(template, xt, y, order, *zip(*group))
+            group, entries = [], 0
+        group.append((np.asarray(counts), rng))
+        entries += size
+    if group:
+        trees += _grow(template, xt, y, order, *zip(*group))
+    return trees

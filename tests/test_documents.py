@@ -13,7 +13,7 @@ from fraudkit.classify import ClassifierConfig, model_from_dict
 from fraudkit.data import Dataset, FeatureSchema, NormParams, OneHotMap, encode_one_hot, fit_normalize, numeric_schema
 from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
 from fraudkit.neural import Network, NetworkSpec, TrainConfig, init_network, layer_stack
-from fraudkit.occ import DetectorConfig, detector_from_dict
+from fraudkit.occ import DetectorConfig, detector_from_dict, fit_detector
 from fraudkit.resample import BalancerConfig
 from fraudkit.tree import DecisionTree, Nodes
 
@@ -124,3 +124,38 @@ def test_one_hot_map_and_norm_params_round_trip_through_json(mixed_schema):
 def test_schema_documents_with_retired_fields_still_load():
     doc = {"features": [{"name": "a", "kind": "numeric", "mutable": False, "range": [0.0, 1.0]}]}
     assert FeatureSchema.from_dict(doc) == numeric_schema(["a"])
+
+
+@pytest.mark.parametrize(
+    "feature",
+    [{"name": 3, "kind": "numeric"}, {"name": "x", "kind": "categorical", "categories": "abc"}],
+    ids=["integer-name", "string-categories"],
+)
+def test_schema_field_of_a_wrong_type_is_a_data_error(feature):
+    # the integer name used to load as 3, and "abc" as the categories ('a', 'b', 'c')
+    with pytest.raises(DataError):
+        FeatureSchema.from_dict({"features": [feature]})
+
+
+def _gan_with_bad_latent_dim() -> dict:
+    doc = _gan_doc()
+    doc["spec"]["latent_dim"] = "x"
+    return doc
+
+
+def _vae_with_unknown_encoder_loss() -> dict:
+    x = np.random.default_rng(0).uniform(size=(20, 3))
+    doc = fit_detector(DetectorConfig("vae", {"epochs": 1}), x).to_dict()
+    doc["state"]["encoder"]["spec"]["loss"] = "nope"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [(Gan.from_dict, _gan_with_bad_latent_dim), (detector_from_dict, _vae_with_unknown_encoder_loss)],
+    ids=["gan-latent-dim", "vae-encoder-loss"],
+)
+def test_malformed_nested_spec_is_the_outer_documents_error(parse, doc):
+    # the nested spec's parser raises ConfigError, which used to escape as is
+    with pytest.raises(ModelError):
+        parse(doc())

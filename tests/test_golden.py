@@ -6,7 +6,17 @@ fixed rows, taken both from the fitted model and from its saved-and-reloaded
 copy. A change to how trees are grown, stored, routed or serialized, or to how
 a detector is fitted or scored, must leave every digest unchanged; the tree
 digests stayed bit-identical when CART moved from a per-node argsort to one
-presort per fit. The `lr-l2` and `svm-l2-squared-hinge` digests pin the
+presort per fit, and the `dt` digests when it moved to growing a level at a
+time. `rf` (9bf83ec8… → 172ca77b…) was regenerated with that move: each tree
+now draws its max_features subsets a level at a time, one permutation(d)
+per open node in breadth-first order, instead of in pre-order (its
+bootstrap draws did not change). `gbt` (4a1deeeb… → 09c49c0e…) was
+regenerated when the squared-error search moved from sse_parent - (sl + sr)
+to the proxy sl² / nl + sr² / nr: in the first round's tree, a depth-2 node
+of 72 rows, 57 of them positive, has two cuts that each send 70 rows and all
+57 positives left, feature 1 at 2.1359 and feature 3 at 2.4181, an exact
+tie. The old form rounded feature 3's decrease higher; the proxy scores the
+two the same, and the lowest-feature tie-break takes feature 1. The `lr-l2` and `svm-l2-squared-hinge` digests pin the
 damped-Newton solver, `svm-l2` the smoothed-Newton hinge solver and the
 other linear ones step-halving gradient descent. `svm-l2` was regenerated
 (12f09af6… → 1db3733b…) when the l2 hinge moved from step-halving descent,
@@ -102,11 +112,11 @@ CLASSIFIER_GOLDEN = {
     ),
     "rf": (
         ClassifierConfig("rf", {"estimators": 15, "maxdepth": 6}, seed=3),
-        "9bf83ec85f689d43f5606c08da998c53ee62d2de3f041bfa936e4b826a74bf05",
+        "172ca77b486795cea6d386493ec03dfae5682615f0fcb53b064ad6082091bbfd",
     ),
     "gbt": (
         ClassifierConfig("gbt", {"estimators": 25, "maxdepth": 3, "loss": "deviance"}),
-        "4a1deeeba9b94b79b0f42f7a283f3acd982e3ee2a546a93419cf56fa61b29c77",
+        "09c49c0ed1b8b887e61e003ef18021018aec583b935ffc1e8d77a8dafd8889a6",
     ),
     "lr-l2": (
         ClassifierConfig("lr", {"penalty_strength": 0.01, "max_iter": 300}),

@@ -355,13 +355,14 @@ def test_network_json_round_trip(tmp_path):
 def test_network_document_with_a_leaky_slope_outside_the_unit_interval_fails_at_load(tmp_path):
     spec = NetworkSpec(3, layer_stack([4, 1], ["leaky_relu", "logistic"]), "binary_cross_entropy")
     doc = init_network(spec, seed=21).to_dict()
+    # the nested spec's ConfigError fails the network document as a ModelError
     for slope in (-1.0, 3.0):
         doc["spec"]["leaky_slope"] = slope
-        with pytest.raises(ConfigError, match="leaky_slope"):
+        with pytest.raises(ModelError, match="leaky_slope"):
             Network.from_dict(doc)
     doc["spec"]["leaky_slope"] = 0.2
     doc["spec"]["layers"][0][1] = "swish"  # the same failure as an unknown activation
-    with pytest.raises(ConfigError, match="activation"):
+    with pytest.raises(ModelError, match="activation"):
         Network.from_dict(doc)
 
 

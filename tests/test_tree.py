@@ -3,6 +3,7 @@ tie-breaks."""
 
 import json
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, load_model
 from fraudkit.errors import DataError, ModelError
 from fraudkit.occ import DetectorConfig, detector_from_dict, fit_detector
-from fraudkit.tree import SQUARED, TREE_FORMAT, DecisionTree
+from fraudkit.tree import SQUARED, TREE_FORMAT, DecisionTree, fit_forest
 
 
 def test_unbounded_tree_on_deep_data(tmp_path):
@@ -58,15 +59,19 @@ def test_node_without_a_distinct_column_is_a_leaf(width):
         assert nodes.value[0] == 0.6
 
 
-def test_nodes_are_numbered_in_pre_order():
+def test_nodes_are_numbered_breadth_first():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(200, 3))
     y = (x[:, 0] + x[:, 1] > 1.0).astype(int)
     tree = DecisionTree(max_depth=5).fit(x, y)
     nodes = tree.nodes_by_id()
     inner = np.nonzero(nodes.feature >= 0)[0]
-    assert np.array_equal(nodes.left[inner], inner + 1)
-    assert np.all(nodes.right[inner] > nodes.left[inner])
+    # the i-th split node's children are nodes 2i + 1 and 2i + 2
+    assert np.array_equal(nodes.left[inner], 2 * np.arange(inner.size) + 1)
+    assert np.array_equal(nodes.right[inner], nodes.left[inner] + 1)
+    assert len(nodes) == 2 * inner.size + 1
+    # depth never falls along the numbering
+    assert np.all(np.diff(_depths(nodes)) >= 0)
     # a split node's rows are the sum of its children's
     children = nodes.n_samples[nodes.left[inner]] + nodes.n_samples[nodes.right[inner]]
     assert np.array_equal(nodes.n_samples[inner], children)
@@ -143,9 +148,10 @@ def test_malformed_isolation_tree_is_model_error():
 
 # ---------------------------------------------------------------- per-node argsort oracle
 #
-# The CART grower as it was before the presort: every node argsorts its
-# candidate columns again (stably for tied squared-error columns). The
-# presorted grower must give the same node table, bit for bit.
+# A CART grower that takes one node at a time, breadth first from a queue,
+# and argsorts its candidate columns again at every node (stably for tied
+# squared-error columns), as the grower did before the presort. The
+# level-at-a-time grower must give the same node table, bit for bit.
 
 
 def _oracle_cut(xs, decrease):
@@ -169,11 +175,9 @@ def _oracle_split(cols, t, criterion):
         xs = np.take_along_axis(cols, order, axis=0)
         tied = np.any(xs[:-1] == xs[1:], axis=0)
         order[:, tied] = np.argsort(cols[:, tied], axis=0, kind="stable")
-        ts = t[order]
-        s1, s2 = np.cumsum(ts, axis=0), np.cumsum(ts * ts, axis=0)
-        sl = s2[:-1] - s1[:-1] ** 2 / nl
-        sr = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / nr
-        return _oracle_cut(xs, float(np.sum((t - t.mean()) ** 2)) - (sl + sr))
+        s1 = np.cumsum(t[order], axis=0)
+        # the proxy decrease sl^2 / nl + sr^2 / nr
+        return _oracle_cut(xs, s1[:-1] ** 2 / nl + (s1[-1] - s1[:-1]) ** 2 / nr)
     total = int(t.sum())
     order = np.argsort(cols, axis=0)
     xs = np.take_along_axis(cols, order, axis=0)
@@ -192,13 +196,15 @@ def _oracle_split(cols, t, criterion):
 
 
 def _oracle_tree(x, y, criterion, max_depth=None, max_features=None, rng=None):
-    """Node columns and leaf rows of a left-first pre-order CART grower."""
+    """Node columns and leaf rows of a breadth-first CART grower: nodes are
+    numbered as they leave the queue, and a splittable node draws its
+    candidate columns, permutation(d)[:max_features], when it leaves."""
     d = x.shape[1]
     cols = {c: [] for c in ("feature", "threshold", "left", "right", "value", "n_samples", "n_positive")}
     leaves = {}
-    stack = [(np.arange(len(y)), 0, -1, None)]
-    while stack:
-        rows, depth, parent, side = stack.pop()
+    queue = deque([(np.arange(len(y)), 0, -1, None)])
+    while queue:
+        rows, depth, parent, side = queue.popleft()
         node = len(cols["feature"])
         if side is not None:
             cols[side][parent] = node
@@ -222,8 +228,8 @@ def _oracle_tree(x, y, criterion, max_depth=None, max_features=None, rng=None):
             leaves[node] = rows
             continue
         go_left = x[rows, feature] <= threshold
-        stack.append((rows[~go_left], depth + 1, node, "right"))
-        stack.append((rows[go_left], depth + 1, node, "left"))
+        queue.append((rows[go_left], depth + 1, node, "left"))
+        queue.append((rows[~go_left], depth + 1, node, "right"))
     return cols, leaves
 
 
@@ -259,18 +265,37 @@ def test_tree_matches_per_node_argsort_oracle(seed, criterion, max_features):
     _assert_same_tree(tree, _oracle_tree(x, y, criterion, 7, max_features, np.random.default_rng(seed)))
 
 
-@pytest.mark.parametrize("criterion", ["gini", "entropy"])
-def test_forest_matches_per_node_argsort_oracle_on_bootstrap_samples(criterion):
+def _depths(nodes):
+    depth = np.zeros(len(nodes), dtype=int)
+    for i in np.nonzero(nodes.feature >= 0)[0]:
+        depth[[nodes.left[i], nodes.right[i]]] = depth[i] + 1
+    return depth
+
+
+def _assert_forest_matches_oracle(criterion, estimators):
     x, signal = _tied_rows(4)
     y = (signal > 3.0).astype(int)
-    params = {"criterion": criterion, "estimators": 4, "maxdepth": 6}
+    params = {"criterion": criterion, "estimators": estimators, "maxdepth": 6}
     model = fit_arrays(ClassifierConfig("rf", params, seed=9), x, y)
-    for tree, seq in zip(model.trees, np.random.SeedSequence(9).spawn(4)):
+    for tree, seq in zip(model.trees, np.random.SeedSequence(9).spawn(estimators)):
         rng = np.random.default_rng(seq)  # the draws `_fit_rf` makes for this tree; sqrt(6) rounds to 2
         idx = rng.integers(0, len(y), size=len(y))
         cols, leaves = _oracle_tree(x[idx], y[idx].astype(float), criterion, 6, 2, rng)
         # each leaf's sample positions as the distinct rows of x they hold
         _assert_same_tree(tree, (cols, {leaf: np.unique(idx[rows]) for leaf, rows in leaves.items()}))
+    return model
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_forest_matches_per_node_argsort_oracle_on_bootstrap_samples(criterion):
+    _assert_forest_matches_oracle(criterion, 4)
+
+
+def test_forest_level_of_many_nodes_matches_oracle():
+    # the 40 trees grow in one group, whose deep levels split more than 127
+    # nodes at once, past what an int8 child index could number
+    model = _assert_forest_matches_oracle("gini", 40)
+    assert sum(np.bincount(_depths(t.nodes_by_id()), minlength=7) for t in model.trees).max() > 2 * 127
 
 
 @pytest.mark.parametrize("criterion", ["gini", "squared_error"])
@@ -280,6 +305,14 @@ def test_fit_rejects_non_finite_rows_and_targets(criterion):
     for bad_x, bad_y in (([[0.0], [1.0], [np.nan], [2.0]], y), (x, [0.0, np.inf, 1.0, 0.0])):
         with pytest.raises(DataError):
             DecisionTree(criterion).fit(bad_x, bad_y)
+
+
+def test_fit_without_rows_is_a_data_error():
+    # no rows, or a bootstrap sample that leaves every row out, divided by zero
+    with pytest.raises(DataError):
+        DecisionTree().fit(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(DataError):
+        fit_forest(DecisionTree(), np.ones((3, 2)), [0, 1, 0], [(np.zeros(3), np.random.default_rng(0))])
 
 
 def test_regression_split_search_works_in_place():
@@ -293,3 +326,24 @@ def test_regression_split_search_works_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 9 * x.nbytes
+
+
+def _traced_peak(fit) -> int:
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_arrays_stay_near_the_size_of_the_data():
+    # the per-node grower, which scored the root's whole lists at once, peaked at 8.3 times the data
+    rng = np.random.default_rng(8)
+    x = rng.uniform(size=(20_000, 30))
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0.0, 0.3, size=len(x)) > 0.8).astype(int)
+    assert _traced_peak(lambda: fit_arrays(ClassifierConfig("dt", {"maxdepth": 8}), x, y)) <= 5 * x.nbytes
+    # growing all ten trees of a forest in one group would hold ten trees' lists at once
+    x, y = x[:5_000], y[:5_000]
+    config = ClassifierConfig("rf", {"estimators": 10, "maxdepth": 8})
+    assert _traced_peak(lambda: fit_arrays(config, x, y)) <= 8 * x.nbytes
