@@ -629,12 +629,46 @@ class McdDetector(TrainedDetector):
 EXHAUSTIVE_SUBSET_LIMIT = 20_000
 
 
-def _chi2_ppf(q: float, df: int) -> float:
-    """Chi-square quantile, computed as scipy.stats.chi2.ppf does."""
-    # imported here: scipy.stats would cost every importer of this module ~1 s
-    from scipy.special import gammaincinv
+_PI = "3.14159265358979323846264338327950288419716939937510582097494459"  # π to 60 digits
 
-    return float(2.0 * gammaincinv(df / 2.0, q))
+
+def _chi2_ppf(q: float, df: int) -> float:
+    """The q-quantile of χ²(df), 0 < q < 1, correctly rounded to float.
+
+    Newton's method in 50-digit decimal from the Wilson–Hilferty start,
+    kept positive by halving, until a step is below 1e-40 relative. With
+    y = x/2 and a = df/2, each step takes P(a, y) from its power series
+    y^a e^(−y) / Γ(a + 1) · Σₖ yᵏ / ((a + 1)…(a + k)), and dP/dx as the
+    front factor · a / x; Γ(a + 1) is exact from factorials (and √π for
+    odd df).
+    """
+    # imported here: decimal costs a process about 0.5 MB of RSS, and only MCD needs it
+    from decimal import Decimal, localcontext
+    from statistics import NormalDist
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(df) / 2
+        if df % 2:
+            m = (df + 1) // 2  # Γ(m + 1/2) = (2m)! √π / (4^m m!)
+            gamma = math.factorial(2 * m) * Decimal(_PI).sqrt() / (Decimal(4) ** m * math.factorial(m))
+        else:
+            gamma = Decimal(math.factorial(df // 2))
+        z = NormalDist().inv_cdf(q)
+        x = Decimal(max(df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3, 0.01))
+        target, tiny = Decimal(q), Decimal("1e-40")
+        while True:
+            y = x / 2
+            front = (a * y.ln() - y).exp() / gamma
+            term = total = Decimal(1)
+            k = 0
+            while term > tiny * total:
+                k += 1
+                term = term * y / (a + k)
+                total += term
+            last, x = x, max(x - (front * total - target) / (front * a / x), x / 2)
+            if abs(x - last) <= tiny * x:
+                return float(x)
 
 
 def _consistent(x: np.ndarray, fit: tuple):
@@ -659,7 +693,8 @@ def _fit_mcd(x: np.ndarray, config: DetectorConfig) -> McdDetector:
     when every candidate is. The winner's covariance is scaled by the
     consistency factor median(d²) / χ²₀.₅(p). The rows with d² <= χ²₀.₉₇₅(p)
     under that fit are then refitted and scaled the same way, unless at most
-    p rows remain or their covariance is singular.
+    p rows remain or their covariance is singular. Both quantiles are
+    computed in decimal and correctly rounded (`_chi2_ppf`).
     """
     n, p = x.shape
     if n < p + 2:

@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import BLOCK, document_parser, require_finite
+from .data import BLOCK, binary_labels, document_parser, require_finite
 from .errors import DataError, ModelError
 
 GINI = "gini"
@@ -465,20 +465,25 @@ def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["Decisio
     ]
 
 
-def _training_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _training_arrays(x, y, criterion: str) -> tuple[np.ndarray, np.ndarray]:
+    """Finite float rows and targets of matching shapes; a classification
+    criterion also needs every target to be 0 or 1."""
     x = require_finite(np.asarray(x, dtype=float), "training rows")
     y = require_finite(np.asarray(y, dtype=float), "training targets")
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ModelError("bad training shapes")
     if x.shape[0] == 0:
         raise DataError("a tree needs at least one training row")
+    if criterion != SQUARED:
+        binary_labels(y)
     return x, y
 
 
 @dataclass
 class DecisionTree:
-    """Binary CART. criterion gini/entropy classifies {0,1} labels;
-    squared_error regresses real targets (used by the boosted ensemble)."""
+    """Binary CART. criterion gini/entropy classifies {0,1} labels (any
+    other target is a DataError); squared_error regresses real targets
+    (used by the boosted ensemble)."""
 
     criterion: str = GINI
     max_depth: int | None = None
@@ -501,8 +506,8 @@ class DecisionTree:
         ascending. With max_features, the tree draws its candidate columns
         from rng as `_grow` states.
         """
-        x, y = _training_arrays(x, y)
         self._check_criterion()
+        x, y = _training_arrays(x, y, self.criterion)
         if self.max_features is not None and rng is None:
             rng = np.random.default_rng(0)
         order = presort(x) if order is None else order
@@ -570,8 +575,8 @@ def fit_forest(
     breadth first: at every level, one permutation(d) per open node, as
     `_grow` states.
     """
-    x, y = _training_arrays(x, y)
     template._check_criterion((GINI, ENTROPY))
+    x, y = _training_arrays(x, y, template.criterion)
     order = presort(x)
     xt = np.ascontiguousarray(x.T)
     trees: list[DecisionTree] = []

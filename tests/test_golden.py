@@ -36,7 +36,18 @@ digests were regenerated when MCD moved from an LU solve per Mahalanobis
 distance to one Cholesky factor per fitted subset: distances now come from
 whitened residuals, which round differently in the last bits (at most about
 5e-16 relative). `MCD_SUPPORT` pins the support indices and raw
-log-determinants, which did not change. `IFOREST_SCORE` (07f6564c… →
+log-determinants, which did not change. The `mcd-exhaustive` score
+(7b515183… → b1046f36…) and threshold (2ae37a2f… → 79d980b5…) digests and
+the `mcd-random-starts` score digest (1ae0f76f… → ee326cfc…) were
+regenerated again when the χ² quantiles moved from scipy's `gammaincinv` to
+a correctly rounded decimal computation. scipy's χ²₀.₅(2) was
+1.386294361119891, one ulp above 2 ln 2 = 1.3862943611198906, and its
+χ²₀.₅(4) and χ²₀.₉₇₅(4) were 3.3566939800333224 and 11.143286781877796,
+where the correctly rounded values are 3.356693980033321 and
+11.143286781877794. The consistency factors, and so the covariances, moved
+in their last bits (at most about 4e-16 relative); the χ²₀.₉₇₅ inlier sets
+(7 of 12 and 286 of 300 rows) and `MCD_SUPPORT` did not change, and the
+`mcd-random-starts` threshold kept its digest. `IFOREST_SCORE` (07f6564c… →
 ed9dbbf1…) and `IFOREST_THRESHOLD` (47ef78b3… → cdb22457…) were regenerated
 when the isolation forest moved from growing one node at a time, depth
 first, to growing every node of one depth at once: each tree now draws one
@@ -163,13 +174,13 @@ DETECTOR_GOLDEN = {
     "mcd-exhaustive": (
         DetectorConfig("mcd"),
         lambda: np.random.default_rng(11).normal(size=(12, 2)),
-        "7b515183714cac0ed7b02071cc4d4ac7a59b756b49a38d93773935c9cb89ba8a",
-        "2ae37a2f85324d5864deaba3435f9c9f9542af860b39ad6d0914de7a86003f67",
+        "b1046f363e9538904897c8f28dfe4d9a2225aa721fb8260daa63dac87179b79f",
+        "79d980b5d29fb167ad70489c351e6e43e940c8dd2a2311f67267232c53dd66e2",
     ),
     "mcd-random-starts": (
         DetectorConfig("mcd", seed=4),
         lambda: _train_rows()[0],
-        "1ae0f76f4276b7a2c4e1fc9fcd5a9245603b8411193ebbd79721eb8667808070",
+        "ee326cfc0f8b4e1133d594da20eea68c29738e8246104187985d50eaceb8db4d",
         "6b59b9fd1e2eb2b5a5b6b0df51526269f2b53dcb2d3ff2283661f906dbbd26cd",
     ),
     "copod": (

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from fraudkit.data import check_value
 from fraudkit.errors import ConfigError, DataError, ModelError
@@ -528,10 +527,19 @@ def test_mcd_rank_deficient_data_raises(seed):
         fit_detector(DetectorConfig("mcd", seed=0), x)
 
 
-def test_chi2_ppf_equals_scipy_stats():
-    for p in range(1, 65):
-        for q in (0.5, 0.975):
-            assert _chi2_ppf(q, p) == chi2.ppf(q, p)
+def test_chi2_ppf_is_correctly_rounded():
+    # the exact quantile at 60 digits: the root of the regularized P(df/2, y) = q, bracketed
+    # by y = 0 and y = df + 10, doubled; MCD asks for q = 0.5 and 0.975, and q = 0.01 starts
+    # Newton's method below zero for small df
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for df in [*range(1, 65), 100, 256, 1000]:
+            a = mpmath.mpf(df) / 2
+            for q in (0.5, 0.975, 0.01):
+                y = mpmath.findroot(
+                    lambda y: mpmath.gammainc(a, 0, y, regularized=True) - q, (0, df + 10), solver="pegasus"
+                )
+                assert _chi2_ppf(q, df) == float(2 * y), (df, q)
 
 
 def test_mcd_needs_enough_rows():

@@ -315,6 +315,21 @@ def test_fit_without_rows_is_a_data_error():
         fit_forest(DecisionTree(), np.ones((3, 2)), [0, 1, 0], [(np.zeros(3), np.random.default_rng(0))])
 
 
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_classification_targets_must_be_zero_or_one(criterion):
+    # these targets once grew leaves valued 1.5, 2.0 and 5.0
+    x, y = np.arange(6.0).reshape(-1, 1), [0, 2, 2, 5, 0, 1.5]
+    with pytest.raises(DataError, match="0/1"):
+        DecisionTree(criterion).fit(x, y)
+    with pytest.raises(DataError, match="0/1"):
+        fit_forest(DecisionTree(criterion), x, y, [(np.ones(6), np.random.default_rng(0))])
+
+
+def test_squared_error_keeps_real_targets():
+    x, y = np.arange(6.0).reshape(-1, 1), [0, 2, 2, 5, 0, 1.5]
+    assert DecisionTree(SQUARED).fit(x, y).predict_value(x).tolist() == y
+
+
 def test_regression_split_search_works_in_place():
     # a search allocating a fresh array per step of sl and sr peaked at 13.0 MB
     rng = np.random.default_rng(5)
