@@ -188,40 +188,50 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
     def fake_batch() -> np.ndarray:
         return rng.standard_normal((m, spec.latent_dim))
 
+    # every real and every fake batch has m rows, so the critic phase's
+    # targets (vgan) and output gradient (wgan) are the same at every step
+    ones = np.ones((m, 1))
+    vgan_targets = np.vstack([ones, np.zeros((m, 1))])
+    # maximize mean(real) - mean(fake)  ==  minimize the negation;
+    # each half is averaged on its own, unlike the critic loss's -t/m
+    wgan_dout = np.vstack([np.full((m, 1), -1.0 / m), np.full((m, 1), 1.0 / m)])
+
+    # Each phase's forward cache lives only inside its function, so no
+    # batch's cache is still held while the next batch runs.
+    def critic_gradients() -> float:
+        """Loss of one real and one fake batch; fills disc.grads (generator frozen)."""
+        real = real_batch()
+        fake = gen.forward(fake_batch())
+        out, cache = disc.forward_cached(np.vstack([real, fake]))
+        if spec.variant == "vgan":
+            loss, dout, is_dz = disc.loss_and_output_grad(out, vgan_targets)
+            disc.backward(cache, dout, dout_is_dz=is_dz, input_grad=False)
+            return loss
+        loss = float(-(np.mean(out[:m]) - np.mean(out[m:])))
+        disc.backward(cache, wgan_dout, input_grad=False)
+        return loss
+
+    def generator_gradients() -> float:
+        """Loss of one fake batch; fills gen.grads. The discriminator is
+        frozen, so its grads are not computed: the next critic step would
+        overwrite them before any read."""
+        g_out, g_cache = gen.forward_cached(fake_batch())
+        d_out, d_cache = disc.forward_cached(g_out)
+        loss, dout, is_dz = disc.loss_and_output_grad(d_out, ones)
+        d_in = disc.backward(d_cache, dout, dout_is_dz=is_dz, param_grads=False)
+        gen.backward(g_cache, d_in, input_grad=False)
+        return loss
+
+    critic_steps = spec.critic_steps if spec.variant == "wgan" else 1
     disc_losses: list[float] = []
     gen_losses: list[float] = []
     for epoch in range(cfg.epochs):
-        # --- discriminator / critic phase (generator frozen)
-        d_loss = 0.0
-        critic_steps = spec.critic_steps if spec.variant == "wgan" else 1
         for _ in range(critic_steps):
-            real = real_batch()
-            fake = gen.forward(fake_batch())
-            out, cache = disc.forward_cached(np.vstack([real, fake]))
-            if spec.variant == "vgan":
-                targets = np.vstack([np.ones((real.shape[0], 1)), np.zeros((m, 1))])
-                d_loss, dout, is_dz = disc.loss_and_output_grad(out, targets)
-                disc.backward(cache, dout, dout_is_dz=is_dz, input_grad=False)
-            else:
-                # maximize mean(real) - mean(fake)  ==  minimize the negation;
-                # each half is averaged on its own, unlike the critic loss's -t/m
-                d_loss = float(-(np.mean(out[: real.shape[0]]) - np.mean(out[real.shape[0] :])))
-                dout = np.vstack(
-                    [
-                        np.full((real.shape[0], 1), -1.0 / real.shape[0]),
-                        np.full((m, 1), 1.0 / m),
-                    ]
-                )
-                disc.backward(cache, dout, input_grad=False)
+            d_loss = critic_gradients()
             d_opt.step()
             if cfg.weight_clip is not None:
                 disc.clip_weights(cfg.weight_clip)
-
-        # --- generator phase (discriminator frozen; disc.grads goes unused)
-        g_out, g_cache = gen.forward_cached(fake_batch())
-        d_out, d_cache = disc.forward_cached(g_out)
-        g_loss, dout, is_dz = disc.loss_and_output_grad(d_out, np.ones_like(d_out))
-        gen.backward(g_cache, disc.backward(d_cache, dout, dout_is_dz=is_dz), input_grad=False)
+        g_loss = generator_gradients()
         g_opt.step()
 
         if not (math.isfinite(d_loss) and math.isfinite(g_loss)):

@@ -6,6 +6,12 @@ network's weights and biases are views into one float64 vector, `params`;
 `backward` writes their gradients into a second vector, `grads`, and returns
 only the input gradient, so adversarial and autoencoder training loops can
 chain networks. An `Optimizer` steps one `params`/`grads` pair as a whole.
+
+A step allocates only what it returns or caches: `forward` keeps no
+per-layer arrays, each layer pass writes its bias, activation and gradient
+products into arrays it has just made, and an `Optimizer` puts every
+intermediate of its update into two scratch vectors it owns. Outputs are
+always fresh arrays, so a caller may keep them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .data import (
     COUNT, SEED, Range, check_fields, check_value, config_parser, document_parser, read_document, state_array,
     write_document,
 )
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, DataError, ModelError
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "logistic", "linear")
 LOSSES = ("binary_cross_entropy", "mse", "wasserstein_critic")
@@ -30,6 +36,10 @@ OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# the logistic codomain stays the open interval (0, 1) even where exp() saturates
+_LOGISTIC_LOW = np.nextafter(0.0, 1.0)
+_LOGISTIC_HIGH = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -113,27 +123,35 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _act(z: np.ndarray, kind: str, slope: float) -> np.ndarray:
+    """Activation of `z` in a new array (`z` itself for linear); `z` is kept
+    unchanged for the backward pass."""
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
-        return np.maximum(z, slope * z)  # equals where(z > 0, z, slope * z) for 0 <= slope <= 1
+        a = slope * z
+        return np.maximum(z, a, out=a)  # equals where(z > 0, z, slope * z) for 0 <= slope <= 1
     if kind == "tanh":
         return np.tanh(z)
     if kind == "logistic":
-        # keep the codomain an open interval even where exp() saturates
-        return np.clip(sigmoid(z), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        a = sigmoid(z)
+        np.maximum(a, _LOGISTIC_LOW, out=a)
+        return np.minimum(a, _LOGISTIC_HIGH, out=a)
     return z
 
 
 def _act_grad(z: np.ndarray, a: np.ndarray, kind: str, slope: float) -> np.ndarray:
+    """d(activation)/dz in a new array the caller may overwrite."""
     if kind == "relu":
         return (z > 0.0).astype(z.dtype)
     if kind == "leaky_relu":
         return np.maximum(z > 0.0, slope)
     if kind == "tanh":
-        return 1.0 - a * a
+        g = a * a
+        return np.subtract(1.0, g, out=g)
     if kind == "logistic":
-        return a * (1.0 - a)
+        g = 1.0 - a
+        g *= a
+        return g
     return np.ones_like(z)
 
 
@@ -173,29 +191,42 @@ class Network:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        return self.forward_cached(batch)[0]
+        """The network's output for `batch`, as a new array. Keeps no cache:
+        a layer's input and pre-activation are dropped once the next layer's
+        exist, so inference holds about two layers' arrays at a time."""
+        return self._run(batch, None)
 
     def forward_cached(self, batch: np.ndarray):
-        x = np.asarray(batch, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
+        """The output plus, per layer, (input, pre-activation, output) for
+        `backward`."""
+        cache: list = []
+        return self._run(batch, cache), cache
+
+    def _run(self, batch: np.ndarray, cache: list | None) -> np.ndarray:
+        a = np.asarray(batch, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.spec.input_dim:
             raise ModelError(
-                f"expected batch of width {self.spec.input_dim}, got shape {x.shape}"
+                f"expected batch of width {self.spec.input_dim}, got shape {a.shape}"
             )
-        cache = []
-        a = x
         for layer, w, b in zip(self.spec.layers, self.weights, self.biases):
-            z = a @ w.T + b
+            z = a @ w.T
+            z += b
             a_next = _act(z, layer.activation, self.spec.leaky_slope)
-            cache.append((a, z, a_next))
+            if cache is not None:
+                cache.append((a, z, a_next))
             a = a_next
-        return a, cache
+        return a
 
     def backward(
-        self, cache, dout: np.ndarray, dout_is_dz: bool = False, input_grad: bool = True
+        self, cache, dout: np.ndarray, dout_is_dz: bool = False, input_grad: bool = True,
+        param_grads: bool = True,
     ) -> np.ndarray | None:
         """Backpropagate d(loss)/d(output): write every layer's dW and db
         into `grads` and return d(loss)/d(input), or None when input_grad is
         off, which saves the first layer's product for callers that drop it.
+        With param_grads off, `grads` is left untouched and only the input
+        gradient is computed, for a network that is frozen in this step
+        (the GAN generator phase backpropagates through the discriminator).
 
         When dout_is_dz is set, dout is taken as the gradient w.r.t. the final
         pre-activation (the numerically stable logistic/BCE shortcut).
@@ -207,9 +238,11 @@ class Network:
             if i == len(self.weights) - 1 and dout_is_dz:
                 dz = delta
             else:
-                dz = delta * _act_grad(z, a, layer.activation, self.spec.leaky_slope)
-            np.matmul(dz.T, a_prev, out=self._dw[i])
-            dz.sum(axis=0, out=self._db[i])
+                dz = _act_grad(z, a, layer.activation, self.spec.leaky_slope)
+                dz *= delta
+            if param_grads:
+                np.matmul(dz.T, a_prev, out=self._dw[i])
+                np.add.reduce(dz, axis=0, out=self._db[i])
             delta = dz @ self.weights[i] if i or input_grad else None
         return delta
 
@@ -218,17 +251,18 @@ class Network:
         y = np.asarray(outputs, dtype=float)
         t = np.asarray(targets, dtype=float).reshape(y.shape)
         m = y.size
+        # np.add.reduce(v, axis=None) / m is np.mean(v) without its wrapper
         if self.spec.loss == "mse":
             diff = y - t
             with np.errstate(over="ignore"):  # divergence surfaces as inf, caught by train()
-                return float(np.mean(diff * diff)), 2.0 * diff / m, False
+                return float(np.add.reduce(diff * diff, axis=None) / m), 2.0 * diff / m, False
         if self.spec.loss == "binary_cross_entropy":
             eps = 1e-12
-            yc = np.clip(y, eps, 1.0 - eps)
-            loss = float(-np.mean(t * np.log(yc) + (1.0 - t) * np.log(1.0 - yc)))
+            yc = np.minimum(np.maximum(y, eps), 1.0 - eps)
+            loss = float(-(np.add.reduce(t * np.log(yc) + (1.0 - t) * np.log(1.0 - yc), axis=None) / m))
             return loss, (y - t) / m, True  # logistic head shortcut
         # wasserstein_critic: targets +1 for real, -1 for generated
-        return float(-np.mean(t * y)), -t / m, False
+        return float(-(np.add.reduce(t * y, axis=None) / m)), -t / m, False
 
     def clip_weights(self, limit: float) -> None:
         np.clip(self.params, -limit, limit, out=self.params)
@@ -282,7 +316,10 @@ def join_parameters(networks: Sequence[Network]) -> tuple[np.ndarray, np.ndarray
 
 
 class Optimizer:
-    """SGD or Adam over one parameter vector and its gradient vector."""
+    """SGD or Adam (Kingma & Ba, ICLR 2015) over one parameter vector and
+    its gradient vector. A step allocates nothing: it evaluates the textbook
+    update expressions in their order into two scratch vectors, so results
+    are bit-identical to them."""
 
     def __init__(self, kind: str, learning_rate: float, params: np.ndarray, grads: np.ndarray):
         if kind not in OPTIMIZERS:
@@ -290,23 +327,31 @@ class Optimizer:
         self.kind = kind
         self.lr = learning_rate
         self.params, self.grads = params, grads
+        self._s1, self._s2 = np.empty_like(params), np.empty_like(params)
         if kind == "adam":
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
             self._t = 0
 
     def step(self) -> None:
+        g, s1, s2 = self.grads, self._s1, self._s2
         if self.kind == "sgd":
-            self.params -= self.lr * self.grads
+            self.params -= np.multiply(self.lr, g, out=s1)
             return
         self._t += 1
         correct1 = 1.0 - ADAM_BETA1 ** self._t
         correct2 = 1.0 - ADAM_BETA2 ** self._t
         self._m *= ADAM_BETA1
-        self._m += (1 - ADAM_BETA1) * self.grads
+        self._m += np.multiply(1 - ADAM_BETA1, g, out=s1)
         self._v *= ADAM_BETA2
-        self._v += (1 - ADAM_BETA2) * self.grads * self.grads
-        self.params -= self.lr * (self._m / correct1) / (np.sqrt(self._v / correct2) + ADAM_EPS)
+        np.multiply(1 - ADAM_BETA2, g, out=s1)
+        self._v += np.multiply(s1, g, out=s1)
+        np.divide(self._m, correct1, out=s1)
+        s1 *= self.lr
+        np.divide(self._v, correct2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        self.params -= np.divide(s1, s2, out=s1)
 
 
 @dataclass
@@ -320,15 +365,19 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfi
 
     Trains in place (the network is exclusively owned during training) and
     returns it with a per-epoch mean-loss history. Falls back to full-batch
-    when batch_size >= n. Aborts on a non-finite loss.
+    when batch_size >= n. Aborts on a non-finite loss. Targets are one row
+    per input row, of the network's output width (a vector for width 1).
     """
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
     if t.ndim == 1:
         t = t.reshape(-1, 1)
-    if x.shape[0] != t.shape[0]:
-        raise ModelError("inputs and targets must have equal row counts")
     n = x.shape[0]
+    if n == 0:
+        raise DataError("need >= 1 training row")
+    output_shape = (n, net.spec.layers[-1].width)
+    if t.shape != output_shape:
+        raise ModelError(f"targets of shape {t.shape} do not fit the network's output shape {output_shape}")
     optimizer = Optimizer(cfg.optimizer, cfg.learning_rate, net.params, net.grads)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []

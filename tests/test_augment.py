@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,22 @@ def test_sample_deterministic_per_seed():
     gan = train_gan(point_mass_minority(), small_spec("vgan", epochs=10, seed=0))
     assert np.array_equal(sample_synthetic(gan, 8, seed=7), sample_synthetic(gan, 8, seed=7))
     assert not np.array_equal(sample_synthetic(gan, 8, seed=7), sample_synthetic(gan, 8, seed=8))
+
+
+def test_sampling_keeps_no_per_layer_cache():
+    # with every layer's input, pre-activation and output cached, 2,000 rows
+    # from the 8-32-64-128-256-30 generator peaked at 18.7 MiB
+    spec = default_gan_spec("wgan", 30)
+    gan = Gan(spec, init_network(spec.generator, 1), init_network(spec.discriminator, 0), [], [])
+    rows, widest = 2_000, max(layer.width for layer in spec.generator.layers)
+    tracemalloc.start()
+    try:
+        samples = sample_synthetic(gan, rows, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (rows, 30)
+    assert peak < 3 * rows * widest * 8
 
 
 # ------------------------------------------------------------- persistence
