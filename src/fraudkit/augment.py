@@ -9,15 +9,15 @@ land in the unit feature box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, Dataset, check_fields, config_parser, dataset_from_matrix, document_parser, read_document, require_finite,
-    write_document,
+    COUNT, Dataset, check_fields, config_parser, dataset_from_matrix, document_parser, read_document, read_fields,
+    require_finite, write_document, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
@@ -60,14 +60,7 @@ class GanSpec:
         return self.generator.layers[-1].width
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "latent_dim": self.latent_dim,
-            "discriminator": self.discriminator.to_dict(),
-            "generator": self.generator.to_dict(),
-            "train": self.train.to_dict(),
-            "critic_steps": self.critic_steps,
-        }
+        return write_fields(self, ("variant", "latent_dim", "discriminator", "generator", "train", "critic_steps"))
 
     @classmethod
     @config_parser
@@ -121,30 +114,29 @@ def default_gan_spec(variant: str, feature_count: int, latent_dim: int = 8) -> G
 
 @dataclass
 class Gan:
+    """A trained GAN; its document holds the spec and both networks, not the
+    loss curves."""
+
     spec: GanSpec
     generator: Network
     discriminator: Network
-    disc_losses: list[float]
-    gen_losses: list[float]
+    disc_losses: list[float] = field(default_factory=list)
+    gen_losses: list[float] = field(default_factory=list)
+
+    _FIELDS = {"spec": GanSpec.from_dict, "generator": Network.from_dict, "discriminator": Network.from_dict}
+
+    def __post_init__(self) -> None:
+        if (self.generator.spec, self.discriminator.spec) != (self.spec.generator, self.spec.discriminator):
+            raise ModelError("gan generator or discriminator network differs from the gan spec")
 
     def to_dict(self) -> dict:
-        return {
-            "format": "fraudkit.gan/1",
-            "spec": self.spec.to_dict(),
-            "generator": self.generator.to_dict(),
-            "discriminator": self.discriminator.to_dict(),
-        }
+        return {"format": "fraudkit.gan/1", **write_fields(self, self._FIELDS)}
 
     @classmethod
     @document_parser
     def from_dict(cls, doc: dict) -> "Gan":
-        if doc.get("format") != "fraudkit.gan/1":
-            raise ModelError(f"unsupported gan document {doc.get('format')!r}")
-        spec = GanSpec.from_dict(doc["spec"])
-        generator, discriminator = Network.from_dict(doc["generator"]), Network.from_dict(doc["discriminator"])
-        if (generator.spec, discriminator.spec) != (spec.generator, spec.discriminator):
-            raise ModelError("gan generator or discriminator network differs from the gan spec")
-        return cls(spec, generator, discriminator, [], [])
+        check_fields(doc, {"format": ("fraudkit.gan/1",)})
+        return cls(**read_fields(doc, cls._FIELDS))
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)

@@ -6,6 +6,7 @@ Every model exposes predict_proba in [0,1] and predict = proba >= 0.5.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -14,8 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
+    FINITE,
     SEED,
+    STRINGS,
     TOLERANCE,
+    Array,
     Dataset,
     Range,
     as_matrix,
@@ -25,11 +29,12 @@ from .data import (
     config_parser,
     document_parser,
     read_document,
+    read_fields,
     require_finite,
     round_half_up,
-    state_array,
     with_defaults,
     write_document,
+    write_fields,
 )
 from .errors import DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
@@ -130,7 +135,14 @@ class ClassifierConfig:
 
 
 class TrainedModel:
-    """Fitted classifier: kind, feature names, kind-specific state."""
+    """Fitted classifier: kind, feature names, kind-specific state.
+
+    Each subclass lists its state in `_fields(kind, d)`, a table from each
+    state key, which is also a constructor argument, to its domain or to the
+    parser of a nested document (`data.read_fields`), for a model of d
+    features. `to_dict` writes those fields in that order and
+    `model_from_dict` reads them back; the constructor checks what relates
+    one field to another."""
 
     kind: str = ""
 
@@ -147,19 +159,18 @@ class TrainedModel:
     def predict(self, rows) -> np.ndarray:
         return (self.predict_proba(rows) >= 0.5).astype(int)
 
-    def _state_dict(self) -> dict:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
-        return {
-            "format": "fraudkit.model/1",
-            "kind": self.kind,
-            "feature_names": self.feature_names,
-            "state": self._state_dict(),
-        }
+        state = write_fields(self, self._fields(self.kind, self.n_features))
+        return {"format": "fraudkit.model/1", "kind": self.kind, "feature_names": self.feature_names, "state": state}
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)
+
+
+def _parameters(kind: str):
+    """The parser of a model document's `parameters`: those a config of
+    `kind` accepts."""
+    return functools.partial(check_table, kind, table=PARAMETERS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +184,12 @@ class NaiveBayesModel(TrainedModel):
         self.log_prior = np.asarray(log_prior, dtype=float)  # (2,)
         self.means = np.asarray(means, dtype=float)  # (2, d)
         self.variances = np.asarray(variances, dtype=float)  # (2, d)
+        if not (self.variances > 0).all():
+            raise ModelError("nb variances must be positive")
+
+    @staticmethod
+    def _fields(kind, d):
+        return {"log_prior": Array(float, (2,)), "means": Array(float, (2, d)), "variances": Array(float, (2, d))}
 
     def predict_proba(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
@@ -185,22 +202,6 @@ class NaiveBayesModel(TrainedModel):
         shifted = loglik - loglik.max(axis=1, keepdims=True)
         w = np.exp(shifted)
         return w[:, 1] / w.sum(axis=1)
-
-    def _state_dict(self) -> dict:
-        return {
-            "log_prior": self.log_prior.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-    @classmethod
-    def _from_state(cls, names, state):
-        d = len(names)
-        variances = state_array("nb variances", state["variances"], 2, d)
-        if not (variances > 0).all():
-            raise ModelError("nb variances must be positive")
-        log_prior = state_array("nb log_prior", state["log_prior"], 2)
-        return cls(names, log_prior, state_array("nb means", state["means"], 2, d), variances)
 
 
 def _fit_nb(x: np.ndarray, y: np.ndarray, names, config: ClassifierConfig) -> NaiveBayesModel:
@@ -233,14 +234,19 @@ class LinearModel(TrainedModel):
     - step-halving descent (l1, elasticnet): descent steps, and whether
       max|subgradient| fell below `tol`, which at a kink it rarely does."""
 
-    def __init__(self, kind, feature_names, weights, bias, parameters, iterations=0, converged=False):
+    def __init__(self, kind, feature_names, weights, bias, parameters=None, iterations=0, converged=False):
         super().__init__(feature_names)
         self.kind = kind
         self.weights = np.asarray(weights, dtype=float)
         self.bias = float(bias)
-        self.parameters = dict(parameters)
+        self.parameters = dict(parameters or {})
         self.iterations = int(iterations)
         self.converged = bool(converged)
+
+    @staticmethod
+    def _fields(kind, d):
+        signals = {"iterations": Range(int, 0), "converged": bool}
+        return {"weights": Array(float, (d,)), "bias": FINITE, "parameters": _parameters(kind), **signals}
 
     def decision_score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
@@ -248,22 +254,6 @@ class LinearModel(TrainedModel):
 
     def predict_proba(self, rows) -> np.ndarray:
         return sigmoid(self.decision_score(rows))
-
-    def _state_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "parameters": self.parameters,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def _from_state(cls, kind, names, state):
-        weights = state_array(f"{kind} weights", state["weights"], len(names))
-        bias = state_array(f"{kind} bias", state["bias"])
-        signals = state.get("iterations", 0), state.get("converged", False)
-        return cls(kind, names, weights, bias, state.get("parameters", {}), *signals)
 
 
 def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
@@ -554,23 +544,30 @@ def _fit_linear(x, y, names, config: ClassifierConfig) -> LinearModel:
 # ---------------------------------------------------------------------------
 # Trees and ensembles
 
+def _trees(docs) -> list[DecisionTree]:
+    return [DecisionTree.from_dict(doc) for doc in docs]
+
+
+def _check_width(trees: list[DecisionTree], d: int) -> None:
+    if any(tree.n_features != d for tree in trees):
+        raise ModelError(f"every tree of the model must read its {d} features")
+
+
 class TreeModel(TrainedModel):
     kind = "dt"
 
-    def __init__(self, feature_names, tree: DecisionTree, parameters):
+    def __init__(self, feature_names, tree: DecisionTree, parameters=None):
         super().__init__(feature_names)
+        _check_width([tree], self.n_features)
         self.tree = tree
-        self.parameters = dict(parameters)
+        self.parameters = dict(parameters or {})
+
+    @staticmethod
+    def _fields(kind, d):
+        return {"tree": DecisionTree.from_dict, "parameters": _parameters(kind)}
 
     def predict_proba(self, rows) -> np.ndarray:
         return self.tree.predict_value(as_matrix(rows, self.n_features))
-
-    def _state_dict(self) -> dict:
-        return {"tree": self.tree.to_dict(), "parameters": self.parameters}
-
-    @classmethod
-    def _from_state(cls, names, state):
-        return cls(names, DecisionTree.from_dict(state["tree"]), state.get("parameters", {}))
 
 
 def _fit_dt(x, y, names, config: ClassifierConfig) -> TreeModel:
@@ -583,10 +580,17 @@ def _fit_dt(x, y, names, config: ClassifierConfig) -> TreeModel:
 class ForestModel(TrainedModel):
     kind = "rf"
 
-    def __init__(self, feature_names, trees: list[DecisionTree], parameters):
+    def __init__(self, feature_names, trees: list[DecisionTree], parameters=None):
         super().__init__(feature_names)
+        if not trees:
+            raise ModelError("rf needs >= 1 tree")
+        _check_width(trees, self.n_features)
         self.trees = trees
-        self.parameters = dict(parameters)
+        self.parameters = dict(parameters or {})
+
+    @staticmethod
+    def _fields(kind, d):
+        return {"trees": _trees, "parameters": _parameters(kind)}
 
     def predict_proba(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
@@ -594,13 +598,6 @@ class ForestModel(TrainedModel):
         for tree in self.trees:
             votes += (tree.predict_value(x) >= 0.5).astype(float)
         return votes / len(self.trees)
-
-    def _state_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees], "parameters": self.parameters}
-
-    @classmethod
-    def _from_state(cls, names, state):
-        return cls(names, [DecisionTree.from_dict(t) for t in state["trees"]], state.get("parameters", {}))
 
 
 def _fit_rf(x, y, names, config: ClassifierConfig) -> ForestModel:
@@ -631,13 +628,20 @@ def _fit_rf(x, y, names, config: ClassifierConfig) -> ForestModel:
 class BoostedModel(TrainedModel):
     kind = "gbt"
 
-    def __init__(self, feature_names, initial_score, trees, learning_rate, loss, parameters):
+    def __init__(self, feature_names, initial_score, trees, learning_rate, loss, parameters=None):
         super().__init__(feature_names)
+        _check_width(trees, self.n_features)
         self.initial_score = float(initial_score)
         self.trees = trees
         self.learning_rate = float(learning_rate)
         self.loss = loss
-        self.parameters = dict(parameters)
+        self.parameters = dict(parameters or {})
+
+    @staticmethod
+    def _fields(kind, d):
+        gbt = PARAMETERS["gbt"]
+        fitted = {"initial_score": FINITE, "learning_rate": gbt["learning_rate"][1], "loss": gbt["loss"][1]}
+        return {**fitted, "trees": _trees, "parameters": _parameters(kind)}
 
     def decision_score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
@@ -648,26 +652,6 @@ class BoostedModel(TrainedModel):
 
     def predict_proba(self, rows) -> np.ndarray:
         return sigmoid(self.decision_score(rows))
-
-    def _state_dict(self) -> dict:
-        return {
-            "initial_score": self.initial_score,
-            "learning_rate": self.learning_rate,
-            "loss": self.loss,
-            "trees": [t.to_dict() for t in self.trees],
-            "parameters": self.parameters,
-        }
-
-    @classmethod
-    def _from_state(cls, names, state):
-        return cls(
-            names,
-            state_array("gbt initial_score", state["initial_score"]),
-            [DecisionTree.from_dict(t) for t in state["trees"]],
-            state_array("gbt learning_rate", state["learning_rate"]),
-            state["loss"],
-            state.get("parameters", {}),
-        )
 
 
 def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
@@ -706,24 +690,20 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
 class MlpModel(TrainedModel):
     kind = "mlp"
 
-    def __init__(self, feature_names, network: Network, parameters):
+    def __init__(self, feature_names, network: Network, parameters=None):
         super().__init__(feature_names)
+        if (network.spec.input_dim, network.spec.layers[-1].width) != (self.n_features, 1):
+            raise ModelError(f"mlp network must map {self.n_features} features to one output")
         self.network = network
-        self.parameters = dict(parameters)
+        self.parameters = dict(parameters or {})
+
+    @staticmethod
+    def _fields(kind, d):
+        return {"network": Network.from_dict, "parameters": _parameters(kind)}
 
     def predict_proba(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
         return self.network.forward(x).ravel()
-
-    def _state_dict(self) -> dict:
-        return {"network": self.network.to_dict(), "parameters": self.parameters}
-
-    @classmethod
-    def _from_state(cls, names, state):
-        network = Network.from_dict(state["network"])
-        if (network.spec.input_dim, network.spec.layers[-1].width) != (len(names), 1):
-            raise ModelError(f"mlp network must map {len(names)} features to one output")
-        return cls(names, network, state.get("parameters", {}))
 
 
 def _fit_mlp(x, y, names, config: ClassifierConfig) -> MlpModel:
@@ -801,16 +781,11 @@ _MODEL_CLASSES = {
 
 @document_parser
 def model_from_dict(doc: dict) -> TrainedModel:
-    if doc.get("format") != "fraudkit.model/1":
-        raise ModelError(f"unsupported model document {doc.get('format')!r}")
-    kind = doc["kind"]
-    if kind not in _MODEL_CLASSES:
-        raise ModelError(f"unknown model kind {kind!r}")
-    names = doc["feature_names"]
-    state = doc["state"]
-    if kind in ("lr", "svm"):
-        return LinearModel._from_state(kind, names, state)
-    return _MODEL_CLASSES[kind]._from_state(names, state)
+    check_fields(doc, {"format": ("fraudkit.model/1",), "kind": KINDS, "feature_names": STRINGS})
+    kind, names = doc["kind"], doc["feature_names"]
+    cls = _MODEL_CLASSES[kind]
+    state = read_fields(doc["state"], cls._fields(kind, len(names)))
+    return LinearModel(kind, names, **state) if cls is LinearModel else cls(names, **state)
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -10,15 +10,26 @@ and `Dataset.rows`; `save_csv` formats a column at a time. Every downstream
 module reads the all-numeric, null-free matrix of `encode_one_hot` +
 `apply_normalize` through `Dataset.matrix()`, which returns the stored array
 without a copy.
+
+Configurations and documents (the JSON form of schemas, one-hot maps, norm
+params and fitted models) are checked by one rule, `check_value`, against a
+domain: a tuple of allowed values, `bool`, a `Range` of numbers, an `Array` of
+finite numbers or `STRINGS`. A class whose document is a table of fields
+reads it with `read_fields` and writes it with `write_fields`; a check that
+relates one field to another is made by the constructor. A file that cannot
+be read or written is a DataError naming its path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,10 +54,11 @@ def round_half_up(x: float) -> int:
 def _parser(error: type[FraudkitError]) -> Callable[[Callable[..., T]], Callable[..., T]]:
     """Decorator: `parse` (a `from_dict`) raising `error`, not a LookupError,
     TypeError, ValueError, AttributeError or OverflowError, when its document
-    is not a mapping, lacks a key or holds a wrong value. A document nested
-    in it that fails with another `FraudkitError` (a malformed network spec
-    inside a model document is a ConfigError) fails the outer one with
-    `error` too."""
+    is not a mapping, lacks a key or holds a wrong value. Another
+    `FraudkitError` raised inside it fails it with `error` too: a
+    `check_value` failure (a ConfigError) on one of its fields, or a nested
+    document that fails with another class (a malformed network spec inside
+    a model document is a ConfigError)."""
 
     def decorate(parse: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(parse)
@@ -83,7 +95,7 @@ class Feature:
         if self.kind == CATEGORICAL:
             if not self.categories:
                 raise DataError(f"categorical feature {self.name!r} needs >= 1 category")
-            if not all(isinstance(c, str) for c in self.categories):
+            if self.categories not in STRINGS:
                 raise DataError(f"categories of feature {self.name!r} must be strings")
             if len(set(self.categories)) != len(self.categories):
                 raise DataError(f"duplicate categories on feature {self.name!r}")
@@ -139,29 +151,24 @@ class FeatureSchema:
     def from_dict(cls, doc: dict) -> "FeatureSchema":
         """Keys other than a feature's name, kind and categories (such as the
         `mutable` and `range` of older documents) are ignored. Categories are
-        a list of strings."""
+        a list of strings; `Feature` checks the name and kind."""
         features = []
         for e in doc["features"]:
             categories = e.get("categories")
-            if categories is not None and not isinstance(categories, list):
-                raise DataError(f"categories must be a list, got {categories!r}")
-            features.append(Feature(e["name"], e["kind"], tuple(categories) if categories else None))
+            if categories is not None:
+                categories = tuple(check_value("categories", categories, STRINGS)) or None
+            features.append(Feature(e["name"], e["kind"], categories))
         return cls(features)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with _writing(Path(path)) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSchema":
         """The schema `save` wrote; a missing or unreadable file, bad JSON or
         a malformed document is a DataError naming the path."""
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"schema file not found: {p}")
-        try:
-            return cls.from_dict(json.loads(p.read_text(encoding="utf-8")))
-        except (OSError, ValueError, DataError) as exc:
-            raise DataError(f"cannot load schema {p}: {exc}") from exc
+        return read_document(path, cls.from_dict, DataError)
 
 
 class Dataset:
@@ -321,20 +328,7 @@ def block_rows(n_other: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON documents of fitted models and configurations
-
-def state_array(name: str, values, *shape: int) -> np.ndarray:
-    """A model document's `values` as a finite float array of `shape`, where
-    -1 matches any nonzero length; ModelError otherwise."""
-    array = np.asarray(values, dtype=float)
-    fits = array.ndim == len(shape) and all(a == s or (s == -1 and a > 0) for s, a in zip(shape, array.shape))
-    if not fits or not np.isfinite(array).all():
-        raise ModelError(f"{name} must be a finite array of shape {shape}, got shape {array.shape}")
-    return array
-
-
-# ---------------------------------------------------------------------------
-# Configuration values
+# Configuration values and document fields
 
 @dataclass(frozen=True)
 class Range:
@@ -361,36 +355,118 @@ class Range:
 SEED = Range(int, 0)
 COUNT = Range(int, 1)
 TOLERANCE = Range(float, 1e-12, 1.0)  # no gradient test or duality-gap certificate can meet 0
+FINITE = Range(float, -float(np.finfo(float).max), float(np.finfo(float).max))  # no NaN or infinity
 
 
-def check_value(name: str, value, domain) -> None:
-    """ConfigError unless `value` lies in `domain`: a tuple of the allowed
-    values, `bool` (a bool), or a Range."""
-    if domain is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be a bool, got {value!r}")
-    elif isinstance(value, np.ndarray) or value not in domain:
-        what = domain if isinstance(domain, Range) else f"one of {domain}"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+@dataclass(frozen=True)
+class Array:
+    """Arrays of finite numbers of `shape`, where -1 is any nonzero length:
+    integers when `number` is int, any real numbers when it is float, never
+    a bool or a string. `check_value` returns the new intp or float64 array
+    it reads."""
+
+    number: type
+    shape: tuple[int, ...]
+
+    def read(self, value) -> np.ndarray | None:
+        """`value` (nested lists) as a new array, or None unless it lies in
+        this domain."""
+        items = [value]
+        try:
+            for _ in self.shape:
+                items = itertools.chain.from_iterable(items)
+            kinds = set(map(type, items))
+            array = np.array(value, dtype=np.intp if self.number is int else float)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        number = numbers.Integral if self.number is int else numbers.Real
+        typed = all(issubclass(t, number) and not issubclass(t, (bool, np.bool_)) for t in kinds)
+        fits = array.ndim == len(self.shape) and all(s in (a, -1) and a > 0 for s, a in zip(self.shape, array.shape))
+        return array if typed and fits and np.isfinite(array).all() else None
+
+    def __str__(self) -> str:
+        what = "integers" if self.number is int else "real numbers"
+        return f"an array of finite {what} of shape {self.shape} (-1: any nonzero length)"
 
 
-def check_fields(config, domains: dict) -> None:
-    """`check_value` on each field of `config` that `domains` names."""
+class _Strings:
+    """Lists (or tuples) of strings: feature names and categories."""
+
+    def __contains__(self, value) -> bool:
+        return isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
+
+    def __str__(self) -> str:
+        return "a list of strings"
+
+
+STRINGS = _Strings()
+
+
+def check_value(name: str, value, domain):
+    """`value`, or the new array an Array domain reads from it; ConfigError
+    unless it lies in `domain`: a tuple of the allowed values, `bool` (a
+    bool), a Range, an Array or STRINGS. The message shows the value as a
+    bounded `reprlib.repr`."""
+    if isinstance(domain, Array):
+        array = domain.read(value)
+        if array is not None:
+            return array
+    elif domain is bool:
+        if isinstance(value, bool):
+            return value
+    elif not isinstance(value, np.ndarray) and value in domain:
+        return value
+    what = "a bool" if domain is bool else f"one of {domain}" if isinstance(domain, tuple) else domain
+    raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+
+def check_fields(source, domains: dict) -> None:
+    """`check_value` on each field of `source` that `domains` names: a key
+    of a document, which must be there, or an attribute of a config."""
     for name, domain in domains.items():
-        check_value(name, getattr(config, name), domain)
+        check_value(name, source[name] if isinstance(source, Mapping) else getattr(source, name), domain)
 
 
-def check_table(owner: str, parameters, table: dict) -> None:
-    """ConfigError unless `parameters` is a dict (a config's `to_dict` copies
-    it with `dataclasses.asdict`) that maps names in `table` to values in
-    their domains. A parameter table maps each name to (default, domain); a
-    default of None is worked out by the fitter from other values."""
+def read_fields(doc: Mapping, fields: dict) -> dict:
+    """The fields of `doc` that `fields` names, each checked by `check_value`
+    against its domain, or read by its parser (a callable) when it is a
+    nested document. A key that `doc` lacks is left out, so that a
+    constructor given the result takes its default or fails for want of the
+    argument."""
+    return {
+        key: domain(doc[key]) if callable(domain) and domain is not bool else check_value(key, doc[key], domain)
+        for key, domain in fields.items()
+        if key in doc
+    }
+
+
+def write_fields(owner, fields) -> dict:
+    """The attributes of `owner` that `fields` names, in order, as
+    `read_fields` reads them back: an array as nested lists, a list or tuple
+    item by item, and an object with a `to_dict` as its document."""
+    return {key: _plain(getattr(owner, key)) for key in fields}
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def check_table(owner: str, parameters, table: dict) -> dict:
+    """`parameters`; ConfigError unless it is a dict (a config's `to_dict`
+    copies it with `dataclasses.asdict`) that maps names in `table` to values
+    in their domains. A parameter table maps each name to (default, domain);
+    a default of None is worked out by the fitter from other values."""
     if not isinstance(parameters, dict):
-        raise ConfigError(f"{owner}: parameters must be a dict, got {parameters!r}")
+        raise ConfigError(f"{owner}: parameters must be a dict, got {reprlib.repr(parameters)}")
     for name, value in parameters.items():
         if name not in table:
             raise ConfigError(f"{owner}: unknown hyperparameter {name!r}")
         check_value(f"{owner}: {name}", value, table[name][1])
+    return parameters
 
 
 def with_defaults(parameters: Mapping, table: dict) -> dict:
@@ -406,14 +482,28 @@ def write_document(doc: dict, path: str | Path) -> None:
         raise ModelError(f"cannot write {p}: {exc}") from exc
 
 
-def read_document(path: str | Path, parse: Callable[[dict], T]) -> T:
+@contextlib.contextmanager
+def _writing(path: Path):
+    """The text file at `path`, open for writing, in a directory made if
+    missing; an OSError is a DataError naming the path. `save_csv` builds
+    its text inside the `with`, once the file is open: building that large
+    text first reorders the large allocations and raises the peak RSS."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def read_document(path: str | Path, parse: Callable[[dict], T], error: type[FraudkitError] = ModelError) -> T:
     """`parse` of the JSON document at `path`; a missing or unreadable file,
-    bad JSON or a malformed document is a ModelError naming the path."""
+    bad JSON or a malformed document is an `error` naming the path."""
     p = Path(path)
     try:
         return parse(json.loads(p.read_text(encoding="utf-8")))
     except (OSError, ValueError, FraudkitError) as exc:
-        raise ModelError(f"cannot load {p}: {exc}") from exc
+        raise error(f"cannot load {p}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -441,40 +531,42 @@ def load_csv(
     Columns may appear in any order; extra or missing columns are errors.
     Empty cells and `null_token` parse to null; numeric cells that fail to
     parse or are not finite (inf, nan) become null; an unknown category
-    token is an error (schema drift).
+    token is an error (schema drift). A file that cannot be read as UTF-8
+    text is a DataError naming the path.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"file not found: {p}")
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty CSV: {p}") from None
-        expected = set(schema.names) | ({label_column} if label_column else set())
-        if set(header) != expected or len(header) != len(expected):
-            raise DataError(
-                f"header mismatch: expected {sorted(expected)}, found {header}"
-            )
-        col_of = {name: header.index(name) for name in header}
-        columns = [(col_of[f.name], f) for f in schema]
-        nulls = {"", null_token}
-        cells: list[list[float]] = []
-        labels: list[int] | None = [] if label_column else None
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise DataError(f"{p}:{lineno}: expected {len(header)} cells")
-            cells.append([_parse_cell(record[j], f, nulls) for j, f in columns])
-            if labels is not None:
-                raw = record[col_of[label_column]]  # type: ignore[index]
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise DataError(f"{p}:{lineno}: bad label {raw!r}") from None
-                if value not in (0.0, 1.0):
-                    raise DataError(f"{p}:{lineno}: label must be 0 or 1, got {raw!r}")
-                labels.append(int(value))
+    try:
+        with p.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"empty CSV: {p}") from None
+            expected = set(schema.names) | ({label_column} if label_column else set())
+            if set(header) != expected or len(header) != len(expected):
+                raise DataError(f"header mismatch: expected {sorted(expected)}, found {header}")
+            col_of = {name: header.index(name) for name in header}
+            columns = [(col_of[f.name], f) for f in schema]
+            nulls = {"", null_token}
+            cells: list[list[float]] = []
+            labels: list[int] | None = [] if label_column else None
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != len(header):
+                    raise DataError(f"{p}:{lineno}: expected {len(header)} cells")
+                cells.append([_parse_cell(record[j], f, nulls) for j, f in columns])
+                if labels is not None:
+                    raw = record[col_of[label_column]]  # type: ignore[index]
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        raise DataError(f"{p}:{lineno}: bad label {raw!r}") from None
+                    if value not in (0.0, 1.0):
+                        raise DataError(f"{p}:{lineno}: label must be 0 or 1, got {raw!r}")
+                    labels.append(int(value))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {p}: {exc}") from exc
     values = np.array(cells, dtype=float).reshape(len(cells), len(schema))
     values[~np.isfinite(values)] = np.nan  # inf and nan tokens are nulls too
     return Dataset._of(schema, values, labels)
@@ -511,8 +603,6 @@ def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> No
     """Write a dataset back out, a header line and then one line per row,
     each ended by a newline, with the bytes `csv.writer` would write;
     deterministic bytes for identical inputs."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     columns = [_format_column(data.values[:, j], f) for j, f in enumerate(data.schema)]
     header = [_csv_field(name) for name in data.schema.names]
     if data.labels is not None:
@@ -521,7 +611,7 @@ def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> No
     lines = [",".join(header), *map(",".join, zip(*columns))] if columns else [""] * (data.n + 1)
     if len(columns) == 1:
         lines = [line or '""' for line in lines]  # a lone empty field, quoted so that the row is not blank
-    with p.open("w", newline="", encoding="utf-8") as fh:
+    with _writing(Path(path)) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -571,6 +661,11 @@ class OneHotMap:
     # per source feature: (encoded start column, width); width 1 for numerics
     spans: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        spans = _spans(self.source_schema)
+        if tuple(self.spans) != spans or sum(w for _, w in spans) != len(self.encoded_schema):
+            raise DataError("one-hot spans must give each source feature its encoded columns, in order")
+
     def groups(self) -> list[list[int]]:
         """Encoded column index groups of the categorical features."""
         out = []
@@ -602,11 +697,15 @@ class OneHotMap:
     @classmethod
     @_parser(DataError)
     def from_dict(cls, doc: dict) -> "OneHotMap":
-        return cls(
-            FeatureSchema.from_dict(doc["source"]),
-            FeatureSchema.from_dict(doc["encoded"]),
-            tuple((int(a), int(b)) for a, b in doc["spans"]),
-        )
+        spans = tuple(map(tuple, check_value("spans", doc["spans"], Array(int, (-1, 2))).tolist()))
+        return cls(FeatureSchema.from_dict(doc["source"]), FeatureSchema.from_dict(doc["encoded"]), spans)
+
+
+def _spans(schema: FeatureSchema) -> tuple[tuple[int, int], ...]:
+    """(encoded start column, width) of each feature: width 1 for a numeric
+    feature, one column per category for a categorical one."""
+    widths = [1 if f.kind == NUMERIC else len(f.categories) for f in schema]  # type: ignore[arg-type]
+    return tuple(zip(np.cumsum([0, *widths]).tolist(), widths))
 
 
 def encode_one_hot(data: Dataset) -> tuple[Dataset, OneHotMap]:
@@ -614,16 +713,10 @@ def encode_one_hot(data: Dataset) -> tuple[Dataset, OneHotMap]:
     if np.isnan(data.values).any():
         raise DataError("encode_one_hot requires null-free data (cleanse first)")
     encoded_features: list[Feature] = []
-    spans: list[tuple[int, int]] = []
     for f in data.schema:
-        width = 1 if f.kind == NUMERIC else len(f.categories)  # type: ignore[arg-type]
-        spans.append((len(encoded_features), width))
-        if f.kind == NUMERIC:
-            encoded_features.append(f)
-        else:
-            for cat in f.categories:  # type: ignore[union-attr]
-                encoded_features.append(Feature(f"{f.name}={cat}", NUMERIC))
-    mapping = OneHotMap(data.schema, FeatureSchema(encoded_features), tuple(spans))
+        encoded_features += [f] if f.kind == NUMERIC else [Feature(f"{f.name}={c}", NUMERIC) for c in f.categories]
+    spans = _spans(data.schema)
+    mapping = OneHotMap(data.schema, FeatureSchema(encoded_features), spans)
     values = np.zeros((data.n, len(encoded_features)))
     for j, (f, (start, _)) in enumerate(zip(data.schema, spans)):
         if f.kind == NUMERIC:
@@ -648,15 +741,14 @@ class NormParams:
                 raise DataError(f"norm bounds for {name!r}: min > max")
 
     def to_dict(self) -> dict:
-        return {
-            "format": "fraudkit.norm/1",
-            "bounds": [[n, lo, hi] for n, lo, hi in self.bounds],
-        }
+        return {"format": "fraudkit.norm/1", **write_fields(self, ("bounds",))}
 
     @classmethod
     @_parser(DataError)
     def from_dict(cls, doc: dict) -> "NormParams":
-        return cls(tuple((str(n), float(lo), float(hi)) for n, lo, hi in doc["bounds"]))
+        bounds = doc["bounds"]
+        check_value("bound names", [b[0] for b in bounds], STRINGS)
+        return cls(tuple((b[0], *check_value("bounds", b[1:], Array(float, (2,))).tolist()) for b in bounds))
 
 
 def fit_normalize(data: Dataset) -> NormParams:
@@ -760,7 +852,6 @@ def save_split(
 ) -> None:
     """Persist a split as two CSVs plus a manifest recording seed/fraction."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_csv(split.train, out / "train.csv", label_column)
     save_csv(split.test, out / "test.csv", label_column)
     manifest = {
@@ -770,4 +861,5 @@ def save_split(
         "train_rows": split.train.n,
         "test_rows": split.test.n,
     }
-    (out / "split_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with _writing(out / "split_manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    COUNT, SEED, Range, check_fields, check_value, config_parser, document_parser, read_document, state_array,
-    write_document,
+    COUNT, SEED, Array, Range, check_fields, check_value, config_parser, document_parser, read_document, read_fields,
+    write_document, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 
@@ -269,22 +269,21 @@ class Network:
 
     # -- persistence --------------------------------------------------------
 
+    # the constructor checks the arrays' shapes against the spec
+    _FIELDS = {
+        "spec": NetworkSpec.from_dict,
+        "weights": lambda weights: [check_value("weights", w, Array(float, (-1, -1))) for w in weights],
+        "biases": lambda biases: [check_value("biases", b, Array(float, (-1,))) for b in biases],
+    }
+
     def to_dict(self) -> dict:
-        return {
-            "format": "fraudkit.network/1",
-            "spec": self.spec.to_dict(),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
+        return {"format": "fraudkit.network/1", **write_fields(self, self._FIELDS)}
 
     @classmethod
     @document_parser
     def from_dict(cls, doc: dict) -> "Network":
-        if doc.get("format") != "fraudkit.network/1":
-            raise ModelError(f"unsupported network document {doc.get('format')!r}")
-        net = cls(NetworkSpec.from_dict(doc["spec"]), doc["weights"], doc["biases"])
-        state_array("network weights and biases", net.params, net.params.size)
-        return net
+        check_fields(doc, {"format": ("fraudkit.network/1",)})
+        return cls(**read_fields(doc, cls._FIELDS))
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)

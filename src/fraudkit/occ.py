@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    COUNT, SEED, TOLERANCE, Dataset, Range, as_matrix, block_rows, check_fields, check_table, config_parser,
-    document_parser, read_document, require_finite, state_array, with_defaults, write_document,
+    COUNT, FINITE, SEED, TOLERANCE, Array, Dataset, Range, as_matrix, block_rows, check_fields, check_table,
+    config_parser, document_parser, read_document, read_fields, require_finite, with_defaults, write_document,
+    write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
@@ -86,11 +87,20 @@ def quantile_threshold(scores: np.ndarray, contamination: float) -> float:
 
 
 class TrainedDetector:
+    """Fitted detector: kind, width, decision threshold, kind-specific state.
+
+    Each subclass lists its state in `_fields(d)`, a table from each state
+    key, which is also a constructor argument, to its domain or to the parser
+    of a nested document (`data.read_fields`), for a detector of d features.
+    `to_dict` writes those fields in that order and `detector_from_dict`
+    reads them back; the constructor checks what relates one field to
+    another."""
+
     kind: str = ""
 
     def __init__(self, n_features: int, threshold: float = 0.0):
         self.n_features = n_features
-        self.threshold = threshold
+        self.threshold = float(threshold)
 
     def score(self, rows) -> np.ndarray:
         raise NotImplementedError
@@ -98,17 +108,9 @@ class TrainedDetector:
     def classify(self, rows) -> np.ndarray:
         return (self.score(rows) > self.threshold).astype(int)
 
-    def _state_dict(self) -> dict:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
-        return {
-            "format": "fraudkit.detector/1",
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "threshold": self.threshold,
-            "state": self._state_dict(),
-        }
+        head = {"format": "fraudkit.detector/1", "kind": self.kind, "n_features": self.n_features}
+        return {**head, "threshold": self.threshold, "state": write_fields(self, self._fields(self.n_features))}
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)
@@ -153,6 +155,13 @@ class OcsvmDetector(TrainedDetector):
         self.rho = float(rho)
         self.kernel = kernel
         self.gamma = float(gamma)
+        if self.alphas.shape != self.support_rows.shape[:1]:
+            raise ModelError("ocsvm needs one alpha per support row")
+
+    @staticmethod
+    def _fields(d):
+        rows = {"support_rows": Array(float, (-1, d)), "alphas": Array(float, (-1,))}
+        return {**rows, "rho": FINITE, "kernel": OCSVM_KERNELS, "gamma": FINITE}
 
     def score(self, rows) -> np.ndarray:
         """rho minus the kernel-weighted sum over the support rows, for
@@ -165,24 +174,6 @@ class OcsvmDetector(TrainedDetector):
             k = kernel_matrix(x[at : at + step], self.support_rows, self.kernel, self.gamma)
             out[at : at + step] = self.rho - k @ self.alphas
         return out
-
-    def _state_dict(self) -> dict:
-        return {
-            "support_rows": self.support_rows.tolist(),
-            "alphas": self.alphas.tolist(),
-            "rho": self.rho,
-            "kernel": self.kernel,
-            "gamma": self.gamma,
-        }
-
-    @classmethod
-    def _from_state(cls, n_features, threshold, state):
-        rows = state_array("ocsvm support_rows", state["support_rows"], -1, n_features)
-        alphas = state_array("ocsvm alphas", state["alphas"], len(rows))
-        if state["kernel"] not in OCSVM_KERNELS:
-            raise ModelError(f"unknown ocsvm kernel {state['kernel']!r}")
-        rho, gamma = (float(state_array(f"ocsvm {name}", state[name])) for name in ("rho", "gamma"))
-        return cls(n_features, rows, alphas, rho, state["kernel"], gamma, threshold)
 
 
 def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
@@ -325,6 +316,13 @@ class IsolationForestDetector(TrainedDetector):
         super().__init__(n_features, threshold)
         self.trees = trees
         self.subsample_size = int(subsample_size)
+        if not trees or any(int(t.n_samples[0]) != self.subsample_size for t in trees):
+            raise ModelError(f"iforest needs >= 1 tree, each root holding subsample_size = {subsample_size} rows")
+
+    @staticmethod
+    def _fields(d):
+        size = PARAMETERS["iforest"]["max_samples"][1]
+        return {"subsample_size": size, "trees": lambda docs: [Nodes.from_dict(t, d) for t in docs]}
 
     def score(self, rows) -> np.ndarray:
         """2^(-mean path length / c(subsample_size)), the path lengths added
@@ -336,22 +334,6 @@ class IsolationForestDetector(TrainedDetector):
         exponent = -total / len(self.trees) / average_path_length(self.subsample_size)
         # Python's scalar pow: numpy's vectorized power can differ in the last bit
         return np.array([2.0**v for v in exponent.tolist()])
-
-    def _state_dict(self) -> dict:
-        return {
-            "subsample_size": self.subsample_size,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def _from_state(cls, n_features, threshold, state):
-        subsample_size = state["subsample_size"]
-        if not isinstance(subsample_size, int) or subsample_size < 2:
-            raise ModelError(f"iforest subsample_size must be an integer >= 2, got {subsample_size!r}")
-        trees = [Nodes.from_dict(t, n_features) for t in state["trees"]]
-        if any(int(t.n_samples[0]) != subsample_size for t in trees):
-            raise ModelError(f"iforest tree roots must hold subsample_size = {subsample_size} rows")
-        return cls(n_features, trees, subsample_size, threshold)
 
 
 def _fit_iforest(x: np.ndarray, config: DetectorConfig) -> IsolationForestDetector:
@@ -397,6 +379,12 @@ class CopodDetector(TrainedDetector):
         super().__init__(n_features, threshold)
         self.sorted_columns = [np.asarray(c, dtype=float) for c in sorted_columns]
         self.skews = np.asarray(skews, dtype=float)
+        if any(np.any(c[1:] < c[:-1]) for c in self.sorted_columns):
+            raise ModelError("copod sorted_columns must be sorted")
+
+    @staticmethod
+    def _fields(d):
+        return {"sorted_columns": Array(float, (d, -1)), "skews": Array(float, (d,))}
 
     def score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
@@ -417,17 +405,6 @@ class CopodDetector(TrainedDetector):
         s_right = -np.log(right).sum(axis=1)
         s_skew = -np.log(corrected).sum(axis=1)
         return np.maximum.reduce([s_left, s_right, s_skew])
-
-    def _state_dict(self) -> dict:
-        return {
-            "sorted_columns": [c.tolist() for c in self.sorted_columns],
-            "skews": self.skews.tolist(),
-        }
-
-    @classmethod
-    def _from_state(cls, n_features, threshold, state):
-        columns = state_array("copod sorted_columns", state["sorted_columns"], n_features, -1)
-        return cls(n_features, columns, state_array("copod skews", state["skews"], n_features), threshold)
 
 
 def _fit_copod(x: np.ndarray, config: DetectorConfig) -> CopodDetector:
@@ -521,20 +498,13 @@ class AbodDetector(TrainedDetector):
         self.train_rows = np.asarray(train_rows, dtype=float)
         self.n_neighbours = int(n_neighbours)
 
+    @staticmethod
+    def _fields(d):
+        return {"train_rows": Array(float, (-1, d)), "n_neighbours": PARAMETERS["abod"]["n_neighbours"][1]}
+
     def score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
         return -_angle_factors(self.train_rows, x, self.n_neighbours)
-
-    def _state_dict(self) -> dict:
-        return {"train_rows": self.train_rows.tolist(), "n_neighbours": self.n_neighbours}
-
-    @classmethod
-    def _from_state(cls, n_features, threshold, state):
-        rows = state_array("abod train_rows", state["train_rows"], -1, n_features)
-        k = state["n_neighbours"]
-        if not isinstance(k, int) or k < 2:
-            raise ModelError(f"abod n_neighbours must be an integer >= 2, got {k!r}")
-        return cls(n_features, rows, k, threshold)
 
 
 def _fit_abod(x: np.ndarray, config: DetectorConfig) -> AbodDetector:
@@ -602,28 +572,14 @@ class McdDetector(TrainedDetector):
         self.support_indices = tuple(int(i) for i in support_indices)
         self.raw_log_det = float(raw_log_det)
 
+    @staticmethod
+    def _fields(d):
+        gaussian = {"mean": Array(float, (d,)), "cov": Array(float, (d, d))}
+        return {**gaussian, "support_indices": Array(int, (-1,)), "raw_log_det": FINITE}
+
     def score(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)
         return np.sqrt(_mahalanobis2(x, self.mean, self.lower))
-
-    def _state_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-            "support_indices": list(self.support_indices),
-            "raw_log_det": self.raw_log_det,
-        }
-
-    @classmethod
-    def _from_state(cls, n_features, threshold, state):
-        return cls(
-            n_features,
-            state_array("mcd mean", state["mean"], n_features),
-            state_array("mcd cov", state["cov"], n_features, n_features),
-            state.get("support_indices", ()),
-            state.get("raw_log_det", 0.0),
-            threshold,
-        )
 
 
 EXHAUSTIVE_SUBSET_LIMIT = 20_000
@@ -730,10 +686,19 @@ class VaeDetector(TrainedDetector):
 
     def __init__(self, n_features, encoder, mu_head, logvar_head, decoder, threshold=0.0):
         super().__init__(n_features, threshold)
+        (enc_in, enc_out), (mu_in, mu_out), (lv_in, lv_out), (dec_in, dec_out) = (
+            (net.spec.input_dim, net.spec.layers[-1].width) for net in (encoder, mu_head, logvar_head, decoder)
+        )
+        if not (enc_in == dec_out == n_features and mu_in == lv_in == enc_out and mu_out == lv_out == dec_in):
+            raise ModelError(f"vae networks do not chain encoder -> heads -> decoder over {n_features} features")
         self.encoder = encoder
         self.mu_head = mu_head
         self.logvar_head = logvar_head
         self.decoder = decoder
+
+    @staticmethod
+    def _fields(d):
+        return dict.fromkeys(("encoder", "mu_head", "logvar_head", "decoder"), Network.from_dict)
 
     def reconstruct(self, rows) -> np.ndarray:
         """Decode from the posterior mean (no sampling, deterministic)."""
@@ -746,24 +711,6 @@ class VaeDetector(TrainedDetector):
         x = as_matrix(rows, self.n_features)
         recon = self.reconstruct(x)
         return np.mean((x - recon) ** 2, axis=1)
-
-    def _state_dict(self) -> dict:
-        return {
-            "encoder": self.encoder.to_dict(),
-            "mu_head": self.mu_head.to_dict(),
-            "logvar_head": self.logvar_head.to_dict(),
-            "decoder": self.decoder.to_dict(),
-        }
-
-    @classmethod
-    def _from_state(cls, n_features, threshold, state):
-        nets = [Network.from_dict(state[k]) for k in ("encoder", "mu_head", "logvar_head", "decoder")]
-        (enc_in, enc_out), (mu_in, mu_out), (lv_in, lv_out), (dec_in, dec_out) = (
-            (net.spec.input_dim, net.spec.layers[-1].width) for net in nets
-        )
-        if not (enc_in == dec_out == n_features and mu_in == lv_in == enc_out and mu_out == lv_out == dec_in):
-            raise ModelError(f"vae networks do not chain encoder -> heads -> decoder over {n_features} features")
-        return cls(n_features, *nets, threshold)
 
 
 def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
@@ -859,18 +806,9 @@ def fit_detector(config: DetectorConfig, negatives: Dataset | np.ndarray) -> Tra
 
 @document_parser
 def detector_from_dict(doc: dict) -> TrainedDetector:
-    if doc.get("format") != "fraudkit.detector/1":
-        raise ModelError(f"unsupported detector document {doc.get('format')!r}")
-    kind = doc["kind"]
-    try:
-        cls = _DETECTOR_CLASSES[kind]
-    except KeyError as exc:
-        raise ModelError(f"unknown detector kind {kind!r}") from exc
-    n_features = doc["n_features"]
-    if n_features not in COUNT:
-        raise ModelError(f"detector n_features must be a positive integer, got {n_features!r}")
-    threshold = float(state_array("detector threshold", doc["threshold"]))
-    return cls._from_state(n_features, threshold, doc["state"])
+    check_fields(doc, {"format": ("fraudkit.detector/1",), "kind": KINDS, "n_features": COUNT, "threshold": FINITE})
+    cls, d = _DETECTOR_CLASSES[doc["kind"]], doc["n_features"]
+    return cls(d, threshold=doc["threshold"], **read_fields(doc["state"], cls._fields(d)))
 
 
 def load_detector(path: str | Path) -> TrainedDetector:

@@ -31,7 +31,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import BLOCK, binary_labels, document_parser, require_finite
+from .data import (
+    BLOCK, COUNT, Array, Range, binary_labels, check_fields, check_value, document_parser, read_fields, require_finite,
+    write_fields,
+)
 from .errors import DataError, ModelError
 
 GINI = "gini"
@@ -40,7 +43,6 @@ SQUARED = "squared_error"
 
 TREE_FORMAT = "fraudkit.tree/2"
 COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples", "n_positive")
-_FLOAT_COLUMNS = ("threshold", "value")
 
 
 @dataclass
@@ -63,6 +65,8 @@ class Nodes:
     n_samples: np.ndarray
     n_positive: np.ndarray
 
+    _FIELDS = {c: Array(float if c in ("threshold", "value") else int, (-1,)) for c in COLUMNS}
+
     def __len__(self) -> int:
         return len(self.feature)
 
@@ -80,20 +84,19 @@ class Nodes:
         return at
 
     def to_dict(self) -> dict:
-        return {"format": TREE_FORMAT, **{c: getattr(self, c).tolist() for c in COLUMNS}}
+        return {"format": TREE_FORMAT, **write_fields(self, COLUMNS)}
 
     @classmethod
     @document_parser
     def from_dict(cls, doc: dict, n_features: int) -> "Nodes":
-        """Columns of a tree document, checked so that routing always ends."""
-        if doc.get("format") != TREE_FORMAT:
-            raise ModelError(f"unsupported tree document {doc.get('format')!r}")
-        cols = _as_columns(doc)
+        """Columns of a tree document, checked so that routing always ends.
+        The index checks stay here, not in the constructor: a `Nodes` does
+        not know its width, and the growers' trees are right by construction."""
+        check_fields(doc, {"format": (TREE_FORMAT,)})
+        cols = read_fields(doc, cls._FIELDS)
         n = len(cols["feature"])
-        if n == 0 or any(v.shape != (n,) for v in cols.values()):
-            raise ModelError("tree columns must be nonempty and of equal length")
-        if not (np.isfinite(cols["threshold"]).all() and np.isfinite(cols["value"]).all()):
-            raise ModelError("tree thresholds and values must be finite")
+        if any(v.shape != (n,) for v in cols.values()):
+            raise ModelError("tree columns must be of equal length")
         feature, left, right = cols["feature"], cols["left"], cols["right"]
         inner = feature != -1
         if np.any(feature[inner] < 0) or np.any(feature[inner] >= n_features):
@@ -118,10 +121,6 @@ def presort(x: np.ndarray) -> np.ndarray:
     tied = np.any(ranked[:, :-1] == ranked[:, 1:], axis=1)
     order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
     return order
-
-
-def _as_columns(values) -> dict[str, np.ndarray]:
-    return {c: np.asarray(values[c], dtype=float if c in _FLOAT_COLUMNS else np.intp) for c in COLUMNS}
 
 
 # ---------------------------------------------------------------- levels
@@ -492,6 +491,13 @@ class DecisionTree:
     n_features: int = 0
     leaf_training_indices: dict[int, np.ndarray] = field(default_factory=dict)
 
+    # the settings a document holds next to the tree's `Nodes`
+    _FIELDS = {
+        "criterion": (GINI, ENTROPY, SQUARED),
+        "max_depth": lambda depth: None if depth is None else check_value("max_depth", depth, Range(int, 1)),
+        "n_features": COUNT,
+    }
+
     def fit(
         self,
         x: np.ndarray,
@@ -539,21 +545,14 @@ class DecisionTree:
         return self._require_fit()
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "max_depth": self.max_depth,
-            "n_features": self.n_features,
-            **self._require_fit().to_dict(),
-        }
+        return {**write_fields(self, self._FIELDS), **self._require_fit().to_dict()}
 
     @classmethod
     @document_parser
     def from_dict(cls, doc: dict) -> "DecisionTree":
-        n_features = doc.get("n_features")
-        if not isinstance(n_features, int) or n_features < 1:
-            raise ModelError(f"tree document needs a positive n_features, got {n_features!r}")
-        nodes = Nodes.from_dict(doc, n_features)
-        return cls(doc.get("criterion", GINI), doc.get("max_depth"), nodes=nodes, n_features=n_features)
+        """A fitted tree: its settings and its `Nodes`, in one document."""
+        fields = read_fields(doc, cls._FIELDS)
+        return cls(**fields, nodes=Nodes.from_dict(doc, fields["n_features"]))
 
 
 def fit_forest(

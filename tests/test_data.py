@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from fraudkit.data import (
     NormParams,
     apply_normalize,
     as_matrix,
+    Range,
+    check_value,
     cleanse,
     dataset_from_matrix,
     encode_one_hot,
@@ -63,6 +67,48 @@ def test_schema_load_failure_is_a_data_error_naming_the_path(tmp_path, content):
     path.write_text(content)
     with pytest.raises(DataError, match="schema.json"):
         FeatureSchema.load(path)
+
+
+def _split_of_four():
+    data = dataset_from_matrix(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+    return stratified_split(data, 0.5, seed=0)
+
+
+def _write_split_manifest_onto_a_directory(tmp_path):
+    (tmp_path / "out" / "split_manifest.json").mkdir(parents=True)
+    save_split(_split_of_four(), tmp_path / "out")
+
+
+def _read_non_utf8(tmp_path):
+    (tmp_path / "d.csv").write_bytes(b"a,b\n\xff\xfe,2\n")
+    load_csv(tmp_path / "d.csv", two_feature_schema())
+
+
+@pytest.mark.parametrize(
+    "act, path",
+    [
+        (lambda t: numeric_schema(["a"]).save(t / "file" / "schema.json"), "file/schema.json"),
+        (lambda t: save_csv(dataset_from_matrix(np.ones((2, 2))), t / "file" / "d.csv"), "file/d.csv"),
+        (_write_split_manifest_onto_a_directory, "out/split_manifest.json"),
+        (lambda t: load_csv(t, two_feature_schema()), ""),
+        (_read_non_utf8, "d.csv"),
+    ],
+    ids=["schema-save-under-a-file", "save-csv-under-a-file", "split-manifest-onto-a-directory",
+         "load-csv-of-a-directory", "load-csv-of-non-utf8"],
+)
+def test_file_error_is_a_data_error_naming_the_path(tmp_path, act, path):
+    # these used to escape as NotADirectoryError, FileExistsError,
+    # IsADirectoryError and UnicodeDecodeError
+    (tmp_path / "file").write_text("a regular file")
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / path))):
+        act(tmp_path)
+
+
+def test_check_value_message_shows_a_bounded_value():
+    # a malformed 400 x 30 matrix used to be printed whole
+    with pytest.raises(ConfigError) as caught:
+        check_value("rows", [[0.5] * 30] * 400, Range(float, 0.0))
+    assert len(str(caught.value)) < 400  # printed whole, it ran to 60,846 characters
 
 
 # ---------------------------------------------------------------- load_csv

@@ -1,13 +1,20 @@
 """Every `from_dict`: a malformed document fails only with the parser's own
 `FraudkitError` subclass, and every configuration, one-hot map and set of
-norm params survives a JSON round trip."""
+norm params survives a JSON round trip. `PARSERS` names every public parser
+of the package and every classifier and detector kind, and a test fails when
+a new one is missing from it."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+import fraudkit
+from fraudkit import classify, occ
 from fraudkit.augment import Gan, GanSpec, default_gan_spec
 from fraudkit.classify import ClassifierConfig, model_from_dict
 from fraudkit.data import Dataset, FeatureSchema, NormParams, OneHotMap, encode_one_hot, fit_normalize, numeric_schema
@@ -29,6 +36,44 @@ def _gan_doc() -> dict:
 
 _SCHEMA = numeric_schema(["a"]).to_dict()
 
+
+def _model_doc(kind: str, parameters: dict | None = None) -> dict:
+    """The document of a `kind` classifier fitted on 40 rows of 2 features."""
+    x = np.random.default_rng(5).normal(size=(40, 2))
+    y = (x[:, 0] + 0.3 * x[:, 1] > 0).astype(int)
+    small = {"rf": {"estimators": 2}, "gbt": {"estimators": 2}, "mlp": {"epochs": 1}}
+    return classify.fit_arrays(ClassifierConfig(kind, parameters or small.get(kind, {})), x, y).to_dict()
+
+
+def _detector_doc(kind: str) -> dict:
+    """The document of a `kind` detector fitted on 20 rows of 2 features."""
+    x = np.random.default_rng(6).normal(size=(20, 2))
+    small = {"iforest": {"n_estimators": 2, "max_samples": 8}, "abod": {"n_neighbours": 3}, "vae": {"epochs": 1}}
+    return fit_detector(DetectorConfig(kind, small.get(kind, {})), x).to_dict()
+
+
+def _with_state(doc: dict, **fields) -> dict:
+    doc["state"].update(fields)
+    return doc
+
+
+# per kind, a document whose state holds one field of a wrong type
+_WRONG_STATE = {
+    "model.nb": lambda: _with_state(_model_doc("nb"), variances="1.0"),
+    "model.lr": lambda: _with_state(_model_doc("lr"), weights={"a": 1}),
+    "model.svm": lambda: _with_state(_model_doc("svm"), iterations="3"),
+    "model.dt": lambda: _with_state(_model_doc("dt"), tree=[]),
+    "model.rf": lambda: _with_state(_model_doc("rf"), trees=3),
+    "model.gbt": lambda: _with_state(_model_doc("gbt"), learning_rate="0.1"),
+    "model.mlp": lambda: _with_state(_model_doc("mlp"), network="net"),
+    "detector.ocsvm": lambda: _with_state(_detector_doc("ocsvm"), kernel=3),
+    "detector.iforest": lambda: _with_state(_detector_doc("iforest"), subsample_size="8"),
+    "detector.copod": lambda: _with_state(_detector_doc("copod"), skews=[["x"]]),
+    "detector.abod": lambda: _with_state(_detector_doc("abod"), n_neighbours=3.0),
+    "detector.mcd": lambda: _with_state(_detector_doc("mcd"), mean="0"),
+    "detector.vae": lambda: _with_state(_detector_doc("vae"), decoder=3),
+}
+
 # name -> (parser, the error it raises, a document with one field of a wrong type)
 PARSERS = {
     "ClassifierConfig": (ClassifierConfig.from_dict, ConfigError, lambda: {"kind": "nb", "seed": "0"}),
@@ -48,7 +93,29 @@ PARSERS = {
     "Gan": (Gan.from_dict, ModelError, lambda: {**_gan_doc(), "generator": []}),
     "model": (model_from_dict, ModelError, lambda: {"format": "fraudkit.model/1", "kind": "nb", "state": 3}),
     "detector": (detector_from_dict, ModelError, lambda: {"format": "fraudkit.detector/1", "kind": ["iforest"]}),
+    **{
+        name: (model_from_dict if name.startswith("model") else detector_from_dict, ModelError, wrong)
+        for name, wrong in _WRONG_STATE.items()
+    },
 }
+
+
+def test_parsers_cover_every_public_parser_and_every_kind():
+    # a class with a `from_dict` is named by its class name, a function
+    # `<name>_from_dict` by <name>, a classifier or detector kind by
+    # model.<kind> or detector.<kind>
+    found = set()
+    for info in pkgutil.iter_modules(fraudkit.__path__):
+        module = importlib.import_module(f"fraudkit.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj) and hasattr(obj, "from_dict"):
+                found.add(name)
+            elif inspect.isfunction(obj) and name.endswith("_from_dict"):
+                found.add(name[: -len("_from_dict")])
+    found |= {f"model.{kind}" for kind in classify.KINDS} | {f"detector.{kind}" for kind in occ.KINDS}
+    assert found - set(PARSERS) == set()
 
 
 @pytest.mark.parametrize("doc", [None, [], "wrong-typed field"])
@@ -159,3 +226,124 @@ def test_malformed_nested_spec_is_the_outer_documents_error(parse, doc):
     # the nested spec's parser raises ConfigError, which used to escape as is
     with pytest.raises(ModelError):
         parse(doc())
+
+
+def _edit(make, edit):
+    def document():
+        doc = make()
+        edit(doc)
+        return doc
+
+    return document
+
+
+def _tree_of(doc: dict) -> dict:
+    return doc["state"]["tree"]
+
+
+# (parser, document, error): each of these documents used to load
+HOLES = {
+    "feature-names-string": (
+        model_from_dict, _edit(lambda: _model_doc("nb"), lambda d: d.update(feature_names="ab")), ModelError
+    ),
+    "feature-names-integers": (
+        model_from_dict, _edit(lambda: _model_doc("nb"), lambda d: d.update(feature_names=[1, 2])), ModelError
+    ),
+    "nb-string-means": (
+        model_from_dict,
+        _edit(lambda: _model_doc("nb"), lambda d: d["state"].update(means=[["0.1", "0.2"], ["0.3", "0.4"]])),
+        ModelError,
+    ),
+    "lr-converged-string": (
+        model_from_dict, _edit(lambda: _model_doc("lr"), lambda d: d["state"].update(converged="no")), ModelError
+    ),
+    "lr-iterations-fraction": (
+        model_from_dict, _edit(lambda: _model_doc("lr"), lambda d: d["state"].update(iterations=2.7)), ModelError
+    ),
+    "lr-bias-bool": (
+        model_from_dict, _edit(lambda: _model_doc("lr"), lambda d: d["state"].update(bias=True)), ModelError
+    ),
+    "lr-parameter-string": (
+        model_from_dict,
+        _edit(lambda: _model_doc("lr"), lambda d: d["state"].update(parameters={"max_iter": "x"})),
+        ModelError,
+    ),
+    "lr-parameter-unknown": (
+        model_from_dict,
+        _edit(lambda: _model_doc("lr"), lambda d: d["state"].update(parameters={"maxdepth": 3})),
+        ModelError,
+    ),
+    "dt-criterion": (
+        model_from_dict, _edit(lambda: _model_doc("dt"), lambda d: _tree_of(d).update(criterion="bogus")), ModelError
+    ),
+    "dt-max-depth-string": (
+        model_from_dict,
+        _edit(lambda: _model_doc("dt", {"maxdepth": 3}), lambda d: _tree_of(d).update(max_depth="deep")),
+        ModelError,
+    ),
+    "dt-tree-wider-than-the-model": (
+        model_from_dict, _edit(lambda: _model_doc("dt"), lambda d: _tree_of(d).update(n_features=5)), ModelError
+    ),
+    "tree-n-features-bool": (
+        DecisionTree.from_dict, _edit(_tree_doc, lambda d: d.update(n_features=True)), ModelError
+    ),
+    "gbt-loss": (
+        model_from_dict, _edit(lambda: _model_doc("gbt"), lambda d: d["state"].update(loss="bogus")), ModelError
+    ),
+    "tree-child-fraction": (
+        DecisionTree.from_dict, _edit(_tree_doc, lambda d: d["left"].__setitem__(0, d["left"][0] + 0.7)), ModelError
+    ),
+    "mcd-raw-log-det-string": (
+        detector_from_dict,
+        _edit(lambda: _detector_doc("mcd"), lambda d: d["state"].update(raw_log_det="1.5")),
+        ModelError,
+    ),
+    "mcd-support-indices-mixed": (
+        detector_from_dict,
+        _edit(lambda: _detector_doc("mcd"), lambda d: d["state"].update(support_indices=["1", 2.9])),
+        ModelError,
+    ),
+    "detector-threshold-string": (
+        detector_from_dict, _edit(lambda: _detector_doc("copod"), lambda d: d.update(threshold="0.5")), ModelError
+    ),
+    "rf-no-trees": (
+        model_from_dict, _edit(lambda: _model_doc("rf"), lambda d: d["state"].update(trees=[])), ModelError
+    ),
+    "iforest-no-trees": (
+        detector_from_dict, _edit(lambda: _detector_doc("iforest"), lambda d: d["state"].update(trees=[])), ModelError
+    ),
+    "copod-unsorted-column": (
+        detector_from_dict,
+        _edit(lambda: _detector_doc("copod"), lambda d: d["state"]["sorted_columns"][0].reverse()),
+        ModelError,
+    ),
+    "norm-bound-types": (NormParams.from_dict, lambda: {"bounds": [[3, "0.5", "1"]]}, DataError),
+    "onehot-span-fractions": (
+        OneHotMap.from_dict, lambda: {"source": _SCHEMA, "encoded": _SCHEMA, "spans": [[0.2, 1.7]]}, DataError
+    ),
+    "onehot-spans-misfit": (
+        OneHotMap.from_dict, lambda: {"source": _SCHEMA, "encoded": _SCHEMA, "spans": [[0, 2]]}, DataError
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLES))
+def test_document_that_used_to_load_is_the_parsers_error(name):
+    # int(), float(), bool(), list() and str() used to convert these, a tree
+    # wider than its model failed only when it scored, a forest of no trees
+    # scored NaN, and copod's tail counts assume sorted columns
+    parse, doc, error = HOLES[name]
+    with pytest.raises(error):
+        parse(doc())
+
+
+def test_documents_without_optional_state_fields_load_with_the_defaults():
+    lr = _model_doc("lr")
+    for name in ("iterations", "converged", "parameters"):
+        del lr["state"][name]
+    model = model_from_dict(lr)
+    assert (model.iterations, model.converged, model.parameters) == (0, False, {})
+    mcd = _detector_doc("mcd")
+    del mcd["state"]["support_indices"], mcd["state"]["raw_log_det"]
+    detector = detector_from_dict(mcd)
+    assert (detector.support_indices, detector.raw_log_det) == ((), 0.0)

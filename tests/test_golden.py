@@ -65,6 +65,14 @@ byte. The neural digests pin the
 `mlp` classifier under adam and sgd, the `vae` detector, both GAN variants'
 samples and loss curves, and one saved network document, so a change to
 how a network stores, updates or clips its parameters must keep every bit.
+The document digests (`DOCUMENT_GOLDEN`) pin the SHA-256 of
+`json.dumps(obj.to_dict())` for a fitted model of each of the seven
+classifier kinds and each of the six detector kinds, one trained GAN, and one
+schema, one-hot map and set of norm params, and check that each document
+loads and writes the same bytes back; they did not change when every
+document came to be read and written through one table of fields per class
+(`data.read_fields` and `data.write_fields`), so every document saved before
+still loads to the same object.
 """
 
 import hashlib
@@ -75,11 +83,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fraudkit.augment import default_gan_spec, sample_synthetic, train_gan
-from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model
+from fraudkit.augment import Gan, default_gan_spec, sample_synthetic, train_gan
+from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model, model_from_dict
 from fraudkit.data import (
+    Dataset,
     Feature,
     FeatureSchema,
+    NormParams,
+    OneHotMap,
     apply_normalize,
     cleanse,
     dataset_from_matrix,
@@ -90,7 +101,7 @@ from fraudkit.data import (
     save_csv,
     stratified_split,
 )
-from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, fit_detector, load_detector
+from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, detector_from_dict, fit_detector, load_detector
 from fraudkit.resample import (
     BalancerConfig, adasyn, adasyn_allocation, smote, smote_draws, smote_enn, smote_tomek
 )
@@ -429,3 +440,90 @@ def test_network_document_golden():
     model = fit_arrays(ClassifierConfig("mlp", {"epochs": 5}, seed=4), x, y)
     text = json.dumps(model.network.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NETWORK_DOCUMENT
+
+
+def _document_rows():
+    """The first 60 rows of `_train_rows`, for the detectors' documents."""
+    return _train_rows()[0][:60]
+
+
+def _data_documents():
+    """The schema, one-hot map and norm params of a small mixed dataset."""
+    schema = FeatureSchema(
+        [
+            Feature("kind", "categorical", categories=("card", "wire, cash", 'q"uote')),
+            Feature("amount", "numeric"),
+            Feature("hour", "numeric"),
+        ]
+    )
+    rng = np.random.default_rng(19)
+    rows = [(schema[0].categories[i % 3], float(rng.uniform(-5.0, 90.0)), float(i % 24)) for i in range(30)]
+    encoded, mapping = encode_one_hot(Dataset(schema, rows, [i % 2 for i in range(30)]))
+    return schema, mapping, fit_normalize(encoded)
+
+
+def _gan_document_object():
+    spec = default_gan_spec("vgan", 4)
+    spec = replace(spec, train=replace(spec.train, epochs=2, seed=5))
+    return train_gan(np.random.default_rng(13).uniform(size=(40, 4)), spec)
+
+
+# name: (the object whose `to_dict` is pinned, its parser)
+DOCUMENT_OBJECTS = {
+    **{
+        f"model-{config.kind}": (lambda config=config: fit_arrays(config, *_train_rows()), model_from_dict)
+        for config in (
+            ClassifierConfig("nb"),
+            ClassifierConfig("lr", {"penalty_strength": 0.01, "max_iter": 300}),
+            ClassifierConfig("svm", {"penalty_strength": 0.01, "max_iter": 300}),
+            ClassifierConfig("dt", {"maxdepth": 3}),
+            ClassifierConfig("rf", {"estimators": 3, "maxdepth": 3}, seed=3),
+            ClassifierConfig("gbt", {"estimators": 3, "maxdepth": 2}),
+            ClassifierConfig("mlp", {"epochs": 5}, seed=4),
+        )
+    },
+    **{
+        f"detector-{config.kind}": (lambda config=config, rows=rows: fit_detector(config, rows()), detector_from_dict)
+        for config, rows in (
+            (DetectorConfig("ocsvm", {"nu": 0.1}), _document_rows),
+            (DetectorConfig("iforest", {"n_estimators": 5, "max_samples": 32}, seed=5), _document_rows),
+            (DetectorConfig("copod"), _document_rows),
+            (DetectorConfig("abod", {"n_neighbours": 5}), _document_rows),
+            (DetectorConfig("mcd"), lambda: np.random.default_rng(11).normal(size=(12, 2))),
+            (DetectorConfig("vae", {"epochs": 3}, seed=6), _document_rows),
+        )
+    },
+    "gan": (_gan_document_object, Gan.from_dict),
+    "schema": (lambda: _data_documents()[0], FeatureSchema.from_dict),
+    "onehot": (lambda: _data_documents()[1], OneHotMap.from_dict),
+    "norm": (lambda: _data_documents()[2], NormParams.from_dict),
+}
+
+DOCUMENT_GOLDEN = {
+    "detector-abod": "c781118c89669dece177366988893954a95991a019998ab093094252bf8fc3a0",
+    "detector-copod": "b5e75bf8260885fc3cf93009256d99c0ed5058822491a46e10e20ddaed9ff8b1",
+    "detector-iforest": "49d76429529a88e542e7b31ca01c93e48e34909a9a71414ff3ff3b07d6967c72",
+    "detector-mcd": "65b842f7391dd8c49c2c26aa23f6b13eef042660c33fd0186f05ef16d5627198",
+    "detector-ocsvm": "19ac6a6dacddf4867e44d0d86ffe062268d3adecb737097c354ffede6b366b40",
+    "detector-vae": "5f9413b2ceac4a881c9bee6ffa38c19cec36b2df88de575bc9e6aedce2e2578e",
+    "gan": "0e07a3f4a43d13c35893bae0d6d0528484805841d4a0f8ab91be276c9e969e62",
+    "model-dt": "72094978d6a991057e5ce41532498f1bb90d06fd082c1b8d1652f2ebd173da06",
+    "model-gbt": "4883fc27226fcc3ae9770b45d0a992ef05687199b3584bd2b28d943dab79641b",
+    "model-lr": "dacc0cc6f174a05989e5e43f3393cc63e1d9e1dc49830962b0674ac513a7e076",
+    "model-mlp": "750f8fd0cb73ad5565680ba15727d4fe9b582505f8a0191f33bd81d80e548e46",
+    "model-nb": "749757e442c5134ab1e25c8dd2846aec3e624c259c5b14dd4bfb1e5cd2204ad1",
+    "model-rf": "9c8643460f4961c6c93f5198270ed02adc12895ae573c831a5f393461357825f",
+    "model-svm": "604b4d333e84c1c8c34447812d1ad5c054649131e3b633f461df28e230efb4ce",
+    "norm": "9f2efddca4822b0c804a9a3c6a300619d40749061ecf452b65a0ead2ab785b4e",
+    "onehot": "a0f9c4a3eb0dab60f1ea3351263933a9aaffb2e9417777065849f5274b4a4c88",
+    "schema": "bf11fb7f32edffa7bafa169798a358e0641d5cc758e1cb8ded882fe0c56afe3e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_OBJECTS))
+def test_document_bytes_golden(name):
+    make, parse = DOCUMENT_OBJECTS[name]
+    text = json.dumps(make().to_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DOCUMENT_GOLDEN[name]
+    # the document loads, and the loaded object writes the same bytes
+    assert json.dumps(parse(json.loads(text)).to_dict()) == text
