@@ -611,8 +611,10 @@ def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> No
     lines = [",".join(header), *map(",".join, zip(*columns))] if columns else [""] * (data.n + 1)
     if len(columns) == 1:
         lines = [line or '""' for line in lines]  # a lone empty field, quoted so that the row is not blank
+    del columns
     with _writing(Path(path)) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

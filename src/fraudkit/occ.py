@@ -23,6 +23,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
+from .resample import knn
 from .tree import Nodes, _breadth_first, _draw_by_rank, _next_level
 
 KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
@@ -419,64 +420,30 @@ def _fit_copod(x: np.ndarray, config: DetectorConfig) -> CopodDetector:
 # Angle-based detector
 
 def _angle_factors(train: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """Angle factor of each query row: the variance over pairs of its k
-    nearest usable training rows of inverse-square-weighted angle terms,
-    in blocks of `data.block_rows(len(train))` query rows."""
-    t_sq = np.sum(train * train, axis=1)
-    step = block_rows(len(train))
+    """Angle factor of each query row q: the variance, over pairs of its
+    neighbours (`knn` with the 1e-24 floor), of v·w with v = (t - q) / |t - q|²
+    for each neighbour t; 0 with fewer than 2 neighbours."""
+    neighbours = knn(queries, train, min(k, len(train)), floor=1e-24)
+    found = neighbours >= 0
+    kept = np.count_nonzero(found, axis=1).tolist()
     pairs: dict[int, tuple] = {}  # upper-triangle indices by neighbour count
-    factors = np.empty(len(queries))
+    factors = np.zeros(len(queries))
+    step = block_rows(8 * neighbours.shape[1] * train.shape[1])  # v: an eighth of data.BLOCK, like `knn`'s chunks
     for at in range(0, len(queries), step):
-        factors[at : at + step] = _block_factors(train, t_sq, queries[at : at + step], k, pairs)
-    return factors
-
-
-def _block_factors(train: np.ndarray, t_sq: np.ndarray, block: np.ndarray, k: int, pairs: dict) -> np.ndarray:
-    """`_angle_factors` of one block of queries.
-
-    Squared distances from |q|² + |t|² - 2 q·t are off by at most
-    tol = 8 (d + 2) eps (|q|² + max |t|²) from the exact ones, so only rows
-    within 2 tol of the k-th nearest certainly usable row, and not certainly
-    at zero distance, have their exact squared distances worked out.
-    """
-    n, d = train.shape
-    approx = block @ train.T
-    approx *= -2.0
-    approx += t_sq
-    q_sq = np.sum(block * block, axis=1)
-    approx += q_sq[:, None]
-    tol = 8 * (d + 2) * np.finfo(float).eps * (q_sq + t_sq.max())
-    reach = np.full(len(block), np.inf)
-    if k <= n:
-        kth = np.where(approx > (1e-24 + tol)[:, None], approx, np.inf)
-        kth.partition(k - 1, axis=1)
-        reach = kth[:, k - 1] + 2.0 * tol
-        del kth
-    rows, cols = np.nonzero((approx <= reach[:, None]) & (approx > (1e-24 - tol)[:, None]))
-    del approx
-    dist2 = np.empty(rows.size)
-    chunk = block_rows(d)
-    for at in range(0, rows.size, chunk):
-        diffs = train[cols[at : at + chunk]] - block[rows[at : at + chunk]]
-        dist2[at : at + chunk] = np.sum(diffs * diffs, axis=1)
-    usable = dist2 > 1e-24
-    rows, cols, dist2 = rows[usable], cols[usable], dist2[usable]
-    # per query, nearest first; the sort is stable, so equal distances stay in row order
-    order = np.lexsort((dist2, rows))
-    counts = np.bincount(rows, minlength=len(block))
-    nearest = order[np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts) < k]
-    v = (train[cols[nearest]] - block[rows[nearest]]) / dist2[nearest, None]
-    kept = np.minimum(counts, k)
-    factors = np.zeros(len(block))  # fewer than 2 usable rows: factor 0
-    for i, (end, m) in enumerate(zip(np.cumsum(kept).tolist(), kept.tolist())):
-        if m >= 2:
-            u = v[end - m : end]
-            if m not in pairs:
-                pairs[m] = np.triu_indices(m, k=1)
-            terms = (u @ u.T)[pairs[m]]
-            # np.var's arithmetic, without its per-call overhead
-            dev = terms - terms.sum() / terms.size
-            factors[i] = (dev * dev).sum() / terms.size
+        rows, slots = np.nonzero(found[at : at + step])
+        v = train[neighbours[at + rows, slots]] - queries[at + rows]
+        v /= np.sum(v * v, axis=1)[:, None]
+        end = 0
+        for i, m in enumerate(kept[at : at + step], start=at):
+            u = v[end : end + m]
+            end += m
+            if m >= 2:
+                if m not in pairs:
+                    pairs[m] = np.triu_indices(m, k=1)
+                terms = (u @ u.T)[pairs[m]]
+                # np.var's arithmetic, without its per-call overhead
+                dev = terms - terms.sum() / terms.size
+                factors[i] = (dev * dev).sum() / terms.size
     return factors
 
 
@@ -485,10 +452,7 @@ class AbodDetector(TrainedDetector):
     (FastABOD; Kriegel, Schubert & Zimek, KDD 2008); score is minus the factor.
 
     Training rows at squared distance <= 1e-24 from a query (its duplicates)
-    are left out, ties in distance go to the lower row index, and a query
-    with fewer than 2 usable rows gets factor 0. Queries are screened in
-    blocks of `data.block_rows(training rows)` rows, so memory is
-    O(data.BLOCK); each query's chosen rows are then handled on their own.
+    are left out, and a query with fewer than 2 other rows gets factor 0.
     """
 
     kind = "abod"

@@ -2,11 +2,11 @@
 removal, the two SMOTE composites, ADASYN, and the method dispatcher that
 also routes to the GAN oversamplers.
 
-Every neighbour-based method finds its neighbours with `knn`: Euclidean
-distances over the (normalized) feature matrix, computed a block of rows at
-a time (`data.block_rows`, about 1 MB of distances per block) so that no
-n x n matrix is ever held, with ties broken toward the lowest row index, so
-every method is deterministic for a fixed (data, config) pair.
+Every neighbour-based method, and the angle-based detector in `occ`, finds
+its neighbours with `knn`: exact squared Euclidean distances, ties broken
+toward the lowest row index, worked out a block of rows at a time
+(`data.block_rows`) so that no n x n matrix is ever held; every method is
+deterministic for a fixed (data, config) pair.
 
 SMOTE and ADASYN build each synthetic row as x_b + u * (x_nn - x_b): x_b a
 minority row, x_nn one of its k nearest minority neighbours and u ~ U[0, 1).
@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    COUNT, SEED, Dataset, Range, block_rows, check_fields, config_parser, dataset_from_matrix, round_half_up,
+    COUNT, SEED, Dataset, Range, block_rows, check_fields, config_parser, dataset_from_matrix, require_finite,
+    round_half_up,
 )
 from .errors import DataError
 
@@ -54,34 +55,65 @@ class BalancerConfig:
         return cls(**doc)
 
 
-def knn(a: np.ndarray, b: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
-    """Indices of the k nearest rows of b for each row of a, nearest first.
+def knn(
+    a: np.ndarray, b: np.ndarray, k: int, exclude: np.ndarray | None = None, floor: float | None = None
+) -> np.ndarray:
+    """Indices of the k nearest rows of b for each row of a, nearest first:
+    the smallest exact squared distances sum((b_j - a_i)**2), the lower
+    index of b on ties. Row i of a never gets b row exclude[i], nor, given a
+    floor, a row at squared distance <= floor; where the floor leaves fewer
+    than k rows, the row ends in -1. DataError when k exceeds the rows not
+    excluded.
 
-    Row i of a never gets back b row exclude[i]. Distances are Euclidean, so
-    ties (sqrt can make distinct squared distances equal) go to the lower
-    index. Distances are worked out for `block_rows(len(b))` rows of a at a
-    time, so each block holds at most `data.BLOCK` distances (or one row of
-    them), never len(a) * len(b).
+    Each block of `data.block_rows(len(b))` rows of a (at most `data.BLOCK`
+    pairs) is screened by |a_i|² + |b_j|² - 2 a_i·b_j, off by at most
+    tol = 8 (d + 2) eps (|a_i|² + max |b|²); only rows within 2 tol of the
+    k-th smallest screened value among the rows certainly eligible get
+    their exact distance worked out.
     """
-    if k > b.shape[0] - 1:
-        raise DataError(f"{k} neighbours need more than {k} rows, got {b.shape[0]}")
-    out = np.empty((a.shape[0], k), dtype=np.intp)
+    n, d = b.shape
+    if k > n - (exclude is not None):
+        raise DataError(f"{k} neighbours need {k + (exclude is not None)} rows, got {n}")
+    require_finite(a, "rows")
+    require_finite(b, "rows")
+    out = np.full((a.shape[0], k), -1, dtype=np.intp)
     b_sq = np.sum(b * b, axis=1)
-    step = block_rows(b.shape[0])
+    b_max = b_sq.max(initial=0.0)
+    step, chunk = block_rows(n), block_rows(8 * d)  # exact distances in small chunks, beside the two buffers
+    # one pair of buffers serves every block: fresh 1 MB arrays per block cost more in page faults than the product
+    screen_buf, kth_buf = np.empty((2, min(step, a.shape[0]), n))
     for start in range(0, a.shape[0], step):
         block = a[start : start + step]
-        rows = np.arange(block.shape[0])
-        d = np.sum(block * block, axis=1)[:, None] + b_sq[None, :]
-        # doubling the factor, not the product: `block @ b.T` of a view of b
-        # may take a different BLAS routine with different rounding
-        d -= (2.0 * block) @ b.T
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        d[rows, exclude[start : start + step]] = np.inf
-        for j in range(k):
-            nearest = np.argmin(d, axis=1)  # first minimum: the lowest index
-            out[start + rows, j] = nearest
-            d[rows, nearest] = np.inf
+        a_sq = np.sum(block * block, axis=1)
+        screen = np.matmul(-2.0 * block, b.T, out=screen_buf[: len(block)])
+        screen += b_sq
+        screen += a_sq[:, None]
+        if exclude is not None:
+            # NaN sorts last and compares false: the row is neither counted nor screened in
+            screen[np.arange(len(block)), exclude[start : start + step]] = np.nan
+        tol = 8 * (d + 2) * np.finfo(float).eps * (a_sq + b_max)
+        kth = kth_buf[: len(block)]
+        np.copyto(kth, screen)
+        if floor is not None:
+            np.copyto(kth, np.inf, where=screen <= (floor + tol)[:, None])
+        kth.partition(k - 1, axis=1)
+        near = screen <= (kth[:, k - 1] + 2.0 * tol)[:, None]
+        if floor is not None:
+            near &= screen > (floor - tol)[:, None]
+        rows, cols = np.divmod(np.flatnonzero(near), n)  # 2-D nonzero took ten times as long
+        dist2 = np.empty(rows.size)
+        for at in range(0, rows.size, chunk):
+            diffs = b[cols[at : at + chunk]] - block[rows[at : at + chunk]]
+            dist2[at : at + chunk] = np.sum(diffs * diffs, axis=1)
+        if floor is not None:
+            kept = dist2 > floor
+            rows, cols, dist2 = rows[kept], cols[kept], dist2[kept]
+        # rows are in order already, so the sort ranks each row's candidates, nearest
+        # first; it is stable, so equal distances stay in index order
+        order = np.lexsort((dist2, rows))
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        first = rank < k
+        out[start + rows[first], rank[first]] = cols[order[first]]
     return out
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ def test_save_csv_deterministic_bytes(tmp_path, mixed_schema):
     save_csv(ds, p1)
     save_csv(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_csv_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # a table like the scored rows of the supervised bench workload (about 1 MB of
+    # text); holding the per-column fields and the joined text plus a copy
+    # ending in the last newline peaked at 7.5 times the file
+    rng = np.random.default_rng(0)
+    n = 1454
+    x = np.column_stack([rng.uniform(size=(n, 30)), rng.integers(0, 2, size=(n, 6)), rng.uniform(size=(n, 6))])
+    data = dataset_from_matrix(x, rng.integers(0, 2, size=n))
+    path = tmp_path / "scored.csv"
+    tracemalloc.start()
+    try:
+        save_csv(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * path.stat().st_size
 
 
 # ---------------------------------------------------------------- cleanse

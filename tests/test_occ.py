@@ -191,19 +191,20 @@ def test_detector_rejects_non_finite_rows(negatives, bad):
         det.score(x)
 
 
-@pytest.mark.parametrize("kind", ["iforest", "abod", "ocsvm"])
+@pytest.mark.parametrize("kind", ["iforest", "abod", "ocsvm", "copod", "mcd", "vae"])
 def test_fit_and_score_peak_memory_is_a_small_multiple_of_the_input(kind):
     # an array of queries x training rows alone would be 800 MB for iforest,
     # 80 MB for abod and 160 MB for ocsvm (about 1,000 support rows); the
     # ocsvm fit still builds its n x n kernel, so only its score is traced
-    n_train, n_queries = {"iforest": (5000, 20000), "abod": (5000, 2000), "ocsvm": (2000, 20000)}[kind]
+    n_train, n_queries = {"abod": (5000, 2000), "ocsvm": (2000, 20000)}.get(kind, (5000, 20000))
+    config = DetectorConfig(kind, {"epochs": 5} if kind == "vae" else {})
     rng = np.random.default_rng(0)
     train, queries = rng.uniform(size=(n_train, 30)), rng.uniform(size=(n_queries, 30))
-    detector = fit_detector(DetectorConfig(kind), train) if kind == "ocsvm" else None
+    detector = fit_detector(config, train) if kind == "ocsvm" else None
     tracemalloc.start()
     try:
         if detector is None:
-            detector = fit_detector(DetectorConfig(kind), train)
+            detector = fit_detector(config, train)
         detector.score(queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -428,7 +429,7 @@ def test_abod_excludes_zero_distance_neighbors():
     assert np.all(np.isfinite(det.score(train)))
 
 
-@pytest.mark.parametrize("k, d", [(2, 4), (5, 4), (10, 4), (60, 4), (10, 30)])
+@pytest.mark.parametrize("k, d", [(2, 4), (5, 4), (10, 4), (60, 4), (10, 30), (48, 4), (50, 4)])
 def test_abod_scores_equal_the_per_row_formula(k, d):
     rng = np.random.default_rng(21)
     train = rng.normal(size=(50, d))

@@ -152,6 +152,49 @@ def test_knn_needs_more_rows_than_k():
         knn(x, x, 3, np.arange(3))
 
 
+def test_knn_matches_stable_sort_oracle_far_from_the_origin():
+    # |a|² + |b|² - 2 a·b cancels here: ranking by it disagreed with the
+    # exact order in 218 of these 300 trials
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        x = rng.uniform(1e3, 1e4, 3) + rng.normal(scale=1e-4, size=(6, 3))
+        d2 = np.sum((x - x[0]) ** 2, axis=1)
+        d2[0] = np.inf
+        assert knn(x[:1], x, 3, np.array([0]))[0].tolist() == np.argsort(d2, kind="stable")[:3].tolist()
+
+
+def test_knn_floor_leaves_out_close_rows_and_pads_with_minus_one():
+    b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1e-13], [3.0, 0.0], [0.0, 2.0]])
+    nn = knn(np.array([[0.0, 0.0], [2.0, 0.0]]), b, 4, floor=1e-24)
+    assert nn.tolist() == [[1, 5, 4, -1], [1, 4, 0, 2]]
+    assert knn(b[:1], b, 6).tolist() == [[0, 2, 3, 1, 5, 4]]  # without a floor the query's copies come first
+    with pytest.raises(DataError):
+        knn(b, b, 7)
+
+
+def test_knn_rejects_rows_that_are_not_finite():
+    x = np.zeros((4, 2))
+    x[2, 1] = np.nan
+    with pytest.raises(DataError):
+        knn(x, x, 1, np.arange(4))
+    with pytest.raises(DataError):
+        knn(np.full((1, 2), np.inf), np.zeros((4, 2)), 1)
+
+
+@pytest.mark.parametrize("method", [enn_filter, tomek_remove], ids=["enn_filter", "tomek_remove"])
+def test_neighbour_filters_keep_the_same_rows_after_a_shift(method):
+    # shifting by 1e6 changed the rows ENN kept in 3 of these 5 draws and the rows
+    # Tomek kept in all 5 while neighbours were ranked by the dot-product expansion
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.uniform(size=(400, 5))
+        y = (rng.uniform(size=400) < 0.3).astype(int)
+        kept, moved = method(labeled(x, y)), method(labeled(x + 1e6, y))
+        assert moved.n == kept.n
+        assert np.array_equal(moved.require_labels(), kept.require_labels())
+        assert np.allclose(moved.matrix() - 1e6, kept.matrix(), rtol=0.0, atol=1e-6)
+
+
 @pytest.mark.parametrize(
     "method",
     [
