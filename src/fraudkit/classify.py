@@ -184,8 +184,8 @@ class NaiveBayesModel(TrainedModel):
         self.log_prior = np.asarray(log_prior, dtype=float)  # (2,)
         self.means = np.asarray(means, dtype=float)  # (2, d)
         self.variances = np.asarray(variances, dtype=float)  # (2, d)
-        if not (self.variances > 0).all():
-            raise ModelError("nb variances must be positive")
+        if not ((self.variances > 0) & (self.variances < np.inf)).all():
+            raise ModelError("nb variances must be positive and finite")
 
     @staticmethod
     def _fields(kind, d):
@@ -225,14 +225,13 @@ class LinearModel(TrainedModel):
     svm predicts the sign of the margin and reports logistic(margin) as a
     probability surrogate.
 
-    `iterations` and `converged` depend on the solver:
-    - damped Newton (`lr` l2, `svm` squared hinge l2): Newton steps, and
-      whether it stopped with max|grad| below `tol`;
-    - smoothed Newton (`svm` hinge l2, `_fit_hinge`): Newton steps over all
-      smoothing stages, and whether a duality-gap certificate within `tol`
-      holds; an uncertified fit adds the fallback descent's steps;
-    - step-halving descent (l1, elasticnet): descent steps, and whether
-      max|subgradient| fell below `tol`, which at a kink it rarely does."""
+    `iterations` and `converged` depend on the loss:
+    - logistic and squared hinge (`_newton`): Newton steps, and whether it
+      stopped with max|grad| below `tol`, where under an l1 term grad is the
+      pseudo-gradient, the minimum-norm subgradient;
+    - hinge (`_fit_hinge`): Newton steps over all smoothing stages, at most
+      `max_iter`, and whether a duality-gap certificate within `tol` holds.
+      An uncertified fit is the lowest-objective point it has seen."""
 
     def __init__(self, kind, feature_names, weights, bias, parameters=None, iterations=0, converged=False):
         super().__init__(feature_names)
@@ -256,26 +255,23 @@ class LinearModel(TrainedModel):
         return sigmoid(self.decision_score(rows))
 
 
-def _penalty_terms(w: np.ndarray, regularizer: str, strength: float):
-    if strength == 0.0:
-        return 0.0, np.zeros_like(w)
-    if regularizer == "l1":
-        return strength * np.sum(np.abs(w)), strength * np.sign(w)
-    if regularizer == "l2":
-        return strength * np.sum(w * w), 2.0 * strength * w
-    # elasticnet: even split
-    l1 = np.sum(np.abs(w))
-    l2 = np.sum(w * w)
-    return 0.5 * strength * (l1 + l2), strength * (0.5 * np.sign(w) + w)
+def _penalty(regularizer: str, strength: float) -> tuple[float, float]:
+    """(l1, ridge) of a regularizer, whose penalty is then
+    l1 * |w|_1 + ridge / 2 * |w|^2; elasticnet splits its strength evenly."""
+    return {"l1": (strength, 0.0), "l2": (0.0, 2.0 * strength), "elasticnet": (0.5 * strength, strength)}[regularizer]
 
 
-# An objective maps (w, b) to (loss, gradient in w, gradient in b, curvature).
-# For a smooth loss, curvature() gives the rows of X1 = [x, 1] with nonzero
+_OVERFLOW = "the linear fit overflowed: its Newton system is not finite; scale the features down"
+
+
+# An objective maps (w, b) to (loss, gradient in w, gradient in b, curvature)
+# of its smooth part, the data term plus ridge / 2 * |w|^2 (`_newton` adds
+# the l1 term). curvature() gives the rows of X1 = [x, 1] with nonzero
 # weight in the data term of its (generalized) Hessian, X1' diag(c) X1, and
-# their weights c; for the hinge it is None.
+# their weights c.
 
 
-def _lr_objective(x, y, regularizer, strength):
+def _lr_objective(x, y, ridge):
     yf = y.astype(float)
     n = len(yf)
 
@@ -285,64 +281,33 @@ def _lr_objective(x, y, regularizer, strength):
         eps = 1e-12
         data = -np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
         grad_z = (p - yf) / n
-        pen, pen_grad = _penalty_terms(w, regularizer, strength)
-        return data + pen, x.T @ grad_z + pen_grad, float(grad_z.sum()), lambda: (slice(None), p * (1.0 - p) / n)
+        penalty = 0.5 * ridge * np.sum(w * w)
+        return data + penalty, x.T @ grad_z + ridge * w, float(grad_z.sum()), lambda: (slice(None), p * (1.0 - p) / n)
 
     return objective
 
 
-def _svm_objective(x, y, loss_name, regularizer, strength):
+def _squared_hinge_objective(x, y, ridge):
     ypm = 2.0 * y - 1.0  # {0,1} -> {-1,+1}
     n = len(y)
 
     def objective(w, b):
         margin = ypm * (x @ w + b)
         slack = np.maximum(0.0, 1.0 - margin)
-        if loss_name == "hinge":
-            data = float(np.mean(slack))
-            coeff = np.where(slack > 0, -ypm, 0.0) / n
-            curvature = None
-        else:  # squared-hinge
-            data = float(np.mean(slack * slack))
-            coeff = -2.0 * slack * ypm / n
-            curvature = lambda: (slice(None), np.where(slack > 0, 2.0 / n, 0.0))
-        pen, pen_grad = _penalty_terms(w, regularizer, strength)
-        return data + pen, x.T @ coeff + pen_grad, float(coeff.sum()), curvature
+        data = float(np.mean(slack * slack))
+        coeff = -2.0 * slack * ypm / n
+        curvature = lambda: (slice(None), np.where(slack > 0, 2.0 / n, 0.0))
+        return data + 0.5 * ridge * np.sum(w * w), x.T @ coeff + ridge * w, float(coeff.sum()), curvature
 
     return objective
 
 
-def _descend(objective, d, max_iter, tol):
-    """Monotone full-batch (sub)gradient descent with step halving, for the
-    objectives Newton cannot take (l1, elasticnet, and the hinge where its
-    optimum is not certified). Returns (w, b, iterations, converged)."""
-    w = np.zeros(d)
-    b = 0.0
-    step = 1.0
-    loss, gw, gb, _ = objective(w, b)
-    iterations = 0
-    while iterations < max_iter and max(float(np.max(np.abs(gw))), abs(gb)) >= tol:
-        while step > 1e-14:
-            w2 = w - step * gw
-            b2 = b - step * gb
-            loss2, gw2, gb2, _ = objective(w2, b2)
-            if loss2 <= loss + 1e-15:
-                w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
-                step *= 1.2
-                break
-            step *= 0.5
-        else:
-            break
-        iterations += 1
-    return w, b, iterations, max(float(np.max(np.abs(gw))), abs(gb)) < tol
-
-
-def _newton(x, objective, ridge, max_iter, tol, start=None, bias_floor=0.0):
-    """Damped Newton on theta = (w, b) from `start` (zeros by default) for a
-    smooth objective whose penalty is ridge/2 * |w|^2 (the bias is not
-    penalized): IRLS for the logistic loss, generalized Newton for the
-    squared hinge (Keerthi & DeCoste, JMLR 2005) and for the smoothed hinge,
-    whose bias curvature is raised to at least `bias_floor`.
+def _newton(x, objective, l1, ridge, max_iter, tol, start=None, bias_floor=0.0):
+    """Damped Newton on theta = (w, b) from `start` (zeros by default) for
+    l1 * |w|_1 plus a smooth objective that carries ridge/2 * |w|^2 (the
+    bias is not penalized): IRLS for the logistic loss, generalized Newton
+    for the squared hinge (Keerthi & DeCoste, JMLR 2005) and for the
+    smoothed hinge, whose bias curvature is raised to at least `bias_floor`.
 
     Each step solves the (d+1)x(d+1) system. With a ridge and a bias floor
     the Hessian is positive definite and is solved directly; otherwise by
@@ -350,31 +315,58 @@ def _newton(x, objective, ridge, max_iter, tol, start=None, bias_floor=0.0):
     columns, ridge 0) gives the minimum-norm step instead of an error. A
     step that raises the loss is cut back to the minimum of the parabola
     through the loss and slope at 0 and the loss at the step, kept within
-    [1/10, 1/2] of it, until the loss does not rise. Stops when
-    max|grad| < tol (converged) or after max_iter steps. Returns
+    [1/10, 1/2] of it, until the loss does not rise. With l1 > 0 the steps
+    are orthant-wise (Andrew & Gao, ICML 2007): grad is the pseudo-gradient
+    (the minimum-norm subgradient), the system covers only the bias and the
+    weights that are nonzero or have grad nonzero, its diagonal raised by
+    0.1 * max|grad|, and a trial step zeroes each weight it carries out of
+    its orthant (the sign of the weight, else of -grad).
+
+    Stops when max|grad| < tol (converged) or after max_iter steps; a
+    Hessian or slope that is not finite is a DataError. Returns
     (w, b, iterations, converged)."""
     n, d = x.shape
     x1 = np.hstack([x, np.ones((n, 1))])
     diagonal = np.append(np.full(d, ridge), 0.0)
     theta = np.zeros(d + 1) if start is None else start
-    if ridge > 0 and bias_floor > 0:  # the Hessian is positive definite
-        solve = np.linalg.solve
-    else:
-        solve = lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]
-    loss, gw, gb, curvature = objective(theta[:d], theta[d])
-    grad = np.append(gw, gb)
+    solve = np.linalg.solve if ridge > 0 and bias_floor > 0 else lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]
+
+    def evaluate(theta):
+        loss, gw, gb, curvature = objective(theta[:d], theta[d])
+        grad = np.append(gw, gb)
+        if l1 > 0:
+            w = theta[:d]
+            loss += l1 * float(np.abs(w).sum())
+            grad[:d] = np.where(w != 0, gw + l1 * np.sign(w), gw - np.clip(gw, -l1, l1))
+        return loss, grad, curvature
+
+    loss, grad, curvature = evaluate(theta)
     iterations = 0
     while iterations < max_iter and np.max(np.abs(grad)) >= tol:
         rows, c = curvature()
         xr = x1[rows]
         hessian = xr.T @ (c[:, None] * xr) + np.diag(diagonal)
         hessian[d, d] = max(hessian[d, d], bias_floor)
-        direction = solve(hessian, -grad)
+        if not np.isfinite(hessian).all():
+            raise DataError(_OVERFLOW)
+        if l1 > 0:
+            free = np.flatnonzero(np.append(theta[:d] != 0, True) | (grad != 0))
+            system = hessian[np.ix_(free, free)]
+            system[np.diag_indices_from(system)] += 0.1 * np.max(np.abs(grad))
+            direction = np.zeros(d + 1)
+            direction[free] = solve(system, -grad[free])
+            orthant = np.sign(np.where(theta[:d] != 0, theta[:d], -grad[:d]))
+        else:
+            direction = solve(hessian, -grad)
         slope = float(grad @ direction)
+        if not math.isfinite(slope):
+            raise DataError(_OVERFLOW)
         t = 1.0
         while True:
             candidate = theta + t * direction
-            loss2, gw, gb, curvature2 = objective(candidate[:d], candidate[d])
+            if l1 > 0:
+                candidate[:d][np.sign(candidate[:d]) != orthant] = 0.0
+            loss2, grad2, curvature2 = evaluate(candidate)
             if loss2 <= loss:
                 break
             # the minimum of the parabola through the loss and slope at 0 and
@@ -383,7 +375,7 @@ def _newton(x, objective, ridge, max_iter, tol, start=None, bias_floor=0.0):
             t = min(max(-slope * t * t / (2.0 * rise), 0.1 * t), 0.5 * t) if rise > 0 else 0.5 * t
             if t < 1e-12:  # no step lowers the loss: rounding noise at the optimum
                 return theta[:d], float(theta[d]), iterations, False
-        theta, loss, grad, curvature = candidate, loss2, np.append(gw, gb), curvature2
+        theta, loss, grad, curvature = candidate, loss2, grad2, curvature2
         iterations += 1
     return theta[:d], float(theta[d]), iterations, bool(np.max(np.abs(grad)) < tol)
 
@@ -400,8 +392,8 @@ _HUBER_STAGE_STEPS = 50
 _FINISH_ROWS = 4
 
 
-def _huber_hinge_objective(x, ypm, strength, h):
-    """Mean Huber-smoothed hinge of width h plus strength * |w|^2. With
+def _huber_hinge_objective(x, ypm, ridge, h):
+    """Mean Huber-smoothed hinge of width h plus ridge / 2 * |w|^2. With
     u = 1 - y(w.x + b) a row's slope in u is a = clip((u + h) / 2h, 0, 1)
     and its loss is u for u >= h and h * a^2 below, that is (u + h)^2 / 4h
     for |u| < h and 0 for u <= -h."""
@@ -418,27 +410,27 @@ def _huber_hinge_objective(x, ypm, strength, h):
             rows = np.flatnonzero(np.abs(u) < h)
             return rows, np.full(rows.size, 1.0 / (2.0 * h * n))
 
-        value = float(loss.sum()) / n + strength * float(w @ w)
-        return value, x.T @ coeff + 2.0 * strength * w, float(coeff.sum()), curvature
+        value = float(loss.sum()) / n + 0.5 * ridge * float(w @ w)
+        return value, x.T @ coeff + ridge * w, float(coeff.sum()), curvature
 
     return objective
 
 
-def _exact_finish(x, ypm, strength, u, h):
-    """(w, b, alpha) that solve the hinge's optimality conditions when the
-    rows S with |u| < h lie on the margin and the rows V with u >= h have
-    alpha 1 (every other row alpha 0), or None when S is empty or larger
-    than _FINISH_ROWS * (d + 1). alpha_S and b come from the (|S|+1)-square
-    system y_i (w.x_i + b) = 1 on S, sum(alpha * y) = 0, solved by least
-    squares, with w = sum(alpha_i y_i x_i) / (2 strength n); alpha is then
-    clipped into [0, 1]."""
+def _exact_finish(x, ypm, ridge, u, h):
+    """(w, b, alpha) that solve the l2 hinge's optimality conditions when
+    the rows S with |u| < h lie on the margin and the rows V with u >= h
+    have alpha 1 (every other row alpha 0), or None when S is empty or
+    larger than _FINISH_ROWS * (d + 1). alpha_S and b come from the
+    (|S|+1)-square system y_i (w.x_i + b) = 1 on S, sum(alpha * y) = 0,
+    solved by least squares, with w = sum(alpha_i y_i x_i) / (ridge n);
+    alpha is then clipped into [0, 1]. A non-finite system is a DataError."""
     n, d = x.shape
     margin = np.flatnonzero(np.abs(u) < h)
     k = margin.size
     if k == 0 or k > _FINISH_ROWS * (d + 1):
         return None
     bound = u >= h
-    scale = 2.0 * strength * n
+    scale = ridge * n
     xs, ys = x[margin], ypm[margin]
     pull = x.T @ np.where(bound, ypm, 0.0)
     system = np.zeros((k + 1, k + 1))
@@ -446,98 +438,105 @@ def _exact_finish(x, ypm, strength, u, h):
     system[:k, k] = ys
     system[k, :k] = ys
     rhs = np.append(1.0 - ys * (xs @ pull) / scale, -float(ypm[bound].sum()))
+    if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+        raise DataError(_OVERFLOW)
     solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
     alpha = bound.astype(float)
     alpha[margin] = np.clip(solution[:k], 0.0, 1.0)
     return x.T @ (alpha * ypm) / scale, float(solution[k]), alpha
 
 
-def _certified(x, ypm, strength, tol, loss, alpha):
+def _certified(x, ypm, l1, ridge, tol, loss, alpha):
     """Whether alpha in [0, 1] certifies a hinge objective of `loss` as
-    optimal: |sum(alpha * y)| / n <= tol and loss - D(alpha) <=
-    tol * max(1, loss), where D(alpha) = mean(alpha) - strength * |w|^2 with
-    w = sum(alpha_i y_i x_i) / (2 strength n) is the dual objective, a lower
-    bound on the optimum."""
+    optimal: loss - D <= tol * max(1, loss) for a dual objective D, a lower
+    bound on the optimum. Under l2, |sum(alpha * y)| / n <= tol and
+    D = mean(alpha) - ridge / 2 * |w|^2, w = sum(alpha_i y_i x_i) / (ridge n).
+    Under l1, the alphas of the class with the larger sum are scaled down
+    until sum(alpha * y) = 0, then all by c = min(1, l1 / top), top =
+    max|sum(alpha_i y_i x_i)| / n, to be feasible for the linear program's
+    dual, D = c * mean(alpha). Without a penalty nothing is certified."""
     n = len(ypm)
-    if abs(float(alpha @ ypm)) > tol * n:
+    if ridge > 0:
+        if abs(float(alpha @ ypm)) > tol * n:
+            return False
+        w = x.T @ (alpha * ypm) / (ridge * n)
+        dual = float(alpha.mean()) - 0.5 * ridge * float(w @ w)
+    elif l1 > 0:
+        excess = float(alpha @ ypm)
+        if excess:
+            heavy = ypm * excess > 0
+            alpha = np.where(heavy, alpha * (1.0 - abs(excess) / float(alpha[heavy].sum())), alpha)
+        top = float(np.max(np.abs(x.T @ (alpha * ypm)))) / n
+        dual = float(alpha.mean()) * (min(1.0, l1 / top) if top > 0 else 1.0)
+    else:
         return False
-    w = x.T @ (alpha * ypm) / (2.0 * strength * n)
-    return loss - (float(alpha.mean()) - strength * float(w @ w)) <= tol * max(1.0, loss)
+    return loss - dual <= tol * max(1.0, loss)
 
 
-def _fit_hinge(x, y, strength, max_iter, tol):
-    """The l2 hinge SVM, min mean(max(0, 1 - y(w.x + b))) + strength * |w|^2
-    with the bias unpenalized, by Newton on a Huber-smoothed hinge with
-    continuation (Chapelle, Neural Computation 2007). Returns
-    (w, b, iterations, converged).
+def _fit_hinge(x, y, l1, ridge, max_iter, tol):
+    """The hinge SVM, min mean(max(0, 1 - y(w.x + b))) + l1 * |w|_1 +
+    ridge / 2 * |w|^2 with the bias unpenalized, by Newton on a
+    Huber-smoothed hinge with continuation (Chapelle, Neural Computation
+    2007). Returns (w, b, iterations, converged).
 
     Stage s = 0, 1, ..., _HUBER_STAGES - 1 smooths the hinge to width
     h = _HUBER_START * _HUBER_SHRINK**s (2, 0.4, 0.08, ...) and runs
-    `_newton` from the previous stage's point for at most
-    _HUBER_STAGE_STEPS steps, stopping once max|grad| < tol. After each
-    stage two candidates are checked: the exact finish (`_exact_finish`)
-    and the stage's point with its own slopes as alpha. The first that
-    `_certified` accepts ends the fit with converged true: its duality gap
-    is at most tol * max(1, P). `max_iter` caps the Newton steps of all
-    stages together, and `iterations` counts them; `tol` bounds both each
-    stage's gradient and the certificate.
+    `_newton` (orthant-wise under l1) from the previous stage's point for
+    at most _HUBER_STAGE_STEPS steps, stopping once max|grad| < tol. After
+    each stage the candidates are checked: under l2 the exact finish
+    (`_exact_finish`), and the stage's point with its own slopes as alpha.
+    The first that `_certified` accepts ends the fit with converged true:
+    its duality gap is at most tol * max(1, P). `max_iter` caps the Newton
+    steps of all stages together, and `iterations` counts them; `tol`
+    bounds both each stage's gradient and the certificate.
 
-    When no candidate is certified (strength 0, where the dual has no such
-    form, a budget too small, or a margin set too large to solve for), the
-    step-halving descent `_descend` runs from zero for up to `max_iter`
-    steps, the lower of its end and the lowest-objective point seen is
-    kept, `iterations` adds the descent's steps to the Newton steps, and
-    converged is false. The fit thus never ends above the descent alone.
-    """
+    When no candidate is certified (no penalty, a budget too small, or a
+    stage that cannot reach the optimum), the fit is the lowest-objective
+    point seen, theta = 0 included, and converged is false."""
     n, d = x.shape
     ypm = 2.0 * y - 1.0
-    primal = _svm_objective(x, y, "hinge", "l2", strength)
+
+    def primal(w, b):
+        slack = np.maximum(0.0, 1.0 - ypm * (x @ w + b))
+        return float(np.mean(slack)) + 0.5 * ridge * np.sum(w * w) + l1 * float(np.abs(w).sum())
+
     theta = np.zeros(d + 1)
-    best = (primal(theta[:d], 0.0)[0], theta)
+    best = (primal(theta[:d], 0.0), theta)
     steps = 0
-    stages = _HUBER_STAGES if strength > 0 else 0  # without a penalty no candidate can be certified
-    for stage in range(stages):
+    for stage in range(_HUBER_STAGES):
         if steps >= max_iter:
             break
         h = _HUBER_START * _HUBER_SHRINK**stage
-        smoothed = _huber_hinge_objective(x, ypm, strength, h)
+        smoothed = _huber_hinge_objective(x, ypm, ridge, h)
         budget = min(_HUBER_STAGE_STEPS, max_iter - steps)
         # every row in the quadratic zone adds 1 / 2hn to the bias's curvature;
         # with none there, it gets that of one row, or b could not move
-        w, b, taken, _ = _newton(x, smoothed, 2.0 * strength, budget, tol, theta, 1.0 / (2.0 * h * n))
+        w, b, taken, _ = _newton(x, smoothed, l1, ridge, budget, tol, theta, 1.0 / (2.0 * h * n))
         steps += taken
         theta = np.append(w, b)
         u = 1.0 - ypm * (x @ w + b)
-        finish = _exact_finish(x, ypm, strength, u, h)
+        finish = _exact_finish(x, ypm, ridge, u, h) if ridge > 0 else None
         slopes = np.clip((u + h) / (2.0 * h), 0.0, 1.0)
         for w, b, alpha in ([finish] if finish else []) + [(w, b, slopes)]:
-            loss = primal(w, b)[0]
+            loss = primal(w, b)
             if loss < best[0]:
                 best = (loss, np.append(w, b))
-            if _certified(x, ypm, strength, tol, loss, alpha):
+            if _certified(x, ypm, l1, ridge, tol, loss, alpha):
                 return w, b, steps, True
-    w, b, more, _ = _descend(primal, d, max_iter, tol)
-    if primal(w, b)[0] > best[0]:
-        w, b = best[1][:d], float(best[1][d])
-    return w, b, steps + more, False
+    return best[1][:d], float(best[1][d]), steps, False
 
 
 def _fit_linear(x, y, names, config: ClassifierConfig) -> LinearModel:
-    """`lr` or `svm` by smoothed Newton (the l2 hinge), damped Newton (the
-    other l2 objectives) or step-halving descent (l1, elasticnet)."""
+    """`lr` or `svm`: the hinge by smoothed Newton (`_fit_hinge`), every
+    other objective by damped Newton (`_newton`)."""
     params = config.settings()
-    regularizer, strength = params["regularizer"], float(params["penalty_strength"])
+    l1, ridge = _penalty(params["regularizer"], float(params["penalty_strength"]))
     limits = int(params["max_iter"]), float(params["tol"])
-    if config.kind == "lr":
-        objective = _lr_objective(x, y, regularizer, strength)
+    if params.get("loss") == "hinge":
+        w, b, iterations, converged = _fit_hinge(x, y, l1, ridge, *limits)
     else:
-        objective = _svm_objective(x, y, params["loss"], regularizer, strength)
-    if regularizer != "l2":
-        w, b, iterations, converged = _descend(objective, x.shape[1], *limits)
-    elif params.get("loss") != "hinge":
-        w, b, iterations, converged = _newton(x, objective, 2.0 * strength, *limits)
-    else:  # smoothed Newton; `_fit_hinge` builds its own copy of the hinge objective
-        w, b, iterations, converged = _fit_hinge(x, y, strength, *limits)
+        objective = _lr_objective(x, y, ridge) if config.kind == "lr" else _squared_hinge_objective(x, y, ridge)
+        w, b, iterations, converged = _newton(x, objective, l1, ridge, *limits)
     return LinearModel(config.kind, names, w, b, config.parameters, iterations, converged)
 
 

@@ -193,7 +193,8 @@ def _fit_ocsvm(x: np.ndarray, config: DetectorConfig) -> OcsvmDetector:
     if full < n:
         alpha[full] = 1.0 - full * cap
 
-    grad = k @ alpha
+    # a NaN or inf kernel entry makes its row's sum non-finite
+    grad = require_finite(k @ alpha, "ocsvm kernel (squared distances overflow)")
     for _ in range(max_iter):
         up = np.nonzero(alpha < cap - 1e-15)[0]
         down = np.nonzero(alpha > 1e-15)[0]

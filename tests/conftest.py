@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,18 @@ def imbalanced_blobs() -> Dataset:
     x = np.vstack([neg, pos])
     y = np.array([0] * 88 + [1] * 12)
     return dataset_from_matrix(x, y)
+
+
+@pytest.fixture
+def deadline():
+    """`deadline(seconds)` fails the test once that many whole seconds have
+    passed, so that a hang fails instead of stalling the run. It uses
+    SIGALRM, which starts no thread, and is disarmed after the test."""
+
+    def expire(signum, frame):
+        pytest.fail("the test ran past its deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -11,9 +11,9 @@ from fraudkit.classify import (
     LinearModel,
     Rule,
     TABLE_GRIDS,
-    _descend,
     _lr_objective,
-    _svm_objective,
+    _penalty,
+    _squared_hinge_objective,
     extract_rules,
     fit,
     fit_arrays,
@@ -23,7 +23,7 @@ from fraudkit.classify import (
     sigmoid,
 )
 from fraudkit.data import check_value, dataset_from_matrix
-from fraudkit.errors import ConfigError, DataError, ModelError
+from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
 from fraudkit.neural import NetworkSpec, init_network, layer_stack
 from fraudkit.tree import DecisionTree, Nodes
 
@@ -133,7 +133,7 @@ def test_every_table_grid_point_is_accepted(kind):
 @pytest.mark.parametrize("kind", ["lr", "svm"])
 def test_tol_has_a_positive_floor(kind):
     # no gradient test or duality-gap certificate can meet a tolerance of 0,
-    # so such a fit used to run all of max_iter (and the svm its fallback descent)
+    # so such a fit would run all of max_iter
     for tol in (0.0, 1e-13):
         with pytest.raises(ConfigError, match="tol"):
             ClassifierConfig(kind, {"tol": tol})
@@ -274,11 +274,61 @@ def skewed_arrays(seed=5, n=2000, d=30, positive=0.05):
     return x, y
 
 
+def _descend(objective, d, max_iter, tol):
+    """Monotone full-batch (sub)gradient descent with step halving from
+    zero: an independent oracle that no Newton fit may end above. Returns
+    (w, b, iterations, converged)."""
+    w = np.zeros(d)
+    b = 0.0
+    step = 1.0
+    loss, gw, gb, _ = objective(w, b)
+    iterations = 0
+    while iterations < max_iter and max(float(np.max(np.abs(gw))), abs(gb)) >= tol:
+        while step > 1e-14:
+            w2 = w - step * gw
+            b2 = b - step * gb
+            loss2, gw2, gb2, _ = objective(w2, b2)
+            if loss2 <= loss + 1e-15:
+                w, b, loss, gw, gb = w2, b2, loss2, gw2, gb2
+                step *= 1.2
+                break
+            step *= 0.5
+        else:
+            break
+        iterations += 1
+    return w, b, iterations, max(float(np.max(np.abs(gw))), abs(gb)) < tol
+
+
+def _hinge_objective(x, y, ridge):
+    """The mean hinge plus ridge / 2 * |w|^2 in `_descend`'s form, with a
+    subgradient: (loss, gradient in w, gradient in b, None)."""
+    ypm = 2.0 * y - 1.0
+    n = len(y)
+
+    def objective(w, b):
+        slack = np.maximum(0.0, 1.0 - ypm * (x @ w + b))
+        coeff = np.where(slack > 0, -ypm, 0.0) / n
+        return float(np.mean(slack)) + 0.5 * ridge * np.sum(w * w), x.T @ coeff + ridge * w, float(coeff.sum()), None
+
+    return objective
+
+
+def _with_l1(objective, l1):
+    """`objective` plus l1 * |w|_1, with l1 * sign(w) as its subgradient, for
+    `_descend`."""
+
+    def penalized(w, b):
+        loss, gw, gb, curvature = objective(w, b)
+        return loss + l1 * np.sum(np.abs(w)), gw + l1 * np.sign(w), gb, curvature
+
+    return penalized
+
+
 SMOOTH_OBJECTIVES = {
-    "lr": (ClassifierConfig("lr"), lambda x, y: _lr_objective(x, y, "l2", 1e-6)),
+    "lr": (ClassifierConfig("lr"), lambda x, y: _lr_objective(x, y, 2e-6)),
     "svm-squared-hinge": (
         ClassifierConfig("svm", {"loss": "squared-hinge", "regularizer": "l2"}),
-        lambda x, y: _svm_objective(x, y, "squared-hinge", "l2", 1e-4),
+        lambda x, y: _squared_hinge_objective(x, y, 2e-4),
     ),
 }
 
@@ -326,16 +376,68 @@ def test_newton_survives_a_singular_hessian(config, arrays):
         assert np.mean(model.predict(x) == y) == 1.0
 
 
-def test_descend_reports_when_it_stops_at_max_iter():
+def test_newton_reports_when_it_stops_at_max_iter():
     x, y = skewed_arrays()
     model = fit_arrays(ClassifierConfig("lr", {"regularizer": "l1", "max_iter": 5}), x, y)
     assert (model.iterations, model.converged) == (5, False)
 
 
+def one_hot_arrays(seed=6, n=600):
+    """Four uniform columns and two one-hot groups (3 and 5 levels), each of
+    whose columns sum to the bias column; 11.5 % positive."""
+    rng = np.random.default_rng(seed)
+    numeric = rng.uniform(size=(n, 4))
+    groups = [np.eye(k)[rng.integers(0, k, size=n)] for k in (3, 5)]
+    y = (rng.uniform(size=n) < 0.05 + 0.3 * numeric[:, 0] * groups[0][:, 1]).astype(int)
+    return np.hstack([numeric, *groups]), y
+
+
+def _split_variable_minimum(objective, l1, d, start):
+    """Independent oracle: min objective(w, b) + l1 * |w|_1 over
+    w = w+ - w- with w+, w- >= 0, a smooth problem with bounds, by scipy's
+    L-BFGS-B from `start` = (w, b). Returns the objective it ends at."""
+    from scipy.optimize import minimize
+
+    def value(v):
+        loss, gw, gb, _ = objective(v[:d] - v[d : 2 * d], v[2 * d])
+        return loss + l1 * v[: 2 * d].sum(), np.concatenate([gw + l1, l1 - gw, [gb]])
+
+    w, b = start
+    options = {"ftol": 0.0, "gtol": 1e-13, "maxiter": 100000, "maxfun": 100000, "maxcor": 30}
+    v = np.concatenate([np.maximum(w, 0.0), np.maximum(-w, 0.0), [b]])
+    bounds = [(0.0, None)] * (2 * d) + [(None, None)]
+    return minimize(value, v, jac=True, method="L-BFGS-B", bounds=bounds, options=options).fun
+
+
+@pytest.mark.parametrize("strength", [None, 1e-2], ids=["default", "0.01"])
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("lr", {"regularizer": "l1"}),
+        ("lr", {"regularizer": "elasticnet"}),
+        ("svm", {"regularizer": "l1", "loss": "squared-hinge"}),
+    ],
+    ids=["lr-l1", "lr-elasticnet", "svm-l1-squared-hinge"],
+)
+@pytest.mark.parametrize("arrays", [skewed_arrays, one_hot_arrays], ids=["skewed", "one-hot"])
+def test_l1_fits_reach_the_optimum_of_a_split_variable_oracle(arrays, kind, params, strength):
+    x, y = arrays()
+    d = x.shape[1]
+    config = ClassifierConfig(kind, params if strength is None else {**params, "penalty_strength": strength})
+    l1, ridge = _penalty(config.settings()["regularizer"], config.settings()["penalty_strength"])
+    smooth = _lr_objective(x, y, ridge) if kind == "lr" else _squared_hinge_objective(x, y, ridge)
+    model = fit_arrays(config, x, y)
+    assert model.converged and 0 < model.iterations <= 60
+    loss = smooth(model.weights, model.bias)[0] + l1 * np.sum(np.abs(model.weights))
+    # no higher than L-BFGS-B from zero, which it cannot improve on either
+    assert loss <= _split_variable_minimum(smooth, l1, d, (np.zeros(d), 0.0)) * (1.0 + 1e-9)
+    assert loss <= _split_variable_minimum(smooth, l1, d, (model.weights, model.bias)) * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize(
     "params",
     [{}, {"regularizer": "l1", "max_iter": 5}],
-    ids=["newton", "descend"],
+    ids=["l2", "l1"],
 )
 def test_solver_signals_survive_save_and_load(tmp_path, params):
     x, y = blob_arrays(seed=14)
@@ -373,7 +475,7 @@ def _hinge_by_slsqp(x, y, strength):
 def test_hinge_svm_matches_a_quadratic_program_oracle(strength):
     x, y = blob_arrays(seed=4, n=15, gap=1.5)  # overlapping classes: some slacks are positive
     model = fit_arrays(ClassifierConfig("svm", {"penalty_strength": strength}), x, y)
-    loss = _svm_objective(x, y, "hinge", "l2", strength)(model.weights, model.bias)[0]
+    loss = _hinge_objective(x, y, 2.0 * strength)(model.weights, model.bias)[0]
     assert model.converged
     assert loss == pytest.approx(_hinge_by_slsqp(x, y, strength), rel=1e-9)
 
@@ -390,7 +492,7 @@ def _hinge_dual_gap(x, y, strength, w, b):
     n = len(y)
     ypm = 2.0 * y - 1.0
     u = 1.0 - ypm * (x @ w + b)
-    primal = _svm_objective(x, y, "hinge", "l2", strength)(w, b)[0]
+    primal = _hinge_objective(x, y, 2.0 * strength)(w, b)[0]
     gaps = [np.inf]
     for t in (1e-9, 1e-7, 1e-5):
         on = np.abs(u) <= t
@@ -410,27 +512,98 @@ def duplicated_row_arrays():
     return np.vstack([x, x[:100]]), np.concatenate([y, y[:100]])
 
 
+def _hinge_l1_by_linprog(x, y, strength):
+    """Independent oracle: the l1 hinge as a linear program in w+ >= 0,
+    w- >= 0, b and the slacks, solved by scipy's HiGHS. Returns its optimal
+    objective."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, d = x.shape
+    ypm = 2.0 * y - 1.0
+    yx = sparse.csr_matrix(ypm[:, None] * x)
+    # y(w.x + b) + slack >= 1, written as -y x.w+ + y x.w- - y b - slack <= -1
+    rows = sparse.hstack([-yx, yx, sparse.csr_matrix(-ypm[:, None]), -sparse.identity(n)])
+    cost = np.concatenate([np.full(2 * d, strength), [0.0], np.full(n, 1.0 / n)])
+    bounds = [(0.0, None)] * (2 * d) + [(None, None)] + [(0.0, None)] * n
+    result = linprog(cost, A_ub=rows, b_ub=-np.ones(n), bounds=bounds, method="highs")
+    assert result.status == 0
+    return result.fun
+
+
 @pytest.mark.parametrize("max_iter", [2000, 5])
 @pytest.mark.parametrize("strength", [1e-8, 1e-4, 1e-2, 1.0, 0.0, 10.0])
+@pytest.mark.parametrize("regularizer", ["l2", "l1"])
 @pytest.mark.parametrize(
     "arrays",
     [blob_arrays, skewed_arrays, duplicated_column_arrays, duplicated_row_arrays],
     ids=["blobs", "skewed", "duplicated-columns", "duplicated-rows"],
 )
-def test_hinge_svm_never_ends_above_descent_and_converged_is_honest(arrays, strength, max_iter):
+def test_hinge_svm_never_ends_above_descent_and_converged_is_honest(arrays, regularizer, strength, max_iter):
     x, y = arrays()
-    params = {"penalty_strength": strength, "max_iter": max_iter}
+    params = {"regularizer": regularizer, "penalty_strength": strength, "max_iter": max_iter}
     model = fit_arrays(ClassifierConfig("svm", params), x, y)
-    objective = _svm_objective(x, y, "hinge", "l2", strength)
-    w, b, _, _ = _descend(objective, x.shape[1], max_iter, 1e-9)
+    l1, ridge = _penalty(regularizer, strength)
+    objective = _with_l1(_hinge_objective(x, y, ridge), l1)
     loss = objective(model.weights, model.bias)[0]
-    assert loss <= objective(w, b)[0]
+    assert model.iterations <= max_iter
+    if max_iter == 2000:
+        w, b, _, _ = _descend(objective, x.shape[1], max_iter, 1e-9)
+        assert loss <= objective(w, b)[0]
+    else:  # 5 Newton steps may end above 5 descent steps, never above the start
+        assert loss <= objective(np.zeros(x.shape[1]), 0.0)[0]
     if strength == 0.0:
-        assert not model.converged  # no dual of the certified form
-    if model.converged:
+        assert not model.converged  # no penalty, no certificate
+    if model.converged and regularizer == "l2":
         assert _hinge_dual_gap(x, y, strength, model.weights, model.bias) <= 1e-7 * max(1.0, loss)
-    if max_iter == 2000 and strength > 0.0:
+    if model.converged and regularizer == "l1":
+        assert abs(loss - _hinge_l1_by_linprog(x, y, strength)) <= 1e-9 * max(1.0, loss)
+    if max_iter == 2000 and strength > 0.0 and regularizer == "l2":
         assert model.converged and model.iterations <= 100
+
+
+def extreme_arrays(scale):
+    """120x4 uniform rows times `scale`, 30 % positive. Squares of the
+    features overflow from about 1.3e154."""
+    x = np.random.default_rng(0).uniform(size=(120, 4)) * scale
+    return x, (np.arange(120) < 36).astype(int)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e155, 1e160, 1e200])
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("lr", {}),
+        ("lr", {"regularizer": "l1"}),
+        ("lr", {"regularizer": "elasticnet"}),
+        ("svm", {}),
+        ("svm", {"regularizer": "l1"}),
+        ("svm", {"loss": "squared-hinge"}),
+        ("svm", {"loss": "squared-hinge", "regularizer": "l1"}),
+    ],
+    ids=["lr-l2", "lr-l1", "lr-elasticnet", "svm", "svm-l1", "svm-sq", "svm-sq-l1"],
+)
+def test_linear_fits_at_extreme_magnitudes_are_finite_or_an_error(deadline, kind, params, scale):
+    # the default svm hung in Newton's backtracking (a NaN step) from 1e155,
+    # and several fits raised numpy's LinAlgError from a non-finite system
+    deadline(30)
+    x, y = extreme_arrays(scale)
+    try:
+        model = fit_arrays(ClassifierConfig(kind, params), x, y)
+    except FraudkitError:
+        assert scale > 1e150
+        return
+    assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+    assert np.all(np.isfinite(model.predict_proba(x)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_nb_whose_variances_overflow_fails_at_fit(scale):
+    # the fit used to succeed and every probability was NaN
+    with pytest.raises(ModelError, match="variances"):
+        fit_arrays(ClassifierConfig("nb"), *extreme_arrays(scale))
 
 
 def test_default_svm_certifies_its_optimum_on_skewed_data():

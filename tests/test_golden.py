@@ -17,8 +17,15 @@ of 72 rows, 57 of them positive, has two cuts that each send 70 rows and all
 57 positives left, feature 1 at 2.1359 and feature 3 at 2.4181, an exact
 tie. The old form rounded feature 3's decrease higher; the proxy scores the
 two the same, and the lowest-feature tie-break takes feature 1. The `lr-l2` and `svm-l2-squared-hinge` digests pin the
-damped-Newton solver, `svm-l2` the smoothed-Newton hinge solver and the
-other linear ones step-halving gradient descent. `svm-l2` was regenerated
+damped-Newton solver, `svm-l2` the smoothed-Newton hinge solver, and
+`lr-l1`, `lr-elasticnet` and `svm-l1` (squared hinge) the same damped
+Newton taking orthant-wise steps. Those three were regenerated when they
+moved to it from step-halving gradient descent, which stopped at `max_iter`
+300 (`lr-elasticnet` after 24 steps); each now converges in 5 steps.
+`lr-l1` (f4b53c65… → ec2872bf…) went from objective 0.5055392163 to
+0.5054390797, with one weight exactly 0; `lr-elasticnet` (5f718731… →
+ab79b5ad…, 0.5077284509) and `svm-l1` (0dbe114f… → bc397ccb…,
+0.6565434128) kept their objectives to 10 digits. `svm-l2` was regenerated
 (12f09af6… → 1db3733b…) when the l2 hinge moved from step-halving descent,
 which stopped at `max_iter` 300 with objective 0.5671954210744514, to
 smoothed Newton, which certifies the optimum 0.5671951188927399 (duality
@@ -146,11 +153,11 @@ CLASSIFIER_GOLDEN = {
     ),
     "lr-l1": (
         ClassifierConfig("lr", {"regularizer": "l1", "penalty_strength": 0.01, "max_iter": 300}),
-        "f4b53c65d75567357d889dd071f38e0852e03b4cce83d9341ddc96b05c944baa",
+        "ec2872bff6eb6616c32938f00d42068cea077f77f94f650be7b64b151a94c2ec",
     ),
     "lr-elasticnet": (
         ClassifierConfig("lr", {"regularizer": "elasticnet", "penalty_strength": 0.01, "max_iter": 300}),
-        "5f718731a2dd3dece59100bcd2555e31dc6a2ecca0ac30b33ba3ae4e71e9556c",
+        "ab79b5ad938e2c2f35936e491c7b6a3096ddcc16634d63d18b86df10e1c3c90f",
     ),
     "svm-l2": (
         ClassifierConfig("svm", {"penalty_strength": 0.01, "max_iter": 300}),
@@ -176,7 +183,7 @@ CLASSIFIER_GOLDEN = {
         ClassifierConfig(
             "svm", {"regularizer": "l1", "loss": "squared-hinge", "penalty_strength": 0.01, "max_iter": 300}
         ),
-        "0dbe114f00efb7471f8508ae554acd234524f5809d10ca151b44aade05ae999c",
+        "bc397ccb84023682c74935ef69128f539db210a20e63844e8071a1f6cadf1d48",
     ),
 }
 

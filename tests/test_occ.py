@@ -191,6 +191,16 @@ def test_detector_rejects_non_finite_rows(negatives, bad):
         det.score(x)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_ocsvm_whose_kernel_overflows_is_a_data_error(scale):
+    # squared distances overflow, the kernel is NaN and no support row
+    # survived: the fit raised ZeroDivisionError
+    rows = np.random.default_rng(0).uniform(size=(84, 4)) * scale
+    with pytest.raises(DataError, match="ocsvm kernel"):
+        fit_detector(DetectorConfig("ocsvm"), rows)
+
+
 @pytest.mark.parametrize("kind", ["iforest", "abod", "ocsvm", "copod", "mcd", "vae"])
 def test_fit_and_score_peak_memory_is_a_small_multiple_of_the_input(kind):
     # an array of queries x training rows alone would be 800 MB for iforest,
