@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    COUNT, Dataset, check_fields, config_parser, dataset_from_matrix, document_parser, read_document, read_fields,
+    COUNT, Config, Dataset, check_fields, dataset_from_matrix, document_parser, read_document, read_fields,
     require_finite, write_document, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
@@ -37,7 +37,7 @@ DEFAULT_WEIGHT_CLIP = 0.01
 
 
 @dataclass(frozen=True)
-class GanSpec:
+class GanSpec(Config):
     variant: str
     latent_dim: int
     discriminator: NetworkSpec
@@ -45,8 +45,13 @@ class GanSpec:
     train: TrainConfig
     critic_steps: int = 5
 
+    _FIELDS = {
+        "variant": ("vgan", "wgan"), "latent_dim": COUNT, "discriminator": NetworkSpec, "generator": NetworkSpec,
+        "train": TrainConfig, "critic_steps": COUNT,
+    }
+
     def __post_init__(self) -> None:
-        check_fields(self, {"variant": ("vgan", "wgan"), "latent_dim": COUNT, "critic_steps": COUNT})
+        super().__post_init__()
         head, loss = self.discriminator.layers[-1].activation, self.discriminator.loss
         if self.variant == "vgan" and loss != "binary_cross_entropy":  # which needs a logistic head
             raise ConfigError("vgan discriminator must use binary_cross_entropy")
@@ -58,21 +63,6 @@ class GanSpec:
     @property
     def feature_count(self) -> int:
         return self.generator.layers[-1].width
-
-    def to_dict(self) -> dict:
-        return write_fields(self, ("variant", "latent_dim", "discriminator", "generator", "train", "critic_steps"))
-
-    @classmethod
-    @config_parser
-    def from_dict(cls, doc: dict) -> "GanSpec":
-        return cls(
-            variant=doc["variant"],
-            latent_dim=doc["latent_dim"],
-            discriminator=NetworkSpec.from_dict(doc["discriminator"]),
-            generator=NetworkSpec.from_dict(doc["generator"]),
-            train=TrainConfig.from_dict(doc["train"]),
-            critic_steps=doc["critic_steps"],
-        )
 
 
 def default_gan_spec(variant: str, feature_count: int, latent_dim: int = 8) -> GanSpec:
@@ -90,25 +80,10 @@ def default_gan_spec(variant: str, feature_count: int, latent_dim: int = 8) -> G
         clip = DEFAULT_WEIGHT_CLIP
     else:
         raise ConfigError(f"unknown GAN variant {variant!r}")
-    disc = NetworkSpec(
-        input_dim=feature_count,
-        layers=tuple(LayerSpec(w, "leaky_relu") for w in hidden) + (head,),
-        loss=loss,
-    )
-    gen = NetworkSpec(
-        input_dim=latent_dim,
-        layers=tuple(LayerSpec(w, "leaky_relu") for w in reversed(hidden))
-        + (LayerSpec(feature_count, "logistic"),),
-        loss="mse",  # placeholder; generator updates flow through the critic
-    )
-    train = TrainConfig(
-        optimizer="adam",
-        learning_rate=1e-3,
-        epochs=DEFAULT_EPOCHS,
-        batch_size=64,
-        seed=0,
-        weight_clip=clip,
-    )
+    disc = NetworkSpec(feature_count, tuple(LayerSpec(w, "leaky_relu") for w in hidden) + (head,), loss)
+    gen_layers = tuple(LayerSpec(w, "leaky_relu") for w in reversed(hidden)) + (LayerSpec(feature_count, "logistic"),)
+    gen = NetworkSpec(latent_dim, gen_layers, "mse")  # a placeholder loss; generator updates flow through the critic
+    train = TrainConfig("adam", 1e-3, epochs=DEFAULT_EPOCHS, batch_size=64, seed=0, weight_clip=clip)
     return GanSpec(variant, latent_dim, disc, gen, train, critic_steps=5)
 
 
@@ -123,7 +98,7 @@ class Gan:
     disc_losses: list[float] = field(default_factory=list)
     gen_losses: list[float] = field(default_factory=list)
 
-    _FIELDS = {"spec": GanSpec.from_dict, "generator": Network.from_dict, "discriminator": Network.from_dict}
+    _FIELDS = {"spec": GanSpec, "generator": Network, "discriminator": Network}
 
     def __post_init__(self) -> None:
         if (self.generator.spec, self.discriminator.spec) != (self.spec.generator, self.spec.discriminator):
@@ -257,11 +232,9 @@ def oversample_gan(
     that `overrides` names."""
     if spec is None:
         spec = default_gan_spec(cfg.method, data.d)
-        overrides = {"seed": cfg.seed, **(overrides or {})}
-        unknown = set(overrides) - set(spec.train.to_dict())
-        if unknown:
-            raise ConfigError(f"gan overrides name no TrainConfig field: {sorted(unknown)}")
-        spec = replace(spec, train=replace(spec.train, **overrides))
+        # an override that names no TrainConfig field is a ConfigError
+        train = TrainConfig.from_dict({**spec.train.to_dict(), "seed": cfg.seed, **(overrides or {})})
+        spec = replace(spec, train=train)
     minority_idx, minority_label = minority_rows(data)
     wanted = rows_wanted(data, len(minority_idx), cfg.target_ratio)
     if wanted == 0:

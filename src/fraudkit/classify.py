@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -20,13 +20,13 @@ from .data import (
     STRINGS,
     TOLERANCE,
     Array,
+    Config,
     Dataset,
     Range,
     as_matrix,
     binary_labels,
     check_fields,
     check_table,
-    config_parser,
     document_parser,
     read_document,
     read_fields,
@@ -112,34 +112,28 @@ TABLE_GRIDS: dict[str, dict[str, list]] = {
 
 
 @dataclass(frozen=True)
-class ClassifierConfig:
+class ClassifierConfig(Config):
     kind: str
     parameters: dict = field(default_factory=dict)
     seed: int = 0
 
+    _FIELDS = {"kind": KINDS, "parameters": dict, "seed": SEED}
+
     def __post_init__(self) -> None:
-        check_fields(self, {"kind": KINDS, "seed": SEED})
+        super().__post_init__()
         check_table(self.kind, self.parameters, PARAMETERS[self.kind])
 
     def settings(self) -> dict:
         """Every parameter of the kind: the given value, else its default."""
         return with_defaults(self.parameters, PARAMETERS[self.kind])
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    @config_parser
-    def from_dict(cls, doc: dict) -> "ClassifierConfig":
-        return cls(**doc)
-
 
 class TrainedModel:
     """Fitted classifier: kind, feature names, kind-specific state.
 
     Each subclass lists its state in `_fields(kind, d)`, a table from each
-    state key, which is also a constructor argument, to its domain or to the
-    parser of a nested document (`data.read_fields`), for a model of d
+    state key, which is also a constructor argument, to its domain, the type
+    of a nested document or its parser (`data.read_fields`), for a model of d
     features. `to_dict` writes those fields in that order and
     `model_from_dict` reads them back; the constructor checks what relates
     one field to another."""
@@ -227,8 +221,9 @@ class LinearModel(TrainedModel):
 
     `iterations` and `converged` depend on the loss:
     - logistic and squared hinge (`_newton`): Newton steps, and whether it
-      stopped with max|grad| below `tol`, where under an l1 term grad is the
-      pseudo-gradient, the minimum-norm subgradient;
+      stopped with max|grad| below `tol` times max(1, max|grad| at the
+      start), where under an l1 term grad is the pseudo-gradient, the
+      minimum-norm subgradient;
     - hinge (`_fit_hinge`): Newton steps over all smoothing stages, at most
       `max_iter`, and whether a duality-gap certificate within `tol` holds.
       An uncertified fit is the lowest-objective point it has seen."""
@@ -322,8 +317,9 @@ def _newton(x, objective, l1, ridge, max_iter, tol, start=None, bias_floor=0.0):
     0.1 * max|grad|, and a trial step zeroes each weight it carries out of
     its orthant (the sign of the weight, else of -grad).
 
-    Stops when max|grad| < tol (converged) or after max_iter steps; a
-    Hessian or slope that is not finite is a DataError. Returns
+    Stops when max|grad| < tol * max(1, max|grad at the start|)
+    (converged), a test that scales with the features, or after max_iter
+    steps; a Hessian or slope that is not finite is a DataError. Returns
     (w, b, iterations, converged)."""
     n, d = x.shape
     x1 = np.hstack([x, np.ones((n, 1))])
@@ -341,6 +337,7 @@ def _newton(x, objective, l1, ridge, max_iter, tol, start=None, bias_floor=0.0):
         return loss, grad, curvature
 
     loss, grad, curvature = evaluate(theta)
+    tol = tol * max(1.0, float(np.max(np.abs(grad))))
     iterations = 0
     while iterations < max_iter and np.max(np.abs(grad)) >= tol:
         rows, c = curvature()
@@ -482,7 +479,7 @@ def _fit_hinge(x, y, l1, ridge, max_iter, tol):
     Stage s = 0, 1, ..., _HUBER_STAGES - 1 smooths the hinge to width
     h = _HUBER_START * _HUBER_SHRINK**s (2, 0.4, 0.08, ...) and runs
     `_newton` (orthant-wise under l1) from the previous stage's point for
-    at most _HUBER_STAGE_STEPS steps, stopping once max|grad| < tol. After
+    at most _HUBER_STAGE_STEPS steps, stopping on its gradient test. After
     each stage the candidates are checked: under l2 the exact finish
     (`_exact_finish`), and the stage's point with its own slopes as alpha.
     The first that `_certified` accepts ends the fit with converged true:
@@ -563,7 +560,7 @@ class TreeModel(TrainedModel):
 
     @staticmethod
     def _fields(kind, d):
-        return {"tree": DecisionTree.from_dict, "parameters": _parameters(kind)}
+        return {"tree": DecisionTree, "parameters": _parameters(kind)}
 
     def predict_proba(self, rows) -> np.ndarray:
         return self.tree.predict_value(as_matrix(rows, self.n_features))
@@ -698,7 +695,7 @@ class MlpModel(TrainedModel):
 
     @staticmethod
     def _fields(kind, d):
-        return {"network": Network.from_dict, "parameters": _parameters(kind)}
+        return {"network": Network, "parameters": _parameters(kind)}
 
     def predict_proba(self, rows) -> np.ndarray:
         x = as_matrix(rows, self.n_features)

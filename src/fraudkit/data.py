@@ -13,11 +13,12 @@ without a copy.
 
 Configurations and documents (the JSON form of schemas, one-hot maps, norm
 params and fitted models) are checked by one rule, `check_value`, against a
-domain: a tuple of allowed values, `bool`, a `Range` of numbers, an `Array` of
-finite numbers or `STRINGS`. A class whose document is a table of fields
-reads it with `read_fields` and writes it with `write_fields`; a check that
-relates one field to another is made by the constructor. A file that cannot
-be read or written is a DataError naming its path.
+domain: a tuple of allowed values, a type, a `Range` of numbers, an `Array` of
+finite numbers, `STRINGS` or `Items`. A class whose document is a table of
+fields reads it with `read_fields` and writes it with `write_fields` (for
+the seven config types, their base `Config` does); a check that relates one
+field to another is made by the constructor. A file that cannot be read or
+written is a DataError naming its path.
 """
 
 from __future__ import annotations
@@ -404,19 +405,20 @@ STRINGS = _Strings()
 
 def check_value(name: str, value, domain):
     """`value`, or the new array an Array domain reads from it; ConfigError
-    unless it lies in `domain`: a tuple of the allowed values, `bool` (a
-    bool), a Range, an Array or STRINGS. The message shows the value as a
-    bounded `reprlib.repr`."""
+    unless it lies in `domain`: a tuple of the allowed values, a type (`bool`,
+    `dict`, a config type), a Range, an Array, STRINGS or Items. The message
+    shows the value as a bounded `reprlib.repr`."""
     if isinstance(domain, Array):
         array = domain.read(value)
         if array is not None:
             return array
-    elif domain is bool:
-        if isinstance(value, bool):
+    elif isinstance(domain, type):
+        if isinstance(value, domain):
             return value
     elif not isinstance(value, np.ndarray) and value in domain:
         return value
-    what = "a bool" if domain is bool else f"one of {domain}" if isinstance(domain, tuple) else domain
+    what = f"a {domain.__name__}" if isinstance(domain, type) else domain
+    what = f"one of {domain}" if isinstance(domain, tuple) else what
     raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
 
@@ -428,22 +430,25 @@ def check_fields(source, domains: dict) -> None:
 
 
 def read_fields(doc: Mapping, fields: dict) -> dict:
-    """The fields of `doc` that `fields` names, each checked by `check_value`
-    against its domain, or read by its parser (a callable) when it is a
-    nested document. A key that `doc` lacks is left out, so that a
-    constructor given the result takes its default or fails for want of the
-    argument."""
-    return {
-        key: domain(doc[key]) if callable(domain) and domain is not bool else check_value(key, doc[key], domain)
-        for key, domain in fields.items()
-        if key in doc
-    }
+    """The fields of `doc` that `fields` names, each read by the `from_dict`
+    of its entry (the type of a nested document, or Items), by its entry when
+    that is a function, else checked by `check_value` against its domain. A
+    key that `doc` lacks is left out, so that a constructor given the result
+    takes its default or fails for want of the argument."""
+    return {key: _read(key, doc[key], domain) for key, domain in fields.items() if key in doc}
+
+
+def _read(key: str, value, domain):
+    if hasattr(domain, "from_dict"):
+        return domain.from_dict(value)
+    return domain(value) if callable(domain) and not isinstance(domain, type) else check_value(key, value, domain)
 
 
 def write_fields(owner, fields) -> dict:
     """The attributes of `owner` that `fields` names, in order, as
     `read_fields` reads them back: an array as nested lists, a list or tuple
-    item by item, and an object with a `to_dict` as its document."""
+    item by item, a dict as a new dict, and an object with a `to_dict` as its
+    document."""
     return {key: _plain(getattr(owner, key)) for key in fields}
 
 
@@ -452,16 +457,62 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
     return value.to_dict() if hasattr(value, "to_dict") else value
 
 
+class Config:
+    """Base of the config types, frozen dataclasses that list their fields
+    once, in order, in `_FIELDS`, each mapped to its domain: a nested config's
+    is its type (`Items` of it for a tuple). The constructor checks each field
+    (a subclass's `__post_init__` adds the checks that relate two fields),
+    `to_dict` writes them and `from_dict` reads them back; a key a document
+    leaves out takes its default, and one that names no field is a
+    ConfigError."""
+
+    def __post_init__(self) -> None:
+        check_fields(self, self._FIELDS)
+
+    def to_dict(self):
+        return write_fields(self, self._FIELDS)
+
+    @classmethod
+    @config_parser
+    def from_dict(cls, doc):
+        unknown = doc.keys() - cls._FIELDS.keys()  # an AttributeError, so a ConfigError, unless doc is a mapping
+        if unknown:
+            raise ConfigError(f"{cls.__name__} has no field {sorted(unknown)}")
+        return cls(**read_fields(doc, cls._FIELDS))
+
+
+@dataclass(frozen=True)
+class Items:
+    """Nonempty tuples of the config type `kind`; in a document, the list of
+    their documents."""
+
+    kind: type
+
+    def __contains__(self, value) -> bool:
+        return isinstance(value, tuple) and len(value) > 0 and all(isinstance(v, self.kind) for v in value)
+
+    @config_parser
+    def from_dict(self, docs: list) -> tuple:
+        if not isinstance(docs, list) or not docs:
+            raise ConfigError(f"expected a nonempty list of {self.kind.__name__} documents, got {reprlib.repr(docs)}")
+        return tuple(map(self.kind.from_dict, docs))
+
+    def __str__(self) -> str:
+        return f"a nonempty tuple of {self.kind.__name__}"
+
+
 def check_table(owner: str, parameters, table: dict) -> dict:
-    """`parameters`; ConfigError unless it is a dict (a config's `to_dict`
-    copies it with `dataclasses.asdict`) that maps names in `table` to values
-    in their domains. A parameter table maps each name to (default, domain);
-    a default of None is worked out by the fitter from other values."""
-    if not isinstance(parameters, dict):
-        raise ConfigError(f"{owner}: parameters must be a dict, got {reprlib.repr(parameters)}")
+    """`parameters`; ConfigError unless it is a dict (`write_fields` copies a
+    dict into a document, and would leave a mapping proxy as is) that maps
+    names in `table` to values in their domains. A parameter table maps each
+    name to (default, domain); a default of None is worked out by the fitter
+    from other values."""
+    check_value(f"{owner}: parameters", parameters, dict)
     for name, value in parameters.items():
         if name not in table:
             raise ConfigError(f"{owner}: unknown hyperparameter {name!r}")

@@ -17,15 +17,15 @@ always fresh arrays, so a caller may keep them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, SEED, Array, Range, check_fields, check_value, config_parser, document_parser, read_document, read_fields,
-    write_document, write_fields,
+    COUNT, SEED, Array, Config, Items, Range, check_fields, check_value, config_parser, document_parser, read_document,
+    read_fields, write_document, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 
@@ -43,45 +43,36 @@ _LOGISTIC_HIGH = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Config):
+    """One dense layer; its document is the pair [width, activation]."""
+
     width: int
     activation: str
 
-    def __post_init__(self) -> None:
-        check_fields(self, {"width": COUNT, "activation": ACTIVATIONS})
+    _FIELDS = {"width": COUNT, "activation": ACTIVATIONS}
+
+    def to_dict(self) -> list:
+        return [self.width, self.activation]
+
+    @classmethod
+    @config_parser
+    def from_dict(cls, doc: list) -> "LayerSpec":
+        return cls(*doc)
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Config):
     input_dim: int
     layers: tuple[LayerSpec, ...]
     loss: str
     leaky_slope: float = 0.2
 
+    _FIELDS = {"input_dim": COUNT, "layers": Items(LayerSpec), "loss": LOSSES, "leaky_slope": Range(float, 0.0, 1.0)}
+
     def __post_init__(self) -> None:
-        check_fields(self, {"input_dim": COUNT, "loss": LOSSES, "leaky_slope": Range(float, 0.0, 1.0)})
-        if not self.layers:
-            raise ConfigError("network needs >= 1 layer")
+        super().__post_init__()
         if self.loss == "binary_cross_entropy" and self.layers[-1].activation != "logistic":
             raise ConfigError("binary_cross_entropy requires a logistic output layer")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "layers": [[l.width, l.activation] for l in self.layers],
-            "loss": self.loss,
-            "leaky_slope": self.leaky_slope,
-        }
-
-    @classmethod
-    @config_parser
-    def from_dict(cls, doc: dict) -> "NetworkSpec":
-        return cls(
-            input_dim=doc["input_dim"],
-            layers=tuple(LayerSpec(w, a) for w, a in doc["layers"]),
-            loss=doc["loss"],
-            leaky_slope=doc.get("leaky_slope", 0.2),
-        )
 
 
 def layer_stack(widths: Sequence[int], activations: Sequence[str]) -> tuple[LayerSpec, ...]:
@@ -91,7 +82,7 @@ def layer_stack(widths: Sequence[int], activations: Sequence[str]) -> tuple[Laye
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     epochs: int = 1
@@ -99,20 +90,15 @@ class TrainConfig:
     seed: int = 0
     weight_clip: float | None = None
 
+    _FIELDS = {
+        "optimizer": OPTIMIZERS, "learning_rate": Range(float, 0.0), "epochs": COUNT, "batch_size": COUNT, "seed": SEED,
+        "weight_clip": object,  # None or a positive number, which __post_init__ checks
+    }
+
     def __post_init__(self) -> None:
-        rate = Range(float, 0.0)
-        fields = {"optimizer": OPTIMIZERS, "learning_rate": rate, "epochs": COUNT, "batch_size": COUNT, "seed": SEED}
-        check_fields(self, fields)
+        super().__post_init__()
         if self.weight_clip is not None:
             check_value("weight_clip", self.weight_clip, Range(float, 0.0, open_low=True))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    @config_parser
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -271,7 +257,7 @@ class Network:
 
     # the constructor checks the arrays' shapes against the spec
     _FIELDS = {
-        "spec": NetworkSpec.from_dict,
+        "spec": NetworkSpec,
         "weights": lambda weights: [check_value("weights", w, Array(float, (-1, -1))) for w in weights],
         "biases": lambda biases: [check_value("biases", b, Array(float, (-1,))) for b in biases],
     }

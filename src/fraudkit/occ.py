@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, FINITE, SEED, TOLERANCE, Array, Dataset, Range, as_matrix, block_rows, check_fields, check_table,
-    config_parser, document_parser, read_document, read_fields, require_finite, with_defaults, write_document,
-    write_fields,
+    COUNT, FINITE, SEED, TOLERANCE, Array, Config, Dataset, Range, as_matrix, block_rows, check_fields, check_table,
+    document_parser, read_document, read_fields, require_finite, with_defaults, write_document, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
@@ -53,27 +52,21 @@ then takes subsets of (n + p + 1) // 2 rows."""
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Config):
     kind: str
     parameters: dict = field(default_factory=dict)
     contamination: float = 0.05
     seed: int = 0
 
+    _FIELDS = {"kind": KINDS, "parameters": dict, "contamination": Range(float, 0.0, 0.5, open_low=True), "seed": SEED}
+
     def __post_init__(self) -> None:
-        check_fields(self, {"kind": KINDS, "contamination": Range(float, 0.0, 0.5, open_low=True), "seed": SEED})
+        super().__post_init__()
         check_table(self.kind, self.parameters, PARAMETERS[self.kind])
 
     def settings(self) -> dict:
         """Every parameter of the kind: the given value, else its default."""
         return with_defaults(self.parameters, PARAMETERS[self.kind])
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    @config_parser
-    def from_dict(cls, doc: dict) -> "DetectorConfig":
-        return cls(**doc)
 
 
 def quantile_threshold(scores: np.ndarray, contamination: float) -> float:
@@ -91,11 +84,11 @@ class TrainedDetector:
     """Fitted detector: kind, width, decision threshold, kind-specific state.
 
     Each subclass lists its state in `_fields(d)`, a table from each state
-    key, which is also a constructor argument, to its domain or to the parser
-    of a nested document (`data.read_fields`), for a detector of d features.
-    `to_dict` writes those fields in that order and `detector_from_dict`
-    reads them back; the constructor checks what relates one field to
-    another."""
+    key, which is also a constructor argument, to its domain, the type of a
+    nested document or its parser (`data.read_fields`), for a detector of d
+    features. `to_dict` writes those fields in that order and
+    `detector_from_dict` reads them back; the constructor checks what
+    relates one field to another."""
 
     kind: str = ""
 
@@ -663,7 +656,7 @@ class VaeDetector(TrainedDetector):
 
     @staticmethod
     def _fields(d):
-        return dict.fromkeys(("encoder", "mu_head", "logvar_head", "decoder"), Network.from_dict)
+        return dict.fromkeys(("encoder", "mu_head", "logvar_head", "decoder"), Network)
 
     def reconstruct(self, rows) -> np.ndarray:
         """Decode from the posterior mean (no sampling, deterministic)."""

@@ -19,14 +19,13 @@ turn repeated as often as it is allotted), then the w neighbour slots as one
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, SEED, Dataset, Range, block_rows, check_fields, config_parser, dataset_from_matrix, require_finite,
-    round_half_up,
+    COUNT, SEED, Config, Dataset, Range, block_rows, dataset_from_matrix, require_finite, round_half_up,
 )
 from .errors import DataError
 
@@ -34,25 +33,17 @@ METHODS = ("none", "smote", "smote_enn", "smote_tomek", "adasyn", "vgan", "wgan"
 
 
 @dataclass(frozen=True)
-class BalancerConfig:
+class BalancerConfig(Config):
     method: str = "none"
     k_neighbors: int = 5
     target_ratio: float = 1.0
     enn_k: int = 3
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        ratio = Range(float, 0.0, 1.0, open_low=True)
-        fields = {"method": METHODS, "k_neighbors": COUNT, "target_ratio": ratio, "enn_k": COUNT, "seed": SEED}
-        check_fields(self, fields)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    @config_parser
-    def from_dict(cls, doc: dict) -> "BalancerConfig":
-        return cls(**doc)
+    _FIELDS = {
+        "method": METHODS, "k_neighbors": COUNT, "target_ratio": Range(float, 0.0, 1.0, open_low=True), "enn_k": COUNT,
+        "seed": SEED,
+    }
 
 
 def knn(
@@ -69,7 +60,8 @@ def knn(
     pairs) is screened by |a_i|² + |b_j|² - 2 a_i·b_j, off by at most
     tol = 8 (d + 2) eps (|a_i|² + max |b|²); only rows within 2 tol of the
     k-th smallest screened value among the rows certainly eligible get
-    their exact distance worked out.
+    their exact distance worked out. At k = 1 without a floor that is each
+    row's least screened value (`np.fmin` skips the excluded row's NaN).
     """
     n, d = b.shape
     if k > n - (exclude is not None):
@@ -92,12 +84,16 @@ def knn(
             # NaN sorts last and compares false: the row is neither counted nor screened in
             screen[np.arange(len(block)), exclude[start : start + step]] = np.nan
         tol = 8 * (d + 2) * np.finfo(float).eps * (a_sq + b_max)
-        kth = kth_buf[: len(block)]
-        np.copyto(kth, screen)
-        if floor is not None:
-            np.copyto(kth, np.inf, where=screen <= (floor + tol)[:, None])
-        kth.partition(k - 1, axis=1)
-        near = screen <= (kth[:, k - 1] + 2.0 * tol)[:, None]
+        if k == 1 and floor is None:
+            kth = np.fmin.reduce(screen, axis=1)
+        else:
+            ranked = kth_buf[: len(block)]
+            np.copyto(ranked, screen)
+            if floor is not None:
+                np.copyto(ranked, np.inf, where=screen <= (floor + tol)[:, None])
+            ranked.partition(k - 1, axis=1)
+            kth = ranked[:, k - 1]
+        near = screen <= (kth + 2.0 * tol)[:, None]
         if floor is not None:
             near &= screen > (floor - tol)[:, None]
         rows, cols = np.divmod(np.flatnonzero(near), n)  # 2-D nonzero took ten times as long

@@ -598,6 +598,24 @@ def test_linear_fits_at_extreme_magnitudes_are_finite_or_an_error(deadline, kind
     assert np.all(np.isfinite(model.predict_proba(x)))
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("lr", {}),
+        ("lr", {"regularizer": "l1"}),
+        ("lr", {"regularizer": "elasticnet"}),
+        ("svm", {"loss": "squared-hinge"}),
+        ("svm", {"loss": "squared-hinge", "regularizer": "l1"}),
+    ],
+    ids=["lr-l2", "lr-l1", "lr-elasticnet", "svm-sq", "svm-sq-l1"],
+)
+def test_newton_fits_on_features_of_magnitude_1e150_converge(kind, params):
+    # the gradient test was absolute, max|grad| < tol, which rounding keeps
+    # out of reach at this scale: each fit ran all 2,000 steps unconverged
+    model = fit_arrays(ClassifierConfig(kind, params), *extreme_arrays(1e150))
+    assert model.converged and model.iterations <= 10
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e154, 1e200])
 def test_nb_whose_variances_overflow_fails_at_fit(scale):

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+from dataclasses import fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -17,9 +18,11 @@ import fraudkit
 from fraudkit import classify, occ
 from fraudkit.augment import Gan, GanSpec, default_gan_spec
 from fraudkit.classify import ClassifierConfig, model_from_dict
-from fraudkit.data import Dataset, FeatureSchema, NormParams, OneHotMap, encode_one_hot, fit_normalize, numeric_schema
+from fraudkit.data import (
+    Config, Dataset, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot, fit_normalize, numeric_schema
+)
 from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
-from fraudkit.neural import Network, NetworkSpec, TrainConfig, init_network, layer_stack
+from fraudkit.neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, layer_stack
 from fraudkit.occ import DetectorConfig, detector_from_dict, fit_detector
 from fraudkit.resample import BalancerConfig
 from fraudkit.tree import DecisionTree, Nodes
@@ -76,10 +79,13 @@ _WRONG_STATE = {
 
 # name -> (parser, the error it raises, a document with one field of a wrong type)
 PARSERS = {
+    "Config": (Config.from_dict, ConfigError, lambda: {"seed": 0}),  # the base of the config types: no field table
     "ClassifierConfig": (ClassifierConfig.from_dict, ConfigError, lambda: {"kind": "nb", "seed": "0"}),
     "DetectorConfig": (DetectorConfig.from_dict, ConfigError, lambda: {"kind": "copod", "contamination": "0.1"}),
     "BalancerConfig": (BalancerConfig.from_dict, ConfigError, lambda: {"k_neighbors": "5"}),
     "TrainConfig": (TrainConfig.from_dict, ConfigError, lambda: {"epochs": "3"}),
+    "LayerSpec": (LayerSpec.from_dict, ConfigError, lambda: [1.5, "relu"]),
+    "Items": (Items(LayerSpec).from_dict, ConfigError, lambda: [[2, "relu"], [1.5, "relu"]]),
     "NetworkSpec": (NetworkSpec.from_dict, ConfigError, lambda: {"input_dim": 3, "layers": [[2]], "loss": "mse"}),
     "GanSpec": (GanSpec.from_dict, ConfigError, lambda: {**default_gan_spec("wgan", 2).to_dict(), "latent_dim": "8"}),
     "FeatureSchema": (FeatureSchema.from_dict, DataError, lambda: {"features": [{"name": "a", "kind": 1}]}),
@@ -159,7 +165,7 @@ CONFIGS = [
     BalancerConfig("smote_enn", k_neighbors=3, target_ratio=0.5, enn_k=2, seed=1),
     TrainConfig("sgd", 0.05, 3, 16, 7, weight_clip=0.01),
     NetworkSpec(4, layer_stack([3, 1], ["tanh", "logistic"]), "binary_cross_entropy", 0.1),
-    default_gan_spec("wgan", 3, latent_dim=4),
+    replace(default_gan_spec("wgan", 3, latent_dim=4), critic_steps=3),
 ]
 
 
@@ -173,10 +179,64 @@ def test_config_round_trips_through_json(config):
     "make, kind, parameters", [(ClassifierConfig, "dt", {"maxdepth": 3}), (DetectorConfig, "iforest", {"max_samples": 8})]
 )
 def test_config_parameters_must_be_a_dict(make, kind, parameters):
-    # `to_dict` copies them with `dataclasses.asdict`, which cannot copy a mapping proxy
+    # `to_dict` copies a dict into the document, and would leave a mapping
+    # proxy as is, which JSON cannot write
     make(kind, parameters)
     with pytest.raises(ConfigError, match="dict"):
         make(kind, MappingProxyType(parameters))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+def test_config_field_table_lists_the_dataclass_fields_in_order(config):
+    # the table is what the constructor checks and what to_dict writes, in its order
+    assert list(type(config)._FIELDS) == [f.name for f in fields(config)]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+def test_config_document_key_that_names_no_field_is_a_config_error(config):
+    # NetworkSpec and GanSpec documents used to drop such a key
+    with pytest.raises(ConfigError, match="no field"):
+        type(config).from_dict({**config.to_dict(), "epoch": 3})
+
+
+def test_config_and_model_documents_hold_a_copy_of_the_parameters():
+    config = ClassifierConfig("lr", {"max_iter": 5})
+    config.to_dict()["parameters"]["max_iter"] = 7
+    model = classify.fit_arrays(config, np.eye(4), [0, 1, 0, 1])
+    model.to_dict()["state"]["parameters"]["max_iter"] = 7  # this used to edit the model's own parameters
+    assert config.parameters == model.parameters == {"max_iter": 5}
+
+
+def test_gan_spec_document_without_critic_steps_takes_the_default():
+    # a missing critic_steps used to fail, unlike a missing key of any other config document
+    spec = default_gan_spec("wgan", 3)
+    doc = spec.to_dict()
+    del doc["critic_steps"]
+    assert GanSpec.from_dict(doc) == spec
+
+
+def _gan_spec_with(**changes):
+    return lambda: replace(default_gan_spec("vgan", 2), **changes)
+
+
+# each config given as constructor arguments holds a malformed nested config
+NESTED_HOLES = {
+    "layers-string": lambda: NetworkSpec(2, "ab", "binary_cross_entropy"),
+    "layers-pairs": lambda: NetworkSpec(2, ((3, "relu"),), "mse"),
+    "layers-list": lambda: NetworkSpec(2, [LayerSpec(1, "linear")], "mse"),
+    "discriminator-dict": _gan_spec_with(discriminator={"a": 1}),
+    "generator-layers": _gan_spec_with(generator=layer_stack([2], ["logistic"])),
+    "train-dict": _gan_spec_with(train={"epochs": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_HOLES))
+def test_malformed_nested_config_argument_is_a_config_error(name):
+    # "ab" and a dict discriminator raised AttributeError; the tuple of pairs,
+    # the list and the dict train config were accepted, and the pairs then
+    # failed in init_network
+    with pytest.raises(ConfigError, match="must be a"):
+        NESTED_HOLES[name]()
 
 
 def test_one_hot_map_and_norm_params_round_trip_through_json(mixed_schema):

@@ -79,7 +79,11 @@ schema, one-hot map and set of norm params, and check that each document
 loads and writes the same bytes back; they did not change when every
 document came to be read and written through one table of fields per class
 (`data.read_fields` and `data.write_fields`), so every document saved before
-still loads to the same object.
+still loads to the same object. `CONFIG_GOLDEN` pins the exact text of
+`json.dumps(config.to_dict())` for each configuration type, at its defaults
+and with every field off its default (`LayerSpec` inside `NetworkSpec` and
+`GanSpec`); it did not change when the seven config types came to be
+checked, written and read through one table of fields per type.
 """
 
 import hashlib
@@ -108,6 +112,7 @@ from fraudkit.data import (
     save_csv,
     stratified_split,
 )
+from fraudkit.neural import NetworkSpec, TrainConfig, layer_stack
 from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, detector_from_dict, fit_detector, load_detector
 from fraudkit.resample import (
     BalancerConfig, adasyn, adasyn_allocation, smote, smote_draws, smote_enn, smote_tomek
@@ -534,3 +539,75 @@ def test_document_bytes_golden(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DOCUMENT_GOLDEN[name]
     # the document loads, and the loaded object writes the same bytes
     assert json.dumps(parse(json.loads(text)).to_dict()) == text
+
+
+# name: (the config whose document is pinned, the exact text of that document);
+# "-off" configs are those of `CONFIGS` in tests/test_documents.py
+CONFIG_GOLDEN = {
+    "ClassifierConfig": (lambda: ClassifierConfig("nb"), '{"kind": "nb", "parameters": {}, "seed": 0}'),
+    "ClassifierConfig-off": (
+        lambda: ClassifierConfig("rf", {"estimators": 5, "maxdepth": 3}, seed=2),
+        '{"kind": "rf", "parameters": {"estimators": 5, "maxdepth": 3}, "seed": 2}',
+    ),
+    "DetectorConfig": (
+        lambda: DetectorConfig("copod"), '{"kind": "copod", "parameters": {}, "contamination": 0.05, "seed": 0}'
+    ),
+    "DetectorConfig-off": (
+        lambda: DetectorConfig("iforest", {"n_estimators": 5}, contamination=0.1, seed=4),
+        '{"kind": "iforest", "parameters": {"n_estimators": 5}, "contamination": 0.1, "seed": 4}',
+    ),
+    "BalancerConfig": (
+        BalancerConfig, '{"method": "none", "k_neighbors": 5, "target_ratio": 1.0, "enn_k": 3, "seed": 0}'
+    ),
+    "BalancerConfig-off": (
+        lambda: BalancerConfig("smote_enn", k_neighbors=3, target_ratio=0.5, enn_k=2, seed=1),
+        '{"method": "smote_enn", "k_neighbors": 3, "target_ratio": 0.5, "enn_k": 2, "seed": 1}',
+    ),
+    "TrainConfig": (
+        TrainConfig,
+        '{"optimizer": "adam", "learning_rate": 0.001, "epochs": 1, "batch_size": 32, "seed": 0, "weight_clip": null}',
+    ),
+    "TrainConfig-off": (
+        lambda: TrainConfig("sgd", 0.05, 3, 16, 7, weight_clip=0.01),
+        '{"optimizer": "sgd", "learning_rate": 0.05, "epochs": 3, "batch_size": 16, "seed": 7, "weight_clip": 0.01}',
+    ),
+    "NetworkSpec": (
+        lambda: NetworkSpec(3, layer_stack([2], ["linear"]), "mse"),
+        '{"input_dim": 3, "layers": [[2, "linear"]], "loss": "mse", "leaky_slope": 0.2}',
+    ),
+    "NetworkSpec-off": (
+        lambda: NetworkSpec(4, layer_stack([3, 1], ["tanh", "logistic"]), "binary_cross_entropy", 0.1),
+        '{"input_dim": 4, "layers": [[3, "tanh"], [1, "logistic"]], "loss": "binary_cross_entropy", '
+        '"leaky_slope": 0.1}',
+    ),
+    "GanSpec": (
+        lambda: default_gan_spec("vgan", 2),
+        '{"variant": "vgan", "latent_dim": 8, '
+        '"discriminator": {"input_dim": 2, "layers": [[128, "leaky_relu"], [64, "leaky_relu"], [32, "leaky_relu"], '
+        '[8, "leaky_relu"], [1, "logistic"]], "loss": "binary_cross_entropy", "leaky_slope": 0.2}, '
+        '"generator": {"input_dim": 8, "layers": [[8, "leaky_relu"], [32, "leaky_relu"], [64, "leaky_relu"], '
+        '[128, "leaky_relu"], [2, "logistic"]], "loss": "mse", "leaky_slope": 0.2}, '
+        '"train": {"optimizer": "adam", "learning_rate": 0.001, "epochs": 10000, "batch_size": 64, "seed": 0, '
+        '"weight_clip": null}, "critic_steps": 5}',
+    ),
+    "GanSpec-off": (
+        lambda: replace(default_gan_spec("wgan", 3, latent_dim=4), critic_steps=3),
+        '{"variant": "wgan", "latent_dim": 4, '
+        '"discriminator": {"input_dim": 3, "layers": [[256, "leaky_relu"], [128, "leaky_relu"], [64, "leaky_relu"], '
+        '[32, "leaky_relu"], [1, "linear"]], "loss": "wasserstein_critic", "leaky_slope": 0.2}, '
+        '"generator": {"input_dim": 4, "layers": [[32, "leaky_relu"], [64, "leaky_relu"], [128, "leaky_relu"], '
+        '[256, "leaky_relu"], [3, "logistic"]], "loss": "mse", "leaky_slope": 0.2}, '
+        '"train": {"optimizer": "adam", "learning_rate": 0.001, "epochs": 10000, "batch_size": 64, "seed": 0, '
+        '"weight_clip": 0.01}, "critic_steps": 3}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_GOLDEN))
+def test_config_bytes_golden(name):
+    make, text = CONFIG_GOLDEN[name]
+    config = make()
+    assert json.dumps(config.to_dict()) == text
+    # the document loads to an equal config, which writes the same bytes
+    loaded = type(config).from_dict(json.loads(text))
+    assert loaded == config and json.dumps(loaded.to_dict()) == text

@@ -126,14 +126,15 @@ def test_knn_equidistant_rows_come_back_lowest_index_first():
     assert nn.tolist() == [[0, 3, 4, 5, 1], [2, 3, 5, 4, 1]]
 
 
-def test_knn_matches_stable_sort_oracle_across_chunks():
-    x = _quarter_lattice(1500, 3, seed=8)  # more rows than one distance chunk
+@pytest.mark.parametrize("k", [1, 4])  # k = 1 takes a row minimum in place of a partition
+def test_knn_matches_stable_sort_oracle_across_chunks(k):
+    x = _quarter_lattice(1500, 3, seed=8)  # more rows than one distance chunk, 125 distinct: many ties
     exclude = np.arange(len(x))
-    nn = knn(x, x, 4, exclude)
+    nn = knn(x, x, k, exclude)
     for i in range(len(x)):
         d2 = np.sum((x - x[i]) ** 2, axis=1)
         d2[i] = np.inf
-        assert nn[i].tolist() == np.argsort(d2, kind="stable")[:4].tolist()
+        assert nn[i].tolist() == np.argsort(d2, kind="stable")[:k].tolist()
 
 
 def test_knn_excluded_index_is_never_returned():
@@ -152,15 +153,16 @@ def test_knn_needs_more_rows_than_k():
         knn(x, x, 3, np.arange(3))
 
 
-def test_knn_matches_stable_sort_oracle_far_from_the_origin():
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_matches_stable_sort_oracle_far_from_the_origin(k):
     # |a|² + |b|² - 2 a·b cancels here: ranking by it disagreed with the
-    # exact order in 218 of these 300 trials
+    # exact order in 218 of these 300 trials (k = 3)
     rng = np.random.default_rng(5)
     for _ in range(300):
         x = rng.uniform(1e3, 1e4, 3) + rng.normal(scale=1e-4, size=(6, 3))
         d2 = np.sum((x - x[0]) ** 2, axis=1)
         d2[0] = np.inf
-        assert knn(x[:1], x, 3, np.array([0]))[0].tolist() == np.argsort(d2, kind="stable")[:3].tolist()
+        assert knn(x[:1], x, k, np.array([0]))[0].tolist() == np.argsort(d2, kind="stable")[:k].tolist()
 
 
 def test_knn_floor_leaves_out_close_rows_and_pads_with_minus_one():
