@@ -670,12 +670,12 @@ def _fit_gbt(x, y, names, config: ClassifierConfig) -> BoostedModel:
             residual = ypm * w
             hessian = np.maximum(w, 1e-12) / 2.0
         tree = DecisionTree(criterion=SQUARED, max_depth=max_depth).fit(x, residual, order=order)
-        values = tree.nodes_by_id().value
-        for leaf_id, idx in tree.leaf_training_indices.items():
-            num = float(np.sum(residual[idx]))
-            den = float(np.sum(hessian[idx]))
-            values[leaf_id] = num / den if den > 0 else 0.0
-        score = score + learning_rate * tree.predict_value(x)
+        nodes = tree.nodes_by_id()
+        leaf = nodes.route(x)  # each training row's leaf, as the grower split it
+        for leaf_id in np.flatnonzero(nodes.feature < 0).tolist():
+            idx = np.flatnonzero(leaf == leaf_id)
+            nodes.value[leaf_id] = np.sum(residual[idx]) / np.sum(hessian[idx])
+        score = score + learning_rate * nodes.value[leaf]
         trees.append(tree)
     return BoostedModel(names, f0, trees, learning_rate, loss, config.parameters)
 

@@ -583,7 +583,8 @@ def load_csv(
     Empty cells and `null_token` parse to null; numeric cells that fail to
     parse or are not finite (inf, nan) become null; an unknown category
     token is an error (schema drift). A file that cannot be read as UTF-8
-    text is a DataError naming the path.
+    text, or as CSV (a field longer than `csv.field_size_limit()`, say), is
+    a DataError naming the path.
     """
     p = Path(path)
     if not p.exists():
@@ -616,6 +617,8 @@ def load_csv(
                     if value not in (0.0, 1.0):
                         raise DataError(f"{p}:{lineno}: label must be 0 or 1, got {raw!r}")
                     labels.append(int(value))
+    except csv.Error as exc:
+        raise DataError(f"{p}:{reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {p}: {exc}") from exc
     values = np.array(cells, dtype=float).reshape(len(cells), len(schema))
@@ -653,7 +656,10 @@ def _format_column(values: np.ndarray, feature: Feature) -> list[str]:
 def save_csv(data: Dataset, path: str | Path, label_column: str = "label") -> None:
     """Write a dataset back out, a header line and then one line per row,
     each ended by a newline, with the bytes `csv.writer` would write;
-    deterministic bytes for identical inputs."""
+    deterministic bytes for identical inputs. A label column named like a
+    feature is a DataError, since `load_csv` could not read the file back."""
+    if data.labels is not None and label_column in data.schema.names:
+        raise DataError(f"label column {label_column!r} is also a feature name")
     columns = [_format_column(data.values[:, j], f) for j, f in enumerate(data.schema)]
     header = [_csv_field(name) for name in data.schema.names]
     if data.labels is not None:

@@ -26,7 +26,7 @@ the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -339,8 +339,9 @@ def _best_splits(xt, row_of, lists, candidates, seg, labels, weight, n, pos, cri
 # ---------------------------------------------------------------- grower
 
 
-def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["DecisionTree"]:
-    """Trees with `template`'s settings, grown together a level at a time.
+def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list[Nodes]:
+    """The `Nodes` of trees with `template`'s settings, grown together a
+    level at a time.
 
     Tree t grows on the rows with counts[t] > 0, each standing for that many
     copies (counts None: one tree on every row once), and draws its
@@ -349,7 +350,8 @@ def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["Decisio
     sorted, are the node's candidate columns. A node is open, and searched,
     when it holds two or more samples with different targets above the
     depth limit; it splits when some candidate column has two distinct
-    values on it.
+    values on it. A gini or entropy leaf's value is its positive share of
+    the samples' copies; a squared-error leaf's is the mean of its targets.
 
     A sample is one distinct row of one tree. `rows` holds the samples of
     every node of the level, node after node in the level's order (see
@@ -401,8 +403,6 @@ def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["Decisio
     if not open_.all():
         lists = lists.compress(np.repeat(open_, seg), axis=1)
     side = np.empty(len(sample_row), dtype=np.int8)  # where each sample of a split node goes
-    done = np.zeros(n_trees, dtype=np.intp)  # nodes of each tree so far
-    leaves: list[dict[int, np.ndarray]] = [{} for _ in range(n_trees)]
     columns: dict[str, list] = {c: [] for c in ("tree", "feature", "threshold", "value", "n_samples", "n_positive")}
     while True:
         feature = np.full(len(seg), -1)
@@ -425,22 +425,17 @@ def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["Decisio
             if not found.all():
                 lists = lists.compress(np.repeat(found, o_seg), axis=1)
         split = feature >= 0
-        starts = np.cumsum(seg) - seg
-        value = np.zeros(len(seg))
-        level_counts = np.bincount(tree, minlength=n_trees)
-        ids = rank - (np.cumsum(level_counts) - level_counts)[tree] + done[tree]  # each node's id in its tree
-        for k in np.flatnonzero(~split).tolist():
-            node_rows = rows[starts[k] : starts[k] + seg[k]]
-            if criterion == SQUARED:
-                value[k] = float(target[node_rows].mean())
-            else:
-                value[k] = pos[k] / n_node[k]
-            leaves[tree[k]][int(ids[k])] = sample_row[node_rows]
+        if criterion == SQUARED:
+            value = np.zeros(len(seg))
+            starts = np.cumsum(seg) - seg
+            for k in np.flatnonzero(~split).tolist():
+                value[k] = target[rows[starts[k] : starts[k] + seg[k]]].mean()
+        else:
+            value = np.where(split, 0.0, pos / n_node)
         by_rank = np.argsort(rank)
         level = (tree, feature, threshold, value, n_node.astype(np.intp), pos.astype(np.intp))
         for name, column in zip(columns, level):
             columns[name].append(column[by_rank])
-        done += level_counts
         if not split.any():
             break
         if not split.all():
@@ -458,10 +453,7 @@ def _grow(template: "DecisionTree", xt, y, order, counts, rngs) -> list["Decisio
         child = np.repeat(np.arange(len(split_seg)), split_seg) + np.where(go, 0, len(split_seg))
         side[parents] = np.where(open_[child], (~go).view(np.int8), 2)
         lists = _partition(lists, side.take(lists))
-    return [
-        DecisionTree(criterion, max_depth, max_features, nodes=nodes, n_features=d, leaf_training_indices=leaf_rows)
-        for nodes, leaf_rows in zip(_breadth_first(columns, n_trees), leaves)
-    ]
+    return _breadth_first(columns, n_trees)
 
 
 def _training_arrays(x, y, criterion: str) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +481,6 @@ class DecisionTree:
     max_features: int | None = None  # per-node random subset size (forests)
     nodes: Nodes | None = None
     n_features: int = 0
-    leaf_training_indices: dict[int, np.ndarray] = field(default_factory=dict)
 
     # the settings a document holds next to the tree's `Nodes`
     _FIELDS = {
@@ -508,18 +499,17 @@ class DecisionTree:
         """Grow the tree on rows x with targets y, a level at a time.
         `order` is `presort(x)`, computed here when not given, so that fits on
         one matrix can share it. Rows go left where x[:, feature] <=
-        threshold, and `leaf_training_indices` lists each leaf's rows,
-        ascending. With max_features, the tree draws its candidate columns
-        from rng as `_grow` states.
+        threshold, so `nodes.route(x)` gives each training row's leaf. With
+        max_features, the tree draws its candidate columns from rng as
+        `_grow` states.
         """
         self._check_criterion()
         x, y = _training_arrays(x, y, self.criterion)
         if self.max_features is not None and rng is None:
             rng = np.random.default_rng(0)
         order = presort(x) if order is None else order
-        grown = _grow(self, np.ascontiguousarray(x.T), y, order, None, [rng])[0]
-        self.nodes, self.n_features = grown.nodes, grown.n_features
-        self.leaf_training_indices = grown.leaf_training_indices
+        self.nodes = _grow(self, np.ascontiguousarray(x.T), y, order, None, [rng])[0]
+        self.n_features = x.shape[1]
         return self
 
     def _check_criterion(self, allowed=(GINI, ENTROPY, SQUARED)) -> None:
@@ -564,8 +554,7 @@ def fit_forest(
     """One classification tree with `template`'s settings per (counts, rng)
     of `samples`: counts gives each row's number of copies in a bootstrap
     sample, 0 leaving it out, and the tree is the one `DecisionTree.fit`
-    would grow on those copies with that rng, except that its
-    `leaf_training_indices` list each leaf's rows once, ascending.
+    would grow on those copies with that rng.
 
     The trees grow together a level at a time, in groups taken in order:
     a group's sorted lists hold at most `data.BLOCK` entries (d per distinct
@@ -578,16 +567,16 @@ def fit_forest(
     x, y = _training_arrays(x, y, template.criterion)
     order = presort(x)
     xt = np.ascontiguousarray(x.T)
-    trees: list[DecisionTree] = []
+    grown: list[Nodes] = []
     group: list[tuple[np.ndarray, np.random.Generator]] = []
     entries = 0
     for counts, rng in samples:
         size = np.count_nonzero(counts) * x.shape[1]
         if group and entries + size > BLOCK:
-            trees += _grow(template, xt, y, order, *zip(*group))
+            grown += _grow(template, xt, y, order, *zip(*group))
             group, entries = [], 0
         group.append((np.asarray(counts), rng))
         entries += size
     if group:
-        trees += _grow(template, xt, y, order, *zip(*group))
-    return trees
+        grown += _grow(template, xt, y, order, *zip(*group))
+    return [replace(template, nodes=nodes, n_features=x.shape[1]) for nodes in grown]

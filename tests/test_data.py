@@ -202,6 +202,22 @@ def test_csv_round_trip(tmp_path, mixed_schema):
     assert list(back.labels) == [0, 1]
 
 
+def test_load_csv_field_past_the_csv_limit_is_a_data_error(tmp_path):
+    # a field longer than csv.field_size_limit() escaped as _csv.Error
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n1,2\n" + "9" * 200_000 + ",3\n")
+    with pytest.raises(DataError, match=re.escape(f"{p}:3")):
+        load_csv(p, two_feature_schema())
+
+
+def test_save_csv_rejects_a_label_column_named_like_a_feature(tmp_path):
+    # the header a,b,a was written, and load_csv rejected it as a header mismatch
+    p = tmp_path / "d.csv"
+    with pytest.raises(DataError, match="label column 'a'"):
+        save_csv(dataset_from_matrix(np.ones((2, 2)), [0, 1], names=["a", "b"]), p, label_column="a")
+    assert not p.exists()
+
+
 def test_save_csv_deterministic_bytes(tmp_path, mixed_schema):
     ds = Dataset(mixed_schema, [("red", 5.25, 10.0)], [1])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -16,7 +16,12 @@ to the proxy sl² / nl + sr² / nr: in the first round's tree, a depth-2 node
 of 72 rows, 57 of them positive, has two cuts that each send 70 rows and all
 57 positives left, feature 1 at 2.1359 and feature 3 at 2.4181, an exact
 tie. The old form rounded feature 3's decrease higher; the proxy scores the
-two the same, and the lowest-feature tie-break takes feature 1. The `lr-l2` and `svm-l2-squared-hinge` digests pin the
+two the same, and the lowest-feature tie-break takes feature 1.
+`gbt-exponential` pins the exponential loss's leaf step, and
+`SQUARED_TREE_NODES` every node column of one squared-error tree. Both,
+and every other tree digest, held when fitted trees stopped keeping each
+leaf's training rows and `gbt` came to find each leaf's rows by routing
+its training rows. The `lr-l2` and `svm-l2-squared-hinge` digests pin the
 damped-Newton solver, `svm-l2` the smoothed-Newton hinge solver, and
 `lr-l1`, `lr-elasticnet` and `svm-l1` (squared hinge) the same damped
 Newton taking orthant-wise steps. Those three were regenerated when they
@@ -117,6 +122,7 @@ from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, detector_from_
 from fraudkit.resample import (
     BalancerConfig, adasyn, adasyn_allocation, smote, smote_draws, smote_enn, smote_tomek
 )
+from fraudkit.tree import COLUMNS, SQUARED, DecisionTree
 
 
 def _digest(values) -> str:
@@ -151,6 +157,10 @@ CLASSIFIER_GOLDEN = {
     "gbt": (
         ClassifierConfig("gbt", {"estimators": 25, "maxdepth": 3, "loss": "deviance"}),
         "09c49c0ed1b8b887e61e003ef18021018aec583b935ffc1e8d77a8dafd8889a6",
+    ),
+    "gbt-exponential": (
+        ClassifierConfig("gbt", {"estimators": 25, "maxdepth": 3, "loss": "exponential"}),
+        "02af9fc107abfb8bf7ada77288c47e010e6cb7def82ebc1f4bf168c6eecabb0a",
     ),
     "lr-l2": (
         ClassifierConfig("lr", {"penalty_strength": 0.01, "max_iter": 300}),
@@ -238,6 +248,8 @@ MCD_SUPPORT = {
     "mcd-random-starts": ("b6dbee55fce42b12389f2562c131dd745b53a5a9d6ac221b2f9f7d0d0f6fd2af", -2.934825972620148),
 }
 
+# every node column of one squared-error tree, one column after another
+SQUARED_TREE_NODES = "44dec8ad92dc7454f38c4cb5188971c7cf09f96554ed04fe2aace3ef8999adfd"
 IFOREST_SCORE = "ed9dbbf1540c142231238fbaac987055d04de6d4cb76fc3d89b2ad9d96dbfd8b"
 IFOREST_THRESHOLD = "cdb224570f4431df1c25ce983a521f1900ffa0e229e7e94887df8f4956147508"
 RULES_TEXT = "f2f1139e295e7c96573042aa9cf39a8f7dbdd7baf2d99a29243352cd86e2ba60"
@@ -253,6 +265,12 @@ def test_classifier_proba_golden(tmp_path, name):
     probe = _probe_rows()
     assert _digest(model.predict_proba(probe)) == expected
     assert _digest(load_model(path).predict_proba(probe)) == expected
+
+
+def test_squared_error_tree_nodes_golden():
+    x, _ = _train_rows()
+    nodes = DecisionTree(SQUARED, max_depth=5).fit(x, x[:, 0] + 0.7 * x[:, 1] * x[:, 2]).nodes_by_id()
+    assert _digest(np.concatenate([getattr(nodes, c) for c in COLUMNS])) == SQUARED_TREE_NODES
 
 
 def test_iforest_score_and_threshold_golden(tmp_path):
