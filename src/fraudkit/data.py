@@ -4,12 +4,12 @@ normalization and the two train/test split regimes.
 A Dataset stores its cells in one read-only float64 matrix, `values`: a
 numeric cell is its value, a categorical cell is the index of its category
 and a null is NaN. Cleansing, encoding, scaling and splitting are array
-expressions over that matrix. Cells are converted one at a time only where
-text or Python rows come in or go out: `load_csv`, `Dataset(schema, rows)`
-and `Dataset.rows`; `save_csv` formats a column at a time. Every downstream
-module reads the all-numeric, null-free matrix of `encode_one_hot` +
-`apply_normalize` through `Dataset.matrix()`, which returns the stored array
-without a copy.
+expressions over that matrix. A Dataset comes in as CSV text (`load_csv`),
+Python cells (`Dataset(schema, rows)`, converted one at a time) or a matrix
+(`dataset_from_matrix`), and goes out only as its matrix or a CSV file
+(`save_csv`, which formats a column at a time). Every downstream module reads
+the all-numeric, null-free matrix of `encode_one_hot` + `apply_normalize`
+through `Dataset.matrix()`, which returns the stored array without a copy.
 
 Configurations and documents (the JSON form of schemas, one-hot maps, norm
 params and fitted models) are checked by one rule, `check_value`, against a
@@ -153,6 +153,7 @@ class FeatureSchema:
         """Keys other than a feature's name, kind and categories (such as the
         `mutable` and `range` of older documents) are ignored. Categories are
         a list of strings; `Feature` checks the name and kind."""
+        _check_format(doc, "fraudkit.schema/1")
         features = []
         for e in doc["features"]:
             categories = e.get("categories")
@@ -178,8 +179,7 @@ class Dataset:
     `values` is the read-only (n, d) float64 matrix of cells: a numeric
     cell is its value, a categorical cell is the index of its category in
     the feature's `categories`, and a null is NaN. `Dataset(schema, rows,
-    labels)` converts Python cells (float, category token or None) once;
-    `rows` gives them back in that form.
+    labels)` converts Python cells (float, category token or None) once.
     """
 
     def __init__(
@@ -221,15 +221,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return len(self.schema)
-
-    @property
-    def rows(self) -> tuple[tuple[Cell, ...], ...]:
-        """The cells as Python tuples of float, category token or None (null)."""
-        cats = [f.categories if f.kind == CATEGORICAL else None for f in self.schema]
-        return tuple(
-            tuple(None if v != v else v if c is None else c[int(v)] for v, c in zip(row, cats))
-            for row in self.values.tolist()
-        )
 
     def matrix(self) -> np.ndarray:
         """The stored `values` themselves, not a copy; requires an
@@ -429,6 +420,12 @@ def check_fields(source, domains: dict) -> None:
         check_value(name, source[name] if isinstance(source, Mapping) else getattr(source, name), domain)
 
 
+def _check_format(doc: Mapping, tag: str) -> None:
+    """ConfigError when `doc` has a `format` key naming another tag than
+    `tag`; a document without one, written before the tag, passes."""
+    check_value("format", doc.get("format", tag), (tag,))
+
+
 def read_fields(doc: Mapping, fields: dict) -> dict:
     """The fields of `doc` that `fields` names, each read by the `from_dict`
     of its entry (the type of a nested document, or Items), by its entry when
@@ -584,8 +581,11 @@ def load_csv(
     parse or are not finite (inf, nan) become null; an unknown category
     token is an error (schema drift). A file that cannot be read as UTF-8
     text, or as CSV (a field longer than `csv.field_size_limit()`, say), is
-    a DataError naming the path.
+    a DataError naming the path, and so is a label column named like a
+    feature, which would be read as both.
     """
+    if label_column in schema.names:
+        raise DataError(f"label column {label_column!r} is also a feature name")
     p = Path(path)
     if not p.exists():
         raise DataError(f"file not found: {p}")
@@ -733,18 +733,6 @@ class OneHotMap:
                 out.append(list(range(start, start + width)))
         return out
 
-    def decode_row(self, encoded: Sequence[float]) -> list[Cell]:
-        if len(encoded) != len(self.encoded_schema):
-            raise DataError("row width does not match encoded schema")
-        out: list[Cell] = []
-        for f, (start, width) in zip(self.source_schema, self.spans):
-            if f.kind == NUMERIC:
-                out.append(float(encoded[start]))
-            else:
-                block = list(encoded[start : start + width])
-                out.append(f.categories[int(np.argmax(block))])  # type: ignore[index]
-        return out
-
     def to_dict(self) -> dict:
         return {
             "format": "fraudkit.onehot/1",
@@ -756,6 +744,7 @@ class OneHotMap:
     @classmethod
     @_parser(DataError)
     def from_dict(cls, doc: dict) -> "OneHotMap":
+        _check_format(doc, "fraudkit.onehot/1")
         spans = tuple(map(tuple, check_value("spans", doc["spans"], Array(int, (-1, 2))).tolist()))
         return cls(FeatureSchema.from_dict(doc["source"]), FeatureSchema.from_dict(doc["encoded"]), spans)
 
@@ -805,6 +794,7 @@ class NormParams:
     @classmethod
     @_parser(DataError)
     def from_dict(cls, doc: dict) -> "NormParams":
+        _check_format(doc, "fraudkit.norm/1")
         bounds = doc["bounds"]
         check_value("bound names", [b[0] for b in bounds], STRINGS)
         return cls(tuple((b[0], *check_value("bounds", b[1:], Array(float, (2,))).tolist()) for b in bounds))
@@ -826,9 +816,8 @@ def fit_normalize(data: Dataset) -> NormParams:
     return NormParams(tuple(bounds))
 
 
-def _rescale(data: Dataset, params: NormParams, invert: bool) -> Dataset:
-    """Numeric columns mapped to [0, 1] by the bounds, or back when `invert`;
-    a constant feature maps to 0.0 (back to its one value); nulls stay null."""
+def apply_normalize(data: Dataset, params: NormParams) -> Dataset:
+    """Min-max scale numeric features to [0,1]; a constant feature maps to 0.0, a null stays null."""
     by_name = {n: (lo, hi) for n, lo, hi in params.bounds}
     cols = data.schema.numeric_indices
     for j in cols:
@@ -840,24 +829,11 @@ def _rescale(data: Dataset, params: NormParams, invert: bool) -> Dataset:
     x = values[:, cols]
     null = np.isnan(x[:, const])
     with np.errstate(divide="ignore", invalid="ignore"):
-        if invert:
-            x *= high - low
-            x += low
-        else:
-            x -= low
-            x /= high - low
-    x[:, const] = np.where(null, np.nan, low[const] if invert else 0.0)
+        x -= low
+        x /= high - low
+    x[:, const] = np.where(null, np.nan, 0.0)
     values[:, cols] = x
     return Dataset._of(data.schema, values, data.labels)
-
-
-def apply_normalize(data: Dataset, params: NormParams) -> Dataset:
-    """Min-max scale numeric features to [0,1]; constant features map to 0.0."""
-    return _rescale(data, params, invert=False)
-
-
-def invert_normalize(data: Dataset, params: NormParams) -> Dataset:
-    return _rescale(data, params, invert=True)
 
 
 # ---------------------------------------------------------------------------

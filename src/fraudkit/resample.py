@@ -276,16 +276,6 @@ def allocate_adaptive(r: np.ndarray | Sequence[float], total: int) -> np.ndarray
     return alloc
 
 
-def _adasyn_plan(data: Dataset, cfg: BalancerConfig):
-    """(feature matrix, minority indices, minority label, per-row sample counts)."""
-    x, minority_idx, minority_label = _minority(data, cfg)
-    total = round_half_up((data.n - 2 * len(minority_idx)) * cfg.target_ratio)
-    # hardness ratio per minority row: majority share among its kNN over all rows
-    nn = knn(x[minority_idx], x, cfg.k_neighbors, minority_idx)
-    r = np.sum(data.require_labels()[nn] != minority_label, axis=1) / cfg.k_neighbors
-    return x, minority_idx, minority_label, allocate_adaptive(r, total)
-
-
 def adasyn(
     data: Dataset,
     cfg: BalancerConfig,
@@ -293,15 +283,14 @@ def adasyn(
 ) -> Dataset:
     """Density-adaptive oversampling: minority rows with more majority-class
     neighbors receive proportionally more synthetic samples."""
-    x, minority_idx, minority_label, alloc = _adasyn_plan(data, cfg)
-    base = np.repeat(np.arange(len(minority_idx)), alloc)
+    x, minority_idx, minority_label = _minority(data, cfg)
+    total = round_half_up((data.n - 2 * len(minority_idx)) * cfg.target_ratio)
+    # hardness ratio per minority row: majority share among its kNN over all rows
+    nn = knn(x[minority_idx], x, cfg.k_neighbors, minority_idx)
+    r = np.sum(data.require_labels()[nn] != minority_label, axis=1) / cfg.k_neighbors
+    base = np.repeat(np.arange(len(minority_idx)), allocate_adaptive(r, total))
     draws = _draw(x, minority_idx, base, cfg.k_neighbors, np.random.default_rng(cfg.seed))
     return _interpolated(data, draws, minority_label, onehot_groups)
-
-
-def adasyn_allocation(data: Dataset, cfg: BalancerConfig) -> np.ndarray:
-    """Per-minority-row synthetic sample counts (exposed for verification)."""
-    return _adasyn_plan(data, cfg)[3]
 
 
 def balance(

@@ -254,4 +254,4 @@ def test_oversample_gan_balances_counts(imbalanced_blobs):
     assert int(np.sum(labels == 1)) == int(np.sum(labels == 0)) == 88
     synth = out.matrix()[imbalanced_blobs.n :]
     assert synth.min() >= 0.0 and synth.max() <= 1.0
-    assert out.rows[: imbalanced_blobs.n] == imbalanced_blobs.rows
+    assert np.array_equal(out.values[: imbalanced_blobs.n], imbalanced_blobs.values)

@@ -19,7 +19,6 @@ from fraudkit.data import (
     dataset_from_matrix,
     encode_one_hot,
     fit_normalize,
-    invert_normalize,
     load_csv,
     numeric_schema,
     occ_split,
@@ -121,7 +120,7 @@ def test_load_csv_plain_numeric(tmp_path):
     ds = load_csv(p, two_feature_schema())
     assert ds.n == 3 and ds.d == 2
     assert ds.labels is None
-    assert ds.rows[0] == (1.0, 2.0)
+    assert ds.values[0].tolist() == [1.0, 2.0]
 
 
 def test_load_csv_labels(tmp_path):
@@ -136,6 +135,15 @@ def test_load_csv_unknown_category(tmp_path, mixed_schema):
     p.write_text("color,amount,hour\ngreen,1,2\n")
     with pytest.raises(DataError, match="unknown category"):
         load_csv(p, mixed_schema)
+
+
+def test_load_csv_rejects_a_label_column_named_like_a_feature(tmp_path):
+    # set(header) collapsed the duplicate name: column a was read as both a
+    # feature and the label, values [[0, 5], [1, 6]] and labels [0, 1]
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n0,5\n1,6\n")
+    with pytest.raises(DataError, match="label column 'a'"):
+        load_csv(p, two_feature_schema(), label_column="a")
 
 
 def test_load_csv_header_mismatch(tmp_path):
@@ -154,25 +162,25 @@ def test_load_csv_unparseable_numeric_becomes_null(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\noops,2\n3,4\n")
     ds = load_csv(p, two_feature_schema())
-    assert ds.rows[0][0] is None
+    assert np.isnan(ds.values[0, 0])
 
 
 def test_load_csv_non_finite_numerics_become_null(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\ninf,2\n3,-inf\nnan,5\n6,NaN\n7,8\n9,10\n")
     ds = load_csv(p, two_feature_schema())
-    assert [r.count(None) for r in ds.rows] == [1, 1, 1, 1, 0, 0]
+    assert np.isnan(ds.values).sum(axis=1).tolist() == [1, 1, 1, 1, 0, 0]
     clean = cleanse(ds, 0.9)
-    assert clean.rows == ((7.0, 8.0), (9.0, 10.0))
+    assert clean.values.tolist() == [[7.0, 8.0], [9.0, 10.0]]
     params = fit_normalize(clean)
     assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
 
 
 def test_dataset_from_matrix_non_finite_cells_become_null():
     ds = dataset_from_matrix(np.array([[np.nan, 1.0], [np.inf, 2.0], [3.0, 3.0], [4.0, -np.inf]]))
-    assert [r.count(None) for r in ds.rows] == [1, 1, 0, 1]
+    assert np.isnan(ds.values).sum(axis=1).tolist() == [1, 1, 0, 1]
     clean = cleanse(ds, 0.9)
-    assert clean.rows == ((3.0, 3.0),)
+    assert clean.values.tolist() == [[3.0, 3.0]]
     params = fit_normalize(clean)
     assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
 
@@ -190,7 +198,7 @@ def test_load_csv_null_token(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\nNA,2\n3,4\n")
     ds = load_csv(p, two_feature_schema(), null_token="NA")
-    assert ds.rows[0][0] is None
+    assert np.isnan(ds.values[0, 0])
 
 
 def test_csv_round_trip(tmp_path, mixed_schema):
@@ -198,7 +206,7 @@ def test_csv_round_trip(tmp_path, mixed_schema):
     p = tmp_path / "out.csv"
     save_csv(ds, p)
     back = load_csv(p, mixed_schema, label_column="label")
-    assert back.rows == ds.rows
+    assert np.array_equal(back.values, ds.values)  # category indices, then the numbers
     assert list(back.labels) == [0, 1]
 
 
@@ -250,7 +258,7 @@ def test_save_csv_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
 def test_cleanse_removes_duplicates():
     ds = dataset_from_matrix(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]))
     out = cleanse(ds, 0.9)
-    assert out.rows == ((1.0, 2.0), (3.0, 4.0))
+    assert out.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_cleanse_drops_feature_at_threshold_boundary():
@@ -269,7 +277,7 @@ def test_cleanse_keeps_feature_below_threshold_drops_null_rows():
     out = cleanse(ds, 0.9)
     assert out.schema.names == ["a", "b"]
     assert out.n == 2
-    assert out.rows == ((8.0, 1.0), (9.0, 2.0))
+    assert out.values.tolist() == [[8.0, 1.0], [9.0, 2.0]]
 
 
 def test_cleanse_duplicate_key_includes_label():
@@ -283,7 +291,7 @@ def test_cleanse_idempotent():
     ds = Dataset(numeric_schema(["a", "b"]), rows)
     once = cleanse(ds, 0.6)
     twice = cleanse(once, 0.6)
-    assert once.rows == twice.rows
+    assert np.array_equal(once.values, twice.values)
     assert once.schema.names == twice.schema.names
 
 
@@ -306,15 +314,14 @@ def test_one_hot_basic(mixed_schema):
     ds = Dataset(mixed_schema, [("red", 1.0, 2.0), ("blue", 3.0, 4.0)])
     enc, mapping = encode_one_hot(ds)
     assert enc.schema.names == ["color=red", "color=blue", "amount", "hour"]
-    assert enc.rows[0] == (1.0, 0.0, 1.0, 2.0)
-    assert enc.rows[1] == (0.0, 1.0, 3.0, 4.0)
+    assert enc.values.tolist() == [[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 3.0, 4.0]]
     assert mapping.groups() == [[0, 1]]
 
 
 def test_one_hot_no_categoricals_is_identity():
     ds = dataset_from_matrix(np.array([[1.0, 2.0]]))
     enc, mapping = encode_one_hot(ds)
-    assert enc.rows == ds.rows
+    assert np.array_equal(enc.values, ds.values)
     assert enc.schema.names == ds.schema.names
     assert mapping.groups() == []
 
@@ -323,14 +330,21 @@ def test_one_hot_rows_sum_to_one():
     schema = FeatureSchema([Feature("c", "categorical", categories=("a", "b", "c"))])
     ds = Dataset(schema, [("a",), ("c",), ("b",), ("a",), ("c",)])
     enc, _ = encode_one_hot(ds)
-    assert all(sum(r) == 1.0 for r in enc.rows)
+    assert enc.values.sum(axis=1).tolist() == [1.0] * 5
 
 
-def test_one_hot_decode_round_trip(mixed_schema):
-    ds = Dataset(mixed_schema, [("red", 1.0, 2.0), ("blue", 3.0, 4.0)])
+def test_one_hot_indicator_columns_hold_each_category_index(mixed_schema):
+    # a categorical cell becomes its span's indicators, 1.0 only at the
+    # category's index; a numeric cell is copied into its one column
+    ds = Dataset(mixed_schema, [("red", 1.0, 2.0), ("blue", 3.0, 4.0), ("red", 5.0, 6.0)])
     enc, mapping = encode_one_hot(ds)
-    for original, encoded in zip(ds.rows, enc.rows):
-        assert tuple(mapping.decode_row(encoded)) == original
+    assert mapping.spans == ((0, 2), (2, 1), (3, 1))
+    for j, (start, width) in enumerate(mapping.spans):
+        block = enc.values[:, start : start + width]
+        if mixed_schema[j].kind == "categorical":
+            assert np.array_equal(block, np.eye(width)[ds.values[:, j].astype(int)])
+        else:
+            assert np.array_equal(block[:, 0], ds.values[:, j])
 
 
 def test_one_hot_rejects_nulls(mixed_schema):
@@ -346,34 +360,44 @@ def test_normalize_definition():
     ds = dataset_from_matrix(np.array([[2.0], [4.0], [6.0]]))
     params = fit_normalize(ds)
     out = apply_normalize(ds, params)
-    assert [r[0] for r in out.rows] == [0.0, 0.5, 1.0]
+    assert out.values[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_normalize_constant_feature_maps_to_zero():
     ds = dataset_from_matrix(np.array([[7.0], [7.0]]))
     out = apply_normalize(ds, fit_normalize(ds))
-    assert [r[0] for r in out.rows] == [0.0, 0.0]
+    assert out.values[:, 0].tolist() == [0.0, 0.0]
 
 
-def test_normalize_round_trip_many_random_vectors():
+def test_normalize_many_random_vectors():
+    # (x - min) / (max - min) per column, with the fitted set's minimum at
+    # exactly 0.0 and its maximum at exactly 1.0
     rng = np.random.default_rng(3)
     base = rng.uniform(-50, 120, size=(40, 5))
     params = fit_normalize(dataset_from_matrix(base))
     samples = rng.uniform(base.min(axis=0), base.max(axis=0), size=(100, 5))
-    ds = dataset_from_matrix(samples)
-    back = invert_normalize(apply_normalize(ds, params), params)
-    assert np.allclose(back.matrix(), samples, atol=1e-12, rtol=0)
+    x = np.vstack([base, samples])
+    low, high = base.min(axis=0), base.max(axis=0)
+    out = apply_normalize(dataset_from_matrix(x), params).matrix()
+    assert np.array_equal(out, (x - low) / (high - low))
+    assert out[base.argmin(axis=0), np.arange(5)].tolist() == [0.0] * 5
+    assert out[base.argmax(axis=0), np.arange(5)].tolist() == [1.0] * 5
 
 
 @given(
     st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=20),
 )
 @settings(max_examples=50, deadline=None)
-def test_normalize_round_trip_property(values):
+def test_normalize_definition_property(values):
     ds = dataset_from_matrix(np.array(values).reshape(-1, 1))
-    params = fit_normalize(ds)
-    back = invert_normalize(apply_normalize(ds, params), params)
-    assert np.allclose(back.matrix().ravel(), values, atol=1e-6 * max(1, max(map(abs, values))))
+    out = apply_normalize(ds, fit_normalize(ds)).matrix().ravel()
+    low, high = min(values), max(values)
+    if high == low:
+        assert out.tolist() == [0.0] * len(values)
+    else:
+        assert np.array_equal(out, (np.array(values) - low) / (high - low))
+        assert out[np.argmin(values)] == 0.0 and out[np.argmax(values)] == 1.0
+    assert ((0.0 <= out) & (out <= 1.0)).all()
 
 
 def test_norm_params_validate():
@@ -409,14 +433,15 @@ def test_stratified_split_arguments_are_config_errors(imbalanced_blobs, fraction
 def test_stratified_split_deterministic(imbalanced_blobs):
     a = stratified_split(imbalanced_blobs, 0.8, seed=42)
     b = stratified_split(imbalanced_blobs, 0.8, seed=42)
-    assert a.train.rows == b.train.rows
-    assert a.test.rows == b.test.rows
+    for side in ("train", "test"):
+        assert np.array_equal(getattr(a, side).values, getattr(b, side).values)
+        assert np.array_equal(getattr(a, side).labels, getattr(b, side).labels)
 
 
 def test_stratified_split_reconstructs_multiset(imbalanced_blobs):
     pair = stratified_split(imbalanced_blobs, 0.8, seed=9)
-    combined = sorted(pair.train.rows + pair.test.rows)
-    assert combined == sorted(imbalanced_blobs.rows)
+    rows = [np.column_stack([d.values, d.labels]) for d in (pair.train, pair.test, imbalanced_blobs)]
+    assert sorted(np.vstack(rows[:2]).tolist()) == sorted(rows[2].tolist())
 
 
 def test_stratified_split_proportion_bound(imbalanced_blobs):
@@ -449,8 +474,8 @@ def test_occ_split_all_negative_errors():
 def test_occ_split_preserves_order():
     ds = dataset_from_matrix(np.arange(8).reshape(4, 2).astype(float), [0, 1, 0, 1])
     pair = occ_split(ds)
-    assert pair.train.rows == (ds.rows[0], ds.rows[2])
-    assert pair.test.rows == (ds.rows[1], ds.rows[3])
+    assert np.array_equal(pair.train.values, ds.values[[0, 2]])
+    assert np.array_equal(pair.test.values, ds.values[[1, 3]])
 
 
 def test_save_split_writes_manifest(tmp_path, imbalanced_blobs):

@@ -19,7 +19,8 @@ from fraudkit import classify, occ
 from fraudkit.augment import Gan, GanSpec, default_gan_spec
 from fraudkit.classify import ClassifierConfig, model_from_dict
 from fraudkit.data import (
-    Config, Dataset, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot, fit_normalize, numeric_schema
+    Config, Dataset, Feature, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot, fit_normalize,
+    numeric_schema,
 )
 from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
 from fraudkit.neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, layer_stack
@@ -251,6 +252,43 @@ def test_one_hot_map_and_norm_params_round_trip_through_json(mixed_schema):
 def test_schema_documents_with_retired_fields_still_load():
     doc = {"features": [{"name": "a", "kind": "numeric", "mutable": False, "range": [0.0, 1.0]}]}
     assert FeatureSchema.from_dict(doc) == numeric_schema(["a"])
+
+
+def _encoded() -> tuple[Dataset, OneHotMap]:
+    schema = FeatureSchema([Feature("c", "categorical", ("x", "y")), Feature("a", "numeric")])
+    return encode_one_hot(Dataset(schema, [("x", 1.0), ("y", 3.0)]))
+
+
+# name -> (parser, the error it raises, a document it writes with a `format` tag)
+TAGGED = {
+    "FeatureSchema": (FeatureSchema.from_dict, DataError, lambda: _SCHEMA),
+    "OneHotMap": (OneHotMap.from_dict, DataError, lambda: _encoded()[1].to_dict()),
+    "NormParams": (NormParams.from_dict, DataError, lambda: fit_normalize(_encoded()[0]).to_dict()),
+    "Nodes": (lambda doc: Nodes.from_dict(doc, 1), ModelError, _tree_doc),
+    "DecisionTree": (DecisionTree.from_dict, ModelError, _tree_doc),
+    "Network": (Network.from_dict, ModelError, lambda: _gan_doc()["generator"]),
+    "Gan": (Gan.from_dict, ModelError, _gan_doc),
+    "model": (model_from_dict, ModelError, lambda: _model_doc("nb")),
+    "detector": (detector_from_dict, ModelError, lambda: _detector_doc("copod")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAGGED))
+def test_document_tagged_with_another_format_is_the_parsers_error(name):
+    # the schema, one-hot map and norm params parsers used to ignore the tag
+    parse, error, make = TAGGED[name]
+    doc = make()
+    parse(doc)
+    with pytest.raises(error, match="format"):
+        parse({**doc, "format": "fraudkit.detector/1" if name == "model" else "fraudkit.model/1"})
+
+
+@pytest.mark.parametrize("name", ["FeatureSchema", "OneHotMap", "NormParams"])
+def test_data_document_without_a_format_tag_loads(name):
+    # documents of the data layer were read without their tag, so one that lacks it still loads
+    parse, _, make = TAGGED[name]
+    doc = {key: value for key, value in make().items() if key != "format"}
+    assert parse(doc) == parse(make())
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ and `SMOTE_PROVENANCE` were regenerated when SMOTE and ADASYN moved to one
 vectorized draw: each now draws all bases, then all neighbour slots, then all
 factors u (the order the `resample` module documents) instead of one row's
 draws at a time. Each row's arithmetic stayed the same; only which random
-numbers it gets changed. `ADASYN_ALLOCATION` did not change. The
+numbers it gets changed; ADASYN's allocation did not change. The
 `mcd-exhaustive` score digest and the `mcd-random-starts` score and threshold
 digests were regenerated when MCD moved from an LU solve per Mahalanobis
 distance to one Cholesky factor per fitted subset: distances now come from
@@ -112,16 +112,13 @@ from fraudkit.data import (
     dataset_from_matrix,
     encode_one_hot,
     fit_normalize,
-    invert_normalize,
     load_csv,
     save_csv,
     stratified_split,
 )
 from fraudkit.neural import NetworkSpec, TrainConfig, layer_stack
 from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, detector_from_dict, fit_detector, load_detector
-from fraudkit.resample import (
-    BalancerConfig, adasyn, adasyn_allocation, smote, smote_draws, smote_enn, smote_tomek
-)
+from fraudkit.resample import BalancerConfig, adasyn, smote, smote_draws, smote_enn, smote_tomek
 from fraudkit.tree import COLUMNS, SQUARED, DecisionTree
 
 
@@ -341,7 +338,6 @@ RESAMPLE_GOLDEN = {
     "adasyn": (adasyn, "c63e6a797c07b8b0d00b1ff47aa560bb87c90209279f291db0e2f60cb5d6ce9e"),
 }
 SMOTE_PROVENANCE = "0278e9dbf4ca7e40a37c6d0d446d7558e449f1cbd97188b42bda0ef842891974"
-ADASYN_ALLOCATION = "86590e9d6b9c05761967503895071a5e285547214ad3b95ceb2b74621dea65f0"
 
 
 @pytest.mark.parametrize("name", sorted(RESAMPLE_GOLDEN))
@@ -357,10 +353,6 @@ def test_smote_provenance_golden():
     base_index, neighbor_index, u = smote_draws(data, RESAMPLE_CONFIG)
     assert out.n == data.n + len(u)
     assert _digest(np.column_stack([base_index, neighbor_index, u])) == SMOTE_PROVENANCE
-
-
-def test_adasyn_allocation_golden():
-    assert _digest(adasyn_allocation(_resample_rows(), RESAMPLE_CONFIG)) == ADASYN_ALLOCATION
 
 
 def _mixed_csv_text() -> str:
@@ -408,7 +400,6 @@ DATA_PATH_GOLDEN = {
     "train": "6194296b4bb83c8c137ae27ced0085a61ffd48b6bc66e84b6fd2ca33c1218790",
     "test": "cd2c18e4f79f0da79b379ddcec04a2606fedd6cd80e1d45de324a1714190bb03",
     "norm": "7241ce58291c1ae9d753b1b6a38529b36e157bb2058806b8e3c83c444047626c",
-    "inverted": "f943e2f9e224c9d39985fa9a782b1d91a1dfc40472377cf9bfd95c56fe143726",
 }
 
 
@@ -439,7 +430,6 @@ def test_data_path_golden(tmp_path):
     digests["test"] = _digest(split.test.matrix())
     norm = json.dumps(params.to_dict(), sort_keys=True).encode("utf-8")
     digests["norm"] = hashlib.sha256(norm).hexdigest()
-    digests["inverted"] = _digest(invert_normalize(scaled, params).matrix())
     assert clean.schema.names == ["kind", "amount", "zero", "channel", "score"]
     assert digests == DATA_PATH_GOLDEN
 

@@ -10,7 +10,6 @@ from fraudkit.occ import DetectorConfig
 from fraudkit.resample import (
     BalancerConfig,
     adasyn,
-    adasyn_allocation,
     allocate_adaptive,
     balance,
     enn_filter,
@@ -291,13 +290,13 @@ def test_smote_with_the_ratio_met_appends_nothing():
     base_index, neighbor_index, u = smote_draws(data, cfg)
     assert len(base_index) == len(neighbor_index) == len(u) == 0
     out = smote(data, cfg)
-    assert out.rows == data.rows
+    assert np.array_equal(out.values, data.values)
     assert out.labels.tolist() == y
 
 
 def test_smote_originals_untouched_and_labels_pure(imbalanced_blobs):
     out = smote(imbalanced_blobs, BalancerConfig(method="smote", k_neighbors=5, seed=2))
-    assert out.rows[: imbalanced_blobs.n] == imbalanced_blobs.rows
+    assert np.array_equal(out.values[: imbalanced_blobs.n], imbalanced_blobs.values)
     assert np.array_equal(out.labels[: imbalanced_blobs.n], imbalanced_blobs.labels)
     assert np.all(out.labels[imbalanced_blobs.n :] == 1)
 
@@ -306,7 +305,7 @@ def test_smote_deterministic(imbalanced_blobs):
     cfg = BalancerConfig(method="smote", k_neighbors=5, seed=11)
     a = smote(imbalanced_blobs, cfg)
     b = smote(imbalanced_blobs, cfg)
-    assert a.rows == b.rows
+    assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -380,7 +379,7 @@ def test_enn_removes_surrounded_majority_point():
     x = [[0.5, 0.5], [0.5, 0.52], [0.48, 0.5], [0.52, 0.5], [0.0, 0.0], [0.0, 0.1], [0.1, 0.0], [0.1, 0.1]]
     y = [0, 1, 1, 1, 0, 0, 0, 0]
     out = enn_filter(labeled(x, y), enn_k=3)
-    assert (0.5, 0.5) not in out.rows
+    assert [0.5, 0.5] not in out.values.tolist()
     assert out.n == 7
 
 
@@ -398,7 +397,8 @@ def test_enn_matches_bruteforce_oracle():
     ds = labeled(x, y)
     out = enn_filter(ds, enn_k=3)
     keep = _enn_oracle(x, y, 3, majority_label=0)
-    assert out.rows == tuple(ds.rows[i] for i in keep)
+    assert np.array_equal(out.values, ds.values[keep])
+    assert np.array_equal(out.labels, y[keep])
 
 
 def test_enn_needs_more_rows_than_k():
@@ -428,8 +428,8 @@ def test_tomek_removes_majority_member_of_link():
     x = [[0.5, 0.5], [0.52, 0.5], [0.0, 0.0], [0.0, 0.05], [1.0, 1.0], [1.0, 0.95]]
     y = [0, 1, 0, 0, 0, 0]
     out = tomek_remove(labeled(x, y))
-    assert (0.5, 0.5) not in out.rows
-    assert (0.52, 0.5) in out.rows
+    assert [0.5, 0.5] not in out.values.tolist()
+    assert [0.52, 0.5] in out.values.tolist()
     assert out.n == 5
 
 
@@ -447,7 +447,8 @@ def test_tomek_matches_bruteforce_oracle():
     ds = labeled(x, y)
     out = tomek_remove(ds)
     keep = _tomek_oracle(x, y.copy(), majority_label=0)
-    assert out.rows == tuple(ds.rows[i] for i in keep)
+    assert np.array_equal(out.values, ds.values[keep])
+    assert np.array_equal(out.labels, y[keep])
 
 
 # ------------------------------------------------------------------ composites
@@ -459,7 +460,9 @@ def test_smote_enn_equals_smote_on_separated_clusters():
     pos = np.clip(rng.normal(0.85, 0.02, size=(6, 2)), 0, 1)
     ds = labeled(np.vstack([neg, pos]), [0] * 20 + [1] * 6)
     cfg = BalancerConfig(method="smote_enn", k_neighbors=2, seed=31)
-    assert smote_enn(ds, cfg).rows == smote(ds, cfg).rows
+    filtered, oversampled = smote_enn(ds, cfg), smote(ds, cfg)
+    assert np.array_equal(filtered.values, oversampled.values)
+    assert np.array_equal(filtered.labels, oversampled.labels)
 
 
 def test_smote_enn_drops_planted_majority_point():
@@ -472,9 +475,9 @@ def test_smote_enn_drops_planted_majority_point():
     ds = labeled(x, y)
     cfg = BalancerConfig(method="smote_enn", k_neighbors=2, enn_k=3, seed=5)
     out = smote_enn(ds, cfg)
-    assert (0.8, 0.8) not in out.rows
+    assert [0.8, 0.8] not in out.values.tolist()
     # the real negatives survive
-    assert all(tuple(r) in out.rows for r in ds.rows[:20])
+    assert np.array_equal(out.values[:20], ds.values[:20])
 
 
 def test_smote_tomek_removes_link_member():
@@ -483,7 +486,7 @@ def test_smote_tomek_removes_link_member():
     ds = labeled(neg + pos, [0] * 6 + [1] * 3)
     cfg = BalancerConfig(method="smote_tomek", k_neighbors=2, seed=2)
     out = smote_tomek(ds, cfg)
-    assert (0.5, 0.5) not in out.rows  # majority member of the planted link
+    assert [0.5, 0.5] not in out.values.tolist()  # majority member of the planted link
 
 
 # ------------------------------------------------------------------ adasyn
@@ -517,13 +520,6 @@ def adasyn_fixture():
     return labeled(x, y)
 
 
-def test_adasyn_hand_computed_allocation():
-    ds = adasyn_fixture()
-    cfg = BalancerConfig(method="adasyn", k_neighbors=2, seed=0)
-    # G = 14 - 6 = 8; r_hat = (0,0,0,.5,.25,.25) -> (0,0,0,4,2,2)
-    assert adasyn_allocation(ds, cfg).tolist() == [0, 0, 0, 4, 2, 2]
-
-
 def test_adasyn_appends_allocated_rows():
     ds = adasyn_fixture()
     cfg = BalancerConfig(method="adasyn", k_neighbors=2, seed=4)
@@ -533,7 +529,8 @@ def test_adasyn_appends_allocated_rows():
 
 
 def test_adasyn_rows_follow_the_documented_draw_order():
-    # bases repeat each minority row by its allocation, then slots, then u
+    # bases repeat each minority row by its allocation, then slots, then u;
+    # G = 14 - 6 = 8 and r_hat = (0, 0, 0, .5, .25, .25) give (0, 0, 0, 4, 2, 2)
     ds = adasyn_fixture()
     x = ds.matrix()[:6]
     base = np.repeat(np.arange(6), [0, 0, 0, 4, 2, 2])
@@ -563,7 +560,9 @@ def test_balance_none_is_identity(imbalanced_blobs):
 
 def test_balance_routes_to_smote(imbalanced_blobs):
     cfg = BalancerConfig(method="smote", k_neighbors=5, seed=8)
-    assert balance(imbalanced_blobs, cfg).rows == smote(imbalanced_blobs, cfg).rows
+    routed, direct = balance(imbalanced_blobs, cfg), smote(imbalanced_blobs, cfg)
+    assert np.array_equal(routed.values, direct.values)
+    assert np.array_equal(routed.labels, direct.labels)
 
 
 def test_project_onehot_ties_go_to_lowest_index():
