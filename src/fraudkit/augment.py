@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, Config, Dataset, check_fields, dataset_from_matrix, document_parser, read_document, read_fields,
-    require_finite, write_document, write_fields,
+    COUNT, Config, Dataset, check_fields, dataset_from_matrix, document_parser, read_fields, require_finite,
+    write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import (
@@ -112,13 +111,6 @@ class Gan:
     def from_dict(cls, doc: dict) -> "Gan":
         check_fields(doc, {"format": ("fraudkit.gan/1",)})
         return cls(**read_fields(doc, cls._FIELDS))
-
-    def save(self, path: str | Path) -> None:
-        write_document(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Gan":
-        return read_document(path, cls.from_dict)
 
 
 def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:

@@ -1,11 +1,14 @@
 """The seven binary classifiers behind one fit/predict contract, plus
 IF-THEN rule extraction from fitted decision trees.
 
-Every model exposes predict_proba in [0,1] and predict = proba >= 0.5.
+Every model exposes predict_proba in [0,1] and predict = proba >= 0.5. A
+kind's parameters are one table (`PARAMETERS`, checked by the base
+`data.EstimatorConfig`), and its fitter and fitted class one entry of `_KINDS`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -20,8 +23,8 @@ from .data import (
     STRINGS,
     TOLERANCE,
     Array,
-    Config,
     Dataset,
+    EstimatorConfig,
     Range,
     as_matrix,
     binary_labels,
@@ -32,15 +35,12 @@ from .data import (
     read_fields,
     require_finite,
     round_half_up,
-    with_defaults,
     write_document,
     write_fields,
 )
 from .errors import DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, sigmoid, train
 from .tree import SQUARED, DecisionTree, fit_forest, presort
-
-KINDS = ("nb", "lr", "svm", "dt", "rf", "gbt", "mlp")
 
 _MAX_ITER = (2000, Range(int, 1, 10**7))
 _TOL = (1e-9, TOLERANCE)
@@ -89,6 +89,7 @@ and `rf` grow to any depth without `maxdepth`, and the `mlp` learning_rate is
 0.01 under adam and 0.3 under sgd. Numeric bounds are sanity bounds, not the
 published search grids, since off-grid values (learning_rate 0, maxdepth 12,
 ...) are legitimate."""
+KINDS = tuple(PARAMETERS)
 
 # Published search grids (exhaustive grid-search spaces).
 TABLE_GRIDS: dict[str, dict[str, list]] = {
@@ -112,20 +113,13 @@ TABLE_GRIDS: dict[str, dict[str, list]] = {
 
 
 @dataclass(frozen=True)
-class ClassifierConfig(Config):
+class ClassifierConfig(EstimatorConfig):
     kind: str
     parameters: dict = field(default_factory=dict)
     seed: int = 0
 
     _FIELDS = {"kind": KINDS, "parameters": dict, "seed": SEED}
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_table(self.kind, self.parameters, PARAMETERS[self.kind])
-
-    def settings(self) -> dict:
-        """Every parameter of the kind: the given value, else its default."""
-        return with_defaults(self.parameters, PARAMETERS[self.kind])
+    _PARAMETERS = PARAMETERS
 
 
 class TrainedModel:
@@ -305,9 +299,10 @@ def _newton(x, objective, l1, ridge, max_iter, tol, start=None, bias_floor=0.0):
     smoothed hinge, whose bias curvature is raised to at least `bias_floor`.
 
     Each step solves the (d+1)x(d+1) system. With a ridge and a bias floor
-    the Hessian is positive definite and is solved directly; otherwise by
-    least squares, so a singular Hessian (empty active set, duplicated
-    columns, ridge 0) gives the minimum-norm step instead of an error. A
+    the Hessian is positive definite and is solved directly unless it is
+    singular in floating point (features of magnitude 1e7 swamp the ridge);
+    otherwise by least squares, so a singular Hessian (empty active set,
+    duplicated columns, ridge 0) gives the minimum-norm step. A
     step that raises the loss is cut back to the minimum of the parabola
     through the loss and slope at 0 and the loss at the step, kept within
     [1/10, 1/2] of it, until the loss does not rise. With l1 > 0 the steps
@@ -325,7 +320,12 @@ def _newton(x, objective, l1, ridge, max_iter, tol, start=None, bias_floor=0.0):
     x1 = np.hstack([x, np.ones((n, 1))])
     diagonal = np.append(np.full(d, ridge), 0.0)
     theta = np.zeros(d + 1) if start is None else start
-    solve = np.linalg.solve if ridge > 0 and bias_floor > 0 else lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]
+
+    def solve(a, b):
+        if ridge > 0 and bias_floor > 0:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                return np.linalg.solve(a, b)
+        return np.linalg.lstsq(a, b, rcond=None)[0]
 
     def evaluate(theta):
         loss, gw, gb, curvature = objective(theta[:d], theta[d])
@@ -726,16 +726,16 @@ def _fit_mlp(x, y, names, config: ClassifierConfig) -> MlpModel:
 
 
 # ---------------------------------------------------------------------------
-# Fit dispatch + persistence
+# Fit dispatch and persistence; `_KINDS` maps kind -> (fitter, fitted class)
 
-_FITTERS = {
-    "nb": _fit_nb,
-    "lr": _fit_linear,
-    "svm": _fit_linear,
-    "dt": _fit_dt,
-    "rf": _fit_rf,
-    "gbt": _fit_gbt,
-    "mlp": _fit_mlp,
+_KINDS = {
+    "nb": (_fit_nb, NaiveBayesModel),
+    "lr": (_fit_linear, LinearModel),
+    "svm": (_fit_linear, LinearModel),
+    "dt": (_fit_dt, TreeModel),
+    "rf": (_fit_rf, ForestModel),
+    "gbt": (_fit_gbt, BoostedModel),
+    "mlp": (_fit_mlp, MlpModel),
 }
 
 
@@ -761,25 +761,14 @@ def fit_arrays(
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(x.shape[1])]
     if len(names) != x.shape[1]:
         raise DataError("feature_names length must match columns")
-    return _FITTERS[config.kind](x, y, names, config)
-
-
-_MODEL_CLASSES = {
-    "nb": NaiveBayesModel,
-    "lr": LinearModel,
-    "svm": LinearModel,
-    "dt": TreeModel,
-    "rf": ForestModel,
-    "gbt": BoostedModel,
-    "mlp": MlpModel,
-}
+    return _KINDS[config.kind][0](x, y, names, config)
 
 
 @document_parser
 def model_from_dict(doc: dict) -> TrainedModel:
     check_fields(doc, {"format": ("fraudkit.model/1",), "kind": KINDS, "feature_names": STRINGS})
     kind, names = doc["kind"], doc["feature_names"]
-    cls = _MODEL_CLASSES[kind]
+    cls = _KINDS[kind][1]
     state = read_fields(doc["state"], cls._fields(kind, len(names)))
     return LinearModel(kind, names, **state) if cls is LinearModel else cls(names, **state)
 

@@ -17,8 +17,9 @@ domain: a tuple of allowed values, a type, a `Range` of numbers, an `Array` of
 finite numbers, `STRINGS` or `Items`. A class whose document is a table of
 fields reads it with `read_fields` and writes it with `write_fields` (for
 the seven config types, their base `Config` does); a check that relates one
-field to another is made by the constructor. A file that cannot be read or
-written is a DataError naming its path.
+field to another is made by the constructor. Every document goes to a file
+through `write_document` and back through `read_document` with its parser; a
+data file that cannot be read or written is a DataError naming its path.
 """
 
 from __future__ import annotations
@@ -162,16 +163,6 @@ class FeatureSchema:
             features.append(Feature(e["name"], e["kind"], categories))
         return cls(features)
 
-    def save(self, path: str | Path) -> None:
-        with _writing(Path(path)) as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FeatureSchema":
-        """The schema `save` wrote; a missing or unreadable file, bad JSON or
-        a malformed document is a DataError naming the path."""
-        return read_document(path, cls.from_dict, DataError)
-
 
 class Dataset:
     """Immutable table of cells plus optional binary labels (1 = fraud/positive).
@@ -179,7 +170,8 @@ class Dataset:
     `values` is the read-only (n, d) float64 matrix of cells: a numeric
     cell is its value, a categorical cell is the index of its category in
     the feature's `categories`, and a null is NaN. `Dataset(schema, rows,
-    labels)` converts Python cells (float, category token or None) once.
+    labels)` converts Python cells (float, category token or None) once; a
+    numeric cell that is not finite (inf, nan) becomes a null.
     """
 
     def __init__(
@@ -250,7 +242,7 @@ def _cell_value(feature: Feature, cell: Cell) -> float:
         return float(feature.categories.index(cell))  # type: ignore[union-attr]
     if not isinstance(cell, numbers.Real):
         raise DataError(f"feature {feature.name!r}: numeric cell required, got {cell!r}")
-    return float(cell)
+    return float(cell) if math.isfinite(cell) else math.nan  # inf is a null, as in `load_csv`
 
 
 def numeric_schema(names: Sequence[str]) -> FeatureSchema:
@@ -517,12 +509,21 @@ def check_table(owner: str, parameters, table: dict) -> dict:
     return parameters
 
 
-def with_defaults(parameters: Mapping, table: dict) -> dict:
-    """Every parameter of `table`: its value in `parameters`, else its default."""
-    return {name: parameters.get(name, default) for name, (default, _) in table.items()}
+class EstimatorConfig(Config):
+    """Base of `ClassifierConfig` and `DetectorConfig`: a `kind` and the `parameters`
+    given for it, checked against its table in the subclass's `_PARAMETERS`."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_table(self.kind, self.parameters, self._PARAMETERS[self.kind])
+
+    def settings(self) -> dict:
+        """Every parameter of the kind: the given value, else its default."""
+        return {k: self.parameters.get(k, default) for k, (default, _) in self._PARAMETERS[self.kind].items()}
 
 
 def write_document(doc: dict, path: str | Path) -> None:
+    """`doc` as one JSON line in the file at `path`; an OSError is a ModelError naming it."""
     p = Path(path)
     try:
         p.write_text(json.dumps(doc) + "\n", encoding="utf-8")

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, SEED, Array, Config, Items, Range, check_fields, check_value, config_parser, document_parser, read_document,
-    read_fields, write_document, write_fields,
+    COUNT, SEED, Array, Config, Items, Range, check_fields, check_value, config_parser, document_parser, read_fields,
+    write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 
@@ -270,13 +269,6 @@ class Network:
     def from_dict(cls, doc: dict) -> "Network":
         check_fields(doc, {"format": ("fraudkit.network/1",)})
         return cls(**read_fields(doc, cls._FIELDS))
-
-    def save(self, path: str | Path) -> None:
-        write_document(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Network":
-        return read_document(path, cls.from_dict)
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:

@@ -3,7 +3,9 @@ isolation forest, tail-ECDF (copula-style) scoring, angle-based factors,
 minimum covariance determinant, and a variational autoencoder.
 
 All detectors score with "higher = more anomalous" and cut decisions at the
-(1 - contamination) quantile of their own training scores.
+(1 - contamination) quantile of their own training scores. A kind's
+parameters are one table (`PARAMETERS`, checked by the base
+`data.EstimatorConfig`), and its fitter and fitted class one entry of `_KINDS`.
 """
 
 from __future__ import annotations
@@ -11,21 +13,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
-    COUNT, FINITE, SEED, TOLERANCE, Array, Config, Dataset, Range, as_matrix, block_rows, check_fields, check_table,
-    document_parser, read_document, read_fields, require_finite, with_defaults, write_document, write_fields,
+    COUNT, FINITE, SEED, TOLERANCE, Array, Dataset, EstimatorConfig, Range, as_matrix, block_rows, check_fields,
+    document_parser, read_fields, require_finite, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
 from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
 from .resample import knn
 from .tree import Nodes, _breadth_first, _draw_by_rank, _next_level
-
-KINDS = ("ocsvm", "iforest", "copod", "abod", "mcd", "vae")
 
 OCSVM_KERNELS = ("linear", "rbf", "poly", "sigmoid")
 
@@ -49,24 +48,18 @@ PARAMETERS: dict[str, dict[str, tuple]] = {
 """Every detector parameter, as name -> (default, domain) (see
 `data.check_table`). The mcd support_fraction defaults to None: the fitter
 then takes subsets of (n + p + 1) // 2 rows."""
+KINDS = tuple(PARAMETERS)
 
 
 @dataclass(frozen=True)
-class DetectorConfig(Config):
+class DetectorConfig(EstimatorConfig):
     kind: str
     parameters: dict = field(default_factory=dict)
     contamination: float = 0.05
     seed: int = 0
 
     _FIELDS = {"kind": KINDS, "parameters": dict, "contamination": Range(float, 0.0, 0.5, open_low=True), "seed": SEED}
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_table(self.kind, self.parameters, PARAMETERS[self.kind])
-
-    def settings(self) -> dict:
-        """Every parameter of the kind: the given value, else its default."""
-        return with_defaults(self.parameters, PARAMETERS[self.kind])
+    _PARAMETERS = PARAMETERS
 
 
 def quantile_threshold(scores: np.ndarray, contamination: float) -> float:
@@ -105,9 +98,6 @@ class TrainedDetector:
     def to_dict(self) -> dict:
         head = {"format": "fraudkit.detector/1", "kind": self.kind, "n_features": self.n_features}
         return {**head, "threshold": self.threshold, "state": write_fields(self, self._fields(self.n_features))}
-
-    def save(self, path: str | Path) -> None:
-        write_document(self.to_dict(), path)
 
 
 def classification_rate(predictions: Sequence[int] | np.ndarray) -> float:
@@ -360,11 +350,15 @@ def _fit_iforest(x: np.ndarray, config: DetectorConfig) -> IsolationForestDetect
 # Tail-ECDF detector (copula-style)
 
 def _skewness(values: np.ndarray) -> float:
-    centered = values - values.mean()
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
+    """The moment skewness of `values`, 0.0 for a constant column. The
+    moments are taken after scaling the values by the power of two that
+    brings their largest magnitude into [0.5, 1), which is exact, so no power
+    overflows or underflows whatever their scale."""
+    if values.min() == values.max():
         return 0.0
-    return float(np.mean(centered**3) / m2**1.5)
+    scaled = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
+    centered = scaled - scaled.mean()
+    return float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
 
 
 class CopodDetector(TrainedDetector):
@@ -729,24 +723,15 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
 
 
 # ---------------------------------------------------------------------------
-# Fit dispatch + persistence
+# Fit dispatch and documents; `_KINDS` maps kind -> (fitter, fitted class)
 
-_FITTERS = {
-    "ocsvm": _fit_ocsvm,
-    "iforest": _fit_iforest,
-    "copod": _fit_copod,
-    "abod": _fit_abod,
-    "mcd": _fit_mcd,
-    "vae": _fit_vae,
-}
-
-_DETECTOR_CLASSES = {
-    "ocsvm": OcsvmDetector,
-    "iforest": IsolationForestDetector,
-    "copod": CopodDetector,
-    "abod": AbodDetector,
-    "mcd": McdDetector,
-    "vae": VaeDetector,
+_KINDS = {
+    "ocsvm": (_fit_ocsvm, OcsvmDetector),
+    "iforest": (_fit_iforest, IsolationForestDetector),
+    "copod": (_fit_copod, CopodDetector),
+    "abod": (_fit_abod, AbodDetector),
+    "mcd": (_fit_mcd, McdDetector),
+    "vae": (_fit_vae, VaeDetector),
 }
 
 
@@ -757,7 +742,7 @@ def fit_detector(config: DetectorConfig, negatives: Dataset | np.ndarray) -> Tra
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("need a nonempty 2-D matrix of negative rows")
     require_finite(x, "negative rows")
-    detector = _FITTERS[config.kind](x, config)
+    detector = _KINDS[config.kind][0](x, config)
     detector.threshold = quantile_threshold(detector.score(x), config.contamination)
     return detector
 
@@ -765,9 +750,5 @@ def fit_detector(config: DetectorConfig, negatives: Dataset | np.ndarray) -> Tra
 @document_parser
 def detector_from_dict(doc: dict) -> TrainedDetector:
     check_fields(doc, {"format": ("fraudkit.detector/1",), "kind": KINDS, "n_features": COUNT, "threshold": FINITE})
-    cls, d = _DETECTOR_CLASSES[doc["kind"]], doc["n_features"]
+    cls, d = _KINDS[doc["kind"]][1], doc["n_features"]
     return cls(d, threshold=doc["threshold"], **read_fields(doc["state"], cls._fields(d)))
-
-
-def load_detector(path: str | Path) -> TrainedDetector:
-    return read_document(path, detector_from_dict)

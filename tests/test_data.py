@@ -22,9 +22,11 @@ from fraudkit.data import (
     load_csv,
     numeric_schema,
     occ_split,
+    read_document,
     save_csv,
     save_split,
     stratified_split,
+    write_document,
 )
 from fraudkit.errors import ConfigError, DataError
 
@@ -53,20 +55,8 @@ def test_schema_rejects_categories_on_numeric():
 
 def test_schema_json_round_trip(mixed_schema, tmp_path):
     path = tmp_path / "schema.json"
-    mixed_schema.save(path)
-    assert FeatureSchema.load(path) == mixed_schema
-
-
-@pytest.mark.parametrize(
-    "content",
-    ["{not json", '{"features": [{"kind": "numeric"}]}', '{"features": [3]}'],
-    ids=["bad-json", "missing-name", "entry-not-an-object"],
-)
-def test_schema_load_failure_is_a_data_error_naming_the_path(tmp_path, content):
-    path = tmp_path / "schema.json"
-    path.write_text(content)
-    with pytest.raises(DataError, match="schema.json"):
-        FeatureSchema.load(path)
+    write_document(mixed_schema.to_dict(), path)
+    assert read_document(path, FeatureSchema.from_dict, DataError) == mixed_schema
 
 
 def _split_of_four():
@@ -87,13 +77,12 @@ def _read_non_utf8(tmp_path):
 @pytest.mark.parametrize(
     "act, path",
     [
-        (lambda t: numeric_schema(["a"]).save(t / "file" / "schema.json"), "file/schema.json"),
         (lambda t: save_csv(dataset_from_matrix(np.ones((2, 2))), t / "file" / "d.csv"), "file/d.csv"),
         (_write_split_manifest_onto_a_directory, "out/split_manifest.json"),
         (lambda t: load_csv(t, two_feature_schema()), ""),
         (_read_non_utf8, "d.csv"),
     ],
-    ids=["schema-save-under-a-file", "save-csv-under-a-file", "split-manifest-onto-a-directory",
+    ids=["save-csv-under-a-file", "split-manifest-onto-a-directory",
          "load-csv-of-a-directory", "load-csv-of-non-utf8"],
 )
 def test_file_error_is_a_data_error_naming_the_path(tmp_path, act, path):
@@ -176,13 +165,19 @@ def test_load_csv_non_finite_numerics_become_null(tmp_path):
     assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
 
 
-def test_dataset_from_matrix_non_finite_cells_become_null():
-    ds = dataset_from_matrix(np.array([[np.nan, 1.0], [np.inf, 2.0], [3.0, 3.0], [4.0, -np.inf]]))
-    assert np.isnan(ds.values).sum(axis=1).tolist() == [1, 1, 0, 1]
+@pytest.mark.parametrize(
+    "make",
+    [dataset_from_matrix, lambda rows: Dataset(numeric_schema(["f0", "f1"]), rows.tolist())],
+    ids=["matrix", "python-cells"],
+)
+def test_non_finite_cells_of_a_matrix_or_python_cells_become_null(make):
+    # Python cells used to keep an inf: cleanse kept its row, and
+    # fit_normalize returned the bound ('f0', 3.0, inf)
+    ds = make(np.array([[np.nan, 1.0], [np.inf, 2.0], [3.0, 3.0], [4.0, -np.inf], [5.0, 6.0]]))
+    assert np.isnan(ds.values).sum(axis=1).tolist() == [1, 1, 0, 1, 0]
     clean = cleanse(ds, 0.9)
-    assert clean.values.tolist() == [[3.0, 3.0]]
-    params = fit_normalize(clean)
-    assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
+    assert clean.values.tolist() == [[3.0, 3.0], [5.0, 6.0]]
+    assert fit_normalize(clean).bounds == (("f0", 3.0, 5.0), ("f1", 3.0, 6.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

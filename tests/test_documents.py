@@ -1,6 +1,7 @@
 """Every `from_dict`: a malformed document fails only with the parser's own
-`FraudkitError` subclass, and every configuration, one-hot map and set of
-norm params survives a JSON round trip. `PARSERS` names every public parser
+`FraudkitError` subclass, a document file that cannot be loaded is the
+reader's error naming the path, and every configuration, one-hot map and set
+of norm params survives a JSON round trip. `PARSERS` names every public parser
 of the package and every classifier and detector kind, and a test fails when
 a new one is missing from it."""
 
@@ -17,10 +18,10 @@ import pytest
 import fraudkit
 from fraudkit import classify, occ
 from fraudkit.augment import Gan, GanSpec, default_gan_spec
-from fraudkit.classify import ClassifierConfig, model_from_dict
+from fraudkit.classify import ClassifierConfig, load_model, model_from_dict
 from fraudkit.data import (
-    Config, Dataset, Feature, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot, fit_normalize,
-    numeric_schema,
+    Config, Dataset, EstimatorConfig, Feature, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot,
+    fit_normalize, numeric_schema, read_document,
 )
 from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
 from fraudkit.neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, layer_stack
@@ -81,6 +82,7 @@ _WRONG_STATE = {
 # name -> (parser, the error it raises, a document with one field of a wrong type)
 PARSERS = {
     "Config": (Config.from_dict, ConfigError, lambda: {"seed": 0}),  # the base of the config types: no field table
+    "EstimatorConfig": (EstimatorConfig.from_dict, ConfigError, lambda: {"kind": "nb"}),  # nor has this base
     "ClassifierConfig": (ClassifierConfig.from_dict, ConfigError, lambda: {"kind": "nb", "seed": "0"}),
     "DetectorConfig": (DetectorConfig.from_dict, ConfigError, lambda: {"kind": "copod", "contamination": "0.1"}),
     "BalancerConfig": (BalancerConfig.from_dict, ConfigError, lambda: {"k_neighbors": "5"}),
@@ -156,6 +158,49 @@ def test_empty_document_parses_or_is_the_parsers_error(name):
 def test_document_missing_a_key_is_a_fraudkit_error(parse, doc):
     with pytest.raises(FraudkitError):
         parse(doc)
+
+
+# name -> (the reader of a document file, its error, {id: a file it rejects})
+LOADERS = {
+    "schema": (
+        lambda path: read_document(path, FeatureSchema.from_dict, DataError),
+        DataError,
+        {"missing-name": '{"features": [{"kind": "numeric"}]}', "entry-not-an-object": '{"features": [3]}'},
+    ),
+    "network": (
+        lambda path: read_document(path, Network.from_dict),
+        ModelError,
+        {"missing-key": '{"format": "fraudkit.network/1"}'},
+    ),
+    "gan": (
+        lambda path: read_document(path, Gan.from_dict),
+        ModelError,
+        {"missing-key": '{"format": "fraudkit.gan/1"}'},
+    ),
+    "model": (load_model, ModelError, {"missing-key": '{"format": "fraudkit.model/1", "kind": "nb"}'}),
+    "detector": (
+        lambda path: read_document(path, detector_from_dict),
+        ModelError,
+        {"missing-key": '{"format": "fraudkit.detector/1", "kind": "mcd"}'},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        pytest.param(name, content, id=f"{name}-{case}")
+        for name, (_, _, rejected) in LOADERS.items()
+        for case, content in {"missing-file": None, "bad-json": "{not json", **rejected}.items()
+    ],
+)
+def test_document_file_that_cannot_be_loaded_is_the_readers_error_naming_the_path(tmp_path, name, content):
+    load, error, _ = LOADERS[name]
+    path = tmp_path / f"{name}.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(error, match=f"{name}.json"):
+        load(path)
 
 
 # LayerSpec, the seventh config type, travels inside NetworkSpec and GanSpec

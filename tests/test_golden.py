@@ -113,11 +113,13 @@ from fraudkit.data import (
     encode_one_hot,
     fit_normalize,
     load_csv,
+    read_document,
     save_csv,
     stratified_split,
+    write_document,
 )
 from fraudkit.neural import NetworkSpec, TrainConfig, layer_stack
-from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, detector_from_dict, fit_detector, load_detector
+from fraudkit.occ import EXHAUSTIVE_SUBSET_LIMIT, DetectorConfig, detector_from_dict, fit_detector
 from fraudkit.resample import BalancerConfig, adasyn, smote, smote_draws, smote_enn, smote_tomek
 from fraudkit.tree import COLUMNS, SQUARED, DecisionTree
 
@@ -275,8 +277,8 @@ def test_iforest_score_and_threshold_golden(tmp_path):
     config = DetectorConfig("iforest", {"n_estimators": 40, "max_samples": 128}, seed=5)
     detector = fit_detector(config, x)
     path = tmp_path / "detector.json"
-    detector.save(path)
-    back = load_detector(path)
+    write_document(detector.to_dict(), path)
+    back = read_document(path, detector_from_dict)
     probe = _probe_rows()
     for d in (detector, back):
         assert _digest(d.score(probe)) == IFOREST_SCORE
@@ -293,9 +295,9 @@ def test_detector_score_and_threshold_golden(tmp_path, name):
         assert exhaustive == (name == "mcd-exhaustive")
     detector = fit_detector(config, x)
     path = tmp_path / "detector.json"
-    detector.save(path)
+    write_document(detector.to_dict(), path)
     probe = _probe_rows()[:, : x.shape[1]]
-    for d in (detector, load_detector(path)):
+    for d in (detector, read_document(path, detector_from_dict)):
         assert _digest(d.score(probe)) == score_digest
         assert _digest([d.threshold]) == threshold_digest
 

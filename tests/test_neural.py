@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fraudkit.classify import ClassifierConfig, fit_arrays, load_model
+from fraudkit.data import read_document, write_document
 from fraudkit.errors import ConfigError, DataError, ModelError
 from fraudkit.neural import (
     ACTIVATIONS,
@@ -473,8 +474,8 @@ def test_network_json_round_trip(tmp_path):
     spec = NetworkSpec(3, layer_stack([4, 1], ["leaky_relu", "logistic"]), "binary_cross_entropy")
     net = init_network(spec, seed=21)
     path = tmp_path / "net.json"
-    net.save(path)
-    back = Network.load(path)
+    write_document(net.to_dict(), path)
+    back = read_document(path, Network.from_dict)
     x = np.random.default_rng(0).uniform(size=(5, 3))
     assert np.array_equal(net.forward(x), back.forward(x))
     doc = json.loads(path.read_text())
@@ -551,16 +552,3 @@ def test_load_rejects_parameters_that_do_not_fit_the_spec(tmp_path, entry, misfi
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match="shapes"):
             load_model(path)
-
-
-@pytest.mark.parametrize(
-    "content",
-    [None, "{not json", '{"format": "fraudkit.network/1"}'],
-    ids=["missing-file", "bad-json", "missing-key"],
-)
-def test_network_load_failure_is_a_model_error_naming_the_path(tmp_path, content):
-    path = tmp_path / "net.json"
-    if content is not None:
-        path.write_text(content)
-    with pytest.raises(ModelError, match="net.json"):
-        Network.load(path)
