@@ -119,7 +119,10 @@ def train_gan(minority: Dataset | np.ndarray, spec: GanSpec) -> Gan:
     vgan: the discriminator minimizes BCE on real-vs-generated while the
     generator maximizes log D(G(z)) (non-saturating form). wgan: the critic
     maximizes mean D(real) - mean D(fake) under weight clipping, taking
-    `critic_steps` updates per generator update.
+    `critic_steps` updates per generator update. The loop is its own, not
+    `neural.descend`: each phase draws its real rows with `rng.choice(n, m,
+    replace=False)`, not an epoch of permuted batches, and two optimizers
+    alternate.
     """
     x = minority.matrix() if isinstance(minority, Dataset) else np.asarray(minority, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:

@@ -435,14 +435,14 @@ def _read(key: str, value, domain):
 
 def write_fields(owner, fields) -> dict:
     """The attributes of `owner` that `fields` names, in order, as
-    `read_fields` reads them back: an array as nested lists, a list or tuple
-    item by item, a dict as a new dict, and an object with a `to_dict` as its
-    document."""
+    `read_fields` reads them back: an array as nested lists, a numpy scalar as
+    its Python number, a list or tuple item by item, a dict as a new dict, and
+    an object with a `to_dict` as its document."""
     return {key: _plain(getattr(owner, key)) for key in fields}
 
 
 def _plain(value):
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]

@@ -5,7 +5,8 @@ Shared by the MLP classifier, both GAN variants and the VAE detector. A
 network's weights and biases are views into one float64 vector, `params`;
 `backward` writes their gradients into a second vector, `grads`, and returns
 only the input gradient, so adversarial and autoencoder training loops can
-chain networks. An `Optimizer` steps one `params`/`grads` pair as a whole.
+chain networks. An `Optimizer` steps one `params`/`grads` pair as a whole;
+`descend`, the one mini-batch loop, steps the MLP (`train`) and the VAE.
 
 A step allocates only what it returns or caches: `forward` keeps no
 per-layer arrays, each layer pass writes its bias, activation and gradient
@@ -17,8 +18,8 @@ always fresh arrays, so a caller may keep them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -239,7 +240,7 @@ class Network:
         # np.add.reduce(v, axis=None) / m is np.mean(v) without its wrapper
         if self.spec.loss == "mse":
             diff = y - t
-            with np.errstate(over="ignore"):  # divergence surfaces as inf, caught by train()
+            with np.errstate(over="ignore"):  # divergence surfaces as inf, caught by descend()
                 return float(np.add.reduce(diff * diff, axis=None) / m), 2.0 * diff / m, False
         if self.spec.loss == "binary_cross_entropy":
             eps = 1e-12
@@ -331,20 +332,34 @@ class Optimizer:
         self.params -= np.divide(s1, s2, out=s1)
 
 
-@dataclass
-class TrainResult:
-    network: Network
-    loss_history: list[float] = field(default_factory=list)
+def descend(params: np.ndarray, grads: np.ndarray, n: int, cfg: TrainConfig, batch_loss: Callable) -> list[float]:
+    """Per epoch, batches of `cfg.batch_size` of the n rows in the order of one
+    `permutation(n)` of `default_rng(cfg.seed)`. `batch_loss(idx, rng)` fills
+    `grads` for rows `idx` (drawing any noise from `rng`) and returns their
+    loss, which must be finite (else a ModelError); an Optimizer step on
+    `params` and `cfg.weight_clip` follow. Returns the per-epoch mean losses."""
+    optimizer = Optimizer(cfg.optimizer, cfg.learning_rate, params, grads)
+    rng = np.random.default_rng(cfg.seed)
+    history: list[float] = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            loss = batch_loss(order[start : start + cfg.batch_size], rng)
+            if not math.isfinite(loss):
+                raise ModelError(f"non-finite loss {loss} at epoch {epoch}")
+            optimizer.step()
+            if cfg.weight_clip is not None:
+                np.clip(params, -cfg.weight_clip, cfg.weight_clip, out=params)
+            epoch_losses.append(loss)
+        history.append(float(np.mean(epoch_losses)))
+    return history
 
 
-def train(net: Network, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainResult:
-    """Mini-batch gradient descent on the network's configured loss.
-
-    Trains in place (the network is exclusively owned during training) and
-    returns it with a per-epoch mean-loss history. Falls back to full-batch
-    when batch_size >= n. Aborts on a non-finite loss. Targets are one row
-    per input row, of the network's output width (a vector for width 1).
-    """
+def train(net: Network, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> list[float]:
+    """Mini-batch gradient descent of the network, in place, on its configured
+    loss through `descend`; returns the per-epoch mean losses. Targets are one
+    row per input row, of the network's output width (a vector for width 1)."""
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
     if t.ndim == 1:
@@ -355,23 +370,12 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfi
     output_shape = (n, net.spec.layers[-1].width)
     if t.shape != output_shape:
         raise ModelError(f"targets of shape {t.shape} do not fit the network's output shape {output_shape}")
-    optimizer = Optimizer(cfg.optimizer, cfg.learning_rate, net.params, net.grads)
-    rng = np.random.default_rng(cfg.seed)
-    history: list[float] = []
-    full_batch = cfg.batch_size >= n
-    for epoch in range(cfg.epochs):
-        order = np.arange(n) if full_batch else rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, cache = net.forward_cached(x[idx])
-            loss, dout, is_dz = net.loss_and_output_grad(out, t[idx])
-            if not math.isfinite(loss):
-                raise ModelError(f"non-finite loss {loss} at epoch {epoch}")
+
+    def batch_loss(idx: np.ndarray, rng: np.random.Generator) -> float:
+        out, cache = net.forward_cached(x[idx])
+        loss, dout, is_dz = net.loss_and_output_grad(out, t[idx])
+        if math.isfinite(loss):
             net.backward(cache, dout, dout_is_dz=is_dz, input_grad=False)
-            optimizer.step()
-            if cfg.weight_clip is not None:
-                net.clip_weights(cfg.weight_clip)
-            epoch_losses.append(loss)
-        history.append(float(np.mean(epoch_losses)))
-    return TrainResult(net, history)
+        return loss
+
+    return descend(net.params, net.grads, n, cfg, batch_loss)

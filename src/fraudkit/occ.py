@@ -22,7 +22,7 @@ from .data import (
     document_parser, read_fields, require_finite, write_fields,
 )
 from .errors import ConfigError, DataError, ModelError
-from .neural import LayerSpec, Network, NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
+from .neural import LayerSpec, Network, NetworkSpec, TrainConfig, descend, init_network, join_parameters, layer_stack
 from .resample import knn
 from .tree import Nodes, _breadth_first, _draw_by_rank, _next_level
 
@@ -666,6 +666,10 @@ class VaeDetector(TrainedDetector):
 
 
 def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
+    """Encoder, both heads and decoder start at seeds config.seed .. seed + 3
+    and train as one vector with Adam through `neural.descend` at seed + 4, in
+    batches of min(64, n) rows; each batch draws its reparameterization noise
+    from the loop's generator, after the epoch's permutation."""
     n, d = x.shape
     if n < 2:
         raise DataError("vae needs >= 2 rows")
@@ -673,52 +677,41 @@ def _fit_vae(x: np.ndarray, config: DetectorConfig) -> VaeDetector:
     epochs, lr, latent = int(params["epochs"]), float(params["learning_rate"]), int(params["latent_dim"])
 
     # published layout: two ReLU layers of 9 and 10 units on each side
-    encoder = init_network(
-        NetworkSpec(d, layer_stack([9, 10], ["relu", "relu"]), "mse"), config.seed
-    )
+    encoder = init_network(NetworkSpec(d, layer_stack([9, 10], ["relu", "relu"]), "mse"), config.seed)
     mu_head = init_network(NetworkSpec(10, (LayerSpec(latent, "linear"),), "mse"), config.seed + 1)
     logvar_head = init_network(NetworkSpec(10, (LayerSpec(latent, "linear"),), "mse"), config.seed + 2)
     decoder = init_network(
-        NetworkSpec(latent, layer_stack([9, 10, d], ["relu", "relu", "linear"]), "mse"),
-        config.seed + 3,
+        NetworkSpec(latent, layer_stack([9, 10, d], ["relu", "relu", "linear"]), "mse"), config.seed + 3
     )
-    opt = Optimizer("adam", lr, *join_parameters((encoder, mu_head, logvar_head, decoder)))
-    rng = np.random.default_rng(config.seed + 4)
-    batch_size = min(64, n)
 
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = x[idx]
-            m = batch.shape[0]
+    def batch_loss(idx: np.ndarray, rng: np.random.Generator) -> float:
+        batch, m = x[idx], len(idx)
+        hidden, enc_cache = encoder.forward_cached(batch)
+        mu, mu_cache = mu_head.forward_cached(hidden)
+        logvar, lv_cache = logvar_head.forward_cached(hidden)
+        logvar = np.clip(logvar, -10.0, 10.0)
+        eps = rng.standard_normal(mu.shape)
+        std = np.exp(0.5 * logvar)
+        recon, dec_cache = decoder.forward_cached(mu + std * eps)
 
-            hidden, enc_cache = encoder.forward_cached(batch)
-            mu, mu_cache = mu_head.forward_cached(hidden)
-            logvar, lv_cache = logvar_head.forward_cached(hidden)
-            logvar = np.clip(logvar, -10.0, 10.0)
-            eps = rng.standard_normal(mu.shape)
-            std = np.exp(0.5 * logvar)
-            z = mu + std * eps
-            recon, dec_cache = decoder.forward_cached(z)
+        # loss = mean over batch of [ mean_j (x - x_hat)^2 + KL / d ]
+        recon_err = recon - batch
+        loss = float(np.mean(recon_err**2)) + float(
+            np.mean(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0, axis=1)) / d
+        )
+        if not math.isfinite(loss):
+            return loss
 
-            # loss = mean over batch of [ mean_j (x - x_hat)^2 + KL / d ]
-            recon_err = recon - batch
-            loss = float(np.mean(recon_err**2)) + float(
-                np.mean(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0, axis=1)) / d
-            )
-            if not math.isfinite(loss):
-                raise ModelError(f"non-finite vae loss at epoch {epoch}")
+        dz = decoder.backward(dec_cache, 2.0 * recon_err / (m * d))
+        d_mu = dz + mu / (m * d)
+        d_logvar = dz * (0.5 * std * eps) + (np.exp(logvar) - 1.0) / (2.0 * m * d)
+        dh1 = mu_head.backward(mu_cache, d_mu)
+        dh2 = logvar_head.backward(lv_cache, d_logvar)
+        encoder.backward(enc_cache, dh1 + dh2, input_grad=False)
+        return loss
 
-            d_recon = 2.0 * recon_err / (m * d)
-            dz = decoder.backward(dec_cache, d_recon)
-            d_mu = dz + mu / (m * d)
-            d_logvar = dz * (0.5 * std * eps) + (np.exp(logvar) - 1.0) / (2.0 * m * d)
-            dh1 = mu_head.backward(mu_cache, d_mu)
-            dh2 = logvar_head.backward(lv_cache, d_logvar)
-            encoder.backward(enc_cache, dh1 + dh2, input_grad=False)
-            opt.step()
-
+    joined = join_parameters((encoder, mu_head, logvar_head, decoder))
+    descend(*joined, n, TrainConfig("adam", lr, epochs, min(64, n), config.seed + 4), batch_loss)
     return VaeDetector(d, encoder, mu_head, logvar_head, decoder)
 
 

@@ -21,7 +21,7 @@ from fraudkit.augment import Gan, GanSpec, default_gan_spec
 from fraudkit.classify import ClassifierConfig, load_model, model_from_dict
 from fraudkit.data import (
     Config, Dataset, EstimatorConfig, Feature, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot,
-    fit_normalize, numeric_schema, read_document,
+    fit_normalize, numeric_schema, read_document, write_document,
 )
 from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
 from fraudkit.neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, layer_stack
@@ -251,6 +251,33 @@ def test_config_and_model_documents_hold_a_copy_of_the_parameters():
     model = classify.fit_arrays(config, np.eye(4), [0, 1, 0, 1])
     model.to_dict()["state"]["parameters"]["max_iter"] = 7  # this used to edit the model's own parameters
     assert config.parameters == model.parameters == {"max_iter": 5}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ClassifierConfig("dt", {"maxdepth": np.int64(3)}),
+        ClassifierConfig("mlp", {"epochs": np.int64(2)}),
+        DetectorConfig("iforest", {"n_estimators": np.int64(2), "max_samples": 8}),
+    ],
+    ids=["dt", "mlp", "iforest"],
+)
+def test_numpy_integer_parameter_is_written_as_a_python_number(tmp_path, config):
+    # the parameter check accepts an np.int64, which json.dumps rejected, so
+    # neither the config nor its fitted model could be saved
+    name, value = next(iter(config.parameters.items()))
+    write_document(config.to_dict(), tmp_path / "config.json")
+    loaded = read_document(tmp_path / "config.json", type(config).from_dict)
+    assert loaded == config and type(loaded.parameters[name]) is int
+    x = np.random.default_rng(5).normal(size=(40, 2))
+    if isinstance(config, DetectorConfig):
+        write_document(fit_detector(config, x).to_dict(), tmp_path / "detector.json")
+        assert read_document(tmp_path / "detector.json", detector_from_dict).kind == config.kind
+        return
+    model = classify.fit_arrays(config, x, (x[:, 0] > 0).astype(int))
+    model.save(tmp_path / "model.json")
+    reloaded = load_model(tmp_path / "model.json")
+    assert reloaded.parameters == {name: value} and np.array_equal(reloaded.predict_proba(x), model.predict_proba(x))
 
 
 def test_gan_spec_document_without_critic_steps_takes_the_default():

@@ -391,20 +391,20 @@ def test_train_recovers_line():
     y = 2.0 * x + 1.0
     net = init_network(linear_spec(), seed=3)
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.2, epochs=500, batch_size=64, seed=0)
-    result = train(net, x, y, cfg)
+    history = train(net, x, y, cfg)
     # closed-form least squares on this noiseless fixture is exactly (2, 1)
     assert abs(net.weights[0][0, 0] - 2.0) < 0.05
     assert abs(net.biases[0][0] - 1.0) < 0.05
-    assert len(result.loss_history) == 500
+    assert len(history) == 500
 
 
 def test_train_zero_learning_rate_is_noop():
     net = init_network(linear_spec(2, 1), seed=5)
     before = [w.copy() for w in net.weights]
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.0, epochs=10, batch_size=4, seed=0)
-    result = train(net, np.ones((6, 2)), np.ones((6, 1)), cfg)
+    history = train(net, np.ones((6, 2)), np.ones((6, 1)), cfg)
     assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
-    assert len(set(round(v, 12) for v in result.loss_history)) == 1
+    assert len(set(round(v, 12) for v in history)) == 1
 
 
 def test_train_separable_blobs_reach_full_accuracy():
@@ -427,8 +427,28 @@ def test_train_loss_decreases_on_convex_problem():
     y = x @ np.array([[1.0], [-2.0], [0.5]]) + 0.3
     net = init_network(linear_spec(3, 1), seed=0)
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.05, epochs=50, batch_size=64, seed=0)
-    result = train(net, x, y, cfg)
-    assert result.loss_history[-1] <= result.loss_history[0]
+    history = train(net, x, y, cfg)
+    assert history[-1] <= history[0]
+
+
+@pytest.mark.parametrize("batch_size", [10, 16])
+def test_train_permutes_the_rows_every_epoch_even_when_one_batch_holds_them_all(batch_size):
+    # the MLP and the VAE share one loop, which draws permutation(n) every
+    # epoch; train used to keep the row order when batch_size >= n, so a fit
+    # on at most batch_size rows now differs from before in its last bits
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1, 1, size=(10, 3)), rng.uniform(size=(10, 1))
+    spec = NetworkSpec(3, layer_stack([4, 1], ["tanh", "linear"]), "mse")
+    net, ref = init_network(spec, 1), init_network(spec, 1)
+    train(net, x, y, TrainConfig("adam", 0.05, epochs=4, batch_size=batch_size, seed=5))
+    opt, orders = Optimizer("adam", 0.05, ref.params, ref.grads), np.random.default_rng(5)
+    for _ in range(4):
+        order = orders.permutation(10)
+        out, cache = ref.forward_cached(x[order])
+        _, dout, is_dz = ref.loss_and_output_grad(out, y[order])
+        ref.backward(cache, dout, dout_is_dz=is_dz, input_grad=False)
+        opt.step()
+    assert net.params.tobytes() == ref.params.tobytes()
 
 
 def test_weight_clip_enforced_exactly():

@@ -7,7 +7,7 @@ import pytest
 
 from fraudkit.data import check_value, read_document, write_document
 from fraudkit.errors import ConfigError, DataError, ModelError
-from fraudkit.neural import NetworkSpec, init_network, layer_stack
+from fraudkit.neural import NetworkSpec, Optimizer, init_network, join_parameters, layer_stack
 from fraudkit.occ import (
     PARAMETERS,
     AbodDetector,
@@ -672,6 +672,61 @@ def test_detector_document_with_a_bad_scalar_is_a_model_error(field, value):
     (doc["state"] if field in ("rho", "gamma") else doc)[field] = value
     with pytest.raises(ModelError, match=field):
         detector_from_dict(doc)
+
+
+def reference_vae_networks(x: np.ndarray, epochs: int, seed: int, lr: float = 1e-3, latent: int = 2):
+    """The VAE fit as its own epoch loop wrote it: networks from seed ..
+    seed + 3, one Adam over their joined vector, one generator at seed + 4
+    drawing a permutation per epoch and then, per batch of min(64, n) rows,
+    the reparameterization noise."""
+    n, d = x.shape
+    nets = (
+        init_network(NetworkSpec(d, layer_stack([9, 10], ["relu", "relu"]), "mse"), seed),
+        init_network(NetworkSpec(10, layer_stack([latent], ["linear"]), "mse"), seed + 1),
+        init_network(NetworkSpec(10, layer_stack([latent], ["linear"]), "mse"), seed + 2),
+        init_network(NetworkSpec(latent, layer_stack([9, 10, d], ["relu", "relu", "linear"]), "mse"), seed + 3),
+    )
+    encoder, mu_head, logvar_head, decoder = nets
+    opt = Optimizer("adam", lr, *join_parameters(nets))
+    rng = np.random.default_rng(seed + 4)
+    batch_size = min(64, n)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = x[order[start : start + batch_size]]
+            m = batch.shape[0]
+            hidden, enc_cache = encoder.forward_cached(batch)
+            mu, mu_cache = mu_head.forward_cached(hidden)
+            logvar, lv_cache = logvar_head.forward_cached(hidden)
+            logvar = np.clip(logvar, -10.0, 10.0)
+            eps = rng.standard_normal(mu.shape)
+            std = np.exp(0.5 * logvar)
+            recon, dec_cache = decoder.forward_cached(mu + std * eps)
+            dz = decoder.backward(dec_cache, 2.0 * (recon - batch) / (m * d))
+            d_mu = dz + mu / (m * d)
+            d_logvar = dz * (0.5 * std * eps) + (np.exp(logvar) - 1.0) / (2.0 * m * d)
+            dh1 = mu_head.backward(mu_cache, d_mu)
+            dh2 = logvar_head.backward(lv_cache, d_logvar)
+            encoder.backward(enc_cache, dh1 + dh2, input_grad=False)
+            opt.step()
+    return nets
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("n", [2, 60, 64, 65, 300])
+def test_vae_fit_keeps_the_draw_order_of_its_reference_loop(n, seed):
+    x = np.random.default_rng(n).uniform(size=(n, 3))
+    det = fit_detector(DetectorConfig("vae", {"epochs": 3}, seed=seed), x)
+    fitted = (det.encoder, det.mu_head, det.logvar_head, det.decoder)
+    for net, ref in zip(fitted, reference_vae_networks(x, 3, seed)):
+        assert net.params.tobytes() == ref.params.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vae_whose_loss_overflows_is_a_model_error():
+    rows = np.random.default_rng(0).uniform(-1, 1, (40, 3)) * 1e154
+    with pytest.raises(ModelError, match="non-finite loss"):
+        fit_detector(DetectorConfig("vae", {"epochs": 3}), rows)
 
 
 def test_vae_training_reduces_reconstruction_error():
