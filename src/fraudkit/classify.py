@@ -563,7 +563,7 @@ class TreeModel(TrainedModel):
         return {"tree": DecisionTree, "parameters": _parameters(kind)}
 
     def predict_proba(self, rows) -> np.ndarray:
-        return self.tree.predict_value(as_matrix(rows, self.n_features))
+        return self.tree.predict_value(rows)
 
 
 def _fit_dt(x, y, names, config: ClassifierConfig) -> TreeModel:
@@ -759,8 +759,8 @@ def fit_arrays(
     if len(np.unique(y)) < 2:
         raise DataError("training data must contain both classes")
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(x.shape[1])]
-    if len(names) != x.shape[1]:
-        raise DataError("feature_names length must match columns")
+    if len(names) != x.shape[1] or names not in STRINGS:
+        raise DataError("feature_names must be one string per column")
     return _KINDS[config.kind][0](x, y, names, config)
 
 

@@ -4,12 +4,13 @@ normalization and the two train/test split regimes.
 A Dataset stores its cells in one read-only float64 matrix, `values`: a
 numeric cell is its value, a categorical cell is the index of its category
 and a null is NaN. Cleansing, encoding, scaling and splitting are array
-expressions over that matrix. A Dataset comes in as CSV text (`load_csv`),
-Python cells (`Dataset(schema, rows)`, converted one at a time) or a matrix
-(`dataset_from_matrix`), and goes out only as its matrix or a CSV file
-(`save_csv`, which formats a column at a time). Every downstream module reads
-the all-numeric, null-free matrix of `encode_one_hot` + `apply_normalize`
-through `Dataset.matrix()`, which returns the stored array without a copy.
+expressions over that matrix, each building its result through the one
+constructor, `Dataset(schema, values, labels)`. A Dataset comes in as CSV
+text (`load_csv`) or as a matrix (`dataset_from_matrix`), and goes out only
+as its matrix or a CSV file (`save_csv`, which formats a column at a time).
+Every downstream module reads the all-numeric, null-free matrix of
+`encode_one_hot` + `apply_normalize` through `Dataset.matrix()`, which
+returns the stored array without a copy.
 
 Configurations and documents (the JSON form of schemas, one-hot maps, norm
 params and fitted models) are checked by one rule, `check_value`, against a
@@ -32,16 +33,16 @@ import json
 import math
 import numbers
 import reprlib
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FraudkitError, ModelError
 
-Cell = float | str | None
 T = TypeVar("T")
 
 NUMERIC = "numeric"
@@ -169,26 +170,24 @@ class Dataset:
 
     `values` is the read-only (n, d) float64 matrix of cells: a numeric
     cell is its value, a categorical cell is the index of its category in
-    the feature's `categories`, and a null is NaN. `Dataset(schema, rows,
-    labels)` converts Python cells (float, category token or None) once; a
-    numeric cell that is not finite (inf, nan) becomes a null.
+    the feature's `categories`, and a null is NaN. `Dataset(schema, values,
+    labels)` takes a float64 matrix as is, without a copy, and makes it
+    read-only; an infinite cell, or a categorical cell that is neither NaN
+    nor a category index, is a DataError. Data comes in as CSV text
+    (`load_csv`) or as a matrix (`dataset_from_matrix`, which copies it and
+    makes a non-finite cell a null).
     """
 
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        rows: Iterable[Sequence[Cell]],
-        labels: Sequence[int] | np.ndarray | None = None,
-    ):
-        cells = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) != len(schema):
-                raise DataError(f"row has {len(row)} cells, schema has {len(schema)}")
-            cells.append([_cell_value(f, cell) for f, cell in zip(schema.features, row)])
-        self._set(schema, np.array(cells, dtype=float).reshape(len(cells), len(schema)), labels)
-
-    def _set(self, schema: FeatureSchema, values: np.ndarray, labels) -> None:
+    def __init__(self, schema: FeatureSchema, values: np.ndarray, labels: Sequence[int] | np.ndarray | None = None):
+        if not isinstance(values, np.ndarray) or values.dtype != np.float64 or values.shape[1:] != (len(schema),):
+            got = f"{values.dtype}{list(values.shape)}" if isinstance(values, np.ndarray) else type(values).__name__
+            raise DataError(f"values must be a float64 matrix of {len(schema)} columns, got {got}")
+        if np.isinf(values).any():
+            raise DataError("values hold an infinite cell; load_csv and dataset_from_matrix read one as a null")
+        for j in schema.categorical_indices:
+            cells = values[:, j]
+            if not np.isin(cells[~np.isnan(cells)], np.arange(len(schema[j].categories))).all():
+                raise DataError(f"feature {schema[j].name!r}: a categorical cell must be a category index or NaN")
         values.setflags(write=False)
         if labels is not None:
             labels = binary_labels(labels)  # a copy: the caller's array stays writable
@@ -198,13 +197,6 @@ class Dataset:
         self.schema = schema
         self.values = values
         self.labels: np.ndarray | None = labels
-
-    @classmethod
-    def _of(cls, schema: FeatureSchema, values: np.ndarray, labels) -> "Dataset":
-        """A Dataset that takes ownership of a float matrix of cells."""
-        data = cls.__new__(cls)
-        data._set(schema, values, labels)
-        return data
 
     @property
     def n(self) -> int:
@@ -224,25 +216,12 @@ class Dataset:
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         labels = None if self.labels is None else self.labels[idx]
-        return Dataset._of(self.schema, self.values[idx], labels)
+        return Dataset(self.schema, self.values[idx], labels)
 
     def require_labels(self) -> np.ndarray:
         if self.labels is None:
             raise DataError("operation requires labels")
         return self.labels
-
-
-def _cell_value(feature: Feature, cell: Cell) -> float:
-    """One Python cell of `feature` as the float that `Dataset.values` stores."""
-    if cell is None:
-        return math.nan
-    if feature.kind == CATEGORICAL:
-        if cell not in feature.categories:  # type: ignore[operator]
-            raise DataError(f"unknown category {cell!r} for feature {feature.name!r}")
-        return float(feature.categories.index(cell))  # type: ignore[union-attr]
-    if not isinstance(cell, numbers.Real):
-        raise DataError(f"feature {feature.name!r}: numeric cell required, got {cell!r}")
-    return float(cell) if math.isfinite(cell) else math.nan  # inf is a null, as in `load_csv`
 
 
 def numeric_schema(names: Sequence[str]) -> FeatureSchema:
@@ -257,20 +236,16 @@ def dataset_from_matrix(
     schema: FeatureSchema | None = None,
 ) -> Dataset:
     """Dataset over a copy of a float matrix; non-finite cells (NaN, inf)
-    become nulls, as in `load_csv`."""
+    become nulls, as in `load_csv`. Without a schema every column is
+    numeric, named by `names` (f0, f1, ... without them); a categorical
+    column of `schema` holds category indices."""
     values = np.array(matrix, dtype=float)
     if values.ndim != 2:
         raise DataError("matrix must be 2-D")
     if schema is None:
-        if names is None:
-            names = [f"f{i}" for i in range(values.shape[1])]
-        schema = numeric_schema(names)
-    if schema.categorical_indices:
-        raise DataError("dataset_from_matrix requires an all-numeric schema")
-    if values.shape[1] != len(schema):
-        raise DataError(f"row has {values.shape[1]} cells, schema has {len(schema)}")
+        schema = numeric_schema([f"f{i}" for i in range(values.shape[1])] if names is None else names)
     values[~np.isfinite(values)] = np.nan
-    return Dataset._of(schema, values, labels)
+    return Dataset(schema, values, labels)
 
 
 def require_finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -317,8 +292,8 @@ def block_rows(n_other: int) -> int:
 @dataclass(frozen=True)
 class Range:
     """The numbers from `low` to `high`, both included unless `open_low`
-    leaves `low` out: integers when `number` is int, any real number when it
-    is float, never a bool."""
+    leaves `low` out: integers when `number` is int, finite real numbers
+    (never ±inf or NaN, whatever the bounds) when it is float, never a bool."""
 
     number: type
     low: float
@@ -329,17 +304,19 @@ class Range:
         kind = numbers.Integral if self.number is int else numbers.Real
         if not isinstance(value, kind) or isinstance(value, bool):
             return False
+        if self.number is float and not abs(value) <= sys.float_info.max:
+            return False  # ±inf, NaN, or an int past the float range
         return (self.low < value if self.open_low else self.low <= value) and value <= self.high
 
     def __str__(self) -> str:
-        what = "an integer" if self.number is int else "a real number"
+        what = "an integer" if self.number is int else "a finite real number"
         return f"{what} in {'(' if self.open_low else '['}{self.low}, {self.high}]"
 
 
 SEED = Range(int, 0)
 COUNT = Range(int, 1)
 TOLERANCE = Range(float, 1e-12, 1.0)  # no gradient test or duality-gap certificate can meet 0
-FINITE = Range(float, -float(np.finfo(float).max), float(np.finfo(float).max))  # no NaN or infinity
+FINITE = Range(float, -math.inf)  # any finite real number
 
 
 @dataclass(frozen=True)
@@ -558,11 +535,15 @@ def read_document(path: str | Path, parse: Callable[[dict], T], error: type[Frau
 # ---------------------------------------------------------------------------
 # CSV ingestion / persistence
 
-def _parse_cell(token: str, feature: Feature, nulls: set) -> float:
+def _parse_cell(token: str, feature: Feature, nulls: set, codes: dict | None) -> float:
+    """One CSV field of `feature` as its cell: a null token is NaN, a
+    category token its index in `codes` (an unknown one is a DataError)."""
     if token in nulls:
         return math.nan
-    if feature.kind == CATEGORICAL:
-        return _cell_value(feature, token)
+    if codes is not None:
+        if token not in codes:
+            raise DataError(f"unknown category {token!r} for feature {feature.name!r}")
+        return codes[token]
     try:
         return float(token)  # inf and nan are made null with the whole matrix
     except ValueError:
@@ -601,14 +582,16 @@ def load_csv(
             if set(header) != expected or len(header) != len(expected):
                 raise DataError(f"header mismatch: expected {sorted(expected)}, found {header}")
             col_of = {name: header.index(name) for name in header}
-            columns = [(col_of[f.name], f) for f in schema]
+            columns = [  # (column, feature, each category token's index or None)
+                (col_of[f.name], f, f.categories and {c: float(i) for i, c in enumerate(f.categories)}) for f in schema
+            ]
             nulls = {"", null_token}
             cells: list[list[float]] = []
             labels: list[int] | None = [] if label_column else None
             for lineno, record in enumerate(reader, start=2):
                 if len(record) != len(header):
                     raise DataError(f"{p}:{lineno}: expected {len(header)} cells")
-                cells.append([_parse_cell(record[j], f, nulls) for j, f in columns])
+                cells.append([_parse_cell(record[j], f, nulls, codes) for j, f, codes in columns])
                 if labels is not None:
                     raw = record[col_of[label_column]]  # type: ignore[index]
                     try:
@@ -624,7 +607,7 @@ def load_csv(
         raise DataError(f"cannot read {p}: {exc}") from exc
     values = np.array(cells, dtype=float).reshape(len(cells), len(schema))
     values[~np.isfinite(values)] = np.nan  # inf and nan tokens are nulls too
-    return Dataset._of(schema, values, labels)
+    return Dataset(schema, values, labels)
 
 
 def _csv_field(text: str) -> str:
@@ -706,7 +689,7 @@ def cleanse(data: Dataset, null_feature_threshold: float = 0.9) -> Dataset:
         raise DataError("cleanse produced zero rows")
     schema = FeatureSchema([data.schema[j] for j in keep_features])
     labels = None if data.labels is None else data.labels[rows]
-    return Dataset._of(schema, data.values[np.ix_(rows, keep_features)], labels)
+    return Dataset(schema, data.values[np.ix_(rows, keep_features)], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +755,7 @@ def encode_one_hot(data: Dataset) -> tuple[Dataset, OneHotMap]:
             values[:, start] = data.values[:, j]
         else:
             values[np.arange(data.n), start + data.values[:, j].astype(np.intp)] = 1.0
-    return Dataset._of(mapping.encoded_schema, values, data.labels), mapping
+    return Dataset(mapping.encoded_schema, values, data.labels), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +817,7 @@ def apply_normalize(data: Dataset, params: NormParams) -> Dataset:
         x /= high - low
     x[:, const] = np.where(null, np.nan, 0.0)
     values[:, cols] = x
-    return Dataset._of(data.schema, values, data.labels)
+    return Dataset(data.schema, values, data.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from typing import Iterable
 import numpy as np
 
 from .data import (
-    BLOCK, COUNT, Array, Range, binary_labels, check_fields, check_value, document_parser, read_fields, require_finite,
-    write_fields,
+    BLOCK, COUNT, Array, Range, as_matrix, binary_labels, check_fields, check_value, document_parser, read_fields,
+    require_finite, write_fields,
 )
 from .errors import DataError, ModelError
 
@@ -524,11 +524,10 @@ class DecisionTree:
         return self.nodes
 
     def predict_value(self, x: np.ndarray) -> np.ndarray:
+        """Each row's leaf value; rows that are not finite are a DataError
+        and rows of another width a ModelError (`as_matrix`)."""
         nodes = self._require_fit()
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ModelError(f"expected rows of width {self.n_features}")
-        return nodes.value[nodes.route(x)]
+        return nodes.value[nodes.route(as_matrix(x, self.n_features))]
 
     def nodes_by_id(self) -> Nodes:
         """The node table; node id i is entry i of every column."""

@@ -977,3 +977,12 @@ def test_condition_interval_rendering():
     assert c.render() == "0.1 < X1 <= 0.5"
     assert c.holds(0.3) and not c.holds(0.05) and not c.holds(0.7)
     assert Rule((c,), 1, 5, 0.9).render() == "IF 0.1 < X1 <= 0.5 THEN Positive Class"
+
+
+@pytest.mark.parametrize("names", [[0, 1, 2], ["a", "b", None], ["a", "b"]], ids=["ints", "a-none", "too-few"])
+def test_fit_arrays_rejects_feature_names_that_are_not_one_string_per_column(names):
+    # [0, 1, 2] fitted and saved a model whose document load_model rejected
+    x, y = blob_arrays(n=10)
+    x = np.column_stack([x, x[:, 0]])
+    with pytest.raises(DataError, match="feature_names must be one string per column"):
+        fit_arrays(ClassifierConfig("nb"), x, y, names)

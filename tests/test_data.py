@@ -165,15 +165,10 @@ def test_load_csv_non_finite_numerics_become_null(tmp_path):
     assert all(np.isfinite([lo, hi]).all() for _, lo, hi in params.bounds)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [dataset_from_matrix, lambda rows: Dataset(numeric_schema(["f0", "f1"]), rows.tolist())],
-    ids=["matrix", "python-cells"],
-)
-def test_non_finite_cells_of_a_matrix_or_python_cells_become_null(make):
-    # Python cells used to keep an inf: cleanse kept its row, and
-    # fit_normalize returned the bound ('f0', 3.0, inf)
-    ds = make(np.array([[np.nan, 1.0], [np.inf, 2.0], [3.0, 3.0], [4.0, -np.inf], [5.0, 6.0]]))
+def test_non_finite_cells_of_a_matrix_become_null():
+    # a kept inf would keep its row through cleanse, and fit_normalize would
+    # return the bound ('f0', 3.0, inf)
+    ds = dataset_from_matrix(np.array([[np.nan, 1.0], [np.inf, 2.0], [3.0, 3.0], [4.0, -np.inf], [5.0, 6.0]]))
     assert np.isnan(ds.values).sum(axis=1).tolist() == [1, 1, 0, 1, 0]
     clean = cleanse(ds, 0.9)
     assert clean.values.tolist() == [[3.0, 3.0], [5.0, 6.0]]
@@ -182,7 +177,7 @@ def test_non_finite_cells_of_a_matrix_or_python_cells_become_null(make):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_matrix_and_as_matrix_reject_non_finite(bad):
-    ds = Dataset(two_feature_schema(), [(1.0, 2.0), (bad, 3.0)])
+    ds = dataset_from_matrix(np.array([[1.0, 2.0], [bad, 3.0]]))
     with pytest.raises(DataError):
         ds.matrix()
     with pytest.raises(DataError):
@@ -197,12 +192,39 @@ def test_load_csv_null_token(tmp_path):
 
 
 def test_csv_round_trip(tmp_path, mixed_schema):
-    ds = Dataset(mixed_schema, [("red", 5.0, 10.0), ("blue", 7.5, 0.0)], [0, 1])
+    ds = dataset_from_matrix(np.array([[0, 5.0, 10.0], [1, 7.5, 0.0]]), [0, 1], schema=mixed_schema)
     p = tmp_path / "out.csv"
     save_csv(ds, p)
     back = load_csv(p, mixed_schema, label_column="label")
     assert np.array_equal(back.values, ds.values)  # category indices, then the numbers
     assert list(back.labels) == [0, 1]
+
+
+def test_save_csv_then_load_csv_gives_back_the_same_bits(tmp_path):
+    # the round trip gives back every float64 bit for bit, the float extremes
+    # included, except -0.0: save_csv writes it as the whole number "0", which
+    # DATA_PATH_GOLDEN pins, and it comes back as 0.0
+    schema = FeatureSchema(
+        [Feature("kind", "categorical", ("card", "wire, cash", 'q"uote')), Feature("amount", "numeric"),
+         Feature("at", "numeric")]
+    )
+    rng = np.random.default_rng(5)
+    n = 200
+    amount = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    special = [0.0, -0.0, 1e15, -1e15, 1e15 - 1, -(1e15 - 1), 0.1 + 0.2, 5e-324, -5e-324, np.finfo(float).max,
+               -np.finfo(float).max, np.nan]
+    amount[: len(special)] = special
+    at = rng.integers(-(10**6), 10**6, size=n).astype(float)
+    at[::7] = np.nan
+    kind = rng.integers(0, 3, size=n).astype(float)
+    kind[::11] = np.nan
+    ds = dataset_from_matrix(np.column_stack([kind, amount, at]), rng.integers(0, 2, size=n), schema=schema)
+    save_csv(ds, tmp_path / "d.csv")
+    back = load_csv(tmp_path / "d.csv", schema, label_column="label")
+    expected = ds.values + 0.0  # -0.0 becomes 0.0, every other bit pattern stays
+    assert np.signbit(ds.values[1, 1]) and not np.signbit(back.values[1, 1])
+    assert back.values.tobytes() == expected.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 def test_load_csv_field_past_the_csv_limit_is_a_data_error(tmp_path):
@@ -222,7 +244,7 @@ def test_save_csv_rejects_a_label_column_named_like_a_feature(tmp_path):
 
 
 def test_save_csv_deterministic_bytes(tmp_path, mixed_schema):
-    ds = Dataset(mixed_schema, [("red", 5.25, 10.0)], [1])
+    ds = dataset_from_matrix(np.array([[0, 5.25, 10.0]]), [1], schema=mixed_schema)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     save_csv(ds, p1)
     save_csv(ds, p2)
@@ -258,8 +280,8 @@ def test_cleanse_removes_duplicates():
 
 def test_cleanse_drops_feature_at_threshold_boundary():
     # feature b null in 9/10 rows: 0.9 >= 0.9 drops it, all rows kept
-    rows = [(float(i), None) for i in range(9)] + [(9.0, 1.0)]
-    ds = Dataset(numeric_schema(["a", "b"]), rows)
+    rows = [(float(i), np.nan) for i in range(9)] + [(9.0, 1.0)]
+    ds = dataset_from_matrix(np.array(rows), names=["a", "b"])
     out = cleanse(ds, 0.9)
     assert out.schema.names == ["a"]
     assert out.n == 10
@@ -267,8 +289,8 @@ def test_cleanse_drops_feature_at_threshold_boundary():
 
 def test_cleanse_keeps_feature_below_threshold_drops_null_rows():
     # feature b null in 8/10 rows: kept, but those 8 rows are dropped
-    rows = [(float(i), None) for i in range(8)] + [(8.0, 1.0), (9.0, 2.0)]
-    ds = Dataset(numeric_schema(["a", "b"]), rows)
+    rows = [(float(i), np.nan) for i in range(8)] + [(8.0, 1.0), (9.0, 2.0)]
+    ds = dataset_from_matrix(np.array(rows), names=["a", "b"])
     out = cleanse(ds, 0.9)
     assert out.schema.names == ["a", "b"]
     assert out.n == 2
@@ -276,14 +298,14 @@ def test_cleanse_keeps_feature_below_threshold_drops_null_rows():
 
 
 def test_cleanse_duplicate_key_includes_label():
-    ds = Dataset(numeric_schema(["a"]), [(1.0,), (1.0,), (1.0,)], [0, 1, 0])
+    ds = dataset_from_matrix(np.ones((3, 1)), [0, 1, 0])
     out = cleanse(ds, 0.9)
     assert out.n == 2  # same cells but different labels are distinct rows
 
 
 def test_cleanse_idempotent():
-    rows = [(1.0, None), (1.0, None), (2.0, 3.0), (2.0, 3.0), (4.0, 5.0)]
-    ds = Dataset(numeric_schema(["a", "b"]), rows)
+    rows = [(1.0, np.nan), (1.0, np.nan), (2.0, 3.0), (2.0, 3.0), (4.0, 5.0)]
+    ds = dataset_from_matrix(np.array(rows), names=["a", "b"])
     once = cleanse(ds, 0.6)
     twice = cleanse(once, 0.6)
     assert np.array_equal(once.values, twice.values)
@@ -291,13 +313,13 @@ def test_cleanse_idempotent():
 
 
 def test_cleanse_threshold_must_be_a_number():
-    ds = Dataset(numeric_schema(["a"]), [(1.0,), (2.0,)])
+    ds = dataset_from_matrix(np.array([[1.0], [2.0]]))
     with pytest.raises(ConfigError):
         cleanse(ds, "0.5")
 
 
 def test_cleanse_error_when_everything_null():
-    ds = Dataset(numeric_schema(["a"]), [(None,), (None,)])
+    ds = dataset_from_matrix(np.full((2, 1), np.nan))
     with pytest.raises(DataError):
         cleanse(ds, 0.9)
 
@@ -306,7 +328,7 @@ def test_cleanse_error_when_everything_null():
 
 
 def test_one_hot_basic(mixed_schema):
-    ds = Dataset(mixed_schema, [("red", 1.0, 2.0), ("blue", 3.0, 4.0)])
+    ds = dataset_from_matrix(np.array([[0, 1.0, 2.0], [1, 3.0, 4.0]]), schema=mixed_schema)  # red, blue
     enc, mapping = encode_one_hot(ds)
     assert enc.schema.names == ["color=red", "color=blue", "amount", "hour"]
     assert enc.values.tolist() == [[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 3.0, 4.0]]
@@ -323,7 +345,7 @@ def test_one_hot_no_categoricals_is_identity():
 
 def test_one_hot_rows_sum_to_one():
     schema = FeatureSchema([Feature("c", "categorical", categories=("a", "b", "c"))])
-    ds = Dataset(schema, [("a",), ("c",), ("b",), ("a",), ("c",)])
+    ds = dataset_from_matrix(np.array([[0], [2], [1], [0], [2]]), schema=schema)  # a, c, b, a, c
     enc, _ = encode_one_hot(ds)
     assert enc.values.sum(axis=1).tolist() == [1.0] * 5
 
@@ -331,7 +353,7 @@ def test_one_hot_rows_sum_to_one():
 def test_one_hot_indicator_columns_hold_each_category_index(mixed_schema):
     # a categorical cell becomes its span's indicators, 1.0 only at the
     # category's index; a numeric cell is copied into its one column
-    ds = Dataset(mixed_schema, [("red", 1.0, 2.0), ("blue", 3.0, 4.0), ("red", 5.0, 6.0)])
+    ds = dataset_from_matrix(np.array([[0, 1.0, 2.0], [1, 3.0, 4.0], [0, 5.0, 6.0]]), schema=mixed_schema)
     enc, mapping = encode_one_hot(ds)
     assert mapping.spans == ((0, 2), (2, 1), (3, 1))
     for j, (start, width) in enumerate(mapping.spans):
@@ -343,7 +365,7 @@ def test_one_hot_indicator_columns_hold_each_category_index(mixed_schema):
 
 
 def test_one_hot_rejects_nulls(mixed_schema):
-    ds = Dataset(mixed_schema, [(None, 1.0, 2.0)])
+    ds = dataset_from_matrix(np.array([[np.nan, 1.0, 2.0]]), schema=mixed_schema)
     with pytest.raises(DataError):
         encode_one_hot(ds)
 
@@ -516,16 +538,48 @@ def test_dataset_leaves_the_callers_label_array_writable():
     assert ds.labels.tolist() == [0, 1, 0]
 
 
-def test_dataset_rejects_unknown_category_and_non_numeric_cells(mixed_schema):
-    with pytest.raises(DataError, match="unknown category"):
-        Dataset(mixed_schema, [("green", 1.0, 2.0)])
-    with pytest.raises(DataError, match="numeric cell required"):
-        Dataset(mixed_schema, [("red", "1.0", 2.0)])
+@pytest.mark.parametrize("index", [2.0, 0.5, -1.0])
+def test_dataset_rejects_a_categorical_cell_that_is_not_a_category_index(mixed_schema, index):
+    # color has two categories, so its cells are 0, 1 or a null
+    with pytest.raises(DataError, match="'color': a categorical cell must be a category index or NaN"):
+        dataset_from_matrix(np.array([[0, 1.0, 2.0], [index, 3.0, 4.0]]), schema=mixed_schema)
+
+
+def test_dataset_from_matrix_nulls_the_non_finite_cells_of_a_mixed_schema(mixed_schema):
+    x = np.array([[0, np.inf, 2.0], [np.inf, 3.0, 4.0], [1, 5.0, -np.inf], [np.nan, 6.0, 7.0], [1, 8.0, 9.0]])
+    ds = dataset_from_matrix(x, [0, 1, 0, 1, 1], schema=mixed_schema)
+    assert np.array_equal(np.isnan(ds.values), ~np.isfinite(x))
+    assert np.array_equal(ds.values[~np.isnan(ds.values)], x[np.isfinite(x)])
+    clean = cleanse(ds, 0.9)
+    assert clean.values.tolist() == [[1.0, 8.0, 9.0]] and clean.labels.tolist() == [1]
+    assert np.isfinite(x).sum() == 11  # the caller's matrix is copied, not nulled in place
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((2, 3), dtype=int), [[0.0, 1.0, 2.0]]],
+    ids=["narrow", "wide", "1-d", "int", "list"],
+)
+def test_dataset_constructor_takes_only_a_float_matrix_of_the_schemas_width(mixed_schema, values):
+    with pytest.raises(DataError, match="values must be a float64 matrix of 3 columns"):
+        Dataset(mixed_schema, values)
+
+
+def test_dataset_constructor_keeps_the_matrix_it_is_given(mixed_schema):
+    x = np.array([[1, 5.0, np.nan]])
+    ds = Dataset(mixed_schema, x, [1])
+    assert ds.values is x and not x.flags.writeable  # no copy
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_dataset_constructor_rejects_an_infinite_cell(mixed_schema, bad):
+    # an inf kept in values would keep its row through cleanse and become a
+    # bound of fit_normalize; dataset_from_matrix and load_csv make it a null
+    with pytest.raises(DataError, match="infinite"):
+        Dataset(mixed_schema, np.array([[1, 5.0, bad]]))
 
 
 @pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 0.999], [1.0, np.nan]])
 def test_dataset_rejects_labels_that_are_not_exactly_0_or_1(labels):
     with pytest.raises(DataError, match="0/1"):
         dataset_from_matrix(np.zeros((2, 1)), labels)
-    with pytest.raises(DataError, match="0/1"):
-        Dataset(two_feature_schema(), [(0.0, 0.0), (1.0, 1.0)], labels)

@@ -20,8 +20,8 @@ from fraudkit import classify, occ
 from fraudkit.augment import Gan, GanSpec, default_gan_spec
 from fraudkit.classify import ClassifierConfig, load_model, model_from_dict
 from fraudkit.data import (
-    Config, Dataset, EstimatorConfig, Feature, FeatureSchema, Items, NormParams, OneHotMap, encode_one_hot,
-    fit_normalize, numeric_schema, read_document, write_document,
+    Config, Dataset, EstimatorConfig, Feature, FeatureSchema, Items, NormParams, OneHotMap, dataset_from_matrix,
+    encode_one_hot, fit_normalize, numeric_schema, read_document, write_document,
 )
 from fraudkit.errors import ConfigError, DataError, FraudkitError, ModelError
 from fraudkit.neural import LayerSpec, Network, NetworkSpec, TrainConfig, init_network, layer_stack
@@ -312,8 +312,40 @@ def test_malformed_nested_config_argument_is_a_config_error(name):
         NESTED_HOLES[name]()
 
 
+def _penalty_strength(kind):
+    return (
+        lambda v: ClassifierConfig(kind, {"penalty_strength": v}),
+        lambda v: ClassifierConfig.from_dict({"kind": kind, "parameters": {"penalty_strength": v}}),
+    )
+
+
+def _train_field(name):
+    return lambda v: TrainConfig(**{name: v}), lambda v: TrainConfig.from_dict({name: v})
+
+
+# each real field whose Range has no upper bound: (build from an argument, build from a document)
+UNBOUNDED_REALS = {
+    "lr-penalty_strength": _penalty_strength("lr"),
+    "svm-penalty_strength": _penalty_strength("svm"),
+    "train-learning_rate": _train_field("learning_rate"),
+    "train-weight_clip": _train_field("weight_clip"),
+}
+
+
+@pytest.mark.parametrize("text", ["Infinity", "1" + "0" * 400], ids=["infinity", "int-past-the-float-range"])
+@pytest.mark.parametrize("source", ["argument", "document"])
+@pytest.mark.parametrize("field", sorted(UNBOUNDED_REALS))
+def test_real_field_without_an_upper_bound_rejects_a_value_past_the_float_range(field, source, text):
+    # penalty_strength = inf loaded and fitted a zero lr model (0 iterations,
+    # every probability 0.5); 10**400 loaded and then failed in float()
+    build = UNBOUNDED_REALS[field][source == "document"]
+    with pytest.raises(ConfigError, match="must be a finite real number"):
+        build(json.loads(text))
+
+
 def test_one_hot_map_and_norm_params_round_trip_through_json(mixed_schema):
-    data = Dataset(mixed_schema, [("red", 1.0, 2.0), ("blue", 50.0, 23.5), ("red", 7.0, 0.0)], [0, 1, 0])
+    x = np.array([[0, 1.0, 2.0], [1, 50.0, 23.5], [0, 7.0, 0.0]])  # red, blue, red
+    data = dataset_from_matrix(x, [0, 1, 0], schema=mixed_schema)
     encoded, mapping = encode_one_hot(data)
     params = fit_normalize(encoded)
     assert OneHotMap.from_dict(json.loads(json.dumps(mapping.to_dict()))) == mapping
@@ -328,7 +360,7 @@ def test_schema_documents_with_retired_fields_still_load():
 
 def _encoded() -> tuple[Dataset, OneHotMap]:
     schema = FeatureSchema([Feature("c", "categorical", ("x", "y")), Feature("a", "numeric")])
-    return encode_one_hot(Dataset(schema, [("x", 1.0), ("y", 3.0)]))
+    return encode_one_hot(dataset_from_matrix(np.array([[0, 1.0], [1, 3.0]]), schema=schema))  # x, y
 
 
 # name -> (parser, the error it raises, a document it writes with a `format` tag)

@@ -102,7 +102,6 @@ import pytest
 from fraudkit.augment import Gan, default_gan_spec, sample_synthetic, train_gan
 from fraudkit.classify import ClassifierConfig, extract_rules, fit_arrays, format_rules, load_model, model_from_dict
 from fraudkit.data import (
-    Dataset,
     Feature,
     FeatureSchema,
     NormParams,
@@ -479,8 +478,9 @@ def _data_documents():
         ]
     )
     rng = np.random.default_rng(19)
-    rows = [(schema[0].categories[i % 3], float(rng.uniform(-5.0, 90.0)), float(i % 24)) for i in range(30)]
-    encoded, mapping = encode_one_hot(Dataset(schema, rows, [i % 2 for i in range(30)]))
+    i = np.arange(30)
+    x = np.column_stack([i % 3, rng.uniform(-5.0, 90.0, size=30), i % 24])  # category index, amount, hour
+    encoded, mapping = encode_one_hot(dataset_from_matrix(x, i % 2, schema=schema))
     return schema, mapping, fit_normalize(encoded)
 
 

@@ -396,3 +396,15 @@ def test_fitted_model_keeps_little_more_than_its_nodes(config):
     trees = [model.tree] if config.kind == "dt" else model.trees
     columns = sum(value.nbytes for tree in trees for value in vars(tree.nodes).values())
     assert kept <= 2 * columns
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_value_rejects_a_row_that_is_not_finite(bad):
+    # a NaN compares false, so the row went right and came back as a leaf value
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(40, 3))
+    tree = DecisionTree(max_depth=3).fit(x, (x[:, 0] > 0.5).astype(int))
+    with pytest.raises(DataError, match="rows must be finite"):
+        tree.predict_value([[bad, 0.2, 0.3]])
+    with pytest.raises(ModelError, match="width 3"):
+        tree.predict_value(x[:, :2])
